@@ -23,13 +23,14 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 
 use opera_grid::PowerGrid;
-use opera_sparse::{MatrixFactor, SolveWorkspace};
+use opera_sparse::{MatrixFactor, SolveWorkspace, SymbolicCholesky};
 use opera_variation::{LeakageModel, StochasticGridModel};
 
 use crate::parallel::sample_seed;
 use crate::solver::DirectPrepared;
 use crate::transient::{
-    integrate_fixed_step, rescale_around_anchor, CompanionSystem, TransientOptions,
+    analyze_companion_pattern, integrate_fixed_step, rescale_around_anchor, CompanionSystem,
+    TransientOptions,
 };
 use crate::{OperaError, Result};
 
@@ -172,6 +173,12 @@ impl WelfordGrid {
 
 /// Runs the Monte Carlo baseline for an inter-die variation model.
 ///
+/// A sample only re-weights nominal branches, so nominal `G` and `G + C` are
+/// analysed once, before the fan-out, and every sample factors numerically
+/// against them — bit-identical to a
+/// [`solve_transient`](crate::transient::solve_transient) of its own
+/// matrices, since the ordering reads only the pattern.
+///
 /// # Errors
 ///
 /// Returns [`OperaError::InvalidOptions`] for invalid options, and propagates
@@ -184,6 +191,10 @@ pub fn run(model: &StochasticGridModel, options: &MonteCarloOptions) -> Result<M
     let families = model.families();
 
     let scale = options.current_scale;
+    let (method, h) = (options.transient.method, options.transient.time_step);
+    let g_nominal = model.nominal_conductance();
+    let dc_analysis = SymbolicCholesky::analyze(g_nominal)?;
+    let step_analysis = analyze_companion_pattern(g_nominal, model.nominal_capacitance())?;
     let sample_trace = |sample_index: usize| -> Result<Vec<Vec<f64>>> {
         let mut rng = StdRng::seed_from_u64(sample_seed(options.seed, sample_index as u64));
         let xi: Vec<f64> = families.iter().map(|f| f.sample(&mut rng)).collect();
@@ -196,10 +207,9 @@ pub fn run(model: &StochasticGridModel, options: &MonteCarloOptions) -> Result<M
         } else {
             None
         };
-        let method = options.transient.method;
         let prepared = DirectPrepared::new(
-            MatrixFactor::cholesky_or_lu(&g)?,
-            CompanionSystem::new(&g, &c, options.transient.time_step, method)?,
+            MatrixFactor::from_cholesky_attempt(dc_analysis.factor_numeric(&g), &g)?,
+            CompanionSystem::factored(&g, &c, h, method, Some(&step_analysis))?,
         );
         // The output rows are allocated up front; each step's state is
         // copied into its row.

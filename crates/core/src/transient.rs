@@ -258,20 +258,42 @@ pub struct CompanionSystem {
 
 impl CompanionSystem {
     /// Builds and factors the companion matrix for the given `G`, `C` and
-    /// step size. Tries Cholesky first and falls back to LU if the matrix is
-    /// not numerically positive definite.
+    /// step size: one symbolic analysis of the `G + C` pattern, then
+    /// Cholesky with an LU fallback for a numerically indefinite matrix.
     ///
     /// # Errors
     ///
-    /// Returns the underlying factorisation error if both attempts fail.
+    /// Propagates pattern-union and symbolic-analysis errors (e.g. a
+    /// non-symmetric `G + C`), and the LU error if the fallback fails too.
     pub fn new(
         g: &CsrMatrix,
         c: &CsrMatrix,
         time_step: f64,
         method: IntegrationMethod,
     ) -> Result<Self> {
+        let symbolic = analyze_companion_pattern(g, c)?;
+        Self::factored(g, c, time_step, method, Some(&symbolic))
+    }
+
+    /// The one constructor of every companion system (`new`, the family,
+    /// Monte Carlo samples): Cholesky against the shared `symbolic`
+    /// analysis with the counted LU fallback of
+    /// [`MatrixFactor::from_cholesky_attempt`], or LU outright for `None`.
+    pub(crate) fn factored(
+        g: &CsrMatrix,
+        c: &CsrMatrix,
+        time_step: f64,
+        method: IntegrationMethod,
+        symbolic: Option<&SymbolicCholesky>,
+    ) -> Result<Self> {
         let c_over_h = c.scaled(companion_scale(method, time_step));
-        let factor = MatrixFactor::cholesky_or_lu(&g.add_scaled(&c_over_h, 1.0)?)?;
+        let companion = g.add_scaled(&c_over_h, 1.0)?;
+        let factor = match symbolic {
+            Some(s) => {
+                MatrixFactor::from_cholesky_attempt(s.factor_numeric(&companion), &companion)?
+            }
+            None => MatrixFactor::lu(&companion)?,
+        };
         Ok(CompanionSystem {
             factor,
             c_over_h,
@@ -571,6 +593,13 @@ impl StepRhs<'_> {
 
 // lint: end-hot
 
+/// Analyses the pattern that every companion matrix `G + s·C` shares. The
+/// analysis reads only the pattern, so `s = 1` stands in for every positive
+/// companion scale.
+pub(crate) fn analyze_companion_pattern(g: &CsrMatrix, c: &CsrMatrix) -> Result<SymbolicCholesky> {
+    Ok(SymbolicCholesky::analyze(&g.add_scaled(c, 1.0)?)?)
+}
+
 /// Number of recently-used step sizes whose numeric companion factors stay
 /// cached (the adaptive controller's deadband revisits a handful of steps).
 const FAMILY_CACHE_CAPACITY: usize = 8;
@@ -585,8 +614,9 @@ const FAMILY_CACHE_CAPACITY: usize = 8;
 /// on revisits.
 ///
 /// The factors produced here are bit-identical to [`CompanionSystem::new`]
-/// on the same inputs: the shared analysis sees the same union pattern, so
-/// ordering, fill and the numeric kernel all match the one-shot path.
+/// on the same inputs: both go through one constructor against an analysis
+/// of the same union pattern, so ordering, fill and the numeric kernel all
+/// match the one-shot path.
 ///
 /// Bookkeeping is observable two ways: the `transient.symbolic_analyses` and
 /// `transient.refactorizations` counters flow into [`opera_trace`] when
@@ -616,7 +646,9 @@ impl CompanionFamily {
     ///
     /// Propagates pattern-union and symbolic-analysis errors.
     pub fn new(g: &CsrMatrix, c: &CsrMatrix) -> Result<Self> {
-        Self::build_family(g, c, false)
+        let family = Self::with_analysis(g, c, Some(analyze_companion_pattern(g, c)?));
+        family.symbolic_analyses.incr();
+        Ok(family)
     }
 
     /// Prepares a family that factors every step size with left-looking LU,
@@ -625,31 +657,21 @@ impl CompanionFamily {
     ///
     /// # Errors
     ///
-    /// Propagates pattern-union errors.
+    /// None: an LU family runs no analysis. The `Result` mirrors
+    /// [`CompanionFamily::new`].
     pub fn with_lu(g: &CsrMatrix, c: &CsrMatrix) -> Result<Self> {
-        Self::build_family(g, c, true)
+        Ok(Self::with_analysis(g, c, None))
     }
 
-    fn build_family(g: &CsrMatrix, c: &CsrMatrix, use_lu: bool) -> Result<Self> {
-        let symbolic_analyses = Counter::new("transient.symbolic_analyses");
-        let symbolic = if use_lu {
-            None
-        } else {
-            // The analysis is pattern-only: `s = 1` stands in for every
-            // positive companion scale.
-            let pattern = g.add_scaled(c, 1.0)?;
-            let symbolic = SymbolicCholesky::analyze(&pattern)?;
-            symbolic_analyses.incr();
-            Some(symbolic)
-        };
-        Ok(CompanionFamily {
+    fn with_analysis(g: &CsrMatrix, c: &CsrMatrix, symbolic: Option<SymbolicCholesky>) -> Self {
+        CompanionFamily {
             g: g.clone(),
             c: c.clone(),
             symbolic,
             cache: Mutex::new(Vec::new()),
-            symbolic_analyses,
+            symbolic_analyses: Counter::new("transient.symbolic_analyses"),
             refactorizations: Counter::new("transient.refactorizations"),
-        })
+        }
     }
 
     /// System dimension (rows of `G`).
@@ -706,26 +728,14 @@ impl CompanionFamily {
             cache.insert(0, entry);
             return Ok(Arc::clone(&cache[0].1));
         }
-        let c_over_h = self.c.scaled(companion_scale(method, time_step));
-        let companion = self.g.add_scaled(&c_over_h, 1.0)?;
-        let factor = match &self.symbolic {
-            // Mirror cholesky_or_lu: numerically indefinite companions fall
-            // back to a full (counted and reported) LU for this step size.
-            Some(symbolic) => MatrixFactor::from_cholesky_attempt(
-                symbolic.factor_numeric(&companion),
-                &companion,
-            )?,
-            // An LU family never attempts Cholesky.
-            None => MatrixFactor::lu(&companion)?,
-        };
-        self.refactorizations.incr();
-        let system = Arc::new(CompanionSystem {
-            factor,
-            c_over_h,
-            g: self.g.clone(),
+        let system = Arc::new(CompanionSystem::factored(
+            &self.g,
+            &self.c,
+            time_step,
             method,
-            h: time_step,
-        });
+            self.symbolic.as_ref(),
+        )?);
+        self.refactorizations.incr();
         cache.insert(0, (key, Arc::clone(&system)));
         cache.truncate(FAMILY_CACHE_CAPACITY);
         Ok(system)

@@ -8,6 +8,8 @@
 //! minimum degree by default) is applied first; the permutation is handled
 //! transparently by [`CholeskyFactor::solve`].
 
+use std::sync::Arc;
+
 use crate::etree::{ereach, postorder};
 use crate::supernodal::{amalgamate, factor_supernodal, Supernodes};
 use crate::triangular::{lower_panel_raw, lower_transpose_panel_raw};
@@ -53,8 +55,11 @@ pub enum OrderingChoice {
 /// A `SymbolicCholesky` is immutable (and therefore `Sync`), so one analysis
 /// can be shared by many concurrent numeric factorisations of matrices whose
 /// pattern is contained in the analysed one — e.g. the per-node conductance
-/// realisations of a stochastic-collocation sweep, where every node has the
-/// same structure but different values.
+/// realisations of a stochastic-collocation sweep or the per-sample matrices
+/// of a Monte Carlo run, where every realisation has the same structure but
+/// different values. The analysis sits behind one [`Arc`]: cloning is a
+/// pointer copy, and every [`CholeskyFactor`] built from it shares the
+/// ordering and the pattern of `L`, storing only its own values.
 ///
 /// # Example
 ///
@@ -81,6 +86,13 @@ pub enum OrderingChoice {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SymbolicCholesky {
+    analysis: Arc<Analysis>,
+}
+
+/// The pattern-fixed data of one analysis, shared by every factor built on
+/// it.
+#[derive(Debug)]
+struct Analysis {
     n: usize,
     ordering: OrderingChoice,
     perm: Permutation,
@@ -148,20 +160,17 @@ impl SymbolicCholesky {
     ///
     /// Same as [`SymbolicCholesky::analyze`].
     pub fn analyze_with(a: &CsrMatrix, ordering_choice: OrderingChoice) -> Result<Self> {
-        let _span = opera_trace::span("cholesky.analyze");
-        let (a_perm, perm) = permute_for_cholesky(a, ordering_choice)?;
-        Ok(Self::from_permuted(a_perm, perm, ordering_choice)?.0)
+        Ok(Self::analyze_permuted(a, ordering_choice)?.0)
     }
 
-    /// Builds the analysis from an already permuted matrix. Returns the
-    /// matrix back (re-permuted if the postorder relabelling below applied),
-    /// so numeric front ends factor exactly the matrix that was analysed.
-    fn from_permuted(
-        a_perm: CscMatrix,
-        perm: Permutation,
-        ordering: OrderingChoice,
-    ) -> Result<(Self, CscMatrix)> {
-        let _span = opera_trace::span("cholesky.symbolic");
+    /// The analysis plus the permuted matrix it was computed from
+    /// (re-permuted if the postorder relabelling below applied), so
+    /// [`CholeskyFactor::factor_with`] factors exactly the analysed matrix
+    /// without permuting `a` a second time.
+    fn analyze_permuted(a: &CsrMatrix, ordering: OrderingChoice) -> Result<(Self, CscMatrix)> {
+        let _span = opera_trace::span("cholesky.analyze");
+        let (mut a_perm, mut perm) = permute_for_cholesky(a, ordering)?;
+        let _symbolic_span = opera_trace::span("cholesky.symbolic");
         let n = a_perm.ncols();
         let mut parent = elimination_tree(&a_perm);
         // Relabel by a postorder of the elimination tree: fill-preserving
@@ -169,8 +178,6 @@ impl SymbolicCholesky {
         // column-contiguous with its tree parent, which is what lets the
         // relaxed amalgamation below widen the panels. `Natural` keeps its
         // identity-permutation contract and is left untouched.
-        let mut perm = perm;
-        let mut a_perm = a_perm;
         if !matches!(ordering, OrderingChoice::Natural) {
             let post = postorder(&parent);
             #[cfg(feature = "strict-invariants")]
@@ -229,7 +236,7 @@ impl SymbolicCholesky {
                 0.0
             },
         );
-        let symbolic = SymbolicCholesky {
+        let analysis = Analysis {
             n,
             ordering,
             perm,
@@ -243,81 +250,117 @@ impl SymbolicCholesky {
         {
             a_perm.validate()?;
             crate::invariants::validate_supernode_containment(
-                symbolic.snodes.boundaries(),
-                &symbolic.l_indptr,
-                &symbolic.l_indices,
+                analysis.snodes.boundaries(),
+                &analysis.l_indptr,
+                &analysis.l_indices,
             )?;
         }
+        let symbolic = SymbolicCholesky {
+            analysis: Arc::new(analysis),
+        };
         Ok((symbolic, a_perm))
     }
 
     /// Dimension of the analysed matrix.
     pub fn dim(&self) -> usize {
-        self.n
+        self.analysis.n
     }
 
     /// The fill-reducing ordering strategy this analysis was computed with
     /// ([`OrderingChoice::default`] for [`SymbolicCholesky::analyze`]).
     pub fn ordering(&self) -> OrderingChoice {
-        self.ordering
+        self.analysis.ordering
     }
 
     /// Number of nonzeros the factor `L` will have.
     pub fn nnz_l(&self) -> usize {
-        self.l_indptr[self.n]
+        self.analysis.l_indptr[self.analysis.n]
     }
 
     /// The fill-reducing permutation chosen by the analysis.
     pub fn permutation(&self) -> &Permutation {
-        &self.perm
+        &self.analysis.perm
     }
 
     /// The fundamental-supernode partition the numeric phase factors the
     /// matrix by (see [`Supernodes`]).
     pub fn supernodes(&self) -> &Supernodes {
-        &self.snodes
+        &self.analysis.snodes
     }
 
     /// Performs a numeric-only factorisation of `a` against this shared
     /// analysis: no ordering, no elimination tree, no column counts are
-    /// recomputed. The pattern of `a` must be contained in the analysed
-    /// pattern (equal in practice; a strict subset — e.g. the conductance
-    /// matrix `G` factored with the analysis of the companion `G + C/h` — is
-    /// also fine because its fill is contained too).
+    /// recomputed, and the factor shares the analysis instead of copying
+    /// it. The pattern of `a` must be contained in the analysed pattern
+    /// (equal in practice; a strict subset — e.g. the conductance matrix
+    /// `G` factored with the analysis of the companion `G + C/h` — is also
+    /// fine because its fill is contained too). On an equal pattern the
+    /// factor is bit-identical to [`CholeskyFactor::factor_with`] under the
+    /// same ordering choice: the ordering reads only the pattern.
     ///
     /// # Errors
     ///
     /// Returns [`SparseError::DimensionMismatch`] for a shape mismatch,
-    /// [`SparseError::InvalidStructure`] if `a` has an entry outside the
-    /// analysed pattern, and [`SparseError::NotPositiveDefinite`] if `a` is
-    /// not positive definite.
+    /// [`SparseError::InvalidStructure`] if `a` is not symmetric or has an
+    /// entry outside the analysed pattern, and
+    /// [`SparseError::NotPositiveDefinite`] if `a` is not positive definite.
     pub fn factor_numeric(&self, a: &CsrMatrix) -> Result<CholeskyFactor> {
-        if a.nrows() != self.n || a.ncols() != self.n {
+        let n = self.dim();
+        if a.nrows() != n || a.ncols() != n {
             return Err(SparseError::DimensionMismatch {
                 op: "factor_numeric",
-                left: (self.n, self.n),
+                left: (n, n),
                 right: (a.nrows(), a.ncols()),
             });
         }
-        let a_perm = a.to_csc().permute_symmetric(&self.perm)?;
-        check_pattern_contained(&a_perm, &self.pattern_indptr, &self.pattern_indices)?;
-        let nnz_l = self.nnz_l();
-        let mut factor = CholeskyFactor {
-            n: self.n,
-            perm: self.perm.clone(),
-            snodes: self.snodes.clone(),
-            l_indptr: self.l_indptr.clone(),
-            l_indices: self.l_indices.clone(),
-            l_data: vec![0.0; nnz_l],
-            a_perm,
-        };
-        factor.numeric()?;
-        Ok(factor)
+        check_symmetric(a)?;
+        let a_perm = a.to_csc().permute_symmetric(self.permutation())?;
+        // Entry by entry: a count-based check is not enough, since a matrix
+        // that drops one entry and gains another has the same nnz but would
+        // silently corrupt the factorisation.
+        check_pattern_contained(
+            &a_perm,
+            &self.analysis.pattern_indptr,
+            &self.analysis.pattern_indices,
+        )?;
+        self.numeric(&a_perm)
+    }
+
+    /// Supernodal numeric phase on the permuted matrix: value-only
+    /// dense-panel work over the shared pattern (see [`crate::Supernodes`]).
+    fn numeric(&self, a_perm: &CscMatrix) -> Result<CholeskyFactor> {
+        let mut l_data = vec![0.0; self.nnz_l()];
+        let _span = opera_trace::span("cholesky.numeric");
+        opera_trace::count("cholesky.numeric_factorizations", 1);
+        let Analysis {
+            snodes,
+            l_indptr,
+            l_indices,
+            ..
+        } = &*self.analysis;
+        factor_supernodal(a_perm, snodes, l_indptr, l_indices, &mut l_data)?;
+        Ok(CholeskyFactor {
+            symbolic: self.clone(),
+            l_data,
+        })
     }
 }
 
-/// Shared front end of `factor_with`/`analyze_with`: symmetry and shape
-/// checks, ordering selection and the symmetric permutation.
+/// Rejects a matrix that is not symmetric to within `1e-10·max(‖A‖_F, 1)`:
+/// the factorisation reads one triangle, so it would factor another matrix.
+fn check_symmetric(a: &CsrMatrix) -> Result<()> {
+    let scale = a.frobenius_norm().max(1.0);
+    if a.is_symmetric(1e-10 * scale) {
+        Ok(())
+    } else {
+        Err(SparseError::InvalidStructure {
+            reason: "Cholesky factorisation requires a symmetric matrix".to_string(),
+        })
+    }
+}
+
+/// Front end of the analysis: symmetry and shape checks, ordering selection
+/// and the symmetric permutation.
 fn permute_for_cholesky(
     a: &CsrMatrix,
     ordering_choice: OrderingChoice,
@@ -328,12 +371,7 @@ fn permute_for_cholesky(
             shape: (a.nrows(), a.ncols()),
         });
     }
-    let scale = a.frobenius_norm().max(1.0);
-    if !a.is_symmetric(1e-10 * scale) {
-        return Err(SparseError::InvalidStructure {
-            reason: "Cholesky factorisation requires a symmetric matrix".to_string(),
-        });
-    }
+    check_symmetric(a)?;
     let a_csc = a.to_csc();
     let perm = match ordering_choice {
         OrderingChoice::Natural => Permutation::identity(a.nrows()),
@@ -373,6 +411,12 @@ fn check_pattern_contained(sub: &CscMatrix, indptr: &[usize], indices: &[usize])
 /// A sparse Cholesky factorisation `P·A·Pᵀ = L·Lᵀ` of a symmetric positive
 /// definite matrix.
 ///
+/// The ordering and the pattern of `L` belong to the [`SymbolicCholesky`]
+/// analysis the factor was computed against, which it shares; the factor
+/// itself stores the values of `L` only. To factor another matrix with the
+/// same pattern, keep the analysis and call
+/// [`SymbolicCholesky::factor_numeric`].
+///
 /// # Example
 ///
 /// ```
@@ -396,18 +440,10 @@ fn check_pattern_contained(sub: &CscMatrix, indptr: &[usize], indices: &[usize])
 /// ```
 #[derive(Debug, Clone)]
 pub struct CholeskyFactor {
-    n: usize,
-    perm: Permutation,
-    /// Fundamental-supernode partition (fixed by the symbolic analysis).
-    snodes: Supernodes,
-    /// Column pointers of `L` (fixed by the symbolic analysis).
-    l_indptr: Vec<usize>,
-    /// Row indices of `L` (fixed by the symbolic analysis).
-    l_indices: Vec<usize>,
-    /// Values of `L`.
+    /// The shared analysis: permutation, pattern of `L` and supernodes.
+    symbolic: SymbolicCholesky,
+    /// Values of `L`, laid out by the shared pattern.
     l_data: Vec<f64>,
-    /// Permuted copy of the input matrix pattern (kept for refactorisation).
-    a_perm: CscMatrix,
 }
 
 impl CholeskyFactor {
@@ -423,89 +459,21 @@ impl CholeskyFactor {
         Self::factor_with(a, OrderingChoice::default())
     }
 
-    /// Factors with an explicit ordering choice.
+    /// Factors with an explicit ordering choice: a fresh analysis, then the
+    /// numeric phase of [`SymbolicCholesky::factor_numeric`] on the matrix
+    /// the analysis already permuted.
     ///
     /// # Errors
     ///
     /// Same as [`CholeskyFactor::factor`].
     pub fn factor_with(a: &CsrMatrix, ordering_choice: OrderingChoice) -> Result<Self> {
-        let (symbolic, a_perm) = {
-            let _span = opera_trace::span("cholesky.analyze");
-            let (a_perm, perm) = permute_for_cholesky(a, ordering_choice)?;
-            SymbolicCholesky::from_permuted(a_perm, perm, ordering_choice)?
-        };
-        let nnz_l = symbolic.nnz_l();
-        let SymbolicCholesky {
-            n,
-            perm,
-            snodes,
-            l_indptr,
-            l_indices,
-            ..
-        } = symbolic;
-        let mut factor = CholeskyFactor {
-            n,
-            perm,
-            snodes,
-            l_indptr,
-            l_indices,
-            l_data: vec![0.0; nnz_l],
-            a_perm,
-        };
-        factor.numeric()?;
-        Ok(factor)
-    }
-
-    /// Re-runs the numeric factorisation for a matrix with the *same sparsity
-    /// pattern* but different values (e.g. a new Monte Carlo sample of the
-    /// grid conductances). The ordering and symbolic analysis are reused.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::DimensionMismatch`] if the shape differs from
-    /// the original matrix and [`SparseError::NotPositiveDefinite`] if the new
-    /// matrix is not positive definite. The pattern of `a` may be a subset of
-    /// the original pattern but must not contain new entries outside it;
-    /// entries outside are reported as [`SparseError::InvalidStructure`].
-    pub fn refactor(&mut self, a: &CsrMatrix) -> Result<()> {
-        if a.nrows() != self.n || a.ncols() != self.n {
-            return Err(SparseError::DimensionMismatch {
-                op: "refactor",
-                left: (self.n, self.n),
-                right: (a.nrows(), a.ncols()),
-            });
-        }
-        let a_csc = a.to_csc();
-        let a_perm = a_csc.permute_symmetric(&self.perm)?;
-        // Verify, entry by entry, that the new pattern is contained in the
-        // pattern the symbolic analysis was computed for (same pattern in
-        // practice). A count-based check is not enough: a matrix that drops
-        // one entry and gains another has the same nnz but would silently
-        // corrupt the factorisation.
-        check_pattern_contained(&a_perm, self.a_perm.indptr(), self.a_perm.indices())?;
-        self.a_perm = a_perm;
-        self.numeric()
-    }
-
-    /// Supernodal numeric factorisation over the precomputed pattern: the
-    /// symbolic analysis fixed `l_indptr`/`l_indices` and the supernode
-    /// partition, so this phase is value-only dense-panel work (see
-    /// [`crate::Supernodes`]).
-    fn numeric(&mut self) -> Result<()> {
-        let _span = opera_trace::span("cholesky.numeric");
-        opera_trace::count("cholesky.numeric_factorizations", 1);
-        factor_supernodal(
-            &self.a_perm,
-            &self.snodes,
-            &self.l_indptr,
-            &self.l_indices,
-            &mut self.l_data,
-        )
+        let (symbolic, a_perm) = SymbolicCholesky::analyze_permuted(a, ordering_choice)?;
+        symbolic.numeric(&a_perm)
     }
 
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
-        self.n
+        self.symbolic.dim()
     }
 
     /// Number of nonzeros in the factor `L`.
@@ -515,16 +483,17 @@ impl CholeskyFactor {
 
     /// The fill-reducing permutation used (`P·A·Pᵀ = L·Lᵀ`).
     pub fn permutation(&self) -> &Permutation {
-        &self.perm
+        self.symbolic.permutation()
     }
 
     /// Returns the factor `L` as a CSC matrix (in the permuted ordering).
     pub fn lower(&self) -> CscMatrix {
+        let analysis = &self.symbolic.analysis;
         CscMatrix::from_raw_parts(
-            self.n,
-            self.n,
-            self.l_indptr.clone(),
-            self.l_indices.clone(),
+            analysis.n,
+            analysis.n,
+            analysis.l_indptr.clone(),
+            analysis.l_indices.clone(),
             self.l_data.clone(),
         )
         // lint: allow(L001, the factorization emits sorted in-bounds columns by construction)
@@ -533,11 +502,9 @@ impl CholeskyFactor {
 
     /// Log-determinant of the original matrix: `log det A = 2 Σ log L_ii`.
     pub fn log_determinant(&self) -> f64 {
-        let mut acc = 0.0;
-        for j in 0..self.n {
-            acc += self.l_data[self.l_indptr[j]].ln();
-        }
-        2.0 * acc
+        let diagonal = &self.symbolic.analysis.l_indptr[..self.dim()];
+        let logs = diagonal.iter().map(|&p| self.l_data[p].ln());
+        2.0 * logs.fold(0.0, |acc, x| acc + x)
     }
 
     /// Solves `A·x = b`, allocating the result (and a fresh scratch buffer).
@@ -563,7 +530,7 @@ impl CholeskyFactor {
     ///
     /// Panics if `b.len()` does not match the matrix dimension.
     pub fn solve_in_place(&self, b: &mut [f64], ws: &mut SolveWorkspace) {
-        assert_eq!(b.len(), self.n, "rhs dimension mismatch");
+        assert_eq!(b.len(), self.dim(), "rhs dimension mismatch");
         self.solve_columns(b, ws);
     }
 
@@ -576,7 +543,7 @@ impl CholeskyFactor {
     ///
     /// Panics if the panel row count does not match the matrix dimension.
     pub fn solve_panel(&self, b: &mut Panel, ws: &mut SolveWorkspace) {
-        assert_eq!(b.nrows(), self.n, "panel row count mismatch");
+        assert_eq!(b.nrows(), self.dim(), "panel row count mismatch");
         opera_trace::count("panel.solves", 1);
         opera_trace::count("panel.columns", b.ncols() as u64);
         self.solve_columns(b.data_mut(), ws);
@@ -584,17 +551,18 @@ impl CholeskyFactor {
 
     /// Solves every column of the column-major buffer `b` (`n` rows).
     fn solve_columns(&self, b: &mut [f64], ws: &mut SolveWorkspace) {
-        let n = self.n;
+        let analysis = &self.symbolic.analysis;
+        let n = analysis.n;
         if n == 0 {
             return;
         }
-        let perm = self.perm.as_slice();
+        let perm = analysis.perm.as_slice();
         // One fused interleave round trip per strip when a vector backend
         // applies (permutation gather and scatter folded into pack/unpack,
         // L and Lᵀ solved back-to-back on the interleaved scratch);
         // bit-identical to the scalar path below, which moves each panel
         // value six times.
-        let (indptr, indices, data) = (&self.l_indptr, &self.l_indices, &self.l_data);
+        let (indptr, indices, data) = (&analysis.l_indptr, &analysis.l_indices, &self.l_data);
         if crate::simd::cholesky_panel_interleaved(indptr, indices, data, n, perm, b) {
             return;
         }
@@ -702,22 +670,26 @@ mod tests {
     }
 
     #[test]
-    fn refactor_reuses_symbolic_analysis() {
+    fn factor_numeric_reuses_symbolic_analysis() {
         let a = grid_spd(6, 6);
-        let mut chol = CholeskyFactor::factor(&a).unwrap();
+        let symbolic = SymbolicCholesky::analyze(&a).unwrap();
+        let chol = symbolic.factor_numeric(&a).unwrap();
         let b: Vec<f64> = vec![1.0; a.nrows()];
         let x1 = chol.solve(&b);
         assert!(a.residual_inf_norm(&x1, &b) < 1e-10);
 
         // Scale the matrix: same pattern, new values.
         let a2 = a.scaled(2.0);
-        chol.refactor(&a2).unwrap();
-        let x2 = chol.solve(&b);
+        let chol2 = symbolic.factor_numeric(&a2).unwrap();
+        let x2 = chol2.solve(&b);
         assert!(a2.residual_inf_norm(&x2, &b) < 1e-10);
         // Solutions should differ by exactly a factor of 2.
         for (u, v) in x1.iter().zip(&x2) {
             assert!((u - 2.0 * v).abs() < 1e-10);
         }
+        // Both factors point at the one analysis instead of copying it.
+        assert!(Arc::ptr_eq(&chol.symbolic.analysis, &symbolic.analysis));
+        assert!(Arc::ptr_eq(&chol2.symbolic.analysis, &symbolic.analysis));
     }
 
     #[test]
@@ -749,12 +721,14 @@ mod tests {
             let scaled = a.scaled(scale);
             let from_symbolic = symbolic.factor_numeric(&scaled).unwrap();
             let from_scratch = CholeskyFactor::factor(&scaled).unwrap();
+            // Bit equality, not closeness: the ordering reads only the
+            // pattern, so sharing one analysis across value sets changes
+            // nothing — the property Monte Carlo relies on.
+            assert_eq!(from_symbolic.permutation(), from_scratch.permutation());
+            assert_eq!(from_symbolic.l_data, from_scratch.l_data);
             let x = from_symbolic.solve(&b);
-            let y = from_scratch.solve(&b);
             assert!(scaled.residual_inf_norm(&x, &b) < 1e-10);
-            for (u, v) in x.iter().zip(&y) {
-                assert!((u - v).abs() < 1e-12);
-            }
+            assert_eq!(x, from_scratch.solve(&b));
         }
     }
 
@@ -787,7 +761,7 @@ mod tests {
     }
 
     #[test]
-    fn refactor_rejects_same_nnz_different_pattern() {
+    fn factor_numeric_rejects_same_nnz_different_pattern() {
         // Swap one symmetric off-diagonal pair for another: identical nnz,
         // different pattern. The element-wise containment check must fire.
         let n = 6;
@@ -802,16 +776,35 @@ mod tests {
         let a = build((0, 1));
         let swapped = build((2, 3));
         assert_eq!(a.nnz(), swapped.nnz());
-        let mut chol = CholeskyFactor::factor_with(&a, OrderingChoice::Natural).unwrap();
+        let symbolic = SymbolicCholesky::analyze_with(&a, OrderingChoice::Natural).unwrap();
         assert!(matches!(
-            chol.refactor(&swapped),
+            symbolic.factor_numeric(&swapped),
             Err(SparseError::InvalidStructure { .. })
         ));
-        // The factor is still usable with a pattern-preserving update.
-        chol.refactor(&a.scaled(3.0)).unwrap();
+        // The analysis still serves a pattern-preserving update.
+        let chol = symbolic.factor_numeric(&a.scaled(3.0)).unwrap();
         let b = vec![1.0; n];
         let x = chol.solve(&b);
         assert!(a.scaled(3.0).residual_inf_norm(&x, &b) < 1e-10);
+    }
+
+    #[test]
+    fn factor_numeric_rejects_a_non_symmetric_matrix_whose_pattern_fits() {
+        // diag 4, (0,1) = 3, (1,0) = 1, (1,2) = (2,1) = 1: the pattern is
+        // symmetric, the values are not. Factoring one triangle would solve
+        // a different matrix, so both entry points must refuse it.
+        let a = CsrMatrix::from_dense(3, 3, &[4.0, 3.0, 0.0, 1.0, 4.0, 1.0, 0.0, 1.0, 4.0], 0.0);
+        let symmetrised = a.add_scaled(&a.transpose(), 1.0).unwrap().scaled(0.5);
+        let symbolic = SymbolicCholesky::analyze(&symmetrised).unwrap();
+        assert!(matches!(
+            symbolic.factor_numeric(&a),
+            Err(SparseError::InvalidStructure { .. })
+        ));
+        assert!(matches!(
+            CholeskyFactor::factor(&a),
+            Err(SparseError::InvalidStructure { .. })
+        ));
+        assert!(symbolic.factor_numeric(&symmetrised).is_ok());
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! definite in the nominal case, but Galerkin-augmented matrices can lose
 //! numerical positive definiteness for large variation magnitudes. Callers
 //! therefore routinely want "Cholesky, falling back to LU when the matrix is
-//! not SPD". [`MatrixFactor`] packages that policy (and the pure-Cholesky and
-//! pure-LU variants) behind one `solve` interface so downstream crates do not
-//! each carry their own two-variant enum.
+//! not SPD". [`MatrixFactor`] packages that policy (and the pure-LU variant)
+//! behind one `solve` interface so downstream crates do not each carry their
+//! own two-variant enum.
 
 use crate::cholesky::CholeskyFactor;
 use crate::csr::CsrMatrix;
@@ -54,15 +54,6 @@ impl MatrixFactor {
                 Ok(MatrixFactor::Lu(LuFactor::factor(a)?))
             }
         }
-    }
-
-    /// Factors `a` with sparse Cholesky only (no LU fallback).
-    ///
-    /// # Errors
-    ///
-    /// Returns the Cholesky error if `a` is not numerically SPD.
-    pub fn cholesky(a: &CsrMatrix) -> Result<Self> {
-        Ok(MatrixFactor::Cholesky(CholeskyFactor::factor(a)?))
     }
 
     /// Factors `a` with left-looking LU with partial pivoting, regardless of
@@ -179,7 +170,7 @@ mod tests {
     fn in_place_and_panel_solves_match_on_both_variants() {
         let rhs: Vec<Vec<f64>> = (0..3).map(|k| vec![1.0 + k as f64, -2.0]).collect();
         for factor in [
-            MatrixFactor::cholesky(&spd2()).unwrap(),
+            MatrixFactor::Cholesky(CholeskyFactor::factor(&spd2()).unwrap()),
             MatrixFactor::lu(&indefinite2()).unwrap(),
         ] {
             let mut ws = SolveWorkspace::new();
@@ -197,7 +188,7 @@ mod tests {
 
     #[test]
     fn pure_variants_respect_their_contract() {
-        assert!(MatrixFactor::cholesky(&indefinite2()).is_err());
+        assert!(CholeskyFactor::factor(&indefinite2()).is_err());
         let f = MatrixFactor::lu(&spd2()).unwrap();
         assert!(!f.is_cholesky());
         let x = f.solve(&[4.0, 1.0]);

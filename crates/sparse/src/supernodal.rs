@@ -153,7 +153,7 @@ fn merge_is_worthwhile(w: usize, zeros: usize, entries: usize) -> bool {
 /// merged column, which in turn guarantees the descendant-scatter containment
 /// the numeric phase relies on (a descendant's padded rows must land inside
 /// its ancestor's panel pattern). Columns relabelled by an elimination-tree
-/// postorder — which `SymbolicCholesky::from_permuted` applies first — make
+/// postorder — which `SymbolicCholesky::analyze_permuted` applies first — make
 /// such chains plentiful, because a postorder places every parent right
 /// after its last child's subtree.
 pub(crate) fn amalgamate(

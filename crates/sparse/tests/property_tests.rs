@@ -4,7 +4,8 @@ use proptest::prelude::*;
 
 use opera_sparse::{
     cg, solve_lower_csc, solve_lower_transpose_csc, solve_upper_csc, CholeskyFactor, CsrMatrix,
-    LuFactor, MatrixFactor, OrderingChoice, Panel, Permutation, SolveWorkspace, TripletMatrix,
+    LuFactor, MatrixFactor, OrderingChoice, Panel, Permutation, SolveWorkspace, SymbolicCholesky,
+    TripletMatrix,
 };
 
 /// Strategy: a random symmetric positive definite matrix built as a weighted
@@ -241,12 +242,13 @@ proptest! {
     }
 
     #[test]
-    fn refactor_accepts_pattern_preserving_updates_and_matches_fresh_factorization(
+    fn factor_numeric_accepts_pattern_preserving_updates_and_matches_fresh_factorization(
         a in spd_matrix(30),
         scales in proptest::collection::vec(0.2f64..4.0, 8),
     ) {
         // Perturb every stored value (pattern untouched) by per-entry scales
-        // drawn from the strategy; `refactor` must succeed and agree with a
+        // drawn from the strategy; a numeric-only factorisation against the
+        // analysis of `a` must succeed and agree bit for bit with a
         // from-scratch factorisation of the same matrix.
         let mut perturbed = a.clone();
         {
@@ -271,20 +273,19 @@ proptest! {
             .add_scaled(&CsrMatrix::from_diagonal(&boost), 1.0)
             .unwrap();
 
-        let mut chol = CholeskyFactor::factor(&a).expect("SPD by construction");
-        chol.refactor(&spd).expect("pattern-preserving refactor must succeed");
+        let symbolic = SymbolicCholesky::analyze(&a).expect("symmetric by construction");
+        let chol = symbolic
+            .factor_numeric(&spd)
+            .expect("pattern-preserving numeric factorisation must succeed");
         let fresh = CholeskyFactor::factor(&spd).unwrap();
         let b: Vec<f64> = (0..a.nrows()).map(|i| ((i % 7) as f64) - 3.0).collect();
         let x_re = chol.solve(&b);
-        let x_fresh = fresh.solve(&b);
         prop_assert!(spd.residual_inf_norm(&x_re, &b) < 1e-8);
-        for (u, v) in x_re.iter().zip(&x_fresh) {
-            prop_assert!((u - v).abs() < 1e-8, "refactor and fresh factorisation disagree");
-        }
+        prop_assert_eq!(x_re, fresh.solve(&b), "shared-analysis and fresh factorisation disagree");
     }
 
     #[test]
-    fn refactor_rejects_values_at_new_nonzero_positions(
+    fn factor_numeric_rejects_values_at_new_nonzero_positions(
         a in spd_matrix(25),
         i in 0usize..25,
         j in 0usize..25,
@@ -297,9 +298,9 @@ proptest! {
         let mut extra = TripletMatrix::new(n, n);
         extra.add_symmetric_pair(i, j, 0.125);
         let widened = a.add_scaled(&extra.to_csr(), 1.0).unwrap();
-        let mut chol = CholeskyFactor::factor(&a).unwrap();
+        let symbolic = SymbolicCholesky::analyze(&a).unwrap();
         prop_assert!(
-            chol.refactor(&widened).is_err(),
+            symbolic.factor_numeric(&widened).is_err(),
             "a new nonzero at ({i}, {j}) must be rejected"
         );
     }

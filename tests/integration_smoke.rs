@@ -1,14 +1,20 @@
 //! Workspace smoke test: the end-to-end experiment driver runs on a tiny
-//! configuration, and the parallel Monte Carlo path is statistics-identical
+//! configuration, the parallel Monte Carlo path is statistics-identical
 //! to the serial path for a fixed seed (with a wall-clock sanity check on
-//! multi-core machines).
+//! multi-core machines), and every Monte Carlo sample — factored against
+//! the run's shared symbolic analyses — is bit-identical to a one-shot
+//! transient of its own matrices.
 
 use std::time::Instant;
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
 use opera::analysis::{run_experiment, ExperimentConfig};
 use opera::monte_carlo::{run as run_monte_carlo, run_leakage, MonteCarloOptions};
+use opera::parallel::sample_seed;
 use opera::special_case::{solve_leakage, SpecialCaseOptions};
-use opera::transient::TransientOptions;
+use opera::transient::{solve_transient, IntegrationMethod, TransientOptions};
 use opera::Parallelism;
 use opera_grid::GridSpec;
 use opera_variation::{LeakageModel, StochasticGridModel, VariationSpec};
@@ -47,6 +53,55 @@ fn parallel_monte_carlo_is_bit_identical_to_serial() {
     assert_eq!(serial.variance, parallel.variance);
     assert_eq!(serial.probe_traces, parallel.probe_traces);
     assert_eq!(serial.samples, parallel.samples);
+}
+
+#[test]
+fn monte_carlo_samples_are_bit_identical_to_one_shot_transients() {
+    let grid = GridSpec::small_test(120).with_seed(41).build().unwrap();
+    let spec = VariationSpec::paper_defaults();
+    let models = [
+        StochasticGridModel::inter_die(&grid, &spec).unwrap(),
+        StochasticGridModel::inter_die_three_variable(&grid, &spec).unwrap(),
+    ];
+    let samples = 5;
+    let seed = 13;
+    for model in &models {
+        for method in [
+            IntegrationMethod::BackwardEuler,
+            IntegrationMethod::Trapezoidal,
+            IntegrationMethod::TrBdf2,
+        ] {
+            let mut topts = TransientOptions::new(0.25e-9, 1.0e-9);
+            topts.method = method;
+            let mut options = MonteCarloOptions::new(samples, seed, topts);
+            options.probe_nodes = (0..model.node_count()).collect();
+            let mc = run_monte_carlo(model, &options).unwrap();
+            for s in 0..samples {
+                // The reference redraws sample `s` from its own stream and
+                // runs the per-call analysis path of `solve_transient`.
+                let mut rng = StdRng::seed_from_u64(sample_seed(seed, s as u64));
+                let xi: Vec<f64> = model
+                    .families()
+                    .iter()
+                    .map(|f| f.sample(&mut rng))
+                    .collect();
+                let reference = solve_transient(
+                    &model.sample_conductance(&xi).unwrap(),
+                    &model.sample_capacitance(&xi).unwrap(),
+                    |t| model.sample_excitation(t, &xi).unwrap(),
+                    &topts,
+                )
+                .unwrap();
+                for (p, &node) in options.probe_nodes.iter().enumerate() {
+                    assert_eq!(
+                        mc.probe_traces[p][s],
+                        reference.node_waveform(node),
+                        "{method:?}: sample {s}, node {node} moved"
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]

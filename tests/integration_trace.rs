@@ -1,6 +1,7 @@
 //! Integration tests for the `opera_trace` observability layer: span
 //! nesting across the rayon fan-outs, counter totals agreeing with the
-//! engine's legacy test hooks, and the zero-overhead contract (tracing
+//! engine's legacy test hooks, Monte Carlo's one analysis per pattern, and
+//! the zero-overhead contract (tracing
 //! enabled must not perturb a single bit of the results; tracing disabled
 //! must keep the steady-state transient loop allocation-free).
 //!
@@ -10,6 +11,7 @@
 
 use opera::analysis::ExperimentConfig;
 use opera::engine::{McConfig, OperaEngine, Scenario};
+use opera::monte_carlo::{run as run_monte_carlo, MonteCarloOptions};
 use opera::stochastic::{solve, OperaOptions};
 use opera::transient::TransientOptions;
 use opera_grid::GridSpec;
@@ -59,6 +61,29 @@ fn rayon_fanout_spans_attach_to_the_launching_span() {
         );
     }
     assert_eq!(snapshot.counter("mc.samples"), samples as u64);
+}
+
+#[test]
+fn monte_carlo_runs_one_symbolic_analysis_per_pattern() {
+    let _guard = opera_trace::test_guard();
+    let model = small_model();
+    opera_trace::reset();
+    opera_trace::enable();
+    let samples = 6;
+    let options = MonteCarloOptions::new(samples, 5, TransientOptions::new(0.25e-9, 1.0e-9));
+    let mc = run_monte_carlo(&model, &options).unwrap();
+    let snapshot = opera_trace::drain();
+    opera_trace::disable();
+
+    assert_eq!(mc.samples, samples);
+    // Nominal `G` and nominal `G + C`, analysed once before the fan-out,
+    // whatever the sample count; each sample factors both numerically.
+    assert_eq!(snapshot.counter("cholesky.symbolic_analyses"), 2);
+    assert_eq!(
+        snapshot.counter("cholesky.numeric_factorizations"),
+        2 * samples as u64
+    );
+    assert_eq!(snapshot.counter("sparse.cholesky_fallbacks"), 0);
 }
 
 #[test]
