@@ -315,9 +315,13 @@ pub fn welford_update(
 
 /// Forward substitution `L·X = B` on an interleaved panel strip: `x` is
 /// row-major `n × LANES` (row `j` holds unknown `j` of all [`LANES`]
-/// right-hand sides), `L` is CSC with the diagonal stored **first** in each
-/// column. Per lane this performs exactly the scalar kernel's operations in
-/// the scalar order.
+/// right-hand sides). Column `j` of `L` holds the values
+/// `data[indptr[j]..indptr[j + 1]]` at the rows `indices[rowptr[j]..]`,
+/// the diagonal **first**. A CSC factor passes `indptr` as `rowptr`; a
+/// supernodal factor passes per-column starts into its per-supernode row
+/// lists, where each column reads a suffix of its supernode's list. Per
+/// lane this performs exactly the scalar kernel's operations in the scalar
+/// order.
 ///
 /// # Panics
 ///
@@ -325,6 +329,7 @@ pub fn welford_update(
 /// the factor arrays are inconsistent.
 pub fn lower_solve_interleaved(
     indptr: &[usize],
+    rowptr: &[usize],
     indices: &[usize],
     data: &[f64],
     n: usize,
@@ -333,7 +338,7 @@ pub fn lower_solve_interleaved(
 ) {
     dispatch_kernel!(
         backend,
-        lower_solve_interleaved(indptr, indices, data, n, x)
+        lower_solve_interleaved(indptr, rowptr, indices, data, n, x)
     )
 }
 
@@ -345,6 +350,7 @@ pub fn lower_solve_interleaved(
 /// Panics under the same conditions as [`lower_solve_interleaved`].
 pub fn lower_transpose_solve_interleaved(
     indptr: &[usize],
+    rowptr: &[usize],
     indices: &[usize],
     data: &[f64],
     n: usize,
@@ -353,7 +359,7 @@ pub fn lower_transpose_solve_interleaved(
 ) {
     dispatch_kernel!(
         backend,
-        lower_transpose_solve_interleaved(indptr, indices, data, n, x)
+        lower_transpose_solve_interleaved(indptr, rowptr, indices, data, n, x)
     )
 }
 
@@ -547,16 +553,15 @@ mod tests {
 
                 let mut x0 = b.clone();
                 let mut x1 = b.clone();
-                scalar::lower_solve_interleaved(&lower.0, &lower.1, &lower.2, n, &mut x0);
-                lower_solve_interleaved(&lower.0, &lower.1, &lower.2, n, &mut x1, backend);
+                let (lp, li, lv) = (&lower.0, &lower.1, &lower.2);
+                scalar::lower_solve_interleaved(lp, lp, li, lv, n, &mut x0);
+                lower_solve_interleaved(lp, lp, li, lv, n, &mut x1, backend);
                 assert_eq!(x0, x1, "lower {backend} n={n}");
 
                 let mut x0 = b.clone();
                 let mut x1 = b.clone();
-                scalar::lower_transpose_solve_interleaved(&lower.0, &lower.1, &lower.2, n, &mut x0);
-                lower_transpose_solve_interleaved(
-                    &lower.0, &lower.1, &lower.2, n, &mut x1, backend,
-                );
+                scalar::lower_transpose_solve_interleaved(lp, lp, li, lv, n, &mut x0);
+                lower_transpose_solve_interleaved(lp, lp, li, lv, n, &mut x1, backend);
                 assert_eq!(x0, x1, "lower-transpose {backend} n={n}");
 
                 let mut x0 = b.clone();

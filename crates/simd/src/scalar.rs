@@ -102,14 +102,16 @@ pub fn welford_update(mean: &mut [f64], m2: &mut [f64], sample: &[f64], count: f
 }
 
 /// Forward substitution `L·X = B` on a row-major `n × LANES` interleaved
-/// strip (see [`crate::lower_solve_interleaved`]). Diagonal first per CSC
-/// column.
+/// strip (see [`crate::lower_solve_interleaved`]). Column `j` holds the
+/// values `data[indptr[j]..indptr[j + 1]]` at the rows read from
+/// `indices[rowptr[j]..]`, diagonal first.
 ///
 /// # Panics
 ///
 /// Panics on shape mismatch or a missing diagonal entry.
 pub fn lower_solve_interleaved(
     indptr: &[usize],
+    rowptr: &[usize],
     indices: &[usize],
     data: &[f64],
     n: usize,
@@ -118,10 +120,9 @@ pub fn lower_solve_interleaved(
     const LANES: usize = crate::LANES;
     assert_eq!(x.len(), n * LANES, "interleaved strip length mismatch");
     for j in 0..n {
-        let start = indptr[j];
-        let end = indptr[j + 1];
+        let (start, end, r0) = (indptr[j], indptr[j + 1], rowptr[j]);
         assert!(
-            start < end && indices[start] == j,
+            start < end && indices[r0] == j,
             "missing diagonal entry in lower triangular column {j}"
         );
         let d = data[start];
@@ -130,9 +131,8 @@ pub fn lower_solve_interleaved(
             *slot = x[j * LANES + c] / d;
             x[j * LANES + c] = *slot;
         }
-        for e in start + 1..end {
-            let i = indices[e];
-            let v = data[e];
+        let rows = &indices[r0 + 1..r0 + end - start];
+        for (&i, &v) in rows.iter().zip(&data[start + 1..end]) {
             let row = &mut x[i * LANES..(i + 1) * LANES];
             for (rv, &xc) in row.iter_mut().zip(&xr) {
                 *rv -= v * xc;
@@ -149,6 +149,7 @@ pub fn lower_solve_interleaved(
 /// Panics on shape mismatch or a missing diagonal entry.
 pub fn lower_transpose_solve_interleaved(
     indptr: &[usize],
+    rowptr: &[usize],
     indices: &[usize],
     data: &[f64],
     n: usize,
@@ -157,19 +158,17 @@ pub fn lower_transpose_solve_interleaved(
     const LANES: usize = crate::LANES;
     assert_eq!(x.len(), n * LANES, "interleaved strip length mismatch");
     for j in (0..n).rev() {
-        let start = indptr[j];
-        let end = indptr[j + 1];
+        let (start, end, r0) = (indptr[j], indptr[j + 1], rowptr[j]);
         assert!(
-            start < end && indices[start] == j,
+            start < end && indices[r0] == j,
             "missing diagonal entry in lower triangular column {j}"
         );
         let mut acc = [0.0; LANES];
         for (c, slot) in acc.iter_mut().enumerate() {
             *slot = x[j * LANES + c];
         }
-        for e in start + 1..end {
-            let i = indices[e];
-            let v = data[e];
+        let rows = &indices[r0 + 1..r0 + end - start];
+        for (&i, &v) in rows.iter().zip(&data[start + 1..end]) {
             let row = &x[i * LANES..(i + 1) * LANES];
             for (slot, &rv) in acc.iter_mut().zip(row) {
                 *slot -= v * rv;

@@ -274,6 +274,7 @@ macro_rules! vector_backend {
             #[target_feature(enable = $feature)]
             pub unsafe fn lower_solve_interleaved(
                 indptr: &[usize],
+                rowptr: &[usize],
                 indices: &[usize],
                 data: &[f64],
                 n: usize,
@@ -282,10 +283,9 @@ macro_rules! vector_backend {
                 const LANES: usize = crate::LANES;
                 assert_eq!(x.len(), n * LANES, "interleaved strip length mismatch");
                 for j in 0..n {
-                    let start = indptr[j];
-                    let end = indptr[j + 1];
+                    let (start, end, r0) = (indptr[j], indptr[j + 1], rowptr[j]);
                     assert!(
-                        start < end && indices[start] == j,
+                        start < end && indices[r0] == j,
                         "missing diagonal entry in lower triangular column {j}"
                     );
                     let d = $set1(data[start]);
@@ -298,9 +298,9 @@ macro_rules! vector_backend {
                             $storeu(p, *slot);
                         }
                     }
-                    for e in start + 1..end {
-                        let i = indices[e];
-                        let v = $set1(data[e]);
+                    let rows = &indices[r0 + 1..r0 + end - start];
+                    for (&i, &v) in rows.iter().zip(&data[start + 1..end]) {
+                        let v = $set1(v);
                         let row = &mut x[i * LANES..(i + 1) * LANES];
                         for (c, xc) in xv.iter().enumerate() {
                             let p = row.as_mut_ptr().add(c * W);
@@ -316,6 +316,7 @@ macro_rules! vector_backend {
             #[target_feature(enable = $feature)]
             pub unsafe fn lower_transpose_solve_interleaved(
                 indptr: &[usize],
+                rowptr: &[usize],
                 indices: &[usize],
                 data: &[f64],
                 n: usize,
@@ -324,10 +325,9 @@ macro_rules! vector_backend {
                 const LANES: usize = crate::LANES;
                 assert_eq!(x.len(), n * LANES, "interleaved strip length mismatch");
                 for j in (0..n).rev() {
-                    let start = indptr[j];
-                    let end = indptr[j + 1];
+                    let (start, end, r0) = (indptr[j], indptr[j + 1], rowptr[j]);
                     assert!(
-                        start < end && indices[start] == j,
+                        start < end && indices[r0] == j,
                         "missing diagonal entry in lower triangular column {j}"
                     );
                     let mut acc = [$set1(0.0); CHUNKS];
@@ -337,9 +337,9 @@ macro_rules! vector_backend {
                             *slot = $loadu(row.as_ptr().add(c * W));
                         }
                     }
-                    for e in start + 1..end {
-                        let i = indices[e];
-                        let v = $set1(data[e]);
+                    let rows = &indices[r0 + 1..r0 + end - start];
+                    for (&i, &v) in rows.iter().zip(&data[start + 1..end]) {
+                        let v = $set1(v);
                         let row = &x[i * LANES..(i + 1) * LANES];
                         for (c, slot) in acc.iter_mut().enumerate() {
                             *slot = $sub(*slot, $mul(v, $loadu(row.as_ptr().add(c * W))));

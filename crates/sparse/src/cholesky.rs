@@ -1,17 +1,20 @@
 //! Sparse Cholesky (`L·Lᵀ`) factorisation for symmetric positive definite
 //! matrices.
 //!
-//! The symbolic phase computes the elimination tree, the full pattern of `L`
-//! and its fundamental-supernode partition; the numeric phase is supernodal —
-//! columns sharing one sub-diagonal pattern are factored together as dense
-//! panels (see [`crate::Supernodes`]). A fill-reducing ordering (approximate
-//! minimum degree by default) is applied first; the permutation is handled
-//! transparently by [`CholeskyFactor::solve`].
+//! The symbolic phase computes the elimination tree, the column counts, the
+//! supernode partition and the pattern of `L`, stored as one row list per
+//! supernode whose suffixes are the columns' patterns; the numeric phase is
+//! supernodal — columns sharing one sub-diagonal pattern are factored
+//! together as dense panels (see [`crate::Supernodes`]). A fill-reducing
+//! ordering (approximate minimum degree by default) is applied first; the
+//! permutation is handled transparently by [`CholeskyFactor::solve`].
 
 use std::sync::Arc;
 
-use crate::etree::{ereach, postorder};
-use crate::supernodal::{amalgamate, factor_supernodal, Supernodes};
+use crate::etree::postorder;
+use crate::supernodal::{
+    amalgamate, column_layout, factor_supernodal, fundamental_rows, Supernodes,
+};
 use crate::triangular::{lower_panel_raw, lower_transpose_panel_raw};
 use crate::{
     column_counts, elimination_tree, ordering, CscMatrix, CsrMatrix, Panel, Permutation, Result,
@@ -96,13 +99,22 @@ struct Analysis {
     n: usize,
     ordering: OrderingChoice,
     perm: Permutation,
-    /// Column pointers of `L` derived from the column counts.
+    /// Column pointers of the values of `L` (padded supernodal layout).
     l_indptr: Vec<usize>,
-    /// Full precomputed row pattern of `L` (per column: diagonal first, then
-    /// ascending rows), so numeric factorisations are value-only.
-    l_indices: Vec<usize>,
-    /// Fundamental-supernode partition of the factor columns.
+    /// Supernode partition of the factor columns.
     snodes: Supernodes,
+    /// One ascending row list per supernode, its own columns first:
+    /// supernode `s`'s list is `snode_rows[snode_rowptr[s]..snode_rowptr[s +
+    /// 1]]`, and its column `k0 + t` has the suffix from position `t` as its
+    /// pattern. No per-column index array exists.
+    snode_rowptr: Vec<usize>,
+    snode_rows: Vec<usize>,
+    /// Start of column `j`'s pattern in `snode_rows`
+    /// (`snode_rowptr[s] + (j − k0)`), the row pointer the triangular
+    /// kernels read next to `l_indptr`.
+    rowptr: Vec<usize>,
+    /// Explicit zeros amalgamation added to the exact pattern of `L`.
+    padded_nnz: usize,
     /// Pattern (CSC `indptr`/`indices`) of the analysed *permuted* matrix,
     /// kept so later numeric factorisations can verify containment.
     pattern_indptr: Vec<usize>,
@@ -195,43 +207,34 @@ impl SymbolicCholesky {
             }
         }
         let counts = column_counts(&a_perm, &parent);
-        let mut l_indptr = vec![0usize; n + 1];
+        let mut exact_indptr = vec![0usize; n + 1];
         for j in 0..n {
-            l_indptr[j + 1] = l_indptr[j] + counts[j];
+            exact_indptr[j + 1] = exact_indptr[j] + counts[j];
         }
-        // Materialise the full pattern of L by replaying the elimination
-        // reach row by row: row k lands in every column of its reach, and
-        // each column's diagonal entry is written at its own iteration —
-        // per column that yields the diagonal first, then ascending rows,
-        // the layout the supernodal numeric phase and the triangular
-        // kernels rely on.
-        let mut l_indices = vec![0usize; l_indptr[n]];
-        let mut next = l_indptr[..n].to_vec();
-        let mut work = vec![false; n];
-        for k in 0..n {
-            for i in ereach(&a_perm, k, &parent, &mut work) {
-                l_indices[next[i]] = k;
-                next[i] += 1;
-            }
-            l_indices[next[k]] = k;
-            next[k] += 1;
-        }
-        let fundamental = Supernodes::from_etree(&parent, &l_indptr);
+        let fundamental = Supernodes::from_etree(&parent, &exact_indptr);
+        let (fund_rowptr, fund_rows) =
+            fundamental_rows(&a_perm, &fundamental, &parent, &exact_indptr);
         // Merge adjacent near-identical supernodes, padding the merged
         // panels to their union pattern with explicit zeros — the numeric
         // phase is dominated by panel width, and a few percent of padded
         // storage buys panels wide enough for the blocked kernels.
-        let fundamental_nnz = l_indptr[n];
-        let (snodes, l_indptr, l_indices) =
-            amalgamate(&fundamental, &parent, &l_indptr, &l_indices);
-        let padded_nnz = l_indptr[n];
+        let (snodes, snode_rowptr, snode_rows) = amalgamate(
+            &fundamental,
+            &parent,
+            &exact_indptr,
+            &fund_rowptr,
+            &fund_rows,
+        );
+        let (l_indptr, rowptr) = column_layout(&snodes, &snode_rowptr);
+        let padded_nnz = l_indptr[n] - exact_indptr[n];
         opera_trace::count("cholesky.symbolic_analyses", 1);
         opera_trace::count("cholesky.supernodes", snodes.count() as u64);
-        opera_trace::gauge_set("cholesky.nnz_l", padded_nnz as f64);
+        opera_trace::gauge_set("cholesky.nnz_l", l_indptr[n] as f64);
+        opera_trace::gauge_set("cholesky.pattern_rows", snode_rows.len() as f64);
         opera_trace::gauge_set(
             "cholesky.padded_nnz_fraction",
-            if padded_nnz > 0 {
-                (padded_nnz - fundamental_nnz) as f64 / padded_nnz as f64
+            if l_indptr[n] > 0 {
+                padded_nnz as f64 / l_indptr[n] as f64
             } else {
                 0.0
             },
@@ -241,8 +244,11 @@ impl SymbolicCholesky {
             ordering,
             perm,
             l_indptr,
-            l_indices,
             snodes,
+            snode_rowptr,
+            snode_rows,
+            rowptr,
+            padded_nnz,
             pattern_indptr: a_perm.indptr().to_vec(),
             pattern_indices: a_perm.indices().to_vec(),
         };
@@ -251,8 +257,9 @@ impl SymbolicCholesky {
             a_perm.validate()?;
             crate::invariants::validate_supernode_containment(
                 analysis.snodes.boundaries(),
+                &analysis.snode_rowptr,
+                &analysis.snode_rows,
                 &analysis.l_indptr,
-                &analysis.l_indices,
             )?;
         }
         let symbolic = SymbolicCholesky {
@@ -282,10 +289,29 @@ impl SymbolicCholesky {
         &self.analysis.perm
     }
 
-    /// The fundamental-supernode partition the numeric phase factors the
-    /// matrix by (see [`Supernodes`]).
+    /// Explicit zeros the relaxed supernode amalgamation added to the exact
+    /// pattern of `L`: `nnz_l() − padded_nnz()` is the exact fill.
+    pub fn padded_nnz(&self) -> usize {
+        self.analysis.padded_nnz
+    }
+
+    /// The supernode partition the numeric phase factors the matrix by (see
+    /// [`Supernodes`]).
     pub fn supernodes(&self) -> &Supernodes {
         &self.analysis.snodes
+    }
+
+    /// The row list of supernode `s` (ascending, its own columns first):
+    /// column `k0 + t` of the supernode has the suffix from position `t` as
+    /// its pattern in `L`. These lists are the only row indices the
+    /// analysis stores.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s >= self.supernodes().count()`.
+    pub fn supernode_rows(&self, s: usize) -> &[usize] {
+        let a = &self.analysis;
+        &a.snode_rows[a.snode_rowptr[s]..a.snode_rowptr[s + 1]]
     }
 
     /// Performs a numeric-only factorisation of `a` against this shared
@@ -332,13 +358,15 @@ impl SymbolicCholesky {
         let mut l_data = vec![0.0; self.nnz_l()];
         let _span = opera_trace::span("cholesky.numeric");
         opera_trace::count("cholesky.numeric_factorizations", 1);
-        let Analysis {
-            snodes,
-            l_indptr,
-            l_indices,
-            ..
-        } = &*self.analysis;
-        factor_supernodal(a_perm, snodes, l_indptr, l_indices, &mut l_data)?;
+        let a = &*self.analysis;
+        factor_supernodal(
+            a_perm,
+            &a.snodes,
+            &a.l_indptr,
+            &a.snode_rowptr,
+            &a.snode_rows,
+            &mut l_data,
+        )?;
         Ok(CholeskyFactor {
             symbolic: self.clone(),
             l_data,
@@ -486,18 +514,19 @@ impl CholeskyFactor {
         self.symbolic.permutation()
     }
 
-    /// Returns the factor `L` as a CSC matrix (in the permuted ordering).
+    /// Returns the factor `L` as a CSC matrix (in the permuted ordering),
+    /// expanding each column's suffix of its supernode's row list into a
+    /// per-column index array the factor itself never stores.
     pub fn lower(&self) -> CscMatrix {
-        let analysis = &self.symbolic.analysis;
-        CscMatrix::from_raw_parts(
-            analysis.n,
-            analysis.n,
-            analysis.l_indptr.clone(),
-            analysis.l_indices.clone(),
-            self.l_data.clone(),
-        )
-        // lint: allow(L001, the factorization emits sorted in-bounds columns by construction)
-        .expect("factor storage is structurally valid")
+        let a = &self.symbolic.analysis;
+        let mut indices = Vec::with_capacity(self.nnz_l());
+        for (j, &r0) in a.rowptr.iter().enumerate() {
+            let len = a.l_indptr[j + 1] - a.l_indptr[j];
+            indices.extend_from_slice(&a.snode_rows[r0..r0 + len]);
+        }
+        CscMatrix::from_raw_parts(a.n, a.n, a.l_indptr.clone(), indices, self.l_data.clone())
+            // lint: allow(L001, the factorization emits sorted in-bounds columns by construction)
+            .expect("factor storage is structurally valid")
     }
 
     /// Log-determinant of the original matrix: `log det A = 2 Σ log L_ii`.
@@ -562,8 +591,9 @@ impl CholeskyFactor {
         // L and Lᵀ solved back-to-back on the interleaved scratch);
         // bit-identical to the scalar path below, which moves each panel
         // value six times.
-        let (indptr, indices, data) = (&analysis.l_indptr, &analysis.l_indices, &self.l_data);
-        if crate::simd::cholesky_panel_interleaved(indptr, indices, data, n, perm, b) {
+        let (indptr, rowptr) = (&analysis.l_indptr, &analysis.rowptr);
+        let (indices, data) = (&analysis.snode_rows, &self.l_data);
+        if crate::simd::cholesky_panel_interleaved(indptr, rowptr, indices, data, n, perm, b) {
             return;
         }
         let y = ws.scratch(b.len());
@@ -572,8 +602,8 @@ impl CholeskyFactor {
                 *yi = b_col[p];
             }
         }
-        lower_panel_raw(indptr, indices, data, n, y);
-        lower_transpose_panel_raw(indptr, indices, data, n, y);
+        lower_panel_raw(indptr, rowptr, indices, data, n, y);
+        lower_transpose_panel_raw(indptr, rowptr, indices, data, n, y);
         for (y_col, b_col) in y.chunks_exact(n).zip(b.chunks_exact_mut(n)) {
             for (yi, &p) in y_col.iter().zip(perm) {
                 b_col[p] = *yi;

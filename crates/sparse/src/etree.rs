@@ -88,55 +88,16 @@ pub fn postorder(parent: &[Option<usize>]) -> Vec<usize> {
     post
 }
 
-/// Computes the nonzero pattern of row `k` of the Cholesky factor `L`
-/// (the "elimination reach" of column `k` through the tree).
-///
-/// Returns the pattern as a list of column indices `< k`, in topological
-/// (ascending-ancestor) order suitable for the up-looking factorisation.
-///
-/// `work` must be a caller-provided scratch vector of length ≥ n, initialised
-/// to `false`, and is restored to all-`false` before returning.
-pub(crate) fn ereach(
-    a: &CscMatrix,
-    k: usize,
-    parent: &[Option<usize>],
-    work: &mut [bool],
-) -> Vec<usize> {
-    let (rows, _) = a.col(k);
-    let mut pattern: Vec<usize> = Vec::new();
-    work[k] = true;
-    for &i0 in rows {
-        if i0 > k {
-            continue;
-        }
-        let mut path = Vec::new();
-        let mut i = i0;
-        while !work[i] {
-            path.push(i);
-            work[i] = true;
-            i = match parent[i] {
-                Some(p) => p,
-                None => break,
-            };
-        }
-        // `path` runs from the starting node upward (deepest node first).
-        // Prepending whole segments keeps every node ahead of its ancestors,
-        // which is the topological order the up-looking factorisation needs.
-        pattern.splice(0..0, path);
-    }
-    // Reset the work flags.
-    for &j in &pattern {
-        work[j] = false;
-    }
-    work[k] = false;
-    pattern
-}
-
 /// Number of nonzeros in each column of the Cholesky factor `L`
-/// (including the diagonal), computed by replaying the elimination reach.
+/// (including the diagonal).
 ///
-/// This is an O(|L|) symbolic analysis — adequate for the matrix sizes used
-/// by the OPERA experiments.
+/// Row `k` of `L` is the elimination reach of `A`'s column `k`: the union
+/// of the etree paths from each `i < k` with `A(i, k) ≠ 0` up to `k`. Each
+/// path is walked until it meets a column already marked for row `k`, and
+/// every newly reached column `i` gains the entry `L(k, i)`. One marker
+/// array serves every row (a column is marked with the row that visited it
+/// last), so the pass allocates nothing beyond the counts and runs in
+/// O(|L|) — adequate for the matrix sizes used by the OPERA experiments.
 ///
 /// # Panics
 ///
@@ -145,11 +106,21 @@ pub fn column_counts(a: &CscMatrix, parent: &[Option<usize>]) -> Vec<usize> {
     let n = a.ncols();
     assert_eq!(parent.len(), n, "parent vector has wrong length");
     let mut counts = vec![1usize; n]; // diagonal entries
-    let mut work = vec![false; n];
+    let mut mark = vec![NONE; n];
     for k in 0..n {
-        for i in ereach(a, k, parent, &mut work) {
-            // L(k, i) is a nonzero in column i.
-            counts[i] += 1;
+        mark[k] = k;
+        let (rows, _) = a.col(k);
+        for &i0 in rows.iter().filter(|&&i| i < k) {
+            let mut i = i0;
+            while mark[i] != k {
+                // L(k, i) is a nonzero in column i.
+                counts[i] += 1;
+                mark[i] = k;
+                match parent[i] {
+                    Some(p) => i = p,
+                    None => break,
+                }
+            }
         }
     }
     counts

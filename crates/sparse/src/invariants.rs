@@ -8,11 +8,13 @@
 //! 2. **postorder** — the elimination-tree relabelling is a permutation
 //!    that lists every vertex after all of its children
 //!    ([`validate_postorder`]);
-//! 3. **supernode containment** — inside a supernode spanning columns
-//!    `k0..k1` with leading pattern `pat`, column `k0 + t` has exactly the
-//!    pattern `pat[t..]` ([`validate_supernode_containment`]) — the suffix
-//!    property that lets the numeric phase address descendant columns as
-//!    contiguous `l_data` slices (`l_indptr[d0 + t] - t`).
+//! 3. **supernode containment** — a supernode spanning columns `k0..k1`
+//!    stores one row list that starts with its own columns and ascends,
+//!    and column `k0 + t` holds exactly as many values as the suffix from
+//!    position `t` has rows ([`validate_supernode_containment`]) — the
+//!    suffix property that lets the numeric phase address descendant
+//!    columns as contiguous `l_data` slices (`l_indptr[d0 + t] - t`) and the
+//!    triangular solves read each column's rows from its supernode's list.
 //!
 //! A violation of any of these turns into silent out-of-bounds panics or —
 //! worse — quietly wrong numerics deep in the numeric phase, far from the
@@ -153,13 +155,16 @@ pub fn validate_postorder(post: &[usize], parent: &[Option<usize>]) -> Result<()
     Ok(())
 }
 
-/// Validates the supernode-containment invariant of a factor pattern: for
-/// every supernode spanning columns `k0..k1` (given by the `boundaries`
-/// list, `boundaries[s]..boundaries[s + 1]`), the leading column's pattern
-/// `pat` must start at the diagonal (`pat[t] == k0 + t` for the panel
-/// rows) and every interior column `k0 + t` must have exactly the suffix
-/// pattern `pat[t..]` — the property the supernodal numeric phase relies
-/// on to address descendant columns as contiguous slices.
+/// Validates the supernode-containment invariant of a factor pattern
+/// stored once per supernode. For every supernode spanning columns
+/// `k0..k1` (given by the `boundaries` list, `boundaries[s]..boundaries[s +
+/// 1]`), its row list `rows[rowptr[s]..rowptr[s + 1]]` must start with the
+/// panel diagonal (`list[t] == k0 + t` for the panel rows), be strictly
+/// ascending and in bounds, and every column `k0 + t` must hold
+/// `l_indptr[k0 + t + 1] − l_indptr[k0 + t] = len − t` values — the suffix
+/// of the list it reads. This is the property the supernodal numeric phase
+/// and the triangular solves rely on to address columns as contiguous
+/// slices.
 ///
 /// # Errors
 ///
@@ -167,8 +172,9 @@ pub fn validate_postorder(post: &[usize], parent: &[Option<usize>]) -> Result<()
 /// and column where containment is broken.
 pub fn validate_supernode_containment(
     boundaries: &[usize],
+    rowptr: &[usize],
+    rows: &[usize],
     l_indptr: &[usize],
-    l_indices: &[usize],
 ) -> Result<()> {
     let Some(&n) = boundaries.last() else {
         return Err(invalid("empty supernode boundary list".to_string()));
@@ -185,38 +191,62 @@ pub fn validate_supernode_containment(
             l_indptr.len()
         )));
     }
-    for s in 0..boundaries.len() - 1 {
+    let nsuper = boundaries.len() - 1;
+    if rowptr.len() != nsuper + 1 || rowptr[nsuper] > rows.len() {
+        return Err(invalid(format!(
+            "row-list pointers have {} entries for {nsuper} supernodes, or \
+             end past the {} stored rows",
+            rowptr.len(),
+            rows.len()
+        )));
+    }
+    for s in 0..nsuper {
         let (k0, k1) = (boundaries[s], boundaries[s + 1]);
         if k0 >= k1 || k1 > n {
             return Err(invalid(format!(
                 "supernode {s} spans invalid column range {k0}..{k1}"
             )));
         }
-        let pat = &l_indices[l_indptr[k0]..l_indptr[k0 + 1]];
-        let m = pat.len();
+        if rowptr[s] > rowptr[s + 1] {
+            return Err(invalid(format!(
+                "supernode {s}: row-list pointers decrease ({} > {})",
+                rowptr[s],
+                rowptr[s + 1]
+            )));
+        }
+        let list = &rows[rowptr[s]..rowptr[s + 1]];
+        let m = list.len();
         let w = k1 - k0;
         if m < w {
             return Err(invalid(format!(
-                "supernode {s} is {w} columns wide but its leading pattern \
-                 has only {m} rows"
+                "supernode {s} is {w} columns wide but its row list has only \
+                 {m} rows"
             )));
         }
-        for t in 0..w {
-            if pat[t] != k0 + t {
+        for (t, &row) in list[..w].iter().enumerate() {
+            if row != k0 + t {
                 return Err(invalid(format!(
-                    "supernode {s}: leading pattern row {t} is {} instead of \
-                     the panel diagonal {}",
-                    pat[t],
+                    "supernode {s}: row list entry {t} is {row} instead of the \
+                     panel diagonal {}",
                     k0 + t
                 )));
             }
-            let col = &l_indices[l_indptr[k0 + t]..l_indptr[k0 + t + 1]];
-            if col != &pat[t..] {
+        }
+        if let Some(p) = (1..m).find(|&p| list[p] <= list[p - 1] || list[p] >= n) {
+            return Err(invalid(format!(
+                "supernode {s}: row list entry {p} ({}) is not strictly \
+                 ascending within 0..{n}",
+                list[p]
+            )));
+        }
+        for t in 0..w {
+            let j = k0 + t;
+            if l_indptr[j + 1].checked_sub(l_indptr[j]) != Some(m - t) {
                 return Err(invalid(format!(
-                    "supernode {s}: column {} does not have the suffix \
-                     pattern of its supernode ({} rows vs {} expected)",
-                    k0 + t,
-                    col.len(),
+                    "supernode {s}: column {j} spans values {}..{} but reads \
+                     the {}-row suffix of its supernode's list",
+                    l_indptr[j],
+                    l_indptr[j + 1],
                     m - t
                 )));
             }
@@ -245,9 +275,9 @@ mod tests {
 
     #[test]
     fn containment_of_a_two_column_supernode() {
-        // Columns 0,1 share the pattern {0,1,2}/{1,2}; column 2 is {2}.
+        // Columns 0,1 read {0,1,2}/{1,2} from one list; column 2 is {2}.
+        let (rowptr, rows) = ([0, 3, 4], [0, 1, 2, 2]);
         let l_indptr = [0, 3, 5, 6];
-        let l_indices = [0, 1, 2, 1, 2, 2];
-        assert!(validate_supernode_containment(&[0, 2, 3], &l_indptr, &l_indices).is_ok());
+        assert!(validate_supernode_containment(&[0, 2, 3], &rowptr, &rows, &l_indptr).is_ok());
     }
 }

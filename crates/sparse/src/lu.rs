@@ -294,7 +294,7 @@ impl LuFactor {
         }
         b.copy_from_slice(y);
         let (l, u) = (&self.l, &self.u);
-        lower_panel_raw(l.indptr(), l.indices(), l.data(), n, b);
+        lower_panel_raw(l.indptr(), l.indptr(), l.indices(), l.data(), n, b);
         upper_panel_raw(u.indptr(), u.indices(), u.data(), n, b);
     }
 }

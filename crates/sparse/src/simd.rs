@@ -47,22 +47,18 @@ fn solve_backend(n: usize, panel: &[f64]) -> Backend {
     }
 }
 
-/// Signature shared by the three interleaved `opera_simd` triangular solves.
-pub(crate) type InterleavedKernel = fn(&[usize], &[usize], &[f64], usize, &mut [f64], Backend);
-
 // lint: hot(simd-panel-bridge)
 
-/// Runs `kernel` over every ≤[`LANES`]-column strip of a column-major
-/// `panel`, packing each strip through the per-thread interleaved scratch.
-/// Returns `false`, leaving `panel` untouched, when [`solve_backend`] picks
-/// the scalar strip kernels instead.
+/// Runs `kernel` (one interleaved `opera_simd` triangular solve of an
+/// `n × LANES` strip under the given backend) over every ≤[`LANES`]-column
+/// strip of a column-major `panel`, packing each strip through the
+/// per-thread interleaved scratch. Returns `false`, leaving `panel`
+/// untouched, when [`solve_backend`] picks the scalar strip kernels
+/// instead.
 pub(crate) fn solve_panel_interleaved(
-    kernel: InterleavedKernel,
-    indptr: &[usize],
-    indices: &[usize],
-    data: &[f64],
     n: usize,
     panel: &mut [f64],
+    kernel: impl Fn(&mut [f64], Backend),
 ) -> bool {
     let backend = solve_backend(n, panel);
     if backend == Backend::Scalar {
@@ -81,7 +77,7 @@ pub(crate) fn solve_panel_interleaved(
             let (strip, tail) = rest.split_at_mut(w * n);
             rest = tail;
             pack(strip, n, w, scratch);
-            kernel(indptr, indices, data, n, scratch, backend);
+            kernel(scratch, backend);
             unpack(scratch, n, w, strip);
         }
     });
@@ -99,9 +95,12 @@ pub(crate) fn solve_panel_interleaved(
 /// value twice instead of six times and changes no floating-point operation,
 /// so the result stays bit-identical to the scalar panel solve. Returns
 /// `false`, leaving `panel` untouched, when [`solve_backend`] picks the
-/// scalar strip kernels instead.
+/// scalar strip kernels instead. The factor arrays follow the
+/// `indptr`/`rowptr`/`indices` convention of
+/// [`opera_simd::lower_solve_interleaved`].
 pub(crate) fn cholesky_panel_interleaved(
     indptr: &[usize],
+    rowptr: &[usize],
     indices: &[usize],
     data: &[f64],
     n: usize,
@@ -126,9 +125,9 @@ pub(crate) fn cholesky_panel_interleaved(
             let (strip, tail) = rest.split_at_mut(w * n);
             rest = tail;
             pack_permuted(strip, n, w, perm, scratch);
-            opera_simd::lower_solve_interleaved(indptr, indices, data, n, scratch, backend);
+            opera_simd::lower_solve_interleaved(indptr, rowptr, indices, data, n, scratch, backend);
             opera_simd::lower_transpose_solve_interleaved(
-                indptr, indices, data, n, scratch, backend,
+                indptr, rowptr, indices, data, n, scratch, backend,
             );
             unpack_permuted(scratch, n, w, perm, strip);
         }

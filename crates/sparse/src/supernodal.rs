@@ -14,13 +14,14 @@
 //! in [`crate::Panel`]-based solves — instead of the scalar
 //! scatter/gather-per-column of the classic up-looking algorithm.
 //!
-//! The partition is computed once per [`crate::SymbolicCholesky`] analysis
-//! and reused by every numeric (re-)factorisation sharing it. On the
-//! AMD-ordered paper-grid companion the mean panel is 3–4 columns wide with
-//! dense trailing supernodes of 100+ columns, which is where the numeric
-//! speedup over the up-looking code comes from (`docs/SPARSE.md` walks
-//! through the partition on a worked example; `docs/PERFORMANCE.md` §4 has
-//! the measurements).
+//! The partition and its row lists — one ascending list per supernode,
+//! whose suffixes are the columns' patterns — are computed once per
+//! [`crate::SymbolicCholesky`] analysis and reused by every numeric
+//! (re-)factorisation sharing it. On the AMD-ordered paper-grid companion
+//! the mean panel is 3–4 columns wide with dense trailing supernodes of
+//! 100+ columns, which is where the numeric speedup over the up-looking
+//! code comes from (`docs/SPARSE.md` walks through the partition on a
+//! worked example; `docs/PERFORMANCE.md` §4 has the measurements).
 
 use crate::{CscMatrix, Result, SparseError};
 
@@ -136,16 +137,88 @@ fn merge_is_worthwhile(w: usize, zeros: usize, entries: usize) -> bool {
     (w <= 4 && frac < 0.9) || (w <= 16 && frac < 0.5) || (w <= 48 && frac < 0.2) || frac < 0.05
 }
 
+/// Row lists of the fundamental supernodes, built without a per-column
+/// pattern: returns `(rowptr, rows)` with supernode `s`'s ascending list in
+/// `rows[rowptr[s]..rowptr[s + 1]]`, its own columns first. Every column
+/// `k0 + t` of the supernode has the suffix `list[t..]` as its pattern.
+///
+/// The list of a supernode is the pattern of its first column `k0`, which
+/// is `k0`, the rows of `A`'s column `k0` below the diagonal, and the rows
+/// below the children of `k0` in the elimination tree. A child of `k0` is
+/// always the last column of its own supernode (an interior column's parent
+/// is the next column of the same supernode), so its rows below itself are
+/// the tail of that supernode's list past its own columns. Children precede
+/// their parents, so one ascending pass over the supernodes sees every
+/// child list complete. `l_indptr` holds the exact column counts and sizes
+/// each list up front.
+pub(crate) fn fundamental_rows(
+    a_perm: &CscMatrix,
+    snodes: &Supernodes,
+    parent: &[Option<usize>],
+    l_indptr: &[usize],
+) -> (Vec<usize>, Vec<usize>) {
+    let n = a_perm.ncols();
+    let nsuper = snodes.count();
+    let mut rowptr = Vec::with_capacity(nsuper + 1);
+    rowptr.push(0usize);
+    for s in 0..nsuper {
+        let k0 = snodes.columns(s).start;
+        rowptr.push(rowptr[s] + l_indptr[k0 + 1] - l_indptr[k0]);
+    }
+    // Child supernodes of each supernode, chained through `child_next`.
+    let mut child_head = vec![NONE; nsuper];
+    let mut child_next = vec![NONE; nsuper];
+    for c in 0..nsuper {
+        if let Some(p) = parent[snodes.columns(c).end - 1] {
+            let s = snodes.containing(p);
+            if snodes.columns(s).start == p {
+                child_next[c] = child_head[s];
+                child_head[s] = c;
+            }
+        }
+    }
+    let mut rows = Vec::with_capacity(rowptr[nsuper]);
+    let mut mark = vec![NONE; n];
+    for s in 0..nsuper {
+        let k0 = snodes.columns(s).start;
+        let begin = rows.len();
+        mark[k0] = s;
+        rows.push(k0);
+        let (a_rows, _) = a_perm.col(k0);
+        for &i in a_rows {
+            if i > k0 && mark[i] != s {
+                mark[i] = s;
+                rows.push(i);
+            }
+        }
+        let mut c = child_head[s];
+        while c != NONE {
+            for p in rowptr[c] + snodes.columns(c).len()..rowptr[c + 1] {
+                let i = rows[p];
+                if mark[i] != s {
+                    mark[i] = s;
+                    rows.push(i);
+                }
+            }
+            c = child_next[c];
+        }
+        rows[begin..].sort_unstable();
+        debug_assert_eq!(rows.len(), rowptr[s + 1], "supernode {s} list length");
+    }
+    (rowptr, rows)
+}
+
 /// Relaxed supernode amalgamation.
 ///
-/// Takes the fundamental partition and the *exact* factor pattern
-/// (`l_indptr`/`l_indices`, each column diagonal-first then ascending) and
-/// greedily merges adjacent supernodes whenever the resulting panel stays
-/// dense enough ([`merge_is_worthwhile`]). Merged columns are padded to the
-/// union pattern with explicit zeros, which buys much wider panels — the
-/// quantity that decides how fast the dense-panel numeric phase runs — for
-/// a small, bounded amount of extra storage. Returns the merged partition
-/// and the padded pattern.
+/// Takes the fundamental partition, its row lists (`rowptr`/`rows`, as
+/// [`fundamental_rows`] builds them) and the *exact* column pointers
+/// `l_indptr`, and greedily merges adjacent supernodes whenever the
+/// resulting panel stays dense enough ([`merge_is_worthwhile`]). A merged
+/// supernode's list is the union of its members' lists, so its columns are
+/// padded to that union with explicit zeros, which buys much wider panels —
+/// the quantity that decides how fast the dense-panel numeric phase runs —
+/// for a small, bounded amount of extra storage. Returns the merged
+/// partition and its row lists in the same `(rowptr, rows)` form.
 ///
 /// Only child→parent merges are considered (`parent[last column of the
 /// group] == first column of the next supernode`): that chain is what keeps
@@ -160,22 +233,23 @@ pub(crate) fn amalgamate(
     fundamental: &Supernodes,
     parent: &[Option<usize>],
     l_indptr: &[usize],
-    l_indices: &[usize],
+    fund_rowptr: &[usize],
+    fund_rows: &[usize],
 ) -> (Supernodes, Vec<usize>, Vec<usize>) {
-    let nsuper = fundamental.count();
     let n = l_indptr.len() - 1;
-
-    // Decide the merged group boundaries.
     let mut boundaries = vec![0usize];
+    let mut rowptr = vec![0usize];
+    // A union never outgrows its members, so the merged lists fit.
+    let mut rows: Vec<usize> = Vec::with_capacity(fund_rows.len());
     let mut cur_pattern: Vec<usize> = Vec::new();
     let mut merged: Vec<usize> = Vec::new();
     let mut cur_start = 0usize;
     let mut cur_exact = 0usize;
-    for s in 0..nsuper {
+    for s in 0..fundamental.count() {
         let cols = fundamental.columns(s);
-        let s_pattern = &l_indices[l_indptr[cols.start]..l_indptr[cols.start + 1]];
+        let s_pattern = &fund_rows[fund_rowptr[s]..fund_rowptr[s + 1]];
         let s_exact: usize = l_indptr[cols.end] - l_indptr[cols.start];
-        if cur_pattern.is_empty() && cols.start == cur_start {
+        if s == 0 {
             cur_pattern.extend_from_slice(s_pattern);
             cur_exact = s_exact;
             continue;
@@ -204,6 +278,8 @@ pub(crate) fn amalgamate(
             cur_exact += s_exact;
         } else {
             boundaries.push(cols.start);
+            rows.extend_from_slice(&cur_pattern);
+            rowptr.push(rows.len());
             cur_pattern.clear();
             cur_pattern.extend_from_slice(s_pattern);
             cur_start = cols.start;
@@ -212,57 +288,46 @@ pub(crate) fn amalgamate(
     }
     if n > 0 {
         boundaries.push(n);
+        rows.extend_from_slice(&cur_pattern);
+        rowptr.push(rows.len());
     }
-    let snodes = Supernodes::from_partition(boundaries);
+    rows.shrink_to_fit();
+    (Supernodes::from_partition(boundaries), rowptr, rows)
+}
 
-    // Rebuild the pattern: every column of a merged supernode stores the
-    // union pattern from its own row down (explicit zeros where the exact
-    // pattern had none).
-    let mut union_pat: Vec<usize> = Vec::new();
-    let mut new_indptr = Vec::with_capacity(n + 1);
-    new_indptr.push(0usize);
-    let mut new_indices: Vec<usize> = Vec::new();
+/// The per-column view of supernode row lists: the column pointers of the
+/// factor values (column `k0 + t` of a supernode with an `m`-row list holds
+/// `m − t` entries) and each column's start in the list storage
+/// (`rowptr[s] + t`, the suffix it reads).
+pub(crate) fn column_layout(snodes: &Supernodes, rowptr: &[usize]) -> (Vec<usize>, Vec<usize>) {
+    let n = snodes.boundaries()[snodes.count()];
+    let mut l_indptr = Vec::with_capacity(n + 1);
+    l_indptr.push(0usize);
+    let mut col_rowptr = Vec::with_capacity(n);
     for s in 0..snodes.count() {
-        let cols = snodes.columns(s);
-        union_pat.clear();
-        for j in cols.clone() {
-            let col = &l_indices[l_indptr[j]..l_indptr[j + 1]];
-            if union_pat.is_empty() {
-                union_pat.extend_from_slice(col);
-            } else {
-                merged.clear();
-                let (mut i, mut k) = (0, 0);
-                while i < union_pat.len() && k < col.len() {
-                    let (a, b) = (union_pat[i], col[k]);
-                    merged.push(a.min(b));
-                    i += (a <= b) as usize;
-                    k += (b <= a) as usize;
-                }
-                merged.extend_from_slice(&union_pat[i..]);
-                merged.extend_from_slice(&col[k..]);
-                std::mem::swap(&mut union_pat, &mut merged);
-            }
-        }
-        for (b, _) in cols.clone().enumerate() {
-            new_indices.extend_from_slice(&union_pat[b..]);
-            new_indptr.push(new_indices.len());
+        let m = rowptr[s + 1] - rowptr[s];
+        for t in 0..snodes.columns(s).len() {
+            col_rowptr.push(rowptr[s] + t);
+            l_indptr.push(l_indptr[l_indptr.len() - 1] + m - t);
         }
     }
-    (snodes, new_indptr, new_indices)
+    (l_indptr, col_rowptr)
 }
 
 /// Left-looking supernodal numeric factorisation.
 ///
-/// `l_indptr`/`l_indices` hold the full precomputed pattern of `L` (each
-/// column sorted ascending, diagonal first); `l_data` receives the values.
-/// `a_perm` is the permuted input matrix, whose pattern must be contained in
-/// the analysed pattern — exactly what
-/// [`crate::SymbolicCholesky::factor_numeric`] verifies before calling in.
+/// Supernode `s`'s row list is `rows[rowptr[s]..rowptr[s + 1]]` (ascending,
+/// its own columns first), which column `k0 + t` reads from position `t`;
+/// `l_indptr` lays out the values, which `l_data` receives. `a_perm` is the
+/// permuted input matrix, whose pattern must be contained in the analysed
+/// pattern — exactly what [`crate::SymbolicCholesky::factor_numeric`]
+/// verifies before calling in.
 pub(crate) fn factor_supernodal(
     a_perm: &CscMatrix,
     snodes: &Supernodes,
     l_indptr: &[usize],
-    l_indices: &[usize],
+    rowptr: &[usize],
+    rows: &[usize],
     l_data: &mut [f64],
 ) -> Result<()> {
     let n = a_perm.ncols();
@@ -272,9 +337,8 @@ pub(crate) fn factor_supernodal(
     // global row to its local index inside the current panel.
     let mut max_panel = 0usize;
     for s in 0..nsuper {
-        let cols = snodes.columns(s);
-        let m = l_indptr[cols.start + 1] - l_indptr[cols.start];
-        max_panel = max_panel.max(m * cols.len());
+        let m = rowptr[s + 1] - rowptr[s];
+        max_panel = max_panel.max(m * snodes.columns(s).len());
     }
     let mut panel = vec![0.0f64; max_panel];
     let mut pos = vec![0usize; n];
@@ -298,7 +362,7 @@ pub(crate) fn factor_supernodal(
         let cols = snodes.columns(s);
         let (k0, k1) = (cols.start, cols.end);
         let w = k1 - k0;
-        let pat = &l_indices[l_indptr[k0]..l_indptr[k0 + 1]];
+        let pat = &rows[rowptr[s]..rowptr[s + 1]];
         let m = pat.len();
         let d_panel = &mut panel[..m * w];
         d_panel.fill(0.0);
@@ -325,7 +389,7 @@ pub(crate) fn factor_supernodal(
             let next_d = link_next[d];
             let dcols = snodes.columns(d);
             let (d0, wd) = (dcols.start, dcols.len());
-            let dpat = &l_indices[l_indptr[d0]..l_indptr[d0 + 1]];
+            let dpat = &rows[rowptr[d]..rowptr[d + 1]];
             let dm = dpat.len();
             let f = frontier[d];
 

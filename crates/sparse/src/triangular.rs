@@ -144,18 +144,20 @@ fn for_each_strip(panel: &mut [f64], n: usize, mut kernel: impl FnMut(&mut [&mut
 }
 
 macro_rules! lower_strip_kernel {
-    ($n:ident, $indptr:ident, $indices:ident, $data:ident, [$($x:ident / $b:ident),+]) => {{
+    (
+        $n:ident, $indptr:ident, $rowptr:ident, $indices:ident, $data:ident,
+        [$($x:ident / $b:ident),+]
+    ) => {{
         for j in 0..$n {
-            let start = $indptr[j];
-            let end = $indptr[j + 1];
+            let (start, end, r0) = ($indptr[j], $indptr[j + 1], $rowptr[j]);
             assert!(
-                start < end && $indices[start] == j,
+                start < end && $indices[r0] == j,
                 "missing diagonal entry in lower triangular column {j}"
             );
             let d = $data[start];
             $(let $x = $b[j] / d;
             $b[j] = $x;)+
-            let rows = &$indices[start + 1..end];
+            let rows = &$indices[r0 + 1..r0 + end - start];
             let vals = &$data[start + 1..end];
             for (&i, &v) in rows.iter().zip(vals) {
                 $($b[i] -= v * $x;)+
@@ -165,16 +167,18 @@ macro_rules! lower_strip_kernel {
 }
 
 macro_rules! lower_transpose_strip_kernel {
-    ($n:ident, $indptr:ident, $indices:ident, $data:ident, [$($acc:ident / $b:ident),+]) => {{
+    (
+        $n:ident, $indptr:ident, $rowptr:ident, $indices:ident, $data:ident,
+        [$($acc:ident / $b:ident),+]
+    ) => {{
         for j in (0..$n).rev() {
-            let start = $indptr[j];
-            let end = $indptr[j + 1];
+            let (start, end, r0) = ($indptr[j], $indptr[j + 1], $rowptr[j]);
             assert!(
-                start < end && $indices[start] == j,
+                start < end && $indices[r0] == j,
                 "missing diagonal entry in lower triangular column {j}"
             );
             $(let mut $acc = $b[j];)+
-            let rows = &$indices[start + 1..end];
+            let rows = &$indices[r0 + 1..r0 + end - start];
             let vals = &$data[start + 1..end];
             for (&i, &v) in rows.iter().zip(vals) {
                 $($acc -= v * $b[i];)+
@@ -207,64 +211,29 @@ macro_rules! upper_strip_kernel {
 }
 
 /// Dispatches a strip of 1..=STRIP columns to the width-specialised
-/// expansion of one of the kernel macros above.
+/// expansion of one of the kernel macros above; `($args)` are the factor
+/// arguments the kernel takes ahead of the strip.
 macro_rules! dispatch_strip {
-    ($cols:ident, $kernel:ident, $n:ident, $indptr:ident, $indices:ident, $data:ident) => {
+    ($cols:ident, $kernel:ident, ($($arg:ident),+)) => {
         match $cols {
-            [b0] => $kernel!($n, $indptr, $indices, $data, [x0 / b0]),
-            [b0, b1] => $kernel!($n, $indptr, $indices, $data, [x0 / b0, x1 / b1]),
-            [b0, b1, b2] => $kernel!($n, $indptr, $indices, $data, [x0 / b0, x1 / b1, x2 / b2]),
-            [b0, b1, b2, b3] => $kernel!(
-                $n,
-                $indptr,
-                $indices,
-                $data,
-                [x0 / b0, x1 / b1, x2 / b2, x3 / b3]
-            ),
-            [b0, b1, b2, b3, b4] => $kernel!(
-                $n,
-                $indptr,
-                $indices,
-                $data,
-                [x0 / b0, x1 / b1, x2 / b2, x3 / b3, x4 / b4]
-            ),
+            [b0] => $kernel!($($arg),+, [x0 / b0]),
+            [b0, b1] => $kernel!($($arg),+, [x0 / b0, x1 / b1]),
+            [b0, b1, b2] => $kernel!($($arg),+, [x0 / b0, x1 / b1, x2 / b2]),
+            [b0, b1, b2, b3] => $kernel!($($arg),+, [x0 / b0, x1 / b1, x2 / b2, x3 / b3]),
+            [b0, b1, b2, b3, b4] => {
+                $kernel!($($arg),+, [x0 / b0, x1 / b1, x2 / b2, x3 / b3, x4 / b4])
+            }
             [b0, b1, b2, b3, b4, b5] => $kernel!(
-                $n,
-                $indptr,
-                $indices,
-                $data,
+                $($arg),+,
                 [x0 / b0, x1 / b1, x2 / b2, x3 / b3, x4 / b4, x5 / b5]
             ),
             [b0, b1, b2, b3, b4, b5, b6] => $kernel!(
-                $n,
-                $indptr,
-                $indices,
-                $data,
-                [
-                    x0 / b0,
-                    x1 / b1,
-                    x2 / b2,
-                    x3 / b3,
-                    x4 / b4,
-                    x5 / b5,
-                    x6 / b6
-                ]
+                $($arg),+,
+                [x0 / b0, x1 / b1, x2 / b2, x3 / b3, x4 / b4, x5 / b5, x6 / b6]
             ),
             [b0, b1, b2, b3, b4, b5, b6, b7] => $kernel!(
-                $n,
-                $indptr,
-                $indices,
-                $data,
-                [
-                    x0 / b0,
-                    x1 / b1,
-                    x2 / b2,
-                    x3 / b3,
-                    x4 / b4,
-                    x5 / b5,
-                    x6 / b6,
-                    x7 / b7
-                ]
+                $($arg),+,
+                [x0 / b0, x1 / b1, x2 / b2, x3 / b3, x4 / b4, x5 / b5, x6 / b6, x7 / b7]
             ),
             // lint: allow(L001, for_each_strip caps strips at STRIP columns, so wider widths cannot occur)
             _ => unreachable!("strips are at most {STRIP} columns wide"),
@@ -272,38 +241,51 @@ macro_rules! dispatch_strip {
     };
 }
 
-/// Blocked forward substitution on raw CSC arrays (diagonal stored first in
-/// each column): solves `L·X = B` in place for every column of the
-/// column-major `panel`. Shared by [`solve_lower_csc_panel`] and the raw
-/// factor storage of [`crate::CholeskyFactor`].
+/// Blocked forward substitution `L·X = B`, in place for every column of the
+/// column-major `panel`. Column `j` of `L` holds the values
+/// `data[indptr[j]..indptr[j + 1]]` at the rows `indices[rowptr[j]..]`,
+/// diagonal first: a CSC matrix passes its `indptr` as `rowptr`
+/// ([`solve_lower_csc_panel`], the `L` of [`crate::LuFactor`]), the
+/// supernodal [`crate::CholeskyFactor`] passes each column's start in its
+/// supernode's row list.
 pub(crate) fn lower_panel_raw(
     indptr: &[usize],
+    rowptr: &[usize],
     indices: &[usize],
     data: &[f64],
     n: usize,
     panel: &mut [f64],
 ) {
-    let kernel = opera_simd::lower_solve_interleaved;
-    if !crate::simd::solve_panel_interleaved(kernel, indptr, indices, data, n, panel) {
+    let vector = crate::simd::solve_panel_interleaved(n, panel, |x, backend| {
+        opera_simd::lower_solve_interleaved(indptr, rowptr, indices, data, n, x, backend)
+    });
+    if !vector {
         for_each_strip(panel, n, |cols| {
-            dispatch_strip!(cols, lower_strip_kernel, n, indptr, indices, data)
+            dispatch_strip!(cols, lower_strip_kernel, (n, indptr, rowptr, indices, data))
         });
     }
 }
 
-/// Blocked backward substitution with the *transpose* of a lower factor on
-/// raw CSC arrays (diagonal first): solves `Lᵀ·X = B` in place.
+/// Blocked backward substitution with the *transpose* of a lower factor
+/// (same layout as [`lower_panel_raw`]): solves `Lᵀ·X = B` in place.
 pub(crate) fn lower_transpose_panel_raw(
     indptr: &[usize],
+    rowptr: &[usize],
     indices: &[usize],
     data: &[f64],
     n: usize,
     panel: &mut [f64],
 ) {
-    let kernel = opera_simd::lower_transpose_solve_interleaved;
-    if !crate::simd::solve_panel_interleaved(kernel, indptr, indices, data, n, panel) {
+    let vector = crate::simd::solve_panel_interleaved(n, panel, |x, backend| {
+        opera_simd::lower_transpose_solve_interleaved(indptr, rowptr, indices, data, n, x, backend)
+    });
+    if !vector {
         for_each_strip(panel, n, |cols| {
-            dispatch_strip!(cols, lower_transpose_strip_kernel, n, indptr, indices, data)
+            dispatch_strip!(
+                cols,
+                lower_transpose_strip_kernel,
+                (n, indptr, rowptr, indices, data)
+            )
         });
     }
 }
@@ -317,10 +299,12 @@ pub(crate) fn upper_panel_raw(
     n: usize,
     panel: &mut [f64],
 ) {
-    let kernel = opera_simd::upper_solve_interleaved;
-    if !crate::simd::solve_panel_interleaved(kernel, indptr, indices, data, n, panel) {
+    let vector = crate::simd::solve_panel_interleaved(n, panel, |x, backend| {
+        opera_simd::upper_solve_interleaved(indptr, indices, data, n, x, backend)
+    });
+    if !vector {
         for_each_strip(panel, n, |cols| {
-            dispatch_strip!(cols, upper_strip_kernel, n, indptr, indices, data)
+            dispatch_strip!(cols, upper_strip_kernel, (n, indptr, indices, data))
         });
     }
 }
@@ -342,7 +326,15 @@ fn check_panel_dims(m: &CscMatrix, b: &Panel) {
 /// Panics if dimensions do not match or a diagonal entry is missing.
 pub fn solve_lower_csc_panel(l: &CscMatrix, b: &mut Panel) {
     check_panel_dims(l, b);
-    lower_panel_raw(l.indptr(), l.indices(), l.data(), l.ncols(), b.data_mut());
+    let indptr = l.indptr();
+    lower_panel_raw(
+        indptr,
+        indptr,
+        l.indices(),
+        l.data(),
+        l.ncols(),
+        b.data_mut(),
+    );
 }
 
 /// Solves `Lᵀ·X = B` in place for every column of `b` (lower triangular `L`
@@ -354,7 +346,15 @@ pub fn solve_lower_csc_panel(l: &CscMatrix, b: &mut Panel) {
 /// Panics if dimensions do not match or a diagonal entry is missing.
 pub fn solve_lower_transpose_csc_panel(l: &CscMatrix, b: &mut Panel) {
     check_panel_dims(l, b);
-    lower_transpose_panel_raw(l.indptr(), l.indices(), l.data(), l.ncols(), b.data_mut());
+    let indptr = l.indptr();
+    lower_transpose_panel_raw(
+        indptr,
+        indptr,
+        l.indices(),
+        l.data(),
+        l.ncols(),
+        b.data_mut(),
+    );
 }
 
 /// Solves `U·X = B` in place for every column of `b`, where `U` is upper

@@ -127,11 +127,11 @@ fn postorder_with_out_of_bounds_vertex_is_named() {
 
 #[test]
 fn broken_suffix_pattern_is_named() {
-    // Supernode {0,1}: column 0 has pattern {0,1,2}, so column 1 must be
-    // exactly {1,2}. Give it {1} instead.
+    // Supernode {0,1} stores the list {0,1,2}, so column 1 reads the suffix
+    // {1,2} and must hold two values. Its value range holds one instead.
+    let (rowptr, rows) = ([0, 3, 4], [0, 1, 2, 2]);
     let l_indptr = [0, 3, 4, 5];
-    let l_indices = [0, 1, 2, 1, 2];
-    let err = validate_supernode_containment(&[0, 2, 3], &l_indptr, &l_indices);
+    let err = validate_supernode_containment(&[0, 2, 3], &rowptr, &rows, &l_indptr);
     let reason = reason_of(err.unwrap_err());
     assert!(
         reason.contains("supernode 0") && reason.contains("column 1"),
@@ -141,27 +141,27 @@ fn broken_suffix_pattern_is_named() {
 
 #[test]
 fn missing_panel_diagonal_is_named() {
-    // Leading pattern of supernode {0,1} must start 0,1,...; start it at 0,2.
+    // The list of supernode {0,1} must start 0,1,...; start it at 0,2.
+    let (rowptr, rows) = ([0, 2, 3], [0, 2, 2]);
     let l_indptr = [0, 2, 3, 4];
-    let l_indices = [0, 2, 2, 2];
-    let err = validate_supernode_containment(&[0, 2, 3], &l_indptr, &l_indices);
+    let err = validate_supernode_containment(&[0, 2, 3], &rowptr, &rows, &l_indptr);
     assert!(reason_of(err.unwrap_err()).contains("diagonal"));
 }
 
 #[test]
 fn invalid_boundary_range_is_named() {
+    let (rowptr, rows) = ([0, 0, 2], [0, 1]);
     let l_indptr = [0, 1, 2];
-    let l_indices = [0, 1];
-    let err = validate_supernode_containment(&[0, 0, 2], &l_indptr, &l_indices);
+    let err = validate_supernode_containment(&[0, 0, 2], &rowptr, &rows, &l_indptr);
     assert!(reason_of(err.unwrap_err()).contains("invalid column range"));
 }
 
 #[test]
 fn narrow_leading_pattern_is_named() {
-    // Supernode 2 columns wide whose leading pattern has only 1 row.
+    // Supernode 2 columns wide whose row list has only 1 row.
+    let (rowptr, rows) = ([0, 1], [0]);
     let l_indptr = [0, 1, 2];
-    let l_indices = [0, 1];
-    let err = validate_supernode_containment(&[0, 2], &l_indptr, &l_indices);
+    let err = validate_supernode_containment(&[0, 2], &rowptr, &rows, &l_indptr);
     assert!(reason_of(err.unwrap_err()).contains("2 columns wide"));
 }
 

@@ -56,6 +56,31 @@ fn scalar_lu_solve(f: &LuFactor, b: &[f64]) -> Vec<f64> {
     y
 }
 
+/// Exact lower-triangular pattern of the Cholesky factor of `P·A·Pᵀ` by a
+/// dense boolean elimination (no symbolic shortcut): `fill[j][i]` for
+/// `i >= j` says whether `L(i, j)` is structurally nonzero.
+fn exact_fill(a: &CsrMatrix, p: &Permutation) -> Vec<Vec<bool>> {
+    let ap = a.to_csc().permute_symmetric(p).unwrap();
+    let n = ap.ncols();
+    let mut fill = vec![vec![false; n]; n];
+    for (j, col) in fill.iter_mut().enumerate() {
+        col[j] = true;
+        for &i in ap.col(j).0 {
+            col[i] = true;
+        }
+    }
+    // Eliminating column k connects every pair of its rows below k.
+    for k in 0..n {
+        let below: Vec<usize> = (k + 1..n).filter(|&i| fill[k][i]).collect();
+        for (x, &j) in below.iter().enumerate() {
+            for &i in &below[x..] {
+                fill[j][i] = true;
+            }
+        }
+    }
+    fill
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -143,6 +168,45 @@ proptest! {
             .to_csr()
             .to_dense();
         prop_assert!(llt.max_abs_diff(&ap) < 1e-8);
+    }
+
+    /// The pattern stored once per supernode is the exact fill of `P·A·Pᵀ`
+    /// plus the amalgamation padding and nothing else, under every
+    /// ordering: every exact nonzero appears in `lower()`, `nnz_l −
+    /// padded_nnz` counts exactly the exact nonzeros, and every column of a
+    /// supernode reads a suffix of that supernode's one row list. A symbolic
+    /// phase that drops a child supernode's rows fails the containment.
+    #[test]
+    fn supernode_row_lists_hold_the_exact_fill_under_every_ordering(a in spd_matrix(30)) {
+        for ordering in [
+            OrderingChoice::Natural,
+            OrderingChoice::ReverseCuthillMckee,
+            OrderingChoice::MinimumDegree,
+            OrderingChoice::ApproximateMinimumDegree,
+        ] {
+            let symbolic = SymbolicCholesky::analyze_with(&a, ordering).unwrap();
+            let l = symbolic.factor_numeric(&a).expect("SPD by construction").lower();
+            let fill = exact_fill(&a, symbolic.permutation());
+            let mut exact = 0usize;
+            for (j, col) in fill.iter().enumerate() {
+                let rows = l.col(j).0;
+                for i in (j..col.len()).filter(|&i| col[i]) {
+                    exact += 1;
+                    prop_assert!(
+                        rows.binary_search(&i).is_ok(),
+                        "{ordering:?}: exact nonzero L({i}, {j}) missing from the pattern"
+                    );
+                }
+            }
+            prop_assert_eq!(symbolic.nnz_l() - symbolic.padded_nnz(), exact, "{:?}", ordering);
+            let snodes = symbolic.supernodes();
+            for s in 0..snodes.count() {
+                let list = symbolic.supernode_rows(s);
+                for (t, j) in snodes.columns(s).enumerate() {
+                    prop_assert_eq!(l.col(j).0, &list[t..], "{:?} supernode {}", ordering, s);
+                }
+            }
+        }
     }
 
     /// Panel solves must be *bit-identical* to per-column scalar solves on

@@ -207,7 +207,46 @@ fn build_span_nests_its_phases_and_child_times_fit_inside_the_parent() {
 
     // The factorisation layer reported its structure gauges.
     assert!(snapshot.counter("cholesky.symbolic_analyses") >= 1);
-    assert!(snapshot.gauge("cholesky.nnz_l").unwrap_or(0.0) > 0.0);
+    let nnz_l = snapshot.gauge("cholesky.nnz_l").unwrap_or(0.0);
+    assert!(nnz_l > 0.0);
     let padded = snapshot.gauge("cholesky.padded_nnz_fraction").unwrap();
     assert!((0.0..1.0).contains(&padded), "padded fraction {padded}");
+    let pattern_rows = snapshot.gauge("cholesky.pattern_rows").unwrap();
+    assert!(
+        pattern_rows > 0.0 && pattern_rows < nnz_l,
+        "{pattern_rows} of {nnz_l}"
+    );
+}
+
+#[test]
+fn pattern_rows_gauge_counts_the_supernode_row_lists() {
+    let _guard = opera_trace::test_guard();
+    let g = GridSpec::small_test(400)
+        .with_seed(3)
+        .build()
+        .unwrap()
+        .conductance_matrix();
+    opera_trace::reset();
+    opera_trace::enable();
+    let symbolic = opera_sparse::SymbolicCholesky::analyze(&g).unwrap();
+    let snapshot = opera_trace::drain();
+    opera_trace::disable();
+
+    // The analysis stores row indices once per supernode: the gauge is the
+    // total length of those lists, well below the entry count of `L`.
+    let snodes = symbolic.supernodes();
+    let list_rows: usize = (0..snodes.count())
+        .map(|s| symbolic.supernode_rows(s).len())
+        .sum();
+    let pattern_rows = snapshot.gauge("cholesky.pattern_rows").unwrap();
+    assert_eq!(pattern_rows, list_rows as f64);
+    assert_eq!(
+        snapshot.gauge("cholesky.nnz_l"),
+        Some(symbolic.nnz_l() as f64)
+    );
+    assert!(
+        list_rows < symbolic.nnz_l(),
+        "{list_rows} rows for {} entries",
+        symbolic.nnz_l()
+    );
 }

@@ -11,15 +11,18 @@
 //! * the interleaved triangular kernels on random sparse lower/upper
 //!   factors with `1..=8` active right-hand sides and zero-padded tail
 //!   lanes — the exact layout `opera_sparse`'s panel bridge packs;
-//! * the full `MatrixFactor::solve_panel` path on random SPD grids under
-//!   `opera_simd::set_active`, the end-to-end contract the engine relies on.
+//! * the full `MatrixFactor::solve_panel` path on random SPD meshes under
+//!   `opera_simd::set_active`, the end-to-end contract the engine relies on;
+//!   the meshes are large enough that the factor's supernodes are padded.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
 use opera_simd::{available_backends, scalar, Backend, LANES};
-use opera_sparse::{CsrMatrix, MatrixFactor, Panel, SolveWorkspace, TripletMatrix};
+use opera_sparse::{
+    CsrMatrix, MatrixFactor, Panel, SolveWorkspace, SymbolicCholesky, TripletMatrix,
+};
 
 /// Bit view of a float slice: `assert_eq` on values would conflate
 /// `-0.0 == 0.0`; the equivalence gate is on representations.
@@ -106,25 +109,35 @@ fn upper_of(
     (up, ui, uv)
 }
 
-/// A random SPD conductance matrix (weighted Laplacian plus leaks), the
-/// same family the transient property suite solves.
-fn spd_grid(max_n: usize) -> impl Strategy<Value = CsrMatrix> {
-    (2..max_n)
-        .prop_flat_map(|n| {
+/// A random-valued SPD mesh conductance matrix: an `nx × ny` grid of
+/// random branch conductances with a random leak at every node. Meshes of
+/// this size are big enough that the AMD-ordered factor amalgamates its
+/// supernodes with padding, so the solves below read columns as suffixes
+/// of shared supernode row lists.
+fn spd_mesh() -> impl Strategy<Value = CsrMatrix> {
+    (8usize..=14, 8usize..=14)
+        .prop_flat_map(|(nx, ny)| {
             (
-                Just(n),
-                proptest::collection::vec((0..n, 0..n, 0.1f64..4.0), 1..3 * n),
-                proptest::collection::vec(0.05f64..1.0, n),
+                Just((nx, ny)),
+                proptest::collection::vec(0.1f64..4.0, 2 * nx * ny),
+                proptest::collection::vec(0.05f64..1.0, nx * ny),
             )
         })
-        .prop_map(|(n, edges, leaks)| {
+        .prop_map(|((nx, ny), branches, leaks)| {
+            let n = nx * ny;
             let mut g = TripletMatrix::new(n, n);
             for (i, &leak) in leaks.iter().enumerate() {
                 g.push(i, i, leak);
             }
-            for (a, b, w) in edges {
-                if a != b {
-                    g.add_symmetric_pair(a, b, w);
+            for y in 0..ny {
+                for x in 0..nx {
+                    let i = y * nx + x;
+                    if x + 1 < nx {
+                        g.add_symmetric_pair(i, i + 1, branches[2 * i]);
+                    }
+                    if y + 1 < ny {
+                        g.add_symmetric_pair(i, i + nx, branches[2 * i + 1]);
+                    }
                 }
             }
             g.to_csr()
@@ -233,15 +246,18 @@ proptest! {
         for backend in available_backends() {
             let mut r = scratch.clone();
             let mut v = scratch.clone();
-            scalar::lower_solve_interleaved(&indptr, &indices, &data, n, &mut r);
-            opera_simd::lower_solve_interleaved(&indptr, &indices, &data, n, &mut v, backend);
+            // CSC storage: every column's rows start where its values do.
+            scalar::lower_solve_interleaved(&indptr, &indptr, &indices, &data, n, &mut r);
+            opera_simd::lower_solve_interleaved(
+                &indptr, &indptr, &indices, &data, n, &mut v, backend,
+            );
             prop_assert_eq!(bits(&r), bits(&v), "lower {} n={} k={}", backend, n, k);
 
             let mut r = scratch.clone();
             let mut v = scratch.clone();
-            scalar::lower_transpose_solve_interleaved(&indptr, &indices, &data, n, &mut r);
+            scalar::lower_transpose_solve_interleaved(&indptr, &indptr, &indices, &data, n, &mut r);
             opera_simd::lower_transpose_solve_interleaved(
-                &indptr, &indices, &data, n, &mut v, backend,
+                &indptr, &indptr, &indices, &data, n, &mut v, backend,
             );
             prop_assert_eq!(bits(&r), bits(&v), "lower-transpose {} n={} k={}", backend, n, k);
 
@@ -260,14 +276,27 @@ proptest! {
     /// End to end: a full sparse `solve_panel` on a random SPD factor is
     /// bit-identical under every backend the CPU offers, for panels of
     /// `1..=8` right-hand sides — the contract that makes `OPERA_SIMD` a
-    /// pure performance knob.
+    /// pure performance knob. The factor is supernodal with padded,
+    /// multi-column supernodes, so the interleaved kernels read every
+    /// column's rows from its supernode's list.
     #[test]
     fn factor_panel_solve_is_bit_identical_under_every_backend(
-        g in spd_grid(40),
+        g in spd_mesh(),
         k in 1usize..=LANES,
         drive in 0.2f64..3.0,
     ) {
         let n = g.nrows();
+        let padded = {
+            let _guard = opera_trace::test_guard();
+            opera_trace::reset();
+            opera_trace::enable();
+            let symbolic = SymbolicCholesky::analyze(&g).unwrap();
+            let padded = opera_trace::drain().gauge("cholesky.padded_nnz_fraction");
+            opera_trace::disable();
+            prop_assert!(symbolic.supernodes().max_width() > 1, "n={}", n);
+            padded
+        };
+        prop_assert!(padded.unwrap_or(0.0) > 0.0, "n={} padded fraction {:?}", n, padded);
         let factor = MatrixFactor::cholesky_or_lu(&g).unwrap();
         let columns: Vec<Vec<f64>> = (0..k)
             .map(|j| {
