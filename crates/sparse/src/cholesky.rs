@@ -213,7 +213,7 @@ impl SymbolicCholesky {
         }
         let fundamental = Supernodes::from_etree(&parent, &exact_indptr);
         let (fund_rowptr, fund_rows) =
-            fundamental_rows(&a_perm, &fundamental, &parent, &exact_indptr);
+            fundamental_rows(&a_perm, &fundamental, &parent, &exact_indptr)?;
         // Merge adjacent near-identical supernodes, padding the merged
         // panels to their union pattern with explicit zeros — the numeric
         // phase is dominated by panel width, and a few percent of padded
@@ -387,6 +387,17 @@ fn check_symmetric(a: &CsrMatrix) -> Result<()> {
     }
 }
 
+/// Whether every stored entry `(i, j)` of `a` has its mirror `(j, i)` stored
+/// too (rows are sorted, so each mirror is one binary search away).
+fn is_structurally_symmetric(a: &CsrMatrix) -> bool {
+    (0..a.nrows()).all(|i| {
+        a.row(i)
+            .0
+            .iter()
+            .all(|&j| a.row(j).0.binary_search(&i).is_ok())
+    })
+}
+
 /// Front end of the analysis: symmetry and shape checks, ordering selection
 /// and the symmetric permutation.
 fn permute_for_cholesky(
@@ -400,7 +411,18 @@ fn permute_for_cholesky(
         });
     }
     check_symmetric(a)?;
-    let a_csc = a.to_csc();
+    // The elimination tree and column counts read A's pattern from the
+    // upper triangle, the supernode row lists and the numeric scatter from
+    // the lower one. A zero stored on one side only passes the value check
+    // above, so mirror every such entry as an explicit zero first: both
+    // triangles then hold the same pattern.
+    let a_csc = if is_structurally_symmetric(a) {
+        a.to_csc()
+    } else {
+        let mut mirror = a.transpose();
+        mirror.data_mut().fill(0.0);
+        a.add_scaled(&mirror, 1.0)?.to_csc()
+    };
     let perm = match ordering_choice {
         OrderingChoice::Natural => Permutation::identity(a.nrows()),
         OrderingChoice::ReverseCuthillMckee => ordering::reverse_cuthill_mckee(&a_csc),
@@ -882,6 +904,51 @@ mod tests {
         chol.solve_in_place(&mut x, &mut ws);
         assert_eq!(x, expected);
         assert_eq!(ws.allocation_count(), warm);
+    }
+
+    /// `a` plus one stored `(i, j) = 0.0` whose mirror `(j, i)` is absent.
+    fn with_one_sided_zero(a: &CsrMatrix, i: usize, j: usize) -> CsrMatrix {
+        let mut t = TripletMatrix::new(a.nrows(), a.ncols());
+        for (r, c, v) in a.iter() {
+            t.push(r, c, v);
+        }
+        t.push(i, j, 0.0);
+        let one_sided = t.to_csr();
+        assert_eq!(one_sided.nnz(), a.nnz() + 1, "explicit zero is stored");
+        one_sided
+    }
+
+    #[test]
+    fn one_sided_explicit_zeros_are_analysed_as_mirrored_entries() {
+        // A zero stored on one side of the diagonal only passes the value
+        // symmetry check; the analysis must treat it as a symmetric entry
+        // whichever triangle holds it, under every ordering.
+        let small =
+            CsrMatrix::from_dense(3, 3, &[4.0, 1.0, 0.0, 1.0, 3.0, 1.0, 0.0, 1.0, 2.0], 0.0);
+        let grid = grid_spd(5, 6);
+        let cases = [
+            with_one_sided_zero(&small, 0, 2),
+            with_one_sided_zero(&small, 2, 0),
+            with_one_sided_zero(&grid, 0, 29),
+            with_one_sided_zero(&grid, 29, 0),
+            with_one_sided_zero(&grid, 3, 17),
+        ];
+        for a in &cases {
+            let n = a.nrows();
+            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+            for ord in [
+                OrderingChoice::Natural,
+                OrderingChoice::ReverseCuthillMckee,
+                OrderingChoice::MinimumDegree,
+                OrderingChoice::ApproximateMinimumDegree,
+            ] {
+                let symbolic = SymbolicCholesky::analyze_with(a, ord).unwrap();
+                let x = symbolic.factor_numeric(a).unwrap().solve(&b);
+                assert!(a.residual_inf_norm(&x, &b) < 1e-10, "n={n} {ord:?}");
+                let x = CholeskyFactor::factor_with(a, ord).unwrap().solve(&b);
+                assert!(a.residual_inf_norm(&x, &b) < 1e-10, "n={n} {ord:?}");
+            }
+        }
     }
 
     #[test]

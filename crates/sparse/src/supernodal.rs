@@ -151,12 +151,18 @@ fn merge_is_worthwhile(w: usize, zeros: usize, entries: usize) -> bool {
 /// their parents, so one ascending pass over the supernodes sees every
 /// child list complete. `l_indptr` holds the exact column counts and sizes
 /// each list up front.
+///
+/// # Errors
+///
+/// Returns [`SparseError::InvalidStructure`] if a list's length disagrees
+/// with its column count, which happens when `a_perm`'s two triangles do
+/// not store the same pattern.
 pub(crate) fn fundamental_rows(
     a_perm: &CscMatrix,
     snodes: &Supernodes,
     parent: &[Option<usize>],
     l_indptr: &[usize],
-) -> (Vec<usize>, Vec<usize>) {
+) -> Result<(Vec<usize>, Vec<usize>)> {
     let n = a_perm.ncols();
     let nsuper = snodes.count();
     let mut rowptr = Vec::with_capacity(nsuper + 1);
@@ -202,10 +208,19 @@ pub(crate) fn fundamental_rows(
             }
             c = child_next[c];
         }
+        if rows.len() != rowptr[s + 1] {
+            return Err(SparseError::InvalidStructure {
+                reason: format!(
+                    "supernode {s} collects {} rows but its first column counts {}; \
+                     the matrix pattern is not structurally symmetric",
+                    rows.len() - begin,
+                    rowptr[s + 1] - rowptr[s]
+                ),
+            });
+        }
         rows[begin..].sort_unstable();
-        debug_assert_eq!(rows.len(), rowptr[s + 1], "supernode {s} list length");
     }
-    (rowptr, rows)
+    Ok((rowptr, rows))
 }
 
 /// Relaxed supernode amalgamation.
