@@ -14,16 +14,23 @@
 //! between accepted steps, and output points that coincide with accepted steps
 //! are bit-exact copies of the accepted state.
 //!
-//! Step-size changes are cheap by construction: the controller requests every
-//! factorisation through a [`CompanionFamily`], which reuses one shared
-//! symbolic Cholesky analysis (numeric-only refactorisation) and serves
-//! recently used step sizes from an LRU cache. A dead-band in the controller
-//! keeps the step unchanged when the predicted growth is modest, so long
-//! smooth stretches run entirely on cache hits. See `docs/TRANSIENT.md` for
-//! the full contract.
+//! The controller steps through a [`PreparedSolver`], so one controller
+//! serves every backend: each attempted step size comes from
+//! [`PreparedSolver::with_time_step`], the stages from
+//! [`PreparedSolver::step_tr_bdf2_panel_into`] and the error estimate from
+//! [`PreparedSolver::tr_bdf2_error_panel_into`]. Step-size changes are cheap
+//! by construction: a re-step goes through the solver's
+//! [`CompanionFamily`], which reuses one shared symbolic Cholesky analysis
+//! (numeric-only refactorisation) and serves recently used step sizes from
+//! an LRU cache — of the augmented companion on the direct backends, of the
+//! nominal one on the CG backend. A dead-band in the controller keeps the
+//! step unchanged when the predicted growth is modest, so long smooth
+//! stretches run entirely on cache hits. See `docs/TRANSIENT.md` for the
+//! full contract.
 
-use opera_sparse::{CsrMatrix, MatrixFactor, SolveWorkspace};
+use opera_sparse::{CsrMatrix, MatrixFactor, Panel, SolveWorkspace};
 
+use crate::solver::{DirectPrepared, PreparedSolver};
 use crate::transient::{
     CompanionFamily, IntegrationMethod, TransientOptions, TransientSolution, TR_BDF2_GAMMA,
 };
@@ -162,11 +169,11 @@ pub struct AdaptiveStats {
     pub steps_accepted: u64,
     /// Steps rejected by the error test (never emitted).
     pub steps_rejected: u64,
-    /// Numeric refactorisations the run triggered in its
+    /// Numeric refactorisations the run triggered in the solver's
     /// [`CompanionFamily`] (cache hits excluded).
     pub refactorizations: u64,
-    /// Symbolic analyses the family has ever run (1 for Cholesky families —
-    /// step-size changes are numeric-only).
+    /// Symbolic analyses the family has ever run (1 for Cholesky families,
+    /// on every backend: step-size changes are numeric-only).
     pub symbolic_analyses: u64,
 }
 
@@ -237,69 +244,81 @@ fn interpolate_into(v_old: &[f64], v_mid: &[f64], v_new: &[f64], theta: f64, out
     );
 }
 
-/// The LTE-driven adaptive TR-BDF2 loop. Starts from `v0` at
-/// `output_times[0]`, integrates to `*output_times.last()`, and returns the
-/// dense output on `output_times` plus the accepted internal trajectory.
+/// The controller's step bounds over `output_times`: `(min_step, max_step,
+/// initial_step)`.
+fn step_bounds(output_times: &[f64], options: &AdaptiveOptions) -> (f64, f64, f64) {
+    let span = output_times[output_times.len() - 1] - output_times[0];
+    let min_step = options.min_step.unwrap_or(span * 1e-12);
+    let max_step = options.max_step.unwrap_or(span).min(span);
+    let initial = options
+        .initial_step
+        .unwrap_or(span / 100.0)
+        .clamp(min_step, max_step);
+    (min_step, max_step, initial)
+}
+
+/// Rejects output grids the controller cannot report on.
+fn validate_output_times(output_times: &[f64]) -> Result<()> {
+    if output_times.len() < 2 || output_times.windows(2).any(|w| w[1] <= w[0]) {
+        return Err(invalid(
+            "adaptive output grid needs at least two strictly increasing times".to_string(),
+        ));
+    }
+    Ok(())
+}
+
+/// The LTE-driven adaptive TR-BDF2 loop. Starts from the one-column state
+/// `v0` at `output_times[0]`, integrates to `*output_times.last()`, and
+/// returns the dense output on `output_times` plus the accepted internal
+/// trajectory.
 ///
-/// Every factorisation goes through `family` (one symbolic analysis, LRU'd
-/// numeric factors); rejected steps are never emitted; the final step is
-/// capped so the last accepted time is **exactly** `t_end`. Counters
+/// Every attempted step size is prepared by `prepared.with_time_step` (one
+/// symbolic analysis in the solver's companion family, LRU'd numeric
+/// factors); rejected steps are never emitted; the final step is capped so
+/// the last accepted time is **exactly** `t_end`. Counters
 /// `transient.adaptive.steps_attempted` / `transient.adaptive.steps_rejected`
 /// flow into [`opera_trace`] alongside the family's refactorisation counter.
 ///
 /// # Errors
 ///
 /// Returns [`OperaError::InvalidOptions`] when the output grid is not
-/// strictly increasing, when `v0` disagrees with the family dimension, or
-/// when the controller cannot meet the tolerance within `max_rejects`
-/// consecutive rejections at the minimum step.
+/// strictly increasing, when the solver cannot re-step, or when the controller cannot meet the tolerance
+/// within `max_rejects` consecutive rejections at the minimum step;
+/// propagates solver errors.
 pub(crate) fn integrate_adaptive(
-    family: &CompanionFamily,
-    v0: Vec<f64>,
+    prepared: &dyn PreparedSolver,
+    v0: Panel,
     excitation: &dyn Fn(f64) -> Vec<f64>,
     output_times: &[f64],
     options: &AdaptiveOptions,
 ) -> Result<AdaptiveRun> {
     options.validate()?;
-    if output_times.len() < 2 || output_times.windows(2).any(|w| w[1] <= w[0]) {
-        return Err(invalid(
-            "adaptive output grid needs at least two strictly increasing times".to_string(),
-        ));
-    }
-    if v0.len() != family.dim() {
-        return Err(invalid(format!(
-            "initial state has {} entries but the system dimension is {}",
-            v0.len(),
-            family.dim()
-        )));
-    }
+    validate_output_times(output_times)?;
+    let family = prepared.companion_family().ok_or_else(|| {
+        invalid("adaptive stepping needs a solver backend that can re-step".to_string())
+    })?;
     let t0 = output_times[0];
     let t_end = output_times[output_times.len() - 1];
-    let span = t_end - t0;
-    let min_step = options.min_step.unwrap_or(span * 1e-12);
-    let max_step = options.max_step.unwrap_or(span).min(span);
-    let mut h = options
-        .initial_step
-        .unwrap_or(span / 100.0)
-        .clamp(min_step, max_step);
+    let (min_step, max_step, mut h) = step_bounds(output_times, options);
 
-    let n = v0.len();
+    let n = v0.nrows();
     let refactorizations_before = family.refactorization_count();
     let mut stats = AdaptiveStats::default();
 
+    let excitation_panel = |t: f64| Panel::from_vec(n, 1, excitation(t));
     let mut v = v0;
     let mut t = t0;
-    let mut u_prev = excitation(t0);
-    let mut stage = vec![0.0; n];
-    let mut next = vec![0.0; n];
-    let mut err = vec![0.0; n];
+    let mut u_prev = excitation_panel(t0);
+    let mut stage = Panel::zeros(n, 1);
+    let mut next = Panel::zeros(n, 1);
+    let mut err = Panel::zeros(n, 1);
     let mut ws = SolveWorkspace::with_capacity(n);
 
     let mut states = Vec::with_capacity(output_times.len());
-    states.push(v.clone());
+    states.push(v.data().to_vec());
     let mut out_idx = 1;
     let mut accepted_times = vec![t0];
-    let mut accepted_states = vec![v.clone()];
+    let mut accepted_states = vec![v.data().to_vec()];
 
     let mut rejected_last = false;
     let mut consecutive_rejects = 0u32;
@@ -310,17 +329,23 @@ pub(crate) fn integrate_adaptive(
         let last_step = h >= t_end - t;
         let h_eff = if last_step { t_end - t } else { h };
         let t_new = if last_step { t_end } else { t + h };
-        let system = family.system_for(h_eff, IntegrationMethod::TrBdf2)?;
+        let stepper = prepared
+            .with_time_step(h_eff)?
+            .ok_or_else(|| invalid("the solver backend cannot re-step".to_string()))?;
 
         stats.steps_attempted += 1;
         opera_trace::count("transient.adaptive.steps_attempted", 1);
-        let u_mid = excitation(t + TR_BDF2_GAMMA * h_eff);
-        let u_new = excitation(t_new);
-        system.step_tr_bdf2_into(&v, &u_prev, &u_mid, &u_new, &mut stage, &mut next, &mut ws);
-        system.tr_bdf2_error_into(
-            &v, &stage, &next, &u_prev, &u_mid, &u_new, &mut err, &mut ws,
-        );
-        let err_norm = wrms_norm(&err, &v, &next, options);
+        let u_mid = excitation_panel(t + TR_BDF2_GAMMA * h_eff);
+        let u_new = excitation_panel(t_new);
+        stepper
+            .step_tr_bdf2_panel_into(&v, &u_prev, &u_mid, &u_new, &mut stage, &mut next, &mut ws)?;
+        stepper.tr_bdf2_error_panel_into(
+            [&v, &stage, &next],
+            [&u_prev, &u_mid, &u_new],
+            &mut err,
+            &mut ws,
+        )?;
+        let err_norm = wrms_norm(err.data(), v.data(), next.data(), options);
 
         // A NaN norm fails this comparison and lands in the reject branch.
         if err_norm <= 1.0 {
@@ -332,10 +357,11 @@ pub(crate) fn integrate_adaptive(
             while out_idx < output_times.len() && output_times[out_idx] <= t_new {
                 let t_out = output_times[out_idx];
                 if t_out == t_new {
-                    states.push(next.clone());
+                    states.push(next.data().to_vec());
                 } else {
                     let mut row = vec![0.0; n];
-                    interpolate_into(&v, &stage, &next, (t_out - t) / h_eff, &mut row);
+                    let theta = (t_out - t) / h_eff;
+                    interpolate_into(v.data(), stage.data(), next.data(), theta, &mut row);
                     states.push(row);
                 }
                 out_idx += 1;
@@ -344,7 +370,7 @@ pub(crate) fn integrate_adaptive(
             std::mem::swap(&mut v, &mut next);
             u_prev = u_new;
             accepted_times.push(t);
-            accepted_states.push(v.clone());
+            accepted_states.push(v.data().to_vec());
             // Grow/shrink for the next step; never grow right after a
             // rejection, and hold the step inside the dead-band so smooth
             // stretches keep hitting the factor cache.
@@ -453,12 +479,26 @@ pub fn solve_transient_adaptive_at(
     output_times: &[f64],
     adaptive: &AdaptiveOptions,
 ) -> Result<AdaptiveTransientSolution> {
-    let family = CompanionFamily::new(g, c)?;
-    let u0 = excitation(output_times.first().copied().unwrap_or(0.0));
-    let v0 = MatrixFactor::cholesky_or_lu(g)
-        .map_err(OperaError::from)?
-        .solve(&u0);
-    let run = integrate_adaptive(&family, v0, &excitation, output_times, adaptive)?;
+    adaptive.validate()?;
+    validate_output_times(output_times)?;
+    // The direct solver starts at the controller's first step, so that
+    // step's factorisation is the run's first refactorisation.
+    let (_, _, initial_step) = step_bounds(output_times, adaptive);
+    let prepared = DirectPrepared::with_family(
+        MatrixFactor::cholesky_or_lu(g)?,
+        CompanionFamily::new(g, c)?,
+        initial_step,
+        IntegrationMethod::TrBdf2,
+    )?;
+    let u0 = Panel::from_vec(g.nrows(), 1, excitation(output_times[0]));
+    let mut v0 = Panel::zeros(g.nrows(), 1);
+    prepared.solve_dc_panel(&u0, &mut v0, &mut SolveWorkspace::new())?;
+    let mut run = integrate_adaptive(&prepared, v0, &excitation, output_times, adaptive)?;
+    // The family lives for this run only: every refactorisation is the
+    // run's, including the one at the initial step.
+    if let Some(family) = prepared.companion_family() {
+        run.stats.refactorizations = family.refactorization_count();
+    }
     Ok(AdaptiveTransientSolution {
         solution: TransientSolution::from_states(output_times.to_vec(), &run.states),
         accepted_times: run.accepted_times,

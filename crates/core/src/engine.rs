@@ -55,7 +55,7 @@ use crate::galerkin::GalerkinSystem;
 use crate::monte_carlo::{run as run_monte_carlo, MonteCarloOptions, MonteCarloResult};
 use crate::parallel::Parallelism;
 use crate::response::drop_summary;
-use crate::solver::{backend_by_name, DirectCholesky, PreparedSolver, SolverBackend};
+use crate::solver::{backend_by_name, default_backend, PreparedSolver, SolverBackend};
 use crate::stochastic::{
     run_prepared_adaptive, run_prepared_panel, run_prepared_single, StochasticSolution,
 };
@@ -277,7 +277,7 @@ impl EngineBuilder {
             source,
             node_names: None,
             order: 2,
-            solver: Arc::new(DirectCholesky),
+            solver: default_backend(),
             time_step: 0.05e-9,
             end_time: None,
             method: IntegrationMethod::BackwardEuler,
@@ -316,7 +316,12 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the solver backend for the augmented system.
+    /// Sets the solver backend for the augmented system. The default is
+    /// [`crate::solver::default_backend`], the mean-preconditioned CG
+    /// ([`BlockJacobiCg`](crate::solver::BlockJacobiCg)), which factors only
+    /// nominal-size matrices; pass
+    /// [`DirectCholesky`](crate::solver::DirectCholesky) for the bit-pinned
+    /// direct reference.
     pub fn solver(mut self, solver: Arc<dyn SolverBackend>) -> Self {
         self.solver = solver;
         self
@@ -356,8 +361,15 @@ impl EngineBuilder {
     /// TR-BDF2 stepping (see [`crate::adaptive`]): the `.tran` grid becomes
     /// the *output* grid while the controller chooses the internal steps, and
     /// the integration method is forced to
-    /// [`IntegrationMethod::TrBdf2`]. Requires a direct solver backend
-    /// (Cholesky or LU); [`EngineBuilder::build`] rejects iterative backends.
+    /// [`IntegrationMethod::TrBdf2`]. Runs on every built-in backend: each
+    /// step-size change is one numeric refactorisation under a single
+    /// symbolic analysis — of the nominal companion on the default CG
+    /// backend, of the augmented one on
+    /// [`DirectCholesky`](crate::solver::DirectCholesky) (select it with
+    /// [`EngineBuilder::solver`] or `solver_name("direct-cholesky")`).
+    /// [`EngineBuilder::build`] rejects custom backends that cannot re-step.
+    /// `docs/TRANSIENT.md` compares the two backends' adaptive runs and
+    /// `docs/PERFORMANCE.md` their measured cost.
     pub fn adaptive(mut self, adaptive: AdaptiveOptions) -> Self {
         self.adaptive = Some(adaptive);
         self.method = IntegrationMethod::TrBdf2;
@@ -457,7 +469,7 @@ impl EngineBuilder {
         if self.adaptive.is_some() && prepared.companion_family().is_none() {
             return Err(OperaError::InvalidOptions {
                 reason: format!(
-                    "adaptive stepping requires a direct solver backend, \
+                    "adaptive stepping needs a backend that can re-step, \
                      but '{}' exposes no companion family",
                     self.solver.name()
                 ),
@@ -766,10 +778,12 @@ impl OperaEngine {
     /// augmented transient against the engine's prepared solver, then runs
     /// a four-step transient (DC start included) on the warm workspace and
     /// returns how many buffer growths that second run performed. Both runs
-    /// go through the shared fixed-step loop. For the direct backends this
-    /// is `0`: every steady-state step borrows all solver scratch from the
-    /// warm workspace and never touches the allocator. CI asserts exactly
-    /// that.
+    /// go through the shared fixed-step loop. For every built-in backend
+    /// this is `0`: every steady-state step — a direct solve or a whole CG
+    /// iteration with its preconditioner — borrows all solver scratch from
+    /// the warm workspace and never touches the allocator. CI asserts
+    /// exactly that, and `tests/integration_perf.rs` re-checks it with a
+    /// counting global allocator.
     ///
     /// # Errors
     ///
@@ -852,8 +866,9 @@ impl OperaEngine {
     /// # Errors
     ///
     /// Returns [`OperaError::InvalidOptions`] when the engine's backend
-    /// exposes no companion family, for invalid overrides, and when the
-    /// controller cannot meet its tolerance; propagates solver errors.
+    /// cannot re-step (exposes no companion family), for invalid overrides,
+    /// and when the controller cannot meet its tolerance; propagates solver
+    /// errors.
     pub fn solve_scenario_adaptive(
         &self,
         scenario: &Scenario,

@@ -14,6 +14,8 @@
 //! 6×6 block matrices of paper Eqs. (20)–(22); the unit tests check this
 //! structure literally.
 
+use std::sync::Arc;
+
 use opera_pce::{GalerkinCoupling, OrthogonalBasis};
 use opera_sparse::{CsrMatrix, TripletMatrix};
 use opera_variation::StochasticGridModel;
@@ -26,8 +28,10 @@ pub struct GalerkinSystem {
     basis: OrthogonalBasis,
     coupling: GalerkinCoupling,
     node_count: usize,
-    g_hat: CsrMatrix,
-    c_hat: CsrMatrix,
+    /// `G̃` and `C̃` behind `Arc`s, so the CG backend steps on the
+    /// system's own matrices instead of private copies.
+    g_hat: Arc<CsrMatrix>,
+    c_hat: Arc<CsrMatrix>,
 }
 
 impl GalerkinSystem {
@@ -76,8 +80,8 @@ impl GalerkinSystem {
             basis: basis.clone(),
             coupling,
             node_count: n,
-            g_hat,
-            c_hat,
+            g_hat: Arc::new(g_hat),
+            c_hat: Arc::new(c_hat),
         })
     }
 
@@ -114,6 +118,12 @@ impl GalerkinSystem {
     /// The augmented capacitance matrix `C̃`.
     pub fn capacitance(&self) -> &CsrMatrix {
         &self.c_hat
+    }
+
+    /// Shared handles on `G̃` and `C̃` for prepared solvers that outlive a
+    /// borrow of the system.
+    pub(crate) fn shared_matrices(&self) -> (Arc<CsrMatrix>, Arc<CsrMatrix>) {
+        (Arc::clone(&self.g_hat), Arc::clone(&self.c_hat))
     }
 
     /// Assembles the augmented excitation `Ũ(t)` from the model: block `i`

@@ -17,8 +17,9 @@
 //!   ([`OperaEngine::for_netlist`], grammar in `docs/NETLIST.md`) — netlist
 //!   engines name their nodes in every report.
 //! * [`solver`] — pluggable [`SolverBackend`]s for the
-//!   augmented system (direct Cholesky, block-Jacobi preconditioned CG,
-//!   left-looking LU) plus a name-based registry for custom backends.
+//!   augmented system (the default mean-preconditioned CG, direct Cholesky
+//!   — the bit-pinned reference — and left-looking LU) plus a name-based
+//!   registry for custom backends.
 //! * [`transient`] — deterministic transient MNA solver (backward Euler,
 //!   trapezoidal or L-stable TR-BDF2) used both for nominal analysis and
 //!   inside the Monte Carlo baseline.

@@ -17,27 +17,33 @@
 //!
 //! Three backends ship with the crate:
 //!
+//! * [`BlockJacobiCg`] — **the default** ([`default_backend`]): conjugate
+//!   gradient on the augmented system with the mean-based block
+//!   preconditioner, which needs only two *nominal-size* factorisations (the
+//!   paper's §5.2 "iterative block solver with appropriate pre-conditioner").
 //! * [`DirectCholesky`] — sparse Cholesky of the augmented companion matrix,
-//!   factored once and reused for every step (the paper's default; falls back
-//!   to LU if the matrix is not numerically SPD).
-//! * [`BlockJacobiCg`] — conjugate gradient on the augmented system with a
-//!   block-Jacobi preconditioner built from a *single* factorisation of the
-//!   nominal companion matrix (the paper's §5.2 "iterative block solver with
-//!   appropriate pre-conditioner" remark for very large grids).
+//!   factored once and reused for every step (falls back to LU if the matrix
+//!   is not numerically SPD). The bit-pinned reference: select it by value
+//!   or by its registered name [`DIRECT_CHOLESKY`].
 //! * [`LeftLookingLu`] — left-looking sparse LU with partial pivoting, the
 //!   fallback of choice when large variation magnitudes push the augmented
 //!   matrix away from positive definiteness.
+//!
+//! Every backend re-steps cheaply ([`PreparedSolver::with_time_step`]), so
+//! the adaptive controller of [`crate::adaptive`] runs on each of them.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use opera_sparse::{CholeskyFactor, CsrMatrix, MatrixFactor, Panel, SolveWorkspace};
+use opera_sparse::cg::{self, CgOptions, LinearOperator, Preconditioner};
+use opera_sparse::{CsrMatrix, MatrixFactor, Panel, SolveWorkspace};
 use opera_variation::StochasticGridModel;
 
 use crate::galerkin::GalerkinSystem;
 use crate::transient::{
-    companion_scale, CompanionFamily, CompanionSystem, IntegrationMethod, StepRhs, TransientOptions,
+    assert_same_columns, companion_scale, CompanionFamily, CompanionSystem, IntegrationMethod,
+    StepRhs, TransientOptions,
 };
 use crate::{OperaError, Result};
 
@@ -83,11 +89,11 @@ pub trait SolverBackend: fmt::Debug + Send + Sync {
 /// step of column `j` of the inputs, and a single right-hand side is a
 /// one-column panel. The methods write into caller-provided panels and
 /// borrow scratch from a [`SolveWorkspace`], so a steady-state transient
-/// loop with a warm workspace never touches the allocator (direct backends;
-/// iterative backends may allocate internally). Each panel column must be
-/// bit-identical to stepping that column alone.
-/// [`integrate_fixed_step`](crate::transient::integrate_fixed_step) is the
-/// loop that drives them.
+/// loop with a warm workspace never touches the allocator, on every
+/// built-in backend. Each panel column must be bit-identical to stepping
+/// that column alone.
+/// [`integrate_fixed_step`](crate::transient::integrate_fixed_step) and the
+/// adaptive controller are the loops that drive them.
 pub trait PreparedSolver: Send + Sync {
     /// Solves the DC system `G̃·a(0) = Ũ(0)` for every column of a panel of
     /// initial excitations.
@@ -136,18 +142,38 @@ pub trait PreparedSolver: Send + Sync {
         ws: &mut SolveWorkspace,
     ) -> Result<()>;
 
-    /// The companion-system family behind this solver, when it has one:
-    /// direct backends expose it so the adaptive controller can request
-    /// numeric-only refactorisations for new step sizes (and so callers can
-    /// read the symbolic/refactorisation counters). Iterative backends
-    /// return `None`.
+    /// The embedded local-error estimate of a TR-BDF2 step just taken: the
+    /// Hosea–Shampine residual over the step-start, stage and step-end
+    /// `states` (with the `excitations` at `t`, `t + γh` and `t + h`),
+    /// filtered through this solver's companion matrix as in
+    /// [`CompanionSystem::tr_bdf2_error_into`], column by column into `err`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`OperaError::InvalidOptions`] when the backend was prepared
+    /// for a single-stage scheme, and propagates solver errors.
+    fn tr_bdf2_error_panel_into(
+        &self,
+        states: [&Panel; 3],
+        excitations: [&Panel; 3],
+        err: &mut Panel,
+        ws: &mut SolveWorkspace,
+    ) -> Result<()>;
+
+    /// The companion family that serves this solver's step-size changes:
+    /// one symbolic analysis, a numeric refactorisation per new step size.
+    /// For the direct backends it factors the augmented companion, for
+    /// [`BlockJacobiCg`] the nominal companion its preconditioner is built
+    /// on. Its counters are what the adaptive controller reports. `None` for
+    /// backends that cannot re-step.
     fn companion_family(&self) -> Option<&CompanionFamily>;
 
     /// Re-prepares this solver for a different fixed time step, reusing
     /// every step-size-independent artifact (the DC factor and the shared
-    /// symbolic analysis) and re-running only the numeric companion
-    /// factorisation. Returns `Ok(None)` when the backend cannot re-step
-    /// cheaply and the caller should run a full prepare.
+    /// symbolic analysis) and re-running only one numeric factorisation
+    /// through [`companion_family`](Self::companion_family). Returns
+    /// `Ok(None)` when the backend cannot re-step cheaply and the caller
+    /// should run a full prepare.
     ///
     /// # Errors
     ///
@@ -174,6 +200,7 @@ fn check_scheme(prepared: IntegrationMethod, tr_bdf2_call: bool) -> Result<()> {
 /// matrix, factored once and reused for every time step. Falls back to
 /// left-looking LU if the augmented matrix is not numerically positive
 /// definite (use [`LeftLookingLu`] to skip the Cholesky attempt entirely).
+/// The bit-pinned reference backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DirectCholesky;
 
@@ -210,16 +237,16 @@ impl DirectPrepared {
         }
     }
 
-    /// A direct backend's preparation: the companion for the transient's
-    /// step and scheme comes from `family`, which stays available for
-    /// re-stepping.
-    fn with_family(
+    /// A preparation whose companion for `time_step` and `method` comes
+    /// from `family`, which stays available for re-stepping.
+    pub(crate) fn with_family(
         dc: MatrixFactor,
         family: CompanionFamily,
-        transient: &TransientOptions,
+        time_step: f64,
+        method: IntegrationMethod,
     ) -> Result<Self> {
         let family = Arc::new(family);
-        let companion = family.system_for(transient.time_step, transient.method)?;
+        let companion = family.system_for(time_step, method)?;
         Ok(DirectPrepared {
             dc: Arc::new(dc),
             family: Some(family),
@@ -265,6 +292,30 @@ impl PreparedSolver for DirectPrepared {
         Ok(())
     }
 
+    fn tr_bdf2_error_panel_into(
+        &self,
+        [v, v_mid, v_new]: [&Panel; 3],
+        [u, u_mid, u_new]: [&Panel; 3],
+        err: &mut Panel,
+        ws: &mut SolveWorkspace,
+    ) -> Result<()> {
+        check_scheme(self.companion.method(), true)?;
+        assert_same_columns(&[v, v_mid, v_new, u, u_mid, u_new], err);
+        for j in 0..err.ncols() {
+            self.companion.tr_bdf2_error_into(
+                v.col(j),
+                v_mid.col(j),
+                v_new.col(j),
+                u.col(j),
+                u_mid.col(j),
+                u_new.col(j),
+                err.col_mut(j),
+                ws,
+            );
+        }
+        Ok(())
+    }
+
     fn companion_family(&self) -> Option<&CompanionFamily> {
         self.family.as_deref()
     }
@@ -297,7 +348,10 @@ impl SolverBackend for DirectCholesky {
         let dc = MatrixFactor::cholesky_or_lu(system.conductance())?;
         let family = CompanionFamily::new(system.conductance(), system.capacitance())?;
         Ok(Box::new(DirectPrepared::with_family(
-            dc, family, transient,
+            dc,
+            family,
+            transient.time_step,
+            transient.method,
         )?))
     }
 }
@@ -317,24 +371,38 @@ impl SolverBackend for LeftLookingLu {
         let dc = MatrixFactor::lu(system.conductance())?;
         let family = CompanionFamily::with_lu(system.conductance(), system.capacitance())?;
         Ok(Box::new(DirectPrepared::with_family(
-            dc, family, transient,
+            dc,
+            family,
+            transient.time_step,
+            transient.method,
         )?))
     }
 }
 
 // --------------------------------------------------------------------------
-// Block-Jacobi preconditioned CG backend.
+// Mean-preconditioned CG backend.
 // --------------------------------------------------------------------------
 
-/// Conjugate gradient on the augmented system with a block-Jacobi
-/// preconditioner built from a *single* factorisation of the nominal
-/// companion matrix `G_a + C_a/h` (the diagonal blocks of the augmented
-/// matrix are exactly `⟨ψ_i²⟩(G_a + C_a/h)` for symmetric variations). This
-/// keeps the OPERA cost close to a single deterministic transient even for
-/// very large grids.
+/// Conjugate gradient on the augmented system with the mean-based block
+/// preconditioner (Pellissetti & Ghanem 2000): every basis block of a
+/// residual is solved with the *nominal* matrix and scaled by `1/⟨ψ_i²⟩` —
+/// exactly the block diagonal of the augmented matrix for symmetric
+/// variations. Preparation therefore factors only two nominal-size
+/// matrices, the DC conductance `G_a` and the companion `G_a + s·C_a`, and
+/// never assembles or factors anything of the augmented size; the
+/// iteration applies `G̃ + s·C̃` straight from the Galerkin system's own
+/// matrices.
+///
+/// A step-size change touches two things: the scalar `s`, and one numeric
+/// refactorisation of the nominal companion against the single symbolic
+/// analysis its [`CompanionFamily`] keeps for every step size. A CG solve
+/// that misses `tolerance` within `max_iterations` fails with
+/// [`OperaError::Sparse`]`(`[`opera_sparse::SparseError::DidNotConverge`]`)`
+/// carrying its iterations and final relative residual — there is no
+/// fallback to a direct solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockJacobiCg {
-    /// Relative residual tolerance of the CG iteration.
+    /// Relative residual tolerance `‖b − A·x‖/‖b‖` of every CG solve.
     pub tolerance: f64,
     /// Maximum CG iterations per solve.
     pub max_iterations: usize,
@@ -371,150 +439,140 @@ impl SolverBackend for BlockJacobiCg {
     ) -> Result<Box<dyn PreparedSolver>> {
         let _span = opera_trace::span("solver.prepare");
         self.validate()?;
-        let n = system.node_count();
-        let size = system.basis_size();
-        let h = transient.time_step;
-        // Matches the direct backends' companion matrix for every scheme
-        // (TR-BDF2's two stages share the single scale 2/(γh)).
-        let c_scale = companion_scale(transient.method, h);
-
-        let inv_norms: Vec<f64> = (0..size)
-            .map(|i| 1.0 / system.coupling().norm_squared(i))
+        let coupling = system.coupling();
+        let inv_norms = (0..system.basis_size())
+            .map(|i| 1.0 / coupling.norm_squared(i))
             .collect();
-
-        // Augmented companion matrix (for matvecs only — never factored).
-        let c_over_h = system.capacitance().scaled(c_scale);
-        let a_hat = system.conductance().add_scaled(&c_over_h, 1.0)?;
-
-        // Preconditioners: nominal G (DC start) and nominal companion
-        // (stepping) — the only two factorisations, both of nominal size.
-        let g_nominal = model.nominal_conductance();
-        let nominal_companion =
-            g_nominal.add_scaled(&model.nominal_capacitance().scaled(c_scale), 1.0)?;
-        let dc_pre = BlockNominalPreconditioner {
-            factor: CholeskyFactor::factor(g_nominal)?,
-            inv_norms: inv_norms.clone(),
-            block_size: n,
-        };
-        let step_pre = BlockNominalPreconditioner {
-            factor: CholeskyFactor::factor(&nominal_companion)?,
-            inv_norms,
-            block_size: n,
-        };
-
+        let dc = MatrixFactor::cholesky_or_lu(model.nominal_conductance())?;
+        let family = Arc::new(CompanionFamily::new(
+            model.nominal_conductance(),
+            model.nominal_capacitance(),
+        )?);
+        let companion = family.system_for(transient.time_step, transient.method)?;
+        let (g, c) = system.shared_matrices();
         Ok(Box::new(CgPrepared {
-            g_hat: system.conductance().clone(),
-            a_hat,
-            c_over_h,
-            dc_pre,
-            step_pre,
+            g,
+            c,
+            c_scale: companion_scale(transient.method, transient.time_step),
             method: transient.method,
-            tolerance: self.tolerance,
-            max_iterations: self.max_iterations,
-            block_size: n,
+            dc: Arc::new(dc),
+            family,
+            companion,
+            inv_norms,
+            options: CgOptions {
+                max_iterations: self.max_iterations,
+                tolerance: self.tolerance,
+            },
         }))
     }
 }
 
-/// Block-Jacobi preconditioner for the augmented system: every basis block is
-/// preconditioned with a shared factorisation of the nominal matrix, scaled
-/// by `1 / ⟨ψ_i²⟩`.
-struct BlockNominalPreconditioner {
-    factor: CholeskyFactor,
-    inv_norms: Vec<f64>,
-    block_size: usize,
+/// The mean-based block preconditioner over one nominal factor: the stacked
+/// residual is column-major over basis blocks, so it *is* an `n × (N+1)`
+/// panel and all blocks go through one blocked multi-RHS solve.
+struct BlockNominal<'a> {
+    factor: &'a MatrixFactor,
+    inv_norms: &'a [f64],
 }
 
-impl opera_sparse::cg::Preconditioner for BlockNominalPreconditioner {
-    fn apply(&self, r: &[f64]) -> Vec<f64> {
-        // The stacked residual is column-major over basis blocks, so it *is*
-        // a panel: all blocks go through one blocked multi-RHS solve of the
-        // shared nominal factor instead of one scalar solve per block. Each
-        // block's values are bit-identical to the per-block path.
-        let n = self.block_size;
-        let k = r.len() / n;
-        let mut panel = Panel::from_vec(n, k, r.to_vec());
-        self.factor
-            .solve_panel(&mut panel, &mut SolveWorkspace::new());
-        let mut z = panel.into_vec();
-        for (i, block) in z.chunks_mut(n).enumerate() {
-            for v in block {
-                *v *= self.inv_norms[i];
-            }
+impl Preconditioner for BlockNominal<'_> {
+    fn apply_into(&self, r: &[f64], z: &mut [f64], ws: &mut SolveWorkspace) {
+        z.copy_from_slice(r);
+        self.factor.solve_columns(z, ws);
+        let backend = opera_simd::active();
+        for (block, &inv_norm) in z.chunks_exact_mut(self.factor.dim()).zip(self.inv_norms) {
+            opera_simd::scale_assign(block, inv_norm, backend);
         }
-        z
     }
 }
 
-struct CgPrepared {
-    g_hat: CsrMatrix,
-    a_hat: CsrMatrix,
-    c_over_h: CsrMatrix,
-    dc_pre: BlockNominalPreconditioner,
-    step_pre: BlockNominalPreconditioner,
-    method: IntegrationMethod,
-    tolerance: f64,
-    max_iterations: usize,
-    block_size: usize,
+/// The augmented companion `G̃ + s·C̃`, applied without being assembled.
+struct AugmentedCompanion<'a> {
+    g: &'a CsrMatrix,
+    c: &'a CsrMatrix,
+    c_scale: f64,
 }
+
+impl LinearOperator for AugmentedCompanion<'_> {
+    fn shape(&self) -> (usize, usize) {
+        (self.g.nrows(), self.g.ncols())
+    }
+
+    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
+        self.g.matvec_into(x, y);
+        self.c.matvec_acc(x, self.c_scale, y);
+    }
+}
+
+/// [`BlockJacobiCg`]'s preparation. Everything but `c_scale` and
+/// `companion` is shared (`Arc`) with the preparations it re-steps to.
+#[derive(Clone)]
+struct CgPrepared {
+    /// `G̃`, shared with the Galerkin system.
+    g: Arc<CsrMatrix>,
+    /// `C̃`, shared with the Galerkin system.
+    c: Arc<CsrMatrix>,
+    /// `s` in the augmented companion `G̃ + s·C̃` of this step size.
+    c_scale: f64,
+    method: IntegrationMethod,
+    /// The nominal DC factor: the preconditioner of the DC solve.
+    dc: Arc<MatrixFactor>,
+    /// The nominal companion family behind every step size's
+    /// preconditioner.
+    family: Arc<CompanionFamily>,
+    /// The nominal companion of this step size: the stepping
+    /// preconditioner.
+    companion: Arc<CompanionSystem>,
+    /// `1/⟨ψ_i²⟩` per basis block.
+    inv_norms: Arc<[f64]>,
+    options: CgOptions,
+}
+
+// Every CG step solves with workspace-borrowed vectors only: the right-hand
+// side from `ws`, the iterates from the workspace nested in it and the
+// preconditioner's scratch one level further down.
+// lint: hot(cg-step)
 
 impl CgPrepared {
-    /// The stage right-hand sides of the augmented companion step.
     fn rhs(&self) -> StepRhs<'_> {
         StepRhs {
-            c_over_h: &self.c_over_h,
-            g: &self.g_hat,
+            c: &self.c,
+            c_scale: self.c_scale,
+            g: &self.g,
         }
     }
 
-    /// Preconditioned CG with an initial guess: solves `A·x = b` into `out`
-    /// by iterating on the correction `A·δ = b − A·x₀`, with the tolerance
-    /// rescaled so that the overall relative residual (with respect to
-    /// `‖b‖`) matches the backend's tolerance.
-    fn cg_into(
-        &self,
-        a: &CsrMatrix,
-        preconditioner: &BlockNominalPreconditioner,
-        b: &[f64],
-        guess: &[f64],
-        out: &mut [f64],
-    ) -> Result<()> {
-        let mut residual = b.to_vec();
-        a.matvec_acc(guess, -1.0, &mut residual);
-        let norm_b = b.iter().map(|v| v * v).sum::<f64>().sqrt();
-        let norm_r = residual.iter().map(|v| v * v).sum::<f64>().sqrt();
-        if norm_r <= self.tolerance * norm_b.max(f64::MIN_POSITIVE) {
-            out.copy_from_slice(guess);
-            return Ok(());
-        }
-        let effective_tol = (self.tolerance * norm_b / norm_r).clamp(1e-14, 0.5);
-        let correction = opera_sparse::cg::solve(
-            a,
-            &residual,
-            preconditioner,
-            opera_sparse::cg::CgOptions {
-                max_iterations: self.max_iterations,
-                tolerance: effective_tol,
-            },
-        )?;
-        for ((x, g), d) in out.iter_mut().zip(guess).zip(&correction.x) {
-            *x = g + d;
-        }
+    /// Solves `(G̃ + s·C̃)·x = rhs` from the guess already in `x`.
+    fn solve_step(&self, rhs: &[f64], x: &mut [f64], ws: &mut SolveWorkspace) -> Result<()> {
+        let operator = AugmentedCompanion {
+            g: &self.g,
+            c: &self.c,
+            c_scale: self.c_scale,
+        };
+        let preconditioner = BlockNominal {
+            factor: self.companion.factor(),
+            inv_norms: &self.inv_norms,
+        };
+        cg::solve_in_place(&operator, rhs, x, &preconditioner, self.options, ws)?;
         Ok(())
     }
 }
 
 impl PreparedSolver for CgPrepared {
-    fn solve_dc_panel(&self, u0: &Panel, out: &mut Panel, _ws: &mut SolveWorkspace) -> Result<()> {
-        // CG on G̃ per column, with the nominal DC solution in block 0 as the
-        // guess. The iteration allocates its own vectors; the workspace
-        // contract only binds the direct backends.
-        let n = self.block_size;
-        for j in 0..u0.ncols() {
-            let u = u0.col(j);
-            let mut guess = vec![0.0; u.len()];
-            guess[..n].copy_from_slice(&self.dc_pre.factor.solve(&u[..n]));
-            self.cg_into(&self.g_hat, &self.dc_pre, u, &guess, out.col_mut(j))?;
+    fn solve_dc_panel(&self, u0: &Panel, out: &mut Panel, ws: &mut SolveWorkspace) -> Result<()> {
+        assert_same_columns(&[u0], out);
+        let n = self.dc.dim();
+        let preconditioner = BlockNominal {
+            factor: &self.dc,
+            inv_norms: &self.inv_norms,
+        };
+        for j in 0..out.ncols() {
+            // The nominal DC solution in block 0 is the guess.
+            let (u, x) = (u0.col(j), out.col_mut(j));
+            x.fill(0.0);
+            x[..n].copy_from_slice(&u[..n]);
+            self.dc.solve_in_place(&mut x[..n], ws);
+            cg::solve_in_place(&*self.g, u, x, &preconditioner, self.options, ws)?;
         }
         Ok(())
     }
@@ -525,17 +583,19 @@ impl PreparedSolver for CgPrepared {
         u_prev: &Panel,
         u_next: &Panel,
         out: &mut Panel,
-        _ws: &mut SolveWorkspace,
+        ws: &mut SolveWorkspace,
     ) -> Result<()> {
         check_scheme(self.method, false)?;
-        // Each column: build the implicit right-hand side, then CG with the
-        // step-start state as the guess.
-        let mut rhs = vec![0.0; state.nrows()];
-        for j in 0..state.ncols() {
+        assert_same_columns(&[state, u_prev, u_next], out);
+        for j in 0..out.ncols() {
+            // The step-start state is the guess.
+            let (rhs, inner) = ws.split(state.nrows());
             let v = state.col(j);
             self.rhs()
-                .single_stage(self.method, v, u_prev.col(j), u_next.col(j), &mut rhs);
-            self.cg_into(&self.a_hat, &self.step_pre, &rhs, v, out.col_mut(j))?;
+                .single_stage(self.method, v, u_prev.col(j), u_next.col(j), rhs);
+            let x = out.col_mut(j);
+            x.copy_from_slice(v);
+            self.solve_step(rhs, x, inner)?;
         }
         Ok(())
     }
@@ -548,36 +608,78 @@ impl PreparedSolver for CgPrepared {
         u_next: &Panel,
         stage: &mut Panel,
         out: &mut Panel,
-        _ws: &mut SolveWorkspace,
+        ws: &mut SolveWorkspace,
     ) -> Result<()> {
         check_scheme(self.method, true)?;
-        let mut rhs = vec![0.0; state.nrows()];
-        for j in 0..state.ncols() {
+        assert_same_columns(&[state, u_prev, u_mid, u_next, stage], out);
+        for j in 0..out.ncols() {
+            // TR stage guessed from the step-start state, BDF2 stage from
+            // the TR stage.
+            let (rhs, inner) = ws.split(state.nrows());
             let v = state.col(j);
-            // TR stage, guessed from the step-start state; BDF2 stage,
-            // guessed from the mid state.
-            self.rhs()
-                .trapezoidal(v, u_prev.col(j), u_mid.col(j), &mut rhs);
-            self.cg_into(&self.a_hat, &self.step_pre, &rhs, v, stage.col_mut(j))?;
+            self.rhs().trapezoidal(v, u_prev.col(j), u_mid.col(j), rhs);
+            let v_mid = stage.col_mut(j);
+            v_mid.copy_from_slice(v);
+            self.solve_step(rhs, v_mid, inner)?;
             let v_mid = stage.col(j);
-            self.rhs().bdf2(v, v_mid, u_next.col(j), &mut rhs);
-            self.cg_into(&self.a_hat, &self.step_pre, &rhs, v_mid, out.col_mut(j))?;
+            self.rhs().bdf2(v, v_mid, u_next.col(j), rhs);
+            let x = out.col_mut(j);
+            x.copy_from_slice(v_mid);
+            self.solve_step(rhs, x, inner)?;
         }
         Ok(())
     }
 
-    fn companion_family(&self) -> Option<&CompanionFamily> {
-        None
+    fn tr_bdf2_error_panel_into(
+        &self,
+        [v, v_mid, v_new]: [&Panel; 3],
+        [u, u_mid, u_new]: [&Panel; 3],
+        err: &mut Panel,
+        ws: &mut SolveWorkspace,
+    ) -> Result<()> {
+        check_scheme(self.method, true)?;
+        assert_same_columns(&[v, v_mid, v_new, u, u_mid, u_new], err);
+        for j in 0..err.ncols() {
+            let (rhs, inner) = ws.split(err.nrows());
+            self.rhs().tr_bdf2_error(
+                [v.col(j), v_mid.col(j), v_new.col(j)],
+                [u.col(j), u_mid.col(j), u_new.col(j)],
+                rhs,
+            );
+            let x = err.col_mut(j);
+            x.fill(0.0);
+            self.solve_step(rhs, x, inner)?;
+        }
+        Ok(())
     }
 
-    fn with_time_step(&self, _time_step: f64) -> Result<Option<Box<dyn PreparedSolver>>> {
-        Ok(None)
+    // lint: end-hot
+
+    fn companion_family(&self) -> Option<&CompanionFamily> {
+        Some(&self.family)
+    }
+
+    fn with_time_step(&self, time_step: f64) -> Result<Option<Box<dyn PreparedSolver>>> {
+        let companion = self.family.system_for(time_step, self.method)?;
+        Ok(Some(Box::new(CgPrepared {
+            c_scale: companion_scale(self.method, time_step),
+            companion,
+            ..self.clone()
+        })))
     }
 }
 
 // --------------------------------------------------------------------------
 // Backend registry.
 // --------------------------------------------------------------------------
+
+/// The one default backend of the engine builder and of
+/// [`OperaOptions`](crate::stochastic::OperaOptions): [`BlockJacobiCg`] at
+/// its default tolerance. Name [`DirectCholesky`] (or [`DIRECT_CHOLESKY`])
+/// for the bit-pinned direct reference.
+pub fn default_backend() -> Arc<dyn SolverBackend> {
+    Arc::new(BlockJacobiCg::default())
+}
 
 /// Registered name of [`DirectCholesky`].
 pub const DIRECT_CHOLESKY: &str = "direct-cholesky";
@@ -826,12 +928,45 @@ mod tests {
         for (x, y) in via_fresh.1.data().iter().zip(via_restep.1.data()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-        // The CG backend opts out of cheap re-stepping.
+    }
+
+    #[test]
+    fn cg_re_steps_on_one_nominal_analysis() {
+        let (model, system, transient) = prepared_setup();
         let cg = BlockJacobiCg::default()
             .prepare(&model, &system, &transient)
             .unwrap();
-        assert!(cg.with_time_step(transient.time_step).unwrap().is_none());
-        assert!(cg.companion_family().is_none());
+        let family = cg.companion_family().expect("CG re-steps too");
+        // The family factors the nominal companion, not the augmented one.
+        assert_eq!(family.dim(), system.node_count());
+        assert_eq!(family.symbolic_analysis_count(), 1);
+        assert_eq!(family.refactorization_count(), 1);
+        let mut halved = transient;
+        halved.time_step /= 2.0;
+        let restepped = cg
+            .with_time_step(halved.time_step)
+            .unwrap()
+            .expect("CG re-steps cheaply");
+        // One nominal numeric refactorisation, no new analysis; the original
+        // step size is still cached.
+        let family = restepped.companion_family().unwrap();
+        assert_eq!(family.symbolic_analysis_count(), 1);
+        assert_eq!(family.refactorization_count(), 2);
+        cg.with_time_step(transient.time_step).unwrap().unwrap();
+        assert_eq!(family.refactorization_count(), 2);
+        // The re-stepped solver matches a fresh preparation at the new step
+        // bit for bit, and the direct reference to the CG tolerance.
+        let u0 = system.excitation(&model, 0.0);
+        let u1 = system.excitation(&model, halved.time_step);
+        let via_restep = dc_and_step(restepped.as_ref(), &u0, None, &u1).unwrap();
+        let fresh = BlockJacobiCg::default()
+            .prepare(&model, &system, &halved)
+            .unwrap();
+        let via_fresh = dc_and_step(fresh.as_ref(), &u0, None, &u1).unwrap();
+        assert_eq!(via_fresh.1, via_restep.1);
+        let direct = DirectCholesky.prepare(&model, &system, &halved).unwrap();
+        let via_direct = dc_and_step(direct.as_ref(), &u0, None, &u1).unwrap();
+        assert_close(&[via_direct.1, via_restep.1]);
     }
 
     #[test]

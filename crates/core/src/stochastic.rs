@@ -21,7 +21,7 @@ use opera_variation::StochasticGridModel;
 
 use crate::adaptive::{integrate_adaptive, AdaptiveOptions, AdaptiveStats};
 use crate::galerkin::GalerkinSystem;
-use crate::solver::{BlockJacobiCg, DirectCholesky, PreparedSolver, SolverBackend};
+use crate::solver::{default_backend, PreparedSolver, SolverBackend};
 use crate::transient::{
     integrate_fixed_step, rescale_around_anchor, IntegrationMethod, TransientOptions,
 };
@@ -41,26 +41,21 @@ pub struct OperaOptions {
 
 impl OperaOptions {
     /// Order-2 expansion with the given transient options (the configuration
-    /// used for every Table 1 entry in the paper) and the direct solver.
+    /// used for every Table 1 entry in the paper) and the default solver.
     pub fn order2(transient: TransientOptions) -> Self {
         Self::with_order(2, transient)
     }
 
-    /// Order-`p` expansion with the given transient options and the direct
-    /// Cholesky solver.
+    /// Order-`p` expansion with the given transient options and the
+    /// engine's default solver ([`default_backend`]: the mean-preconditioned
+    /// CG). Pass [`DirectCholesky`](crate::solver::DirectCholesky) to
+    /// [`OperaOptions::with_solver`] for the bit-pinned direct reference.
     pub fn with_order(order: u32, transient: TransientOptions) -> Self {
         OperaOptions {
             order,
             transient,
-            solver: Arc::new(DirectCholesky),
+            solver: default_backend(),
         }
-    }
-
-    /// Switches to the block-preconditioned CG solver for the augmented
-    /// system.
-    pub fn with_iterative_solver(mut self) -> Self {
-        self.solver = Arc::new(BlockJacobiCg::default());
-        self
     }
 
     /// Switches to an arbitrary solver backend.
@@ -297,8 +292,9 @@ pub(crate) fn run_prepared_single(
 
 /// Adaptive variant of [`run_prepared_panel`]: the augmented transient is
 /// advanced by the LTE-driven TR-BDF2 controller of [`crate::adaptive`]
-/// through the prepared solver's [`CompanionFamily`](crate::transient::CompanionFamily)
-/// (one symbolic analysis; numeric-only refactorisation per step size), and
+/// through the prepared solver, re-stepped per step size via its
+/// [`CompanionFamily`](crate::transient::CompanionFamily) (one symbolic
+/// analysis; numeric-only refactorisation per step size), and
 /// the polynomial-chaos coefficients are reported on `times` via dense
 /// interpolation — bit-exact copies wherever an output time coincides with an
 /// accepted step.
@@ -309,13 +305,6 @@ pub(crate) fn run_prepared_adaptive(
     times: Vec<f64>,
     adaptive: &AdaptiveOptions,
 ) -> Result<(StochasticSolution, AdaptiveStats)> {
-    let family = prepared
-        .companion_family()
-        .ok_or_else(|| OperaError::InvalidOptions {
-            reason: "adaptive stepping needs a direct solver backend \
-                     (no companion family is available)"
-                .to_string(),
-        })?;
     let n = system.node_count();
     let dim = system.dim();
     let u0 = excitation(times.first().copied().unwrap_or(0.0));
@@ -325,7 +314,7 @@ pub(crate) fn run_prepared_adaptive(
         &mut v0,
         &mut SolveWorkspace::with_capacity(dim),
     )?;
-    let run = integrate_adaptive(family, v0.into_vec(), &excitation, &times, adaptive)?;
+    let run = integrate_adaptive(prepared, v0, &excitation, &times, adaptive)?;
     let coefficients = run
         .states
         .iter()
@@ -414,7 +403,7 @@ pub(crate) fn run_prepared_panel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::LeftLookingLu;
+    use crate::solver::{BlockJacobiCg, DirectCholesky, LeftLookingLu};
     use crate::transient::{solve_transient, TransientOptions};
     use opera_grid::GridSpec;
     use opera_variation::{StochasticGridModel, VariationSpec};
@@ -531,11 +520,12 @@ mod tests {
     }
 
     #[test]
-    fn default_solver_is_direct_cholesky() {
+    fn default_solver_is_the_engine_default() {
         let opts = OperaOptions::order2(TransientOptions::new(0.1e-9, 1.0e-9));
-        assert_eq!(opts.solver.name(), crate::solver::DIRECT_CHOLESKY);
-        let iterative = opts.clone().with_iterative_solver();
-        assert_eq!(iterative.solver.name(), crate::solver::BLOCK_JACOBI_CG);
+        assert_eq!(opts.solver.name(), crate::solver::default_backend().name());
+        assert_eq!(opts.solver.name(), crate::solver::BLOCK_JACOBI_CG);
+        let direct = opts.clone().with_solver(Arc::new(DirectCholesky));
+        assert_eq!(direct.solver.name(), crate::solver::DIRECT_CHOLESKY);
     }
 
     #[test]
@@ -547,9 +537,16 @@ mod tests {
             end_time: 1.0e-9,
             method: crate::transient::IntegrationMethod::Trapezoidal,
         };
-        let direct = solve(&model, &OperaOptions::order2(topts)).unwrap();
-        let iterative =
-            solve(&model, &OperaOptions::order2(topts).with_iterative_solver()).unwrap();
+        let direct = solve(
+            &model,
+            &OperaOptions::order2(topts).with_solver(Arc::new(DirectCholesky)),
+        )
+        .unwrap();
+        let iterative = solve(
+            &model,
+            &OperaOptions::order2(topts).with_solver(Arc::new(BlockJacobiCg::default())),
+        )
+        .unwrap();
         let (node, k, _) = direct.worst_mean_drop(grid.vdd());
         assert!((direct.mean_at(k, node) - iterative.mean_at(k, node)).abs() < 1e-7 * grid.vdd());
         assert!(
@@ -561,7 +558,11 @@ mod tests {
     fn left_looking_lu_backend_matches_direct_cholesky_exactly_enough() {
         let (grid, model) = small_setup();
         let topts = TransientOptions::new(0.2e-9, 1.0e-9);
-        let direct = solve(&model, &OperaOptions::order2(topts)).unwrap();
+        let direct = solve(
+            &model,
+            &OperaOptions::order2(topts).with_solver(Arc::new(DirectCholesky)),
+        )
+        .unwrap();
         let lu = solve(
             &model,
             &OperaOptions::order2(topts).with_solver(Arc::new(LeftLookingLu)),
@@ -576,9 +577,16 @@ mod tests {
     fn iterative_solver_matches_direct_solver() {
         let (grid, model) = small_setup();
         let topts = TransientOptions::new(0.1e-9, 1.0e-9);
-        let direct = solve(&model, &OperaOptions::order2(topts)).unwrap();
-        let iterative =
-            solve(&model, &OperaOptions::order2(topts).with_iterative_solver()).unwrap();
+        let direct = solve(
+            &model,
+            &OperaOptions::order2(topts).with_solver(Arc::new(DirectCholesky)),
+        )
+        .unwrap();
+        let iterative = solve(
+            &model,
+            &OperaOptions::order2(topts).with_solver(Arc::new(BlockJacobiCg::default())),
+        )
+        .unwrap();
         for k in (0..direct.times().len()).step_by(3) {
             for n in (0..direct.node_count()).step_by(9) {
                 assert!(

@@ -316,9 +316,15 @@ impl CompanionSystem {
     /// The stage right-hand-side builder over this system's matrices.
     fn rhs(&self) -> StepRhs<'_> {
         StepRhs {
-            c_over_h: &self.c_over_h,
+            c: &self.c_over_h,
+            c_scale: 1.0,
             g: &self.g,
         }
+    }
+
+    /// The factored companion matrix.
+    pub(crate) fn factor(&self) -> &MatrixFactor {
+        &self.factor
     }
 
     /// Solves the companion system in place with workspace-borrowed scratch
@@ -443,18 +449,8 @@ impl CompanionSystem {
         ws: &mut SolveWorkspace,
     ) {
         assert_eq!(self.method, IntegrationMethod::TrBdf2, "method mismatch");
-        assert_eq!(v_k.len(), err.len(), "v_k dimension mismatch");
-        assert_eq!(v_mid.len(), err.len(), "v_mid dimension mismatch");
-        assert_eq!(v_k1.len(), err.len(), "v_k1 dimension mismatch");
-        opera_simd::weighted_sum3(
-            err,
-            [u_k, u_mid, u_k1],
-            [TR_BDF2_ERR_OLD, TR_BDF2_ERR_MID, TR_BDF2_ERR_NEW],
-            opera_simd::active(),
-        );
-        self.g.matvec_acc(v_k, -TR_BDF2_ERR_OLD, err);
-        self.g.matvec_acc(v_mid, -TR_BDF2_ERR_MID, err);
-        self.g.matvec_acc(v_k1, -TR_BDF2_ERR_NEW, err);
+        self.rhs()
+            .tr_bdf2_error([v_k, v_mid, v_k1], [u_k, u_mid, u_k1], err);
         self.factor.solve_in_place(err, ws);
     }
 
@@ -526,7 +522,7 @@ impl CompanionSystem {
 }
 
 /// Asserts that every input panel of a panel step has the output's shape.
-fn assert_same_columns(inputs: &[&Panel], out: &Panel) {
+pub(crate) fn assert_same_columns(inputs: &[&Panel], out: &Panel) {
     for p in inputs {
         assert_eq!(p.ncols(), out.ncols(), "panel column count mismatch");
         assert_eq!(p.nrows(), out.nrows(), "panel row count mismatch");
@@ -534,14 +530,20 @@ fn assert_same_columns(inputs: &[&Panel], out: &Panel) {
 }
 
 /// The stage right-hand sides of a companion step over the companion matrix
-/// `G + s·C` (`c_over_h` is `s·C`) — the only copy of the stage formulas.
-/// The scalar and panel steps of [`CompanionSystem`] and the CG backend all
-/// build through it, so every path performs the same floating-point
-/// operations in the same order. Each builder writes `out` and panics if a
-/// vector's length differs from `out`'s.
+/// `G + s·C` — the only copy of the stage formulas. The scalar and panel
+/// steps of [`CompanionSystem`] and the CG backend all build through it, so
+/// every path performs the same floating-point operations in the same
+/// order. Each builder writes `out` and panics if a vector's length differs
+/// from `out`'s.
+///
+/// `s·C` is `c_scale · c`: the direct backends hand in the stored product
+/// `s·C` with `c_scale = 1` (multiplying by one is exact, so their bits do
+/// not depend on the split), the CG backend the shared `C̃` with `c_scale =
+/// s`, so a step-size change there rescales nothing but a scalar.
 #[derive(Clone, Copy)]
 pub(crate) struct StepRhs<'a> {
-    pub(crate) c_over_h: &'a CsrMatrix,
+    pub(crate) c: &'a CsrMatrix,
+    pub(crate) c_scale: f64,
     pub(crate) g: &'a CsrMatrix,
 }
 
@@ -565,7 +567,7 @@ impl StepRhs<'_> {
             return self.trapezoidal(v_k, u_k, u_k1, out);
         }
         assert_eq!(u_k1.len(), out.len(), "excitation dimension mismatch");
-        self.c_over_h.matvec_into(v_k, out);
+        self.scaled_c_into(v_k, out);
         opera_simd::add_assign(out, u_k1, opera_simd::active());
     }
 
@@ -574,7 +576,7 @@ impl StepRhs<'_> {
     pub(crate) fn trapezoidal(self, v_k: &[f64], u_k: &[f64], u_k1: &[f64], out: &mut [f64]) {
         assert_eq!(u_k.len(), out.len(), "excitation dimension mismatch");
         assert_eq!(u_k1.len(), out.len(), "excitation dimension mismatch");
-        self.c_over_h.matvec_into(v_k, out);
+        self.scaled_c_into(v_k, out);
         self.g.matvec_acc(v_k, -1.0, out);
         opera_simd::add2_assign(out, u_k, u_k1, opera_simd::active());
     }
@@ -584,10 +586,33 @@ impl StepRhs<'_> {
     pub(crate) fn bdf2(self, v_k: &[f64], v_mid: &[f64], u_k1: &[f64], out: &mut [f64]) {
         assert_eq!(u_k1.len(), out.len(), "excitation dimension mismatch");
         let backend = opera_simd::active();
-        self.c_over_h.matvec_into(v_mid, out);
-        opera_simd::scale_assign(out, TR_BDF2_W_MID, backend);
-        self.c_over_h.matvec_acc(v_k, -TR_BDF2_W_OLD, out);
+        self.c.matvec_into(v_mid, out);
+        opera_simd::scale_assign(out, TR_BDF2_W_MID * self.c_scale, backend);
+        self.c.matvec_acc(v_k, -TR_BDF2_W_OLD * self.c_scale, out);
         opera_simd::add_assign(out, u_k1, backend);
+    }
+
+    /// The right-hand side of the filtered TR-BDF2 error estimate,
+    /// `Σ w_i (u_i − G v_i)` over the step-start, intermediate and step-end
+    /// nodes ([`CompanionSystem::tr_bdf2_error_into`] solves it through the
+    /// companion matrix).
+    pub(crate) fn tr_bdf2_error(self, v: [&[f64]; 3], u: [&[f64]; 3], out: &mut [f64]) {
+        let weights = [TR_BDF2_ERR_OLD, TR_BDF2_ERR_MID, TR_BDF2_ERR_NEW];
+        for state in v {
+            assert_eq!(state.len(), out.len(), "state dimension mismatch");
+        }
+        opera_simd::weighted_sum3(out, u, weights, opera_simd::active());
+        for (state, weight) in v.into_iter().zip(weights) {
+            self.g.matvec_acc(state, -weight, out);
+        }
+    }
+
+    /// `out = (s·C)·v`; the scaling pass is skipped for a pre-scaled `C`.
+    fn scaled_c_into(self, v: &[f64], out: &mut [f64]) {
+        self.c.matvec_into(v, out);
+        if self.c_scale != 1.0 {
+            opera_simd::scale_assign(out, self.c_scale, opera_simd::active());
+        }
     }
 }
 
@@ -813,7 +838,7 @@ pub fn solve_transient(
 /// TR-BDF2 composites also evaluating the excitation at the mid-stage time
 /// `t_prev + γ(t − t_prev)`. State, excitation and stage panels are double
 /// buffered and all solver scratch comes from `ws`, so with a warm
-/// workspace the direct backends step without allocating.
+/// workspace every built-in backend steps without allocating.
 ///
 /// `excitation(t, u)` writes the excitation at `t` into `u`. Every
 /// excitation panel starts as a copy of the first one (at `times[0]`) and is

@@ -5,14 +5,39 @@
 //! solvers with appropriate preconditioners can be used instead. This module
 //! provides a standard preconditioned CG for symmetric positive definite
 //! systems together with Jacobi and zero-fill incomplete Cholesky
-//! preconditioners.
+//! preconditioners. [`solve_in_place`] is the workspace form: it runs on an
+//! implicit [`LinearOperator`], starts from the caller's initial guess and
+//! borrows every vector from a [`SolveWorkspace`], so a warm solve loop
+//! never touches the allocator; [`solve`] is the allocating convenience.
 
-use crate::{CscMatrix, CsrMatrix, Result, SparseError, TripletMatrix};
+use crate::{CscMatrix, CsrMatrix, Result, SolveWorkspace, SparseError, TripletMatrix};
 
 /// A symmetric positive definite preconditioner `M ≈ A` applied as `z = M⁻¹ r`.
 pub trait Preconditioner {
-    /// Applies the preconditioner to a residual vector.
-    fn apply(&self, r: &[f64]) -> Vec<f64>;
+    /// Writes `z = M⁻¹ r`, borrowing any solve scratch from `ws` (zero heap
+    /// allocations once `ws` is warm).
+    fn apply_into(&self, r: &[f64], z: &mut [f64], ws: &mut SolveWorkspace);
+}
+
+/// An operator applied as `y = A·x`: a stored matrix, or an implicit one
+/// such as a sum `G + s·C` that is never assembled. [`solve_in_place`]
+/// accepts only square ones.
+pub trait LinearOperator {
+    /// Number of rows and columns.
+    fn shape(&self) -> (usize, usize);
+
+    /// Writes `y = A·x`.
+    fn apply_into(&self, x: &[f64], y: &mut [f64]);
+}
+
+impl LinearOperator for CsrMatrix {
+    fn shape(&self) -> (usize, usize) {
+        (self.nrows(), self.ncols())
+    }
+
+    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
+        self.matvec_into(x, y);
+    }
 }
 
 /// The identity preconditioner (plain CG).
@@ -20,8 +45,8 @@ pub trait Preconditioner {
 pub struct IdentityPreconditioner;
 
 impl Preconditioner for IdentityPreconditioner {
-    fn apply(&self, r: &[f64]) -> Vec<f64> {
-        r.to_vec()
+    fn apply_into(&self, r: &[f64], z: &mut [f64], _ws: &mut SolveWorkspace) {
+        z.copy_from_slice(r);
     }
 }
 
@@ -55,8 +80,10 @@ impl JacobiPreconditioner {
 }
 
 impl Preconditioner for JacobiPreconditioner {
-    fn apply(&self, r: &[f64]) -> Vec<f64> {
-        r.iter().zip(&self.inv_diag).map(|(x, d)| x * d).collect()
+    fn apply_into(&self, r: &[f64], z: &mut [f64], _ws: &mut SolveWorkspace) {
+        for ((zi, ri), d) in z.iter_mut().zip(r).zip(&self.inv_diag) {
+            *zi = ri * d;
+        }
     }
 }
 
@@ -147,11 +174,10 @@ impl IncompleteCholesky {
 }
 
 impl Preconditioner for IncompleteCholesky {
-    fn apply(&self, r: &[f64]) -> Vec<f64> {
-        let mut z = r.to_vec();
-        crate::triangular::solve_lower_csc(&self.l, &mut z);
-        crate::triangular::solve_lower_transpose_csc(&self.l, &mut z);
-        z
+    fn apply_into(&self, r: &[f64], z: &mut [f64], _ws: &mut SolveWorkspace) {
+        z.copy_from_slice(r);
+        crate::triangular::solve_lower_csc(&self.l, z);
+        crate::triangular::solve_lower_transpose_csc(&self.l, z);
     }
 }
 
@@ -184,7 +210,18 @@ pub struct CgSolution {
     pub relative_residual: f64,
 }
 
-/// Solves the SPD system `A·x = b` with preconditioned conjugate gradient.
+/// How a converged [`solve_in_place`] got there.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CgStats {
+    /// Number of iterations performed.
+    pub iterations: usize,
+    /// Final relative residual `‖b − A·x‖₂ / ‖b‖₂`.
+    pub relative_residual: f64,
+}
+
+/// Solves the SPD system `A·x = b` with preconditioned conjugate gradient,
+/// starting from `x = 0`. Allocates the solution and its scratch; loops use
+/// [`solve_in_place`].
 ///
 /// # Errors
 ///
@@ -216,71 +253,133 @@ pub fn solve(
     preconditioner: &impl Preconditioner,
     options: CgOptions,
 ) -> Result<CgSolution> {
+    let mut x = vec![0.0; a.nrows()];
+    let stats = solve_in_place(
+        a,
+        b,
+        &mut x,
+        preconditioner,
+        options,
+        &mut SolveWorkspace::new(),
+    )?;
+    Ok(CgSolution {
+        x,
+        iterations: stats.iterations,
+        relative_residual: stats.relative_residual,
+    })
+}
+
+/// Preconditioned conjugate gradient on `A·x = b`, starting from the
+/// initial guess in `x` and leaving the solution there. The four iterate
+/// vectors come from `ws` ([`SolveWorkspace::split`]) and the
+/// preconditioner's scratch from the workspace nested in it, so once `ws`
+/// is warm a solve performs zero heap allocations.
+///
+/// Converges when `‖b − A·x‖₂ ≤ tolerance·‖b‖₂`, counting `cg.iterations`
+/// and setting the `cg.relative_residual` gauge to the final relative
+/// residual, converged or not. A zero `b` returns `x = 0` at once.
+///
+/// # Errors
+///
+/// Returns [`SparseError::DidNotConverge`] with the iterations run and the
+/// final relative residual when the tolerance is not met within
+/// `options.max_iterations`, [`SparseError::NotPositiveDefinite`] when a
+/// search direction has non-positive curvature,
+/// [`SparseError::NotSquare`] when `A` is not square, and
+/// [`SparseError::DimensionMismatch`] when `b` or `x` disagrees with `A`.
+pub fn solve_in_place<A, P>(
+    a: &A,
+    b: &[f64],
+    x: &mut [f64],
+    preconditioner: &P,
+    options: CgOptions,
+    ws: &mut SolveWorkspace,
+) -> Result<CgStats>
+where
+    A: LinearOperator + ?Sized,
+    P: Preconditioner + ?Sized,
+{
     let _span = opera_trace::span("cg.solve");
-    if a.nrows() != a.ncols() {
-        return Err(SparseError::NotSquare {
-            shape: (a.nrows(), a.ncols()),
-        });
+    let (n, ncols) = a.shape();
+    if ncols != n {
+        return Err(SparseError::NotSquare { shape: (n, ncols) });
     }
-    if b.len() != a.nrows() {
+    if b.len() != n || x.len() != n {
         return Err(SparseError::DimensionMismatch {
-            op: "cg::solve",
-            left: (a.nrows(), a.ncols()),
-            right: (b.len(), 1),
+            op: "cg::solve_in_place",
+            left: (n, n),
+            right: (b.len(), x.len()),
         });
     }
-    let n = b.len();
+    let (vectors, inner) = ws.split(4 * n);
+    let (r, rest) = vectors.split_at_mut(n);
+    let (z, rest) = rest.split_at_mut(n);
+    let (p, ap) = rest.split_at_mut(n);
+
+    // r = b − A·x (exactly b for a zero guess).
+    a.apply_into(x, r);
+    for (ri, bi) in r.iter_mut().zip(b) {
+        *ri = bi - *ri;
+    }
+    // Preconditioned before any convergence test, so every solve borrows
+    // the same scratch whatever its data: a solve that converges at once
+    // still warms the workspace for the ones that iterate. `z` is unused
+    // when the loop below never runs.
+    preconditioner.apply_into(r, z, inner);
     let norm_b = dot(b, b).sqrt();
     if norm_b == 0.0 {
-        return Ok(CgSolution {
-            x: vec![0.0; n],
+        x.fill(0.0);
+        return Ok(CgStats {
             iterations: 0,
             relative_residual: 0.0,
         });
     }
-    let mut x = vec![0.0; n];
-    let mut r = b.to_vec();
-    let mut z = preconditioner.apply(&r);
-    let mut p = z.clone();
-    let mut rz = dot(&r, &z);
-    let mut ap = vec![0.0; n];
-
-    for iter in 0..options.max_iterations {
-        opera_trace::count("cg.iterations", 1);
-        a.matvec_into(&p, &mut ap);
-        let pap = dot(&p, &ap);
-        if pap <= 0.0 {
-            return Err(SparseError::NotPositiveDefinite {
-                column: iter,
-                pivot: pap,
-            });
-        }
-        let alpha = rz / pap;
-        for i in 0..n {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * ap[i];
-        }
-        let res = dot(&r, &r).sqrt() / norm_b;
-        if res < options.tolerance {
-            return Ok(CgSolution {
-                x,
-                iterations: iter + 1,
-                relative_residual: res,
-            });
-        }
-        z = preconditioner.apply(&r);
-        let rz_new = dot(&r, &z);
-        let beta = rz_new / rz;
-        rz = rz_new;
-        for i in 0..n {
-            p[i] = z[i] + beta * p[i];
+    let mut residual = dot(r, r).sqrt() / norm_b;
+    let mut iterations = 0;
+    if residual >= options.tolerance {
+        p.copy_from_slice(z);
+        let mut rz = dot(r, z);
+        while iterations < options.max_iterations {
+            opera_trace::count("cg.iterations", 1);
+            a.apply_into(p, ap);
+            let pap = dot(p, ap);
+            if pap <= 0.0 {
+                return Err(SparseError::NotPositiveDefinite {
+                    column: iterations,
+                    pivot: pap,
+                });
+            }
+            let alpha = rz / pap;
+            for i in 0..n {
+                x[i] += alpha * p[i];
+                r[i] -= alpha * ap[i];
+            }
+            iterations += 1;
+            residual = dot(r, r).sqrt() / norm_b;
+            if residual < options.tolerance {
+                break;
+            }
+            preconditioner.apply_into(r, z, inner);
+            let rz_new = dot(r, z);
+            let beta = rz_new / rz;
+            rz = rz_new;
+            for (pi, zi) in p.iter_mut().zip(z.iter()) {
+                *pi = zi + beta * *pi;
+            }
         }
     }
-    let res = dot(&r, &r).sqrt() / norm_b;
-    Err(SparseError::DidNotConverge {
-        iterations: options.max_iterations,
-        residual: res,
-    })
+    opera_trace::gauge_set("cg.relative_residual", residual);
+    if residual < options.tolerance {
+        Ok(CgStats {
+            iterations,
+            relative_residual: residual,
+        })
+    } else {
+        Err(SparseError::DidNotConverge {
+            iterations,
+            residual,
+        })
+    }
 }
 
 fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -310,6 +409,24 @@ pub fn laplacian_2d(nx: usize, ny: usize, shift: f64) -> CsrMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn non_square_operators_are_rejected_not_panicked_on() {
+        let a = CsrMatrix::from_dense(3, 4, &[1.0; 12], 0.0);
+        let mut x = vec![0.0; 3];
+        let err = solve_in_place(
+            &a,
+            &[1.0; 3],
+            &mut x,
+            &IdentityPreconditioner,
+            CgOptions::default(),
+            &mut SolveWorkspace::new(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, SparseError::NotSquare { shape: (3, 4) }));
+        let err = solve(&a, &[1.0; 3], &IdentityPreconditioner, CgOptions::default()).unwrap_err();
+        assert!(matches!(err, SparseError::NotSquare { shape: (3, 4) }));
+    }
 
     #[test]
     fn plain_cg_solves_small_system() {
@@ -409,7 +526,76 @@ mod tests {
                 tolerance: 1e-14,
             },
         );
-        assert!(matches!(result, Err(SparseError::DidNotConverge { .. })));
+        let Err(SparseError::DidNotConverge {
+            iterations,
+            residual,
+        }) = result
+        else {
+            panic!("expected DidNotConverge, got {result:?}");
+        };
+        assert_eq!(iterations, 2);
+        assert!(residual > 1e-14 && residual.is_finite(), "{residual}");
+    }
+
+    #[test]
+    fn workspace_form_starts_from_the_guess_and_stops_allocating_once_warm() {
+        let a = laplacian_2d(8, 8, 0.1);
+        let x_true: Vec<f64> = (0..a.nrows()).map(|i| (i as f64 * 0.3).sin()).collect();
+        let b = a.matvec(&x_true);
+        let ic = IncompleteCholesky::new(&a).unwrap();
+        let options = CgOptions::default();
+        let mut ws = SolveWorkspace::new();
+        let mut x = vec![0.0; a.nrows()];
+        let cold = solve_in_place(&a, &b, &mut x, &ic, options, &mut ws).unwrap();
+        assert!(cold.iterations > 0);
+        assert!(a.residual_inf_norm(&x, &b) < 1e-8);
+        // The allocating form runs the same iteration from a zero guess.
+        let reference = solve(&a, &b, &ic, options).unwrap();
+        assert_eq!(reference.x, x);
+        assert_eq!(reference.iterations, cold.iterations);
+        // A guess near the solution needs fewer iterations, and a warm
+        // workspace allocates nothing.
+        let warm = ws.allocation_count();
+        for (xi, ti) in x.iter_mut().zip(&x_true) {
+            *xi = ti + 1e-6;
+        }
+        let near = solve_in_place(&a, &b, &mut x, &ic, options, &mut ws).unwrap();
+        assert!(near.iterations < cold.iterations);
+        assert!(near.relative_residual < options.tolerance);
+        assert_eq!(ws.allocation_count(), warm);
+        // A right-hand side of the wrong length is an error, not a panic.
+        assert!(solve_in_place(&a, &b[1..], &mut x, &ic, options, &mut ws).is_err());
+    }
+
+    /// Jacobi applied through a workspace buffer, like a factor-based
+    /// preconditioner borrowing its solve scratch.
+    struct ScratchJacobi(JacobiPreconditioner);
+
+    impl Preconditioner for ScratchJacobi {
+        fn apply_into(&self, r: &[f64], z: &mut [f64], ws: &mut SolveWorkspace) {
+            let tmp = ws.scratch(r.len());
+            self.0.apply_into(r, tmp, &mut SolveWorkspace::new());
+            z.copy_from_slice(tmp);
+        }
+    }
+
+    #[test]
+    fn a_solve_that_converges_at_once_still_warms_the_preconditioner_scratch() {
+        let a = laplacian_2d(6, 6, 0.2);
+        let x_true: Vec<f64> = (0..a.nrows()).map(|i| (i as f64 * 0.7).cos()).collect();
+        let b = a.matvec(&x_true);
+        let pre = ScratchJacobi(JacobiPreconditioner::new(&a).unwrap());
+        let options = CgOptions::default();
+        let mut ws = SolveWorkspace::new();
+        let mut x = x_true.clone();
+        let exact = solve_in_place(&a, &b, &mut x, &pre, options, &mut ws).unwrap();
+        assert_eq!(exact.iterations, 0);
+        assert_eq!(x, x_true);
+        let warm = ws.allocation_count();
+        x.fill(0.0);
+        let iterated = solve_in_place(&a, &b, &mut x, &pre, options, &mut ws).unwrap();
+        assert!(iterated.iterations > 0);
+        assert_eq!(ws.allocation_count(), warm);
     }
 
     #[test]

@@ -600,13 +600,20 @@ impl CholeskyFactor {
         self.solve_columns(b.data_mut(), ws);
     }
 
-    /// Solves every column of the column-major buffer `b` (`n` rows).
-    fn solve_columns(&self, b: &mut [f64], ws: &mut SolveWorkspace) {
+    /// Solves every length-`n` column of the column-major buffer `b` in
+    /// place — [`CholeskyFactor::solve_panel`] on a borrowed slice. Each
+    /// column is bit-identical to [`CholeskyFactor::solve`] on that column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len()` is not a multiple of the matrix dimension.
+    pub fn solve_columns(&self, b: &mut [f64], ws: &mut SolveWorkspace) {
         let analysis = &self.symbolic.analysis;
         let n = analysis.n;
         if n == 0 {
             return;
         }
+        assert_eq!(b.len() % n, 0, "rhs length must be a multiple of n");
         let perm = analysis.perm.as_slice();
         // One fused interleave round trip per strip when a vector backend
         // applies (permutation gather and scatter folded into pack/unpack,

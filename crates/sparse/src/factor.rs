@@ -107,6 +107,20 @@ impl MatrixFactor {
             MatrixFactor::Lu(f) => f.solve_panel(b, ws),
         }
     }
+
+    /// Solves every length-`n` column of the column-major buffer `b` in
+    /// place: [`MatrixFactor::solve_panel`] on a borrowed slice, for callers
+    /// whose right-hand sides live in scratch rather than in a [`Panel`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len()` is not a multiple of the matrix dimension.
+    pub fn solve_columns(&self, b: &mut [f64], ws: &mut SolveWorkspace) {
+        match self {
+            MatrixFactor::Cholesky(f) => f.solve_columns(b, ws),
+            MatrixFactor::Lu(f) => f.solve_columns(b, ws),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -183,6 +197,9 @@ mod tests {
                 factor.solve_in_place(&mut x, &mut ws);
                 assert_eq!(x, expected);
             }
+            let mut flat: Vec<f64> = rhs.concat();
+            factor.solve_columns(&mut flat, &mut ws);
+            assert_eq!(&flat[..], panel.data());
         }
     }
 

@@ -278,13 +278,20 @@ impl LuFactor {
         self.solve_columns(b.data_mut(), ws);
     }
 
-    /// Solves every column of the column-major buffer `b` (`n` rows):
-    /// `P A = L U  ⇒  A x = b  ⇔  L U x = P b`.
-    fn solve_columns(&self, b: &mut [f64], ws: &mut SolveWorkspace) {
+    /// Solves every length-`n` column of the column-major buffer `b` in
+    /// place (`P A = L U  ⇒  A x = b  ⇔  L U x = P b`) —
+    /// [`LuFactor::solve_panel`] on a borrowed slice. Each column is
+    /// bit-identical to [`LuFactor::solve`] on that column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len()` is not a multiple of the matrix dimension.
+    pub fn solve_columns(&self, b: &mut [f64], ws: &mut SolveWorkspace) {
         let n = self.n;
         if n == 0 {
             return;
         }
+        assert_eq!(b.len() % n, 0, "rhs length must be a multiple of n");
         let y = ws.scratch(b.len());
         let perm = self.row_perm.as_slice();
         for (y_col, b_col) in y.chunks_exact_mut(n).zip(b.chunks_exact(n)) {

@@ -161,6 +161,11 @@ impl Panel {
 /// buffer had to grow — [`SolveWorkspace::allocation_count`] is the test
 /// hook behind the engine's zero-allocations-per-step contract.
 ///
+/// An iterative solver holds its iterate vectors for a whole solve while
+/// its preconditioner runs direct solves of its own:
+/// [`SolveWorkspace::split`] lends both at once, the vectors from this
+/// workspace and the inner solves' scratch from a nested one.
+///
 /// # Example
 ///
 /// ```
@@ -183,6 +188,9 @@ impl Panel {
 pub struct SolveWorkspace {
     buf: opera_simd::AlignedVec,
     allocations: usize,
+    /// The workspace lent out by [`SolveWorkspace::split`], made on first
+    /// use.
+    nested: Option<Box<SolveWorkspace>>,
 }
 
 impl SolveWorkspace {
@@ -197,6 +205,7 @@ impl SolveWorkspace {
         SolveWorkspace {
             buf: opera_simd::AlignedVec::zeroed(len),
             allocations: 0,
+            nested: None,
         }
     }
 
@@ -204,19 +213,38 @@ impl SolveWorkspace {
     /// growing (and counting the growth) only when the current buffer is
     /// too small.
     pub fn scratch(&mut self, len: usize) -> &mut [f64] {
+        self.grow(len);
+        &mut self.buf.as_mut_slice()[..len]
+    }
+
+    /// Borrows a scratch buffer of exactly `len` values together with a
+    /// nested workspace for the solves that run while the buffer is held —
+    /// an iterative solver's vectors and its preconditioner's scratch.
+    /// Growth of either (and the nested workspace's creation) counts
+    /// towards [`SolveWorkspace::allocation_count`].
+    pub fn split(&mut self, len: usize) -> (&mut [f64], &mut SolveWorkspace) {
+        self.grow(len);
+        if self.nested.is_none() {
+            self.allocations += 1;
+            opera_trace::count("workspace.allocations", 1);
+        }
+        let nested = self.nested.get_or_insert_with(Box::default);
+        (&mut self.buf.as_mut_slice()[..len], nested)
+    }
+
+    fn grow(&mut self, len: usize) {
         if self.buf.len() < len {
             self.buf.resize(len);
             self.allocations += 1;
             opera_trace::count("workspace.allocations", 1);
         }
-        &mut self.buf.as_mut_slice()[..len]
     }
 
-    /// How many times the workspace had to grow its buffer. Constant across
-    /// calls once the workspace is warm — the zero-steady-state-allocations
-    /// test hook.
+    /// How many times the workspace (or one nested in it) had to grow.
+    /// Constant across calls once the workspace is warm — the
+    /// zero-steady-state-allocations test hook.
     pub fn allocation_count(&self) -> usize {
-        self.allocations
+        self.allocations + self.nested.as_ref().map_or(0, |n| n.allocation_count())
     }
 }
 
@@ -298,5 +326,19 @@ mod tests {
         let mut sized = SolveWorkspace::with_capacity(16);
         sized.scratch(16);
         assert_eq!(sized.allocation_count(), 0);
+    }
+
+    #[test]
+    fn split_lends_scratch_and_a_nested_workspace_and_counts_both() {
+        let mut ws = SolveWorkspace::with_capacity(8);
+        let (outer, nested) = ws.split(8);
+        outer.fill(1.0);
+        nested.scratch(4).fill(2.0);
+        // The nested workspace's creation and its first growth.
+        assert_eq!(ws.allocation_count(), 2);
+        let (outer, nested) = ws.split(8);
+        assert_eq!(outer, &[1.0; 8]);
+        assert_eq!(nested.scratch(4), &[2.0; 4]);
+        assert_eq!(ws.allocation_count(), 2);
     }
 }

@@ -19,6 +19,10 @@
 //! claim this PR's tentpole makes. The same claims are then re-checked
 //! end-to-end through `OperaEngine` on the two golden fixture decks
 //! (`tests/fixtures/golden/*.sp`), asserted via `opera_trace` counters.
+//! Those counters are process-global and every solver in this file feeds
+//! them, so each test holds [`opera_trace::test_guard`] for its whole body:
+//! a concurrent test's symbolic analyses would otherwise land in the
+//! engine-level count.
 
 use opera::adaptive::{solve_transient_adaptive, AdaptiveOptions};
 use opera::engine::{OperaEngine, Scenario};
@@ -70,6 +74,7 @@ fn smooth_reference(t: f64) -> Vec<f64> {
 
 #[test]
 fn smooth_rc_charging_meets_per_method_error_budgets() {
+    let _guard = opera_trace::test_guard();
     let (g, c) = diag_circuit(&[1.0], &[1.0]);
     // (method, max-error budget over the grid). h = 0.05 on τ = 1 separates
     // the O(h) scheme from the O(h²) schemes by two decades.
@@ -183,6 +188,7 @@ fn stiff_reference(t: f64) -> Vec<f64> {
 
 #[test]
 fn stiff_rc_pair_meets_per_method_error_budgets() {
+    let _guard = opera_trace::test_guard();
     let (g, c) = stiff_circuit();
     let cases = [
         (IntegrationMethod::BackwardEuler, 2e-3),
@@ -206,6 +212,7 @@ fn stiff_rc_pair_meets_per_method_error_budgets() {
 
 #[test]
 fn adaptive_tr_bdf2_beats_fixed_trapezoidal_step_count_on_the_stiff_pair() {
+    let _guard = opera_trace::test_guard();
     let (g, c) = stiff_circuit();
     let options = TransientOptions {
         time_step: 0.005,
@@ -304,6 +311,7 @@ fn pulse_reference(t: f64) -> Vec<f64> {
 
 #[test]
 fn pulse_edge_meets_per_method_error_budgets() {
+    let _guard = opera_trace::test_guard();
     let (g, c) = diag_circuit(&[PULSE_G], &[PULSE_C]);
     let cases = [
         (IntegrationMethod::BackwardEuler, 3e-2),
@@ -327,6 +335,7 @@ fn pulse_edge_meets_per_method_error_budgets() {
 
 #[test]
 fn adaptive_tr_bdf2_beats_fixed_trapezoidal_step_count_on_the_pulse_edge() {
+    let _guard = opera_trace::test_guard();
     let (g, c) = diag_circuit(&[PULSE_G], &[PULSE_C]);
     let options = TransientOptions {
         time_step: PULSE_FIXED_STEP,
@@ -418,6 +427,7 @@ fn golden_decks_adopt_tr_bdf2_and_run_one_symbolic_analysis_per_engine() {
 
 #[test]
 fn adaptive_engine_matches_fixed_step_means_on_the_golden_decks() {
+    let _guard = opera_trace::test_guard();
     for deck in ["stiff_rc.sp", "pulse_edge.sp"] {
         let fixed = OperaEngine::for_netlist(fixture(deck))
             .unwrap()
