@@ -317,7 +317,7 @@ impl EngineBuilder {
     }
 
     /// Sets the solver backend for the augmented system. The default is
-    /// [`crate::solver::default_backend`], the mean-preconditioned CG
+    /// [`crate::solver::default_backend`], the Kronecker-preconditioned CG
     /// ([`BlockJacobiCg`](crate::solver::BlockJacobiCg)), which factors only
     /// nominal-size matrices; pass
     /// [`DirectCholesky`](crate::solver::DirectCholesky) for the bit-pinned

@@ -17,7 +17,7 @@
 //!   ([`OperaEngine::for_netlist`], grammar in `docs/NETLIST.md`) — netlist
 //!   engines name their nodes in every report.
 //! * [`solver`] — pluggable [`SolverBackend`]s for the
-//!   augmented system (the default mean-preconditioned CG, direct Cholesky
+//!   augmented system (the default Kronecker-preconditioned CG, direct Cholesky
 //!   — the bit-pinned reference — and left-looking LU) plus a name-based
 //!   registry for custom backends.
 //! * [`transient`] — deterministic transient MNA solver (backward Euler,

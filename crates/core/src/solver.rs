@@ -18,9 +18,11 @@
 //! Three backends ship with the crate:
 //!
 //! * [`BlockJacobiCg`] — **the default** ([`default_backend`]): conjugate
-//!   gradient on the augmented system with the mean-based block
-//!   preconditioner, which needs only two *nominal-size* factorisations (the
-//!   paper's §5.2 "iterative block solver with appropriate pre-conditioner").
+//!   gradient on the augmented system with Ullmann's Kronecker-product
+//!   preconditioner `T̃ ⊗ K`, which needs only two *nominal-size*
+//!   factorisations `K` plus a dense `(N+1)×(N+1)` factor `T̃` (the paper's
+//!   §5.2 "iterative block solver with appropriate pre-conditioner"; the
+//!   backend keeps its historical name).
 //! * [`DirectCholesky`] — sparse Cholesky of the augmented companion matrix,
 //!   factored once and reused for every step (falls back to LU if the matrix
 //!   is not numerically SPD). The bit-pinned reference: select it by value
@@ -36,8 +38,9 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use opera_pce::GalerkinCoupling;
 use opera_sparse::cg::{self, CgOptions, LinearOperator, Preconditioner};
-use opera_sparse::{CsrMatrix, MatrixFactor, Panel, SolveWorkspace};
+use opera_sparse::{CsrMatrix, MatrixFactor, Panel, SolveWorkspace, SparseError};
 use opera_variation::StochasticGridModel;
 
 use crate::galerkin::GalerkinSystem;
@@ -380,26 +383,37 @@ impl SolverBackend for LeftLookingLu {
 }
 
 // --------------------------------------------------------------------------
-// Mean-preconditioned CG backend.
+// Kronecker-preconditioned CG backend.
 // --------------------------------------------------------------------------
 
-/// Conjugate gradient on the augmented system with the mean-based block
-/// preconditioner (Pellissetti & Ghanem 2000): every basis block of a
-/// residual is solved with the *nominal* matrix and scaled by `1/⟨ψ_i²⟩` —
-/// exactly the block diagonal of the augmented matrix for symmetric
-/// variations. Preparation therefore factors only two nominal-size
-/// matrices, the DC conductance `G_a` and the companion `G_a + s·C_a`, and
-/// never assembles or factors anything of the augmented size; the
-/// iteration applies `G̃ + s·C̃` straight from the Galerkin system's own
-/// matrices.
+/// Conjugate gradient on the augmented system with Ullmann's
+/// Kronecker-product preconditioner `M = T̃ ⊗ K` (Ullmann 2010, *SIAM J.
+/// Sci. Comput.* 32). The augmented matrix is `T_0 ⊗ K + Σ_d T_d ⊗ A_d` with
+/// `T_0 = diag⟨ψ_i²⟩`, `T_d = ⟨ξ_d ψ_i ψ_j⟩`, the nominal matrix `K` (`G_a`
+/// for the DC solve, `G_a + s·C_a` for a step) and the perturbations
+/// `A_d = G_d + s·C_d`; `M` keeps `K` and folds each `A_d` into the
+/// stochastic factor `T̃ = T_0 + Σ_d α_d·T_d` with the Frobenius-optimal
+/// `α_d = ⟨A_d, K⟩_F / ⟨K, K⟩_F`. Preparation therefore factors only two
+/// nominal-size matrices, `G_a` and `G_a + s·C_a`, plus a dense
+/// `(N+1)×(N+1)` Cholesky factor of each step size's `T̃`, and never
+/// assembles or factors anything of the augmented size; the iteration
+/// applies `G̃ + s·C̃` straight from the Galerkin system's own matrices.
+/// The mean-based block preconditioner of Pellissetti & Ghanem (2000) is
+/// the `α = 0` case, and the backend keeps its historical name
+/// ([`BLOCK_JACOBI_CG`]) for compatibility.
 ///
-/// A step-size change touches two things: the scalar `s`, and one numeric
-/// refactorisation of the nominal companion against the single symbolic
-/// analysis its [`CompanionFamily`] keeps for every step size. A CG solve
-/// that misses `tolerance` within `max_iterations` fails with
-/// [`OperaError::Sparse`]`(`[`opera_sparse::SparseError::DidNotConverge`]`)`
-/// carrying its iterations and final relative residual — there is no
-/// fallback to a direct solve.
+/// A step-size change touches three things: the scalar `s`, `T̃⁻¹` (the
+/// `α_d(s)` are rational in `s` over Frobenius products taken once at
+/// prepare, so no matrix is read again), and one numeric refactorisation of
+/// the nominal companion against the single symbolic analysis its
+/// [`CompanionFamily`] keeps for every step size. A `T̃` that is not positive
+/// definite (variations so large that `G(ξ)` goes indefinite at a
+/// quadrature node) fails the prepare or re-step with
+/// [`OperaError::Sparse`]`(`[`SparseError::NotPositiveDefinite`]`)`. A CG
+/// solve that misses `tolerance` within `max_iterations` fails with
+/// [`OperaError::Sparse`]`(`[`SparseError::DidNotConverge`]`)` carrying its
+/// iterations and final relative residual — there is no fallback to a
+/// direct solve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlockJacobiCg {
     /// Relative residual tolerance `‖b − A·x‖/‖b‖` of every CG solve.
@@ -439,10 +453,9 @@ impl SolverBackend for BlockJacobiCg {
     ) -> Result<Box<dyn PreparedSolver>> {
         let _span = opera_trace::span("solver.prepare");
         self.validate()?;
-        let coupling = system.coupling();
-        let inv_norms = (0..system.basis_size())
-            .map(|i| 1.0 / coupling.norm_squared(i))
-            .collect();
+        let kronecker = Arc::new(KroneckerTerms::new(model, system.coupling())?);
+        let c_scale = companion_scale(transient.method, transient.time_step);
+        let (dc_mix, mix) = (kronecker.mix(0.0)?, kronecker.mix(c_scale)?);
         let dc = MatrixFactor::cholesky_or_lu(model.nominal_conductance())?;
         let family = Arc::new(CompanionFamily::new(
             model.nominal_conductance(),
@@ -453,12 +466,14 @@ impl SolverBackend for BlockJacobiCg {
         Ok(Box::new(CgPrepared {
             g,
             c,
-            c_scale: companion_scale(transient.method, transient.time_step),
+            c_scale,
             method: transient.method,
             dc: Arc::new(dc),
             family,
             companion,
-            inv_norms,
+            kronecker,
+            dc_mix,
+            mix,
             options: CgOptions {
                 max_iterations: self.max_iterations,
                 tolerance: self.tolerance,
@@ -467,23 +482,125 @@ impl SolverBackend for BlockJacobiCg {
     }
 }
 
-/// The mean-based block preconditioner over one nominal factor: the stacked
-/// residual is column-major over basis blocks, so it *is* an `n × (N+1)`
-/// panel and all blocks go through one blocked multi-RHS solve.
-struct BlockNominal<'a> {
-    factor: &'a MatrixFactor,
-    inv_norms: &'a [f64],
+/// What the stochastic factor `T̃(s) = T_0 + Σ_d α_d(s)·T_d` of the
+/// Kronecker preconditioner needs for any `s`: the Galerkin coupling
+/// matrices and the Frobenius products `α_d(s)` is a rational function of.
+struct KroneckerTerms {
+    /// `⟨ψ_i²⟩`, the diagonal `T_0`, one per basis function.
+    norms: Vec<f64>,
+    /// `T_d = ⟨ξ_d ψ_i ψ_j⟩` per variable, row-major.
+    linear: Vec<Vec<f64>>,
+    /// `⟨G_a,G_a⟩`, `⟨G_a,C_a⟩`, `⟨C_a,C_a⟩`.
+    nominal: [f64; 3],
+    /// `⟨G_d,G_a⟩`, `⟨G_d,C_a⟩`, `⟨C_d,G_a⟩`, `⟨C_d,C_a⟩` per variable.
+    perturbation: Vec<[f64; 4]>,
 }
 
-impl Preconditioner for BlockNominal<'_> {
-    fn apply_into(&self, r: &[f64], z: &mut [f64], ws: &mut SolveWorkspace) {
-        z.copy_from_slice(r);
-        self.factor.solve_columns(z, ws);
-        let backend = opera_simd::active();
-        for (block, &inv_norm) in z.chunks_exact_mut(self.factor.dim()).zip(self.inv_norms) {
-            opera_simd::scale_assign(block, inv_norm, backend);
+impl KroneckerTerms {
+    fn new(model: &StochasticGridModel, coupling: &GalerkinCoupling) -> Result<Self> {
+        let (ga, ca) = (model.nominal_conductance(), model.nominal_capacitance());
+        let perturbation = (0..model.n_vars())
+            .map(|d| {
+                let (gd, cd) = (
+                    model.conductance_perturbation(d),
+                    model.capacitance_perturbation(d),
+                );
+                Ok([
+                    gd.frobenius_dot(ga)?,
+                    gd.frobenius_dot(ca)?,
+                    cd.frobenius_dot(ga)?,
+                    cd.frobenius_dot(ca)?,
+                ])
+            })
+            .collect::<std::result::Result<_, SparseError>>()?;
+        Ok(KroneckerTerms {
+            norms: (0..coupling.len())
+                .map(|i| coupling.norm_squared(i))
+                .collect(),
+            linear: (0..coupling.n_vars())
+                .map(|d| coupling.linear_matrix(d).to_vec())
+                .collect(),
+            nominal: [
+                ga.frobenius_dot(ga)?,
+                ga.frobenius_dot(ca)?,
+                ca.frobenius_dot(ca)?,
+            ],
+            perturbation,
+        })
+    }
+
+    /// `α_d(s) = ⟨G_d + s·C_d, K⟩_F / ⟨K, K⟩_F` with `K = G_a + s·C_a`.
+    fn alpha(&self, d: usize, s: f64) -> f64 {
+        let [gg, gc, cc] = self.nominal;
+        let [dg_g, dg_c, dc_g, dc_c] = self.perturbation[d];
+        (dg_g + s * (dg_c + dc_g) + s * s * dc_c) / (gg + s * (2.0 * gc + s * cc))
+    }
+
+    /// `T̃(s)`, row-major.
+    fn stochastic_factor(&self, s: f64) -> Vec<f64> {
+        let p = self.norms.len();
+        let mut t = vec![0.0; p * p];
+        for (i, &norm) in self.norms.iter().enumerate() {
+            t[i * p + i] = norm;
+        }
+        for (d, t_d) in self.linear.iter().enumerate() {
+            let alpha = self.alpha(d, s);
+            for (t, &l) in t.iter_mut().zip(t_d) {
+                *t += alpha * l;
+            }
+        }
+        t
+    }
+
+    /// `T̃(s)⁻¹`, row-major and exactly symmetric.
+    ///
+    /// # Errors
+    ///
+    /// [`SparseError::NotPositiveDefinite`] if `T̃(s)` is not positive
+    /// definite.
+    fn mix(&self, s: f64) -> Result<Arc<[f64]>> {
+        Ok(spd_inverse(&self.stochastic_factor(s), self.norms.len())?.into())
+    }
+}
+
+/// Inverse of the symmetric `p × p` matrix `t` (row-major) through its dense
+/// Cholesky factor `L`: `t⁻¹ = WᵀW` with `W = L⁻¹`, a sum that is symmetric
+/// bit for bit.
+///
+/// # Errors
+///
+/// [`SparseError::NotPositiveDefinite`] at the first pivot that is not
+/// positive.
+fn spd_inverse(t: &[f64], p: usize) -> std::result::Result<Vec<f64>, SparseError> {
+    let mut l = vec![0.0; p * p];
+    for j in 0..p {
+        let pivot = t[j * p + j] - (0..j).map(|k| l[j * p + k] * l[j * p + k]).sum::<f64>();
+        if pivot.is_nan() || pivot <= 0.0 {
+            return Err(SparseError::NotPositiveDefinite { column: j, pivot });
+        }
+        let l_jj = pivot.sqrt();
+        l[j * p + j] = l_jj;
+        for i in j + 1..p {
+            let dot = (0..j).map(|k| l[i * p + k] * l[j * p + k]).sum::<f64>();
+            l[i * p + j] = (t[i * p + j] - dot) / l_jj;
         }
     }
+    // W = L⁻¹ column by column: W·e_c by forward substitution.
+    let mut w = vec![0.0; p * p];
+    for c in 0..p {
+        w[c * p + c] = 1.0 / l[c * p + c];
+        for i in c + 1..p {
+            let dot = (c..i).map(|k| l[i * p + k] * w[k * p + c]).sum::<f64>();
+            w[i * p + c] = -dot / l[i * p + i];
+        }
+    }
+    let mut inv = vec![0.0; p * p];
+    for i in 0..p {
+        for j in 0..p {
+            inv[i * p + j] = (i.max(j)..p).map(|k| w[k * p + i] * w[k * p + j]).sum();
+        }
+    }
+    Ok(inv)
 }
 
 /// The augmented companion `G̃ + s·C̃`, applied without being assembled.
@@ -520,11 +637,15 @@ struct CgPrepared {
     /// The nominal companion family behind every step size's
     /// preconditioner.
     family: Arc<CompanionFamily>,
-    /// The nominal companion of this step size: the stepping
+    /// The nominal companion of this step size: `K` of the stepping
     /// preconditioner.
     companion: Arc<CompanionSystem>,
-    /// `1/⟨ψ_i²⟩` per basis block.
-    inv_norms: Arc<[f64]>,
+    /// What every step size's `T̃` is rebuilt from.
+    kronecker: Arc<KroneckerTerms>,
+    /// `T̃⁻¹` of the DC solve (`s = 0`).
+    dc_mix: Arc<[f64]>,
+    /// `T̃⁻¹` of this step size.
+    mix: Arc<[f64]>,
     options: CgOptions,
 }
 
@@ -532,6 +653,35 @@ struct CgPrepared {
 // side from `ws`, the iterates from the workspace nested in it and the
 // preconditioner's scratch one level further down.
 // lint: hot(cg-step)
+
+/// The Kronecker preconditioner `T̃ ⊗ K` over one nominal factor `K`. The
+/// stacked residual is column-major over basis blocks, so it *is* an
+/// `n × (N+1)` panel `R`, and `M⁻¹` maps it to `K⁻¹·R·T̃⁻¹`: the blocks are
+/// first mixed by `T̃⁻¹` (`z_j = Σ_i T̃⁻¹_ij·r_i` in a fixed order of `i`,
+/// straight into `z`), then all go through one blocked multi-RHS solve.
+struct KroneckerNominal<'a> {
+    factor: &'a MatrixFactor,
+    /// `T̃⁻¹`, row-major.
+    mix: &'a [f64],
+}
+
+impl Preconditioner for KroneckerNominal<'_> {
+    fn apply_into(&self, r: &[f64], z: &mut [f64], ws: &mut SolveWorkspace) {
+        let n = self.factor.dim();
+        let p = z.len() / n;
+        let backend = opera_simd::active();
+        for (j, z_j) in z.chunks_exact_mut(n).enumerate() {
+            z_j.fill(0.0);
+            for (i, r_i) in r.chunks_exact(n).enumerate() {
+                let weight = self.mix[i * p + j];
+                if weight != 0.0 {
+                    opera_simd::axpy(z_j, r_i, weight, backend);
+                }
+            }
+        }
+        self.factor.solve_columns(z, ws);
+    }
+}
 
 impl CgPrepared {
     fn rhs(&self) -> StepRhs<'_> {
@@ -549,9 +699,9 @@ impl CgPrepared {
             c: &self.c,
             c_scale: self.c_scale,
         };
-        let preconditioner = BlockNominal {
+        let preconditioner = KroneckerNominal {
             factor: self.companion.factor(),
-            inv_norms: &self.inv_norms,
+            mix: &self.mix,
         };
         cg::solve_in_place(&operator, rhs, x, &preconditioner, self.options, ws)?;
         Ok(())
@@ -562,9 +712,9 @@ impl PreparedSolver for CgPrepared {
     fn solve_dc_panel(&self, u0: &Panel, out: &mut Panel, ws: &mut SolveWorkspace) -> Result<()> {
         assert_same_columns(&[u0], out);
         let n = self.dc.dim();
-        let preconditioner = BlockNominal {
+        let preconditioner = KroneckerNominal {
             factor: &self.dc,
-            inv_norms: &self.inv_norms,
+            mix: &self.dc_mix,
         };
         for j in 0..out.ncols() {
             // The nominal DC solution in block 0 is the guess.
@@ -661,9 +811,11 @@ impl PreparedSolver for CgPrepared {
 
     fn with_time_step(&self, time_step: f64) -> Result<Option<Box<dyn PreparedSolver>>> {
         let companion = self.family.system_for(time_step, self.method)?;
+        let c_scale = companion_scale(self.method, time_step);
         Ok(Some(Box::new(CgPrepared {
-            c_scale: companion_scale(self.method, time_step),
+            c_scale,
             companion,
+            mix: self.kronecker.mix(c_scale)?,
             ..self.clone()
         })))
     }
@@ -982,5 +1134,213 @@ mod tests {
         };
         assert!(bad.validate().is_err());
         assert!(BlockJacobiCg::default().validate().is_ok());
+    }
+
+    /// A tiny order-2 system (P = 6) with large variations, so every `α_d`
+    /// is far from zero.
+    fn tiny_kronecker_setup(spec: &VariationSpec) -> (StochasticGridModel, GalerkinSystem) {
+        let grid = GridSpec::small_test(16).with_seed(3).build().unwrap();
+        let model = StochasticGridModel::inter_die(&grid, spec).unwrap();
+        let basis = OrthogonalBasis::total_order(PolynomialFamily::Hermite, 2, 2).unwrap();
+        let system = GalerkinSystem::assemble(&model, &basis).unwrap();
+        (model, system)
+    }
+
+    /// A deterministic residual of length `len` with entries of both signs.
+    fn residual(len: usize) -> Vec<f64> {
+        (0..len)
+            .map(|i| ((i * 37 + 11) % 23) as f64 - 11.0)
+            .collect()
+    }
+
+    /// `K = G_a + s·C_a` and its factor.
+    fn nominal(model: &StochasticGridModel, s: f64) -> (CsrMatrix, MatrixFactor) {
+        let k = model
+            .nominal_conductance()
+            .add_scaled(model.nominal_capacitance(), s)
+            .unwrap();
+        let factor = MatrixFactor::cholesky_or_lu(&k).unwrap();
+        (k, factor)
+    }
+
+    fn max_relative_difference(a: &[f64], b: &[f64]) -> f64 {
+        let scale = b.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        a.iter()
+            .zip(b)
+            .fold(0.0f64, |m, (x, y)| m.max((x - y).abs()))
+            / scale
+    }
+
+    #[test]
+    fn kronecker_preconditioner_is_a_solve_with_the_kronecker_product() {
+        let mut spec = VariationSpec::paper_defaults();
+        spec.width_3sigma = 0.4;
+        spec.channel_length_3sigma = 0.5;
+        let (model, system) = tiny_kronecker_setup(&spec);
+        let terms = KroneckerTerms::new(&model, system.coupling()).unwrap();
+        let (n, p) = (system.node_count(), system.basis_size());
+        // The DC solve and a step whose `s·C_a` is comparable to `G_a`.
+        let s_step = model.nominal_conductance().frobenius_norm()
+            / model.nominal_capacitance().frobenius_norm();
+        for s in [0.0, s_step] {
+            let (k, factor) = nominal(&model, s);
+            // α_d is the Frobenius projection of A_d = G_d + s·C_d on K.
+            for d in 0..model.n_vars() {
+                let a_d = model
+                    .conductance_perturbation(d)
+                    .add_scaled(model.capacitance_perturbation(d), s)
+                    .unwrap();
+                let alpha = a_d.frobenius_dot(&k).unwrap() / k.frobenius_dot(&k).unwrap();
+                assert!((terms.alpha(d, s) - alpha).abs() <= 1e-14 * alpha.abs());
+            }
+            assert!(terms.alpha(0, s) > 0.01);
+            assert_eq!(terms.alpha(1, s) == 0.0, s == 0.0, "C_L only enters steps");
+
+            let mix = terms.mix(s).unwrap();
+            let r = residual(n * p);
+            let mut z = vec![0.0; n * p];
+            let preconditioner = KroneckerNominal {
+                factor: &factor,
+                mix: &mix,
+            };
+            preconditioner.apply_into(&r, &mut z, &mut SolveWorkspace::new());
+
+            // Dense (T̃ ⊗ K)·z = r, blocks ordered like the stacked vector.
+            let t = terms.stochastic_factor(s);
+            let k = k.to_dense();
+            let mut m = vec![0.0; (n * p) * (n * p)];
+            for i in 0..p {
+                for j in 0..p {
+                    for a in 0..n {
+                        for b in 0..n {
+                            m[(i * n + a) * (n * p) + j * n + b] = t[i * p + j] * k[(a, b)];
+                        }
+                    }
+                }
+            }
+            let dense = opera_sparse::DenseMatrix::from_rows(n * p, n * p, &m)
+                .solve(&r)
+                .unwrap();
+            let error = max_relative_difference(&z, &dense);
+            assert!(error <= 1e-12, "s = {s:e}: relative difference {error:e}");
+        }
+    }
+
+    #[test]
+    fn kronecker_preconditioner_without_perturbations_is_the_mean_based_one() {
+        let (model, system) = tiny_kronecker_setup(&VariationSpec::none());
+        let terms = KroneckerTerms::new(&model, system.coupling()).unwrap();
+        let (n, p) = (system.node_count(), system.basis_size());
+        let s = 1.0 / 0.2e-9;
+        assert!((0..model.n_vars()).all(|d| terms.alpha(d, s) == 0.0));
+        let (_, factor) = nominal(&model, s);
+        let mix = terms.mix(s).unwrap();
+        let r = residual(n * p);
+        let mut z = vec![0.0; n * p];
+        let mut ws = SolveWorkspace::new();
+        KroneckerNominal {
+            factor: &factor,
+            mix: &mix,
+        }
+        .apply_into(&r, &mut z, &mut ws);
+        // K⁻¹·r_i / ⟨ψ_i²⟩ block by block.
+        let mut mean_based = r.clone();
+        factor.solve_columns(&mut mean_based, &mut ws);
+        for (i, block) in mean_based.chunks_exact_mut(n).enumerate() {
+            for v in block {
+                *v /= system.coupling().norm_squared(i);
+            }
+        }
+        let error = max_relative_difference(&z, &mean_based);
+        assert!(error <= 1e-14, "relative difference {error:e}");
+    }
+
+    #[test]
+    fn an_indefinite_stochastic_factor_is_a_typed_error() {
+        // At order 8 the Hermite spectrum of D⁻¹·T̃ is 1 + α·x_q over the
+        // 9-point Gauss nodes, |x_q| ≤ 4.51, so α > 1/4.51 is indefinite.
+        let mut spec = VariationSpec::paper_defaults();
+        spec.width_3sigma = 0.59;
+        spec.thickness_3sigma = 0.59;
+        let grid = GridSpec::small_test(16).with_seed(3).build().unwrap();
+        let model = StochasticGridModel::inter_die(&grid, &spec).unwrap();
+        let basis = OrthogonalBasis::total_order(PolynomialFamily::Hermite, 2, 8).unwrap();
+        let system = GalerkinSystem::assemble(&model, &basis).unwrap();
+        let terms = KroneckerTerms::new(&model, system.coupling()).unwrap();
+        let alpha = terms.alpha(0, 0.0);
+        assert!(alpha > 0.27, "α = {alpha}");
+
+        // vᵀ·T̃·v = ⟨(1 + α·ξ_G)·f²⟩ < 0 for the degree-8 polynomial f in ξ_G
+        // that vanishes at every 9-point Gauss node but the most negative.
+        let rule = opera_pce::quadrature::gauss_rule(PolynomialFamily::Hermite, 9).unwrap();
+        let x_min = rule.nodes.iter().copied().fold(f64::INFINITY, f64::min);
+        assert!(1.0 + alpha * x_min < 0.0);
+        let v = system.coupling().project(|xi| {
+            rule.nodes
+                .iter()
+                .filter(|&&x| x != x_min)
+                .map(|x| xi[0] - x)
+                .product()
+        });
+        let (p, t) = (system.basis_size(), terms.stochastic_factor(0.0));
+        let quadratic: f64 = (0..p)
+            .flat_map(|i| (0..p).map(move |j| (i, j)))
+            .map(|(i, j)| v[i] * t[i * p + j] * v[j])
+            .sum();
+        assert!(quadratic < 0.0, "vᵀ·T̃·v = {quadratic}");
+
+        let transient = TransientOptions::new(0.2e-9, 1.0e-9);
+        let err = BlockJacobiCg::default()
+            .prepare(&model, &system, &transient)
+            .err()
+            .expect("an indefinite T̃ must fail the prepare");
+        assert!(
+            matches!(
+                err,
+                OperaError::Sparse(SparseError::NotPositiveDefinite { .. })
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn the_stochastic_factor_is_checked_at_every_step_size() {
+        // One variable whose capacitance perturbation outweighs its
+        // conductance one: α(s) grows from 0.1 at DC towards 0.9, and at
+        // order 4 (5-point Gauss nodes, |x_q| ≤ 2.86) T̃ stops being
+        // positive definite once α passes 1/2.86.
+        let coupling = GalerkinCoupling::new(
+            &OrthogonalBasis::total_order(PolynomialFamily::Hermite, 1, 4).unwrap(),
+        )
+        .unwrap();
+        let terms = KroneckerTerms {
+            norms: (0..coupling.len())
+                .map(|i| coupling.norm_squared(i))
+                .collect(),
+            linear: vec![coupling.linear_matrix(0).to_vec()],
+            nominal: [1.0, 0.0, 1.0],
+            perturbation: vec![[0.1, 0.0, 0.0, 0.9]],
+        };
+        assert!(terms.mix(0.0).is_ok());
+        assert!(matches!(
+            terms.mix(10.0),
+            Err(OperaError::Sparse(SparseError::NotPositiveDefinite { .. }))
+        ));
+    }
+
+    #[test]
+    fn the_stochastic_factor_inverse_is_symmetric_and_exact() {
+        let (model, system) = tiny_kronecker_setup(&VariationSpec::paper_defaults());
+        let terms = KroneckerTerms::new(&model, system.coupling()).unwrap();
+        let p = system.basis_size();
+        let (t, inv) = (terms.stochastic_factor(3.0), terms.mix(3.0).unwrap());
+        for i in 0..p {
+            for j in 0..p {
+                assert_eq!(inv[i * p + j].to_bits(), inv[j * p + i].to_bits());
+                let product: f64 = (0..p).map(|k| t[i * p + k] * inv[k * p + j]).sum();
+                let identity = if i == j { 1.0 } else { 0.0 };
+                assert!((product - identity).abs() < 1e-13, "({i}, {j}): {product}");
+            }
+        }
     }
 }

@@ -47,8 +47,8 @@ impl OperaOptions {
     }
 
     /// Order-`p` expansion with the given transient options and the
-    /// engine's default solver ([`default_backend`]: the mean-preconditioned
-    /// CG). Pass [`DirectCholesky`](crate::solver::DirectCholesky) to
+    /// engine's default solver ([`default_backend`]: the
+    /// Kronecker-preconditioned CG). Pass [`DirectCholesky`](crate::solver::DirectCholesky) to
     /// [`OperaOptions::with_solver`] for the bit-pinned direct reference.
     pub fn with_order(order: u32, transient: TransientOptions) -> Self {
         OperaOptions {

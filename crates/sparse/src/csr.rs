@@ -388,6 +388,41 @@ impl CsrMatrix {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
+    /// Frobenius inner product `⟨A, B⟩_F = Σ_ij a_ij·b_ij`: one merge pass
+    /// per row over the two patterns, which may differ (an entry stored in
+    /// only one of them contributes nothing).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SparseError::DimensionMismatch`] if the shapes differ.
+    pub fn frobenius_dot(&self, other: &CsrMatrix) -> Result<f64> {
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols) {
+            return Err(SparseError::DimensionMismatch {
+                op: "frobenius_dot",
+                left: (self.nrows, self.ncols),
+                right: (other.nrows, other.ncols),
+            });
+        }
+        let mut acc = 0.0;
+        for i in 0..self.nrows {
+            let (ca, va) = self.row(i);
+            let (cb, vb) = other.row(i);
+            let (mut p, mut q) = (0, 0);
+            while p < ca.len() && q < cb.len() {
+                match ca[p].cmp(&cb[q]) {
+                    std::cmp::Ordering::Less => p += 1,
+                    std::cmp::Ordering::Greater => q += 1,
+                    std::cmp::Ordering::Equal => {
+                        acc += va[p] * vb[q];
+                        p += 1;
+                        q += 1;
+                    }
+                }
+            }
+        }
+        Ok(acc)
+    }
+
     /// Maximum absolute value of `A - Aᵀ` over all entries; zero for a
     /// (numerically) symmetric matrix.
     pub fn asymmetry(&self) -> f64 {
@@ -508,6 +543,57 @@ mod tests {
         assert!(matches!(
             a.add_scaled(&b, 1.0),
             Err(SparseError::DimensionMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn frobenius_dot_of_one_pattern_is_the_entrywise_sum() {
+        let a = sample();
+        let b = a.scaled(-2.0);
+        // 1 + 4 + 9 + 16 + 25 = 55.
+        assert_eq!(a.frobenius_dot(&a).unwrap(), 55.0);
+        assert_eq!(a.frobenius_dot(&b).unwrap(), -110.0);
+        assert_eq!(a.frobenius_dot(&a).unwrap().sqrt(), a.frobenius_norm());
+    }
+
+    #[test]
+    fn frobenius_dot_of_disjoint_patterns_is_zero() {
+        let a = CsrMatrix::from_dense(2, 3, &[1.0, 0.0, 2.0, 0.0, 3.0, 0.0], 0.0);
+        let b = CsrMatrix::from_dense(2, 3, &[0.0, 4.0, 0.0, 5.0, 0.0, 6.0], 0.0);
+        assert_eq!(a.frobenius_dot(&b).unwrap(), 0.0);
+        assert_eq!(b.frobenius_dot(&a).unwrap(), 0.0);
+    }
+
+    #[test]
+    fn frobenius_dot_of_overlapping_patterns_sums_the_shared_entries() {
+        let a = sample();
+        // Shares (0,0), (1,1) and (2,2) with `a`; (0,1) and (2,1) are its own.
+        let b = CsrMatrix::from_dense(3, 3, &[2.0, 7.0, 0.0, 0.0, -1.0, 0.0, 0.0, 8.0, 3.0], 0.0);
+        // 1·2 + 3·(−1) + 5·3.
+        let expected = 2.0 - 3.0 + 15.0;
+        assert_eq!(a.frobenius_dot(&b).unwrap(), expected);
+        assert_eq!(b.frobenius_dot(&a).unwrap(), expected);
+        let dense: f64 = a
+            .to_dense()
+            .data()
+            .iter()
+            .zip(b.to_dense().data())
+            .map(|(x, y)| x * y)
+            .sum();
+        assert_eq!(dense, expected);
+    }
+
+    #[test]
+    fn frobenius_dot_rejects_mismatched_shapes() {
+        let a = CsrMatrix::zeros(2, 3);
+        let b = CsrMatrix::zeros(3, 2);
+        assert!(matches!(
+            a.frobenius_dot(&b),
+            Err(SparseError::DimensionMismatch {
+                op: "frobenius_dot",
+                left: (2, 3),
+                right: (3, 2),
+            })
         ));
     }
 
