@@ -40,7 +40,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use opera_pce::GalerkinCoupling;
 use opera_sparse::cg::{self, CgOptions, LinearOperator, Preconditioner};
-use opera_sparse::{CsrMatrix, MatrixFactor, Panel, SolveWorkspace, SparseError};
+use opera_sparse::{CholeskyFactor, CsrMatrix, MatrixFactor, Panel, SolveWorkspace, SparseError};
 use opera_variation::StochasticGridModel;
 
 use crate::galerkin::GalerkinSystem;
@@ -484,7 +484,8 @@ impl SolverBackend for BlockJacobiCg {
 
 /// What the stochastic factor `T̃(s) = T_0 + Σ_d α_d(s)·T_d` of the
 /// Kronecker preconditioner needs for any `s`: the Galerkin coupling
-/// matrices and the Frobenius products `α_d(s)` is a rational function of.
+/// matrices, and the Frobenius products of which `α_d(s)` is a rational
+/// function.
 struct KroneckerTerms {
     /// `⟨ψ_i²⟩`, the diagonal `T_0`, one per basis function.
     norms: Vec<f64>,
@@ -552,55 +553,28 @@ impl KroneckerTerms {
         t
     }
 
-    /// `T̃(s)⁻¹`, row-major and exactly symmetric.
+    /// `T̃(s)⁻¹`: the columns of its Cholesky solve of the identity, which
+    /// is row-major `T̃(s)⁻¹` up to rounding since `T̃(s)` is symmetric.
     ///
     /// # Errors
     ///
     /// [`SparseError::NotPositiveDefinite`] if `T̃(s)` is not positive
     /// definite.
     fn mix(&self, s: f64) -> Result<Arc<[f64]>> {
-        Ok(spd_inverse(&self.stochastic_factor(s), self.norms.len())?.into())
-    }
-}
-
-/// Inverse of the symmetric `p × p` matrix `t` (row-major) through its dense
-/// Cholesky factor `L`: `t⁻¹ = WᵀW` with `W = L⁻¹`, a sum that is symmetric
-/// bit for bit.
-///
-/// # Errors
-///
-/// [`SparseError::NotPositiveDefinite`] at the first pivot that is not
-/// positive.
-fn spd_inverse(t: &[f64], p: usize) -> std::result::Result<Vec<f64>, SparseError> {
-    let mut l = vec![0.0; p * p];
-    for j in 0..p {
-        let pivot = t[j * p + j] - (0..j).map(|k| l[j * p + k] * l[j * p + k]).sum::<f64>();
-        if pivot.is_nan() || pivot <= 0.0 {
-            return Err(SparseError::NotPositiveDefinite { column: j, pivot });
+        let p = self.norms.len();
+        let factor = CholeskyFactor::factor(&CsrMatrix::from_dense(
+            p,
+            p,
+            &self.stochastic_factor(s),
+            0.0,
+        ))?;
+        let mut inv = vec![0.0; p * p];
+        for i in 0..p {
+            inv[i * p + i] = 1.0;
         }
-        let l_jj = pivot.sqrt();
-        l[j * p + j] = l_jj;
-        for i in j + 1..p {
-            let dot = (0..j).map(|k| l[i * p + k] * l[j * p + k]).sum::<f64>();
-            l[i * p + j] = (t[i * p + j] - dot) / l_jj;
-        }
+        factor.solve_columns(&mut inv, &mut SolveWorkspace::new());
+        Ok(inv.into())
     }
-    // W = L⁻¹ column by column: W·e_c by forward substitution.
-    let mut w = vec![0.0; p * p];
-    for c in 0..p {
-        w[c * p + c] = 1.0 / l[c * p + c];
-        for i in c + 1..p {
-            let dot = (c..i).map(|k| l[i * p + k] * w[k * p + c]).sum::<f64>();
-            w[i * p + c] = -dot / l[i * p + i];
-        }
-    }
-    let mut inv = vec![0.0; p * p];
-    for i in 0..p {
-        for j in 0..p {
-            inv[i * p + j] = (i.max(j)..p).map(|k| w[k * p + i] * w[k * p + j]).sum();
-        }
-    }
-    Ok(inv)
 }
 
 /// The augmented companion `G̃ + s·C̃`, applied without being assembled.
@@ -1329,14 +1303,13 @@ mod tests {
     }
 
     #[test]
-    fn the_stochastic_factor_inverse_is_symmetric_and_exact() {
+    fn the_stochastic_factor_inverse_is_exact() {
         let (model, system) = tiny_kronecker_setup(&VariationSpec::paper_defaults());
         let terms = KroneckerTerms::new(&model, system.coupling()).unwrap();
         let p = system.basis_size();
         let (t, inv) = (terms.stochastic_factor(3.0), terms.mix(3.0).unwrap());
         for i in 0..p {
             for j in 0..p {
-                assert_eq!(inv[i * p + j].to_bits(), inv[j * p + i].to_bits());
                 let product: f64 = (0..p).map(|k| t[i * p + k] * inv[k * p + j]).sum();
                 let identity = if i == j { 1.0 } else { 0.0 };
                 assert!((product - identity).abs() < 1e-13, "({i}, {j}): {product}");
