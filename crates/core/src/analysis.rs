@@ -352,16 +352,67 @@ pub fn probe_distributions(
 mod tests {
     use super::*;
 
+    /// `cholesky.numeric` spans under the test's `analysis.test` span (spans
+    /// of tests running concurrently have other roots), split into those
+    /// inside a Monte Carlo run (`mc.run`) and the rest: `(OPERA, MC)`.
+    fn numeric_factorizations(snapshot: &opera_trace::TraceSnapshot) -> (usize, usize) {
+        let root = snapshot.spans.iter().find(|s| s.name == "analysis.test");
+        let root_id = root
+            .map(|s| s.id)
+            .expect("the test's root span was recorded");
+        let ancestors = |mut id: u64| {
+            std::iter::from_fn(move || {
+                let span = snapshot.spans.iter().find(|s| s.id == id)?;
+                id = span.parent;
+                Some(span)
+            })
+        };
+        let (mut monte_carlo, mut opera) = (0, 0);
+        for span in snapshot
+            .spans
+            .iter()
+            .filter(|s| s.name == "cholesky.numeric")
+        {
+            if !ancestors(span.parent).any(|a| a.id == root_id) {
+                continue;
+            }
+            if ancestors(span.parent).any(|a| a.name == "mc.run") {
+                monte_carlo += 1;
+            } else {
+                opera += 1;
+            }
+        }
+        (opera, monte_carlo)
+    }
+
     #[test]
     fn quick_experiment_produces_consistent_report() {
+        // The cost claim is asserted on factorisation counts, not wall
+        // clock: at 120 nodes the measured speed-up scatters around 1.
+        let _guard = opera_trace::test_guard();
+        opera_trace::reset();
+        opera_trace::enable();
+        let root = opera_trace::span("analysis.test");
         let report = run_experiment(&ExperimentConfig::quick_demo(120)).unwrap();
+        drop(root);
+        let snapshot = opera_trace::drain();
+        opera_trace::disable();
+        let (opera, monte_carlo) = numeric_factorizations(&snapshot);
+        println!(
+            "numeric factorisations: OPERA {opera}, Monte Carlo {monte_carlo}; speed-up {:.2}",
+            report.speedup
+        );
+        // Each sample factors its own `G` and companion matrix.
+        assert_eq!(monte_carlo, 2 * report.mc_samples);
+        assert!(opera < monte_carlo, "{opera} OPERA vs {monte_carlo} MC");
+        assert!(report.speedup.is_finite() && report.speedup > 0.0);
+
         assert!(report.node_count >= 100);
         assert!(report.opera.worst_mean_drop > 0.0);
         assert!(report.opera.sigma_at_worst > 0.0);
         assert!(report.errors.avg_mean_error_percent < 1.0);
         assert!(report.opera_seconds > 0.0);
         assert!(report.monte_carlo_seconds > 0.0);
-        assert!(report.speedup > 1.0, "speedup {}", report.speedup);
         assert_eq!(report.mc_samples, 40);
         // Histograms cover the same range and contain all samples.
         assert_eq!(

@@ -13,24 +13,32 @@
 //! the installed [`Parallelism`](crate::parallel::Parallelism). Each sample
 //! draws from its own RNG stream seeded by
 //! [`sample_seed`]`(options.seed, index)`, and
-//! batches of traces are folded into the Welford accumulator *in sample
-//! order*, so the statistics are bit-identical for every thread count
-//! (serial included). Memory stays bounded: at most one batch of traces
-//! (a small multiple of the worker count) is alive at a time.
+//! every state is folded into the Welford accumulator of its (time, node)
+//! *in sample order*, so the statistics are bit-identical for every thread
+//! count (serial included). States fold as the workers produce them: no
+//! sample's full trace is kept, and with several workers a state waits
+//! only until the same time row of the samples before it has folded.
+
+use std::collections::BTreeMap;
+use std::ops::Range;
+use std::sync::Mutex;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
 
 use opera_grid::PowerGrid;
-use opera_sparse::{MatrixFactor, SolveWorkspace, SymbolicCholesky};
+use opera_simd::scalar::LOCKSTEP_LANES;
+use opera_sparse::{
+    CholeskyFactor, CholeskyGroup, CsrMatrix, MatrixFactor, Panel, SolveWorkspace, SymbolicCholesky,
+};
 use opera_variation::{LeakageModel, StochasticGridModel};
 
 use crate::parallel::sample_seed;
-use crate::solver::DirectPrepared;
+use crate::solver::{check_scheme, DirectPrepared, PreparedSolver};
 use crate::transient::{
-    analyze_companion_pattern, integrate_fixed_step, rescale_around_anchor, CompanionSystem,
-    TransientOptions,
+    analyze_companion_pattern, assert_same_columns, integrate_fixed_step, rescale_around_anchor,
+    CompanionFamily, CompanionSystem, IntegrationMethod, StepRhs, TransientOptions,
 };
 use crate::{OperaError, Result};
 
@@ -135,39 +143,78 @@ impl MonteCarloResult {
     }
 }
 
-/// Welford accumulator over vectors indexed by (time, node).
-struct WelfordGrid {
-    count: usize,
+/// Welford statistics over (time, node), fed one state at a time from any
+/// worker. Row `k` of sample `s` folds once row `k` of every sample before
+/// `s` has, so each accumulator sees the samples in sample order whatever
+/// the thread schedule; a state that arrives early waits in `pending`.
+struct OrderedFold {
     mean: Vec<Vec<f64>>,
     m2: Vec<Vec<f64>>,
+    /// Per time row: the next sample to fold.
+    next: Vec<usize>,
+    /// States that arrived before their predecessors, by (row, sample).
+    pending: BTreeMap<(usize, usize), Vec<f64>>,
+    probe_nodes: Vec<usize>,
+    /// `probe_traces[p][s][k]`, filled as the states arrive.
+    probe_traces: Vec<Vec<Vec<f64>>>,
+    samples: usize,
 }
 
-impl WelfordGrid {
-    fn new(times: usize, nodes: usize) -> Self {
-        WelfordGrid {
-            count: 0,
+impl OrderedFold {
+    fn new(times: usize, nodes: usize, options: &MonteCarloOptions) -> Self {
+        let probes = options.probe_nodes.len();
+        OrderedFold {
             mean: vec![vec![0.0; nodes]; times],
             m2: vec![vec![0.0; nodes]; times],
+            next: vec![0; times],
+            pending: BTreeMap::new(),
+            probe_nodes: options.probe_nodes.clone(),
+            probe_traces: vec![vec![vec![0.0; times]; options.samples]; probes],
+            samples: options.samples,
         }
     }
 
-    fn update(&mut self, sample: &[Vec<f64>]) {
-        self.count += 1;
-        let c = self.count as f64;
-        let backend = opera_simd::active();
-        for (k, row) in sample.iter().enumerate() {
-            opera_simd::welford_update(&mut self.mean[k], &mut self.m2[k], row, c, backend);
+    /// Takes the state of `sample` at time row `k`.
+    fn push(&mut self, k: usize, sample: usize, state: &[f64]) {
+        for (traces, &node) in self.probe_traces.iter_mut().zip(&self.probe_nodes) {
+            traces[sample][k] = state[node];
+        }
+        if self.next[k] != sample {
+            self.pending.insert((k, sample), state.to_vec());
+            return;
+        }
+        self.fold(k, state);
+        while let Some(state) = self.pending.remove(&(k, self.next[k])) {
+            self.fold(k, &state);
         }
     }
 
-    fn finish(self) -> (Vec<Vec<f64>>, Vec<Vec<f64>>, usize) {
-        let denom = (self.count.max(2) - 1) as f64;
+    /// One Welford step of row `k` with its next sample's state.
+    fn fold(&mut self, k: usize, state: &[f64]) {
+        self.next[k] += 1;
+        let count = self.next[k] as f64;
+        let (mean, m2) = (&mut self.mean[k], &mut self.m2[k]);
+        opera_simd::welford_update(mean, m2, state, count, opera_simd::active());
+    }
+
+    /// The statistics over `times`, once every state has folded: the
+    /// mean, the unbiased variance and the probe traces.
+    fn finish(self, times: Vec<f64>) -> MonteCarloResult {
+        debug_assert!(self.pending.is_empty() && self.next.iter().all(|&c| c == self.samples));
+        let denom = (self.samples.max(2) - 1) as f64;
         let variance = self
             .m2
             .into_iter()
             .map(|row| row.into_iter().map(|m2| m2 / denom).collect())
             .collect();
-        (self.mean, variance, self.count)
+        MonteCarloResult {
+            times,
+            mean: self.mean,
+            variance,
+            probe_nodes: self.probe_nodes,
+            probe_traces: self.probe_traces,
+            samples: self.samples,
+        }
     }
 }
 
@@ -178,6 +225,15 @@ impl WelfordGrid {
 /// against them — bit-identical to a
 /// [`solve_transient`](crate::transient::solve_transient) of its own
 /// matrices, since the ordering reads only the pattern.
+///
+/// Samples advance in lock step, `MC_PANEL_WIDTH` (= 4) per group: their
+/// companion factors share the one analysis, so a group interleaves them
+/// into one [`CholeskyGroup`] and each time step runs one lock-step solve
+/// over the shared pattern for the whole group, column `j` on sample `j`'s
+/// own `G`, `C` and factor. Each column performs exactly the single-sample
+/// arithmetic, so every sample stays bit-identical to its one-shot
+/// transient. A sample whose companion needs the counted Cholesky→LU
+/// fallback steps alone.
 ///
 /// # Errors
 ///
@@ -195,109 +251,279 @@ pub fn run(model: &StochasticGridModel, options: &MonteCarloOptions) -> Result<M
     let g_nominal = model.nominal_conductance();
     let dc_analysis = SymbolicCholesky::analyze(g_nominal)?;
     let step_analysis = analyze_companion_pattern(g_nominal, model.nominal_capacitance())?;
-    let sample_trace = |sample_index: usize| -> Result<Vec<Vec<f64>>> {
-        let mut rng = StdRng::seed_from_u64(sample_seed(options.seed, sample_index as u64));
-        let xi: Vec<f64> = families.iter().map(|f| f.sample(&mut rng)).collect();
-        let g = model.sample_conductance(&xi)?;
-        let c = model.sample_capacitance(&xi)?;
-        // Anchor the waveform scaling at the quiescent excitation of *this*
+    let run_group = |range: Range<usize>, sink: &SampleSink<'_>| -> Result<()> {
+        let first = range.start;
+        let draws: Vec<Vec<f64>> = range
+            .map(|sample_index| {
+                let mut rng = StdRng::seed_from_u64(sample_seed(options.seed, sample_index as u64));
+                families.iter().map(|f| f.sample(&mut rng)).collect()
+            })
+            .collect();
+        // Anchor the waveform scaling at the quiescent excitation of each
         // sample, so only the switching currents are rescaled.
-        let anchor = if scale != 1.0 {
-            Some(model.sample_excitation(0.0, &xi)?)
-        } else {
-            None
-        };
-        let prepared = DirectPrepared::new(
-            MatrixFactor::from_cholesky_attempt(dc_analysis.factor_numeric(&g), &g)?,
-            CompanionSystem::factored(&g, &c, h, method, Some(&step_analysis))?,
-        );
-        // The output rows are allocated up front; each step's state is
-        // copied into its row.
-        let mut voltages = vec![vec![0.0; n]; times.len()];
-        integrate_fixed_step(
-            &prepared,
-            method,
-            &times,
-            (n, 1),
-            &mut SolveWorkspace::with_capacity(n),
-            |t, u| {
-                u.data_mut()
-                    .copy_from_slice(&model.sample_excitation(t, &xi)?);
-                if let Some(u0) = &anchor {
-                    rescale_around_anchor(u.data_mut(), u0, scale);
+        let mut anchors = Vec::with_capacity(draws.len());
+        for xi in &draws {
+            anchors.push(if scale != 1.0 {
+                Some(model.sample_excitation(0.0, xi)?)
+            } else {
+                None
+            });
+        }
+        // Each companion factor is interleaved into the group as soon as it
+        // exists and then dropped, so one sample's factor is the only
+        // single factor alive at a time.
+        let mut lockstep = LockstepSamples::new(&dc_analysis, &step_analysis, method, draws.len());
+        let mut alone: Vec<(usize, DirectPrepared)> = Vec::new();
+        let mut members = Vec::with_capacity(draws.len());
+        for (j, xi) in draws.iter().enumerate() {
+            let g = model.sample_conductance(xi)?;
+            let c = model.sample_capacitance(xi)?;
+            match CompanionSystem::factored(&g, &c, h, method, Some(&step_analysis))?
+                .into_cholesky_parts()
+            {
+                Ok(parts) => {
+                    lockstep.push(parts)?;
+                    members.push(j);
                 }
-                Ok(())
-            },
-            |k, state| voltages[k].copy_from_slice(state.data()),
-        )?;
-        Ok(voltages)
+                Err(companion) => {
+                    let dc =
+                        MatrixFactor::from_cholesky_attempt(dc_analysis.factor_numeric(&g), &g)?;
+                    alone.push((j, DirectPrepared::new(dc, *companion)));
+                }
+            }
+        }
+        let lockstep_run =
+            (!members.is_empty()).then_some((members.as_slice(), &lockstep as &dyn PreparedSolver));
+        let alone_runs = alone
+            .iter()
+            .map(|(j, p)| (std::slice::from_ref(j), p as &dyn PreparedSolver));
+        for (samples, prepared) in lockstep_run.into_iter().chain(alone_runs) {
+            integrate_fixed_step(
+                prepared,
+                method,
+                &times,
+                (n, samples.len()),
+                &mut SolveWorkspace::with_capacity(n * MC_PANEL_WIDTH),
+                |t, u| {
+                    for (col, &j) in samples.iter().enumerate() {
+                        let u_j = u.col_mut(col);
+                        model.sample_excitation_into(t, &draws[j], u_j)?;
+                        if let Some(u0) = &anchors[j] {
+                            rescale_around_anchor(u_j, u0, scale);
+                        }
+                    }
+                    Ok(())
+                },
+                |k, state| {
+                    for (col, &j) in samples.iter().enumerate() {
+                        sink(k, first + j, state.col(col));
+                    }
+                },
+            )?;
+        }
+        Ok(())
     };
-    // One sample per group: every sample has its own matrices.
-    accumulate_sample_groups(options, times.clone(), n, 1, |samples| {
-        samples.map(sample_trace).collect()
-    })
+    accumulate_sample_groups(options, times.clone(), n, MC_PANEL_WIDTH, run_group)
 }
 
-/// Width of the sample panels in shared-factor Monte Carlo runs: each worker
-/// advances this many samples in lock step through one blocked panel solve
-/// per time step. The partition into groups is fixed (independent of the
-/// thread count), so statistics stay bit-identical for every setting.
-const MC_PANEL_WIDTH: usize = 4;
+/// Up to `MC_PANEL_WIDTH` inter-die samples stepped in lock step by
+/// [`run`]: column `j` of every panel is member `j`, which steps on its own
+/// `G`, `s·C` and companion factor (lane `j` of one [`CholeskyGroup`]).
+/// Each column performs exactly the arithmetic of a one-column
+/// [`DirectPrepared`] over that sample's own factors.
+struct LockstepSamples {
+    method: IntegrationMethod,
+    /// The analysis of the nominal `G` that each member's DC factor is
+    /// computed against.
+    dc_analysis: SymbolicCholesky,
+    /// Per member: `G` and `s·C`, the matrices its stage right-hand sides
+    /// read.
+    matrices: Vec<(CsrMatrix, CsrMatrix)>,
+    companions: CholeskyGroup,
+}
 
-/// Runs the per-group closure over contiguous groups of `group_width`
-/// samples on the installed `rayon` pool — one worker produces all traces of
-/// a group (e.g. by stepping them as one panel) — and folds the traces into
-/// the Welford statistics strictly in sample order. Batching keeps at most
-/// ~2 groups per worker alive, bounding memory on paper-scale grids while
-/// keeping every worker busy.
+impl LockstepSamples {
+    fn new(
+        dc_analysis: &SymbolicCholesky,
+        step_analysis: &SymbolicCholesky,
+        method: IntegrationMethod,
+        lanes: usize,
+    ) -> Self {
+        LockstepSamples {
+            method,
+            dc_analysis: dc_analysis.clone(),
+            matrices: Vec::with_capacity(lanes),
+            companions: CholeskyGroup::new(step_analysis, lanes),
+        }
+    }
+
+    /// Adds a member from a Cholesky-factored companion system's parts.
+    fn push(
+        &mut self,
+        (factor, g, c_over_h): (CholeskyFactor, CsrMatrix, CsrMatrix),
+    ) -> Result<()> {
+        self.companions.push(factor)?;
+        self.matrices.push((g, c_over_h));
+        Ok(())
+    }
+
+    /// Member `j`'s stage right-hand-side builder.
+    fn rhs(&self, j: usize) -> StepRhs<'_> {
+        let (g, c_over_h) = &self.matrices[j];
+        StepRhs {
+            c: c_over_h,
+            c_scale: 1.0,
+            g,
+        }
+    }
+}
+
+impl PreparedSolver for LockstepSamples {
+    /// Factors each member's `G` when its DC solve comes and drops the
+    /// factor after that one solve: only the companion factors stay alive
+    /// for the transient.
+    fn solve_dc_panel(&self, u0: &Panel, out: &mut Panel, ws: &mut SolveWorkspace) -> Result<()> {
+        out.data_mut().copy_from_slice(u0.data());
+        for (j, (g, _)) in self.matrices.iter().enumerate() {
+            let dc = MatrixFactor::from_cholesky_attempt(self.dc_analysis.factor_numeric(g), g)?;
+            dc.solve_columns(out.col_mut(j), ws);
+        }
+        Ok(())
+    }
+
+    fn step_panel_into(
+        &self,
+        state: &Panel,
+        u_prev: &Panel,
+        u_next: &Panel,
+        out: &mut Panel,
+        ws: &mut SolveWorkspace,
+    ) -> Result<()> {
+        check_scheme(self.method, false)?;
+        assert_same_columns(&[state, u_prev, u_next], out);
+        for j in 0..out.ncols() {
+            self.rhs(j).single_stage(
+                self.method,
+                state.col(j),
+                u_prev.col(j),
+                u_next.col(j),
+                out.col_mut(j),
+            );
+        }
+        self.companions.solve_panel(out, ws);
+        Ok(())
+    }
+
+    fn step_tr_bdf2_panel_into(
+        &self,
+        state: &Panel,
+        u_prev: &Panel,
+        u_mid: &Panel,
+        u_next: &Panel,
+        stage: &mut Panel,
+        out: &mut Panel,
+        ws: &mut SolveWorkspace,
+    ) -> Result<()> {
+        check_scheme(self.method, true)?;
+        assert_same_columns(&[state, u_prev, u_mid, u_next, stage], out);
+        for j in 0..out.ncols() {
+            self.rhs(j)
+                .trapezoidal(state.col(j), u_prev.col(j), u_mid.col(j), stage.col_mut(j));
+        }
+        self.companions.solve_panel(stage, ws);
+        for j in 0..out.ncols() {
+            self.rhs(j)
+                .bdf2(state.col(j), stage.col(j), u_next.col(j), out.col_mut(j));
+        }
+        self.companions.solve_panel(out, ws);
+        Ok(())
+    }
+
+    /// Monte Carlo samples step the run's fixed grid; no controller asks
+    /// them for an error estimate.
+    fn tr_bdf2_error_panel_into(
+        &self,
+        _states: [&Panel; 3],
+        _excitations: [&Panel; 3],
+        _err: &mut Panel,
+        _ws: &mut SolveWorkspace,
+    ) -> Result<()> {
+        Err(OperaError::InvalidOptions {
+            reason: "lock-step Monte Carlo samples take fixed steps only".to_string(),
+        })
+    }
+
+    fn companion_family(&self) -> Option<&CompanionFamily> {
+        None
+    }
+
+    fn with_time_step(&self, _time_step: f64) -> Result<Option<Box<dyn PreparedSolver>>> {
+        Ok(None)
+    }
+}
+
+/// Width of the sample groups of both Monte Carlo runs: each worker
+/// advances this many samples in lock step through one panel solve per
+/// time step (a blocked solve on the leakage run's shared factor, a
+/// lock-step [`CholeskyGroup`] solve on the inter-die samples' own
+/// factors). The partition into groups is fixed (independent of the thread
+/// count), so statistics stay bit-identical for every setting.
+const MC_PANEL_WIDTH: usize = LOCKSTEP_LANES;
+
+/// Where a sample group delivers its states: `sink(k, sample, state)` hands
+/// over the state of sample `sample` (a run-wide index) at time index `k`.
+type SampleSink<'a> = dyn Fn(usize, usize, &[f64]) + Sync + 'a;
+
+/// Runs `run_group` over contiguous groups of `group_width` samples on the
+/// installed `rayon` pool — one worker steps all samples of a group (e.g.
+/// as one panel) and hands every state to the sink as it is computed — and
+/// folds the states into the Welford statistics in sample order per time
+/// row ([`OrderedFold`]). Nothing holds a sample's full trace: in a serial
+/// run every state folds at once, and with more workers a state waits only
+/// until the same time row of the samples before it has folded. Batches of
+/// one group per worker bound how far a group can run ahead.
 fn accumulate_sample_groups(
     options: &MonteCarloOptions,
     times: Vec<f64>,
     n: usize,
     group_width: usize,
-    group_traces: impl Fn(std::ops::Range<usize>) -> Result<Vec<Vec<Vec<f64>>>> + Sync,
+    run_group: impl Fn(Range<usize>, &SampleSink<'_>) -> Result<()> + Sync,
 ) -> Result<MonteCarloResult> {
-    let mut stats = WelfordGrid::new(times.len(), n);
-    let mut probe_traces: Vec<Vec<Vec<f64>>> =
-        vec![Vec::with_capacity(options.samples); options.probe_nodes.len()];
+    let fold = Mutex::new(OrderedFold::new(times.len(), n, options));
+    let sink = |k: usize, sample: usize, state: &[f64]| {
+        let mut fold = match fold.lock() {
+            Ok(fold) => fold,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        fold.push(k, sample, state);
+    };
 
     let total_groups = options.samples.div_ceil(group_width.max(1)).max(1);
-    let batch = (rayon::current_num_threads().max(1) * 2).min(total_groups);
+    let batch = rayon::current_num_threads().clamp(1, total_groups);
     // Captured before the fan-out: worker threads attach their group spans
     // to the span that spawned the sweep, not to a thread-local root.
     let parent = opera_trace::current_span();
     let mut group = 0;
     while group < total_groups {
         let end = (group + batch).min(total_groups);
-        let results: Vec<Result<Vec<Vec<Vec<f64>>>>> = (group..end)
+        let results: Vec<Result<()>> = (group..end)
             .into_par_iter()
             .map(|g| {
                 let start = g * group_width;
                 let stop = (start + group_width).min(options.samples);
                 let _span = opera_trace::span_under(parent, "mc.sample_group");
                 opera_trace::count("mc.samples", (stop - start) as u64);
-                group_traces(start..stop)
+                run_group(start..stop, &sink)
             })
             .collect();
-        for group_result in results {
-            for voltages in group_result? {
-                stats.update(&voltages);
-                for (p, &node) in options.probe_nodes.iter().enumerate() {
-                    probe_traces[p].push(voltages.iter().map(|row| row[node]).collect());
-                }
-            }
-        }
+        results.into_iter().collect::<Result<()>>()?;
         group = end;
     }
-    let (mean, variance, samples) = stats.finish();
-    Ok(MonteCarloResult {
-        times,
-        mean,
-        variance,
-        probe_nodes: options.probe_nodes.clone(),
-        probe_traces,
-        samples,
-    })
+    let fold = match fold.into_inner() {
+        Ok(fold) => fold,
+        Err(poisoned) => poisoned.into_inner(),
+    };
+    Ok(fold.finish(times))
 }
 
 /// Runs the Monte Carlo baseline for the RHS-only leakage variation of the
@@ -340,7 +566,8 @@ pub fn run_leakage(
     // leakage differs — so each group evaluates it once per time point.
     let anchor = (scale != 1.0).then(|| grid.excitation(0.0));
 
-    accumulate_sample_groups(options, times.clone(), n, MC_PANEL_WIDTH, |range| {
+    accumulate_sample_groups(options, times.clone(), n, MC_PANEL_WIDTH, |range, sink| {
+        let first = range.start;
         // Per-sample leakage draws, from each sample's own RNG stream.
         let leaks: Vec<Vec<f64>> = range
             .map(|sample_index| {
@@ -353,9 +580,7 @@ pub fn run_leakage(
 
         // Shared-factor panel transient (the factors are shared across
         // groups *and* threads; they are only read). One workspace per
-        // group: the steady-state loop allocates only its output traces.
-        let mut traces: Vec<Vec<Vec<f64>>> =
-            (0..w).map(|_| Vec::with_capacity(times.len())).collect();
+        // group: the steady-state loop allocates nothing.
         integrate_fixed_step(
             &prepared,
             method,
@@ -374,13 +599,12 @@ pub fn run_leakage(
                 }
                 Ok(())
             },
-            |_, state| {
-                for (series, col) in traces.iter_mut().zip(state.columns()) {
-                    series.push(col.to_vec());
+            |k, state| {
+                for (j, col) in state.columns().enumerate() {
+                    sink(k, first + j, col);
                 }
             },
-        )?;
-        Ok(traces)
+        )
     })
 }
 

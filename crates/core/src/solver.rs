@@ -186,7 +186,7 @@ pub trait PreparedSolver: Send + Sync {
 
 /// Rejects a step call (TR-BDF2 or single-stage) that does not match the
 /// scheme the backend was prepared for.
-fn check_scheme(prepared: IntegrationMethod, tr_bdf2_call: bool) -> Result<()> {
+pub(crate) fn check_scheme(prepared: IntegrationMethod, tr_bdf2_call: bool) -> Result<()> {
     if (prepared == IntegrationMethod::TrBdf2) == tr_bdf2_call {
         return Ok(());
     }

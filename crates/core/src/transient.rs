@@ -12,7 +12,9 @@
 
 use std::sync::{Arc, Mutex};
 
-use opera_sparse::{CsrMatrix, MatrixFactor, Panel, SolveWorkspace, SymbolicCholesky};
+use opera_sparse::{
+    CholeskyFactor, CsrMatrix, MatrixFactor, Panel, SolveWorkspace, SymbolicCholesky,
+};
 use opera_trace::Counter;
 
 use crate::solver::{DirectPrepared, PreparedSolver};
@@ -301,6 +303,18 @@ impl CompanionSystem {
             method,
             h: time_step,
         })
+    }
+
+    /// Splits a Cholesky-factored system into its factor and the matrices
+    /// its stage right-hand sides read, `G` and `s·C`; a system on the LU
+    /// fallback comes back unchanged as the error.
+    pub(crate) fn into_cholesky_parts(
+        self,
+    ) -> std::result::Result<(CholeskyFactor, CsrMatrix, CsrMatrix), Box<Self>> {
+        match self.factor {
+            MatrixFactor::Cholesky(factor) => Ok((factor, self.g, self.c_over_h)),
+            factor => Err(Box::new(CompanionSystem { factor, ..self })),
+        }
     }
 
     /// Time step the companion matrix was built for.

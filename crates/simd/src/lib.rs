@@ -574,6 +574,62 @@ mod tests {
     }
 
     #[test]
+    fn lockstep_lanes_match_single_factor_solves_bit_for_bit() {
+        // Lane `c` of the lockstep kernels steps factor `c`; the reference
+        // solves that factor alone, its right-hand side in lane 0 of an
+        // interleaved strip (whose lanes each run the single-column scalar
+        // operations).
+        for n in [1usize, 2, 5, 13, 40] {
+            let (indptr, indices, base) = lower_factor(n);
+            for lanes in 1..=scalar::LOCKSTEP_LANES {
+                let factors: Vec<Vec<f64>> = (0..lanes)
+                    .map(|c| base.iter().map(|v| v * (1.0 + 0.125 * c as f64)).collect())
+                    .collect();
+                let rhs: Vec<Vec<f64>> = (0..lanes).map(|c| vals(n, 30.0 + c as f64)).collect();
+                let mut data = vec![0.0; base.len() * lanes];
+                for (c, f) in factors.iter().enumerate() {
+                    for (p, &v) in f.iter().enumerate() {
+                        data[p * lanes + c] = v;
+                    }
+                }
+                let mut fwd = vec![0.0; n * lanes];
+                for (c, b) in rhs.iter().enumerate() {
+                    for (j, &v) in b.iter().enumerate() {
+                        fwd[j * lanes + c] = v;
+                    }
+                }
+                let mut bwd = fwd.clone();
+                scalar::lower_solve_lockstep(&indptr, &indptr, &indices, &data, lanes, n, &mut fwd);
+                scalar::lower_transpose_solve_lockstep(
+                    &indptr, &indptr, &indices, &data, lanes, n, &mut bwd,
+                );
+                for (c, (f, b)) in factors.iter().zip(&rhs).enumerate() {
+                    let mut strip = vec![0.0; n * LANES];
+                    for (j, &v) in b.iter().enumerate() {
+                        strip[j * LANES] = v;
+                    }
+                    let mut strip_t = strip.clone();
+                    scalar::lower_solve_interleaved(&indptr, &indptr, &indices, f, n, &mut strip);
+                    scalar::lower_transpose_solve_interleaved(
+                        &indptr,
+                        &indptr,
+                        &indices,
+                        f,
+                        n,
+                        &mut strip_t,
+                    );
+                    for j in 0..n {
+                        let (got, want) = (fwd[j * lanes + c], strip[j * LANES]);
+                        assert_eq!(got.to_bits(), want.to_bits(), "L n={n} K={lanes} c={c}");
+                        let (got, want) = (bwd[j * lanes + c], strip_t[j * LANES]);
+                        assert_eq!(got.to_bits(), want.to_bits(), "Lᵀ n={n} K={lanes} c={c}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn set_active_rejects_unavailable_backends_only() {
         assert_eq!(set_active(Backend::Scalar), Ok(Backend::Scalar));
         assert_eq!(active(), Backend::Scalar);

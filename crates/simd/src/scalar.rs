@@ -181,6 +181,140 @@ pub fn lower_transpose_solve_interleaved(
     }
 }
 
+/// Most factors [`lower_solve_lockstep`] and
+/// [`lower_transpose_solve_lockstep`] step at once.
+pub const LOCKSTEP_LANES: usize = 4;
+
+/// Forward substitution `L_c·x_c = b_c` for `lanes` factors `L_c` that share
+/// one pattern, in lock step. `x` is row-major `n × lanes`: lane `c` of row
+/// `j` is unknown `j` of right-hand side `c`. The values are interleaved
+/// the same way: lane `c` of stored entry `p` (`data[p·lanes + c]`) is
+/// factor `c`'s value, and the pattern follows the `indptr`/`rowptr`/
+/// `indices` convention of [`crate::lower_solve_interleaved`], diagonal
+/// first. Per stored entry the kernel runs `lanes` independent recurrences,
+/// and each lane performs exactly the single-column scalar solve's
+/// operations in its order, so lane `c` is bit-identical to solving factor
+/// `c` alone.
+///
+/// # Panics
+///
+/// Panics unless `1 ≤ lanes ≤ LOCKSTEP_LANES`, on shape mismatch, or on a
+/// missing diagonal entry.
+pub fn lower_solve_lockstep(
+    indptr: &[usize],
+    rowptr: &[usize],
+    indices: &[usize],
+    data: &[f64],
+    lanes: usize,
+    n: usize,
+    x: &mut [f64],
+) {
+    match lanes {
+        1 => lower_lockstep::<1>(indptr, rowptr, indices, data, n, x),
+        2 => lower_lockstep::<2>(indptr, rowptr, indices, data, n, x),
+        3 => lower_lockstep::<3>(indptr, rowptr, indices, data, n, x),
+        _ => {
+            assert_eq!(lanes, LOCKSTEP_LANES, "lockstep width must be 1..=4");
+            lower_lockstep::<LOCKSTEP_LANES>(indptr, rowptr, indices, data, n, x)
+        }
+    }
+}
+
+/// Backward substitution `L_cᵀ·x_c = b_c` in lock step (same layout and
+/// factor convention as [`lower_solve_lockstep`]). Each lane's accumulation
+/// is its own dependent chain, so `lanes` chains advance per stored entry
+/// where a single-column solve advances one.
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`lower_solve_lockstep`].
+pub fn lower_transpose_solve_lockstep(
+    indptr: &[usize],
+    rowptr: &[usize],
+    indices: &[usize],
+    data: &[f64],
+    lanes: usize,
+    n: usize,
+    x: &mut [f64],
+) {
+    match lanes {
+        1 => lower_transpose_lockstep::<1>(indptr, rowptr, indices, data, n, x),
+        2 => lower_transpose_lockstep::<2>(indptr, rowptr, indices, data, n, x),
+        3 => lower_transpose_lockstep::<3>(indptr, rowptr, indices, data, n, x),
+        _ => {
+            assert_eq!(lanes, LOCKSTEP_LANES, "lockstep width must be 1..=4");
+            lower_transpose_lockstep::<LOCKSTEP_LANES>(indptr, rowptr, indices, data, n, x)
+        }
+    }
+}
+
+fn lower_lockstep<const K: usize>(
+    indptr: &[usize],
+    rowptr: &[usize],
+    indices: &[usize],
+    data: &[f64],
+    n: usize,
+    x: &mut [f64],
+) {
+    assert_eq!(x.len(), n * K, "lockstep strip length mismatch");
+    assert_eq!(data.len(), indptr[n] * K, "lockstep value length mismatch");
+    let (x, _) = x.as_chunks_mut::<K>();
+    let (data, _) = data.as_chunks::<K>();
+    for j in 0..n {
+        let (start, end, r0) = (indptr[j], indptr[j + 1], rowptr[j]);
+        assert!(
+            start < end && indices[r0] == j,
+            "missing diagonal entry in lower triangular column {j}"
+        );
+        let d = &data[start];
+        let xj = &mut x[j];
+        for c in 0..K {
+            xj[c] /= d[c];
+        }
+        let xr = *xj;
+        let rows = &indices[r0 + 1..r0 + end - start];
+        for (&i, v) in rows.iter().zip(&data[start + 1..end]) {
+            let row = &mut x[i];
+            for c in 0..K {
+                row[c] -= v[c] * xr[c];
+            }
+        }
+    }
+}
+
+fn lower_transpose_lockstep<const K: usize>(
+    indptr: &[usize],
+    rowptr: &[usize],
+    indices: &[usize],
+    data: &[f64],
+    n: usize,
+    x: &mut [f64],
+) {
+    assert_eq!(x.len(), n * K, "lockstep strip length mismatch");
+    assert_eq!(data.len(), indptr[n] * K, "lockstep value length mismatch");
+    let (x, _) = x.as_chunks_mut::<K>();
+    let (data, _) = data.as_chunks::<K>();
+    for j in (0..n).rev() {
+        let (start, end, r0) = (indptr[j], indptr[j + 1], rowptr[j]);
+        assert!(
+            start < end && indices[r0] == j,
+            "missing diagonal entry in lower triangular column {j}"
+        );
+        let mut acc = x[j];
+        let rows = &indices[r0 + 1..r0 + end - start];
+        for (&i, v) in rows.iter().zip(&data[start + 1..end]) {
+            let row = &x[i];
+            for c in 0..K {
+                acc[c] -= v[c] * row[c];
+            }
+        }
+        let d = &data[start];
+        for c in 0..K {
+            x[j][c] = acc[c] / d[c];
+        }
+    }
+}
+
 /// Backward substitution `U·X = B` on an interleaved strip, diagonal last
 /// per CSC column (see [`crate::upper_solve_interleaved`]).
 ///

@@ -20,6 +20,7 @@ use crate::{
     column_counts, elimination_tree, ordering, CscMatrix, CsrMatrix, Panel, Permutation, Result,
     SolveWorkspace, SparseError,
 };
+use opera_simd::scalar::{lower_solve_lockstep, lower_transpose_solve_lockstep, LOCKSTEP_LANES};
 
 /// Fill-reducing ordering strategy used before factorisation.
 ///
@@ -115,11 +116,19 @@ struct Analysis {
     rowptr: Vec<usize>,
     /// Explicit zeros amalgamation added to the exact pattern of `L`.
     padded_nnz: usize,
-    /// Pattern (CSC `indptr`/`indices`) of the analysed *permuted* matrix,
-    /// kept so later numeric factorisations can verify containment.
-    pattern_indptr: Vec<usize>,
-    pattern_indices: Vec<usize>,
+    /// The scatter map: the analysed pattern in the *input* ordering, as CSR
+    /// rows (`input_indptr`/`input_indices`, one-sided entries mirrored),
+    /// and for each of its entries the position in `L`'s values that the
+    /// numeric phase starts from (`input_slots`; [`UPPER`] for an entry that
+    /// permutes into the upper triangle, which the numeric phase never
+    /// reads). Built once per analysis.
+    input_indptr: Vec<usize>,
+    input_indices: Vec<usize>,
+    input_slots: Vec<usize>,
 }
+
+/// Scatter-map slot of an input entry that lands above the diagonal.
+const UPPER: usize = usize::MAX;
 
 impl SymbolicCholesky {
     /// Analyses the pattern of a symmetric matrix with the default
@@ -171,17 +180,9 @@ impl SymbolicCholesky {
     /// # Errors
     ///
     /// Same as [`SymbolicCholesky::analyze`].
-    pub fn analyze_with(a: &CsrMatrix, ordering_choice: OrderingChoice) -> Result<Self> {
-        Ok(Self::analyze_permuted(a, ordering_choice)?.0)
-    }
-
-    /// The analysis plus the permuted matrix it was computed from
-    /// (re-permuted if the postorder relabelling below applied), so
-    /// [`CholeskyFactor::factor_with`] factors exactly the analysed matrix
-    /// without permuting `a` a second time.
-    fn analyze_permuted(a: &CsrMatrix, ordering: OrderingChoice) -> Result<(Self, CscMatrix)> {
+    pub fn analyze_with(a: &CsrMatrix, ordering: OrderingChoice) -> Result<Self> {
         let _span = opera_trace::span("cholesky.analyze");
-        let (mut a_perm, mut perm) = permute_for_cholesky(a, ordering)?;
+        let (input, mut a_perm, mut perm) = permute_for_cholesky(a, ordering)?;
         let _symbolic_span = opera_trace::span("cholesky.symbolic");
         let n = a_perm.ncols();
         let mut parent = elimination_tree(&a_perm);
@@ -227,6 +228,7 @@ impl SymbolicCholesky {
         );
         let (l_indptr, rowptr) = column_layout(&snodes, &snode_rowptr);
         let padded_nnz = l_indptr[n] - exact_indptr[n];
+        let input_slots = scatter_slots(&input, &perm, &l_indptr, &rowptr, &snode_rows)?;
         opera_trace::count("cholesky.symbolic_analyses", 1);
         opera_trace::count("cholesky.supernodes", snodes.count() as u64);
         opera_trace::gauge_set("cholesky.nnz_l", l_indptr[n] as f64);
@@ -249,8 +251,9 @@ impl SymbolicCholesky {
             snode_rows,
             rowptr,
             padded_nnz,
-            pattern_indptr: a_perm.indptr().to_vec(),
-            pattern_indices: a_perm.indices().to_vec(),
+            input_indptr: input.indptr().to_vec(),
+            input_indices: input.indices().to_vec(),
+            input_slots,
         };
         #[cfg(feature = "strict-invariants")]
         {
@@ -262,10 +265,9 @@ impl SymbolicCholesky {
                 &analysis.l_indptr,
             )?;
         }
-        let symbolic = SymbolicCholesky {
+        Ok(SymbolicCholesky {
             analysis: Arc::new(analysis),
-        };
-        Ok((symbolic, a_perm))
+        })
     }
 
     /// Dimension of the analysed matrix.
@@ -324,6 +326,12 @@ impl SymbolicCholesky {
     /// factor is bit-identical to [`CholeskyFactor::factor_with`] under the
     /// same ordering choice: the ordering reads only the pattern.
     ///
+    /// The values go straight into `L`'s storage through the analysis's
+    /// scatter map: each CSR row of `a` is walked against the analysed row,
+    /// which is also the entry-by-entry containment check, and each value
+    /// lands in the slot the analysis computed for it. Nothing is
+    /// transposed, permuted or sorted per call.
+    ///
     /// # Errors
     ///
     /// Returns [`SparseError::DimensionMismatch`] for a shape mismatch,
@@ -340,27 +348,54 @@ impl SymbolicCholesky {
             });
         }
         check_symmetric(a)?;
-        let a_perm = a.to_csc().permute_symmetric(self.permutation())?;
-        // Entry by entry: a count-based check is not enough, since a matrix
-        // that drops one entry and gains another has the same nnz but would
-        // silently corrupt the factorisation.
-        check_pattern_contained(
-            &a_perm,
-            &self.analysis.pattern_indptr,
-            &self.analysis.pattern_indices,
-        )?;
-        self.numeric(&a_perm)
+        self.numeric(self.scatter(a)?)
     }
 
-    /// Supernodal numeric phase on the permuted matrix: value-only
-    /// dense-panel work over the shared pattern (see [`crate::Supernodes`]).
-    fn numeric(&self, a_perm: &CscMatrix) -> Result<CholeskyFactor> {
+    /// `L`'s value array holding `a`'s values where the numeric phase
+    /// starts from them (the lower triangle of the permuted matrix, zeros
+    /// elsewhere): each CSR row of `a` is walked against the analysed row,
+    /// which is the entry-by-entry containment check, and each value lands
+    /// in its scatter-map slot.
+    fn scatter(&self, a: &CsrMatrix) -> Result<Vec<f64>> {
+        let an = &*self.analysis;
         let mut l_data = vec![0.0; self.nnz_l()];
+        for i in 0..an.n {
+            let (lo, hi) = (an.input_indptr[i], an.input_indptr[i + 1]);
+            let reference = &an.input_indices[lo..hi];
+            let slots = &an.input_slots[lo..hi];
+            let mut r = 0usize;
+            let (cols, vals) = a.row(i);
+            // Entry by entry: a count-based check is not enough, since a
+            // matrix that drops one entry and gains another has the same nnz
+            // but would silently corrupt the factorisation.
+            for (&j, &v) in cols.iter().zip(vals) {
+                while r < reference.len() && reference[r] < j {
+                    r += 1;
+                }
+                if r == reference.len() || reference[r] != j {
+                    return Err(SparseError::InvalidStructure {
+                        reason: format!(
+                            "entry ({i}, {j}) lies outside the analysed sparsity pattern; \
+                             numeric refactorisation requires the same (or a sub-) pattern"
+                        ),
+                    });
+                }
+                if slots[r] != UPPER {
+                    l_data[slots[r]] = v;
+                }
+            }
+        }
+        Ok(l_data)
+    }
+
+    /// Supernodal numeric phase, in place on `L`'s value array as
+    /// [`SymbolicCholesky::scatter`] fills it: value-only dense-panel work
+    /// over the shared pattern (see [`crate::Supernodes`]).
+    fn numeric(&self, mut l_data: Vec<f64>) -> Result<CholeskyFactor> {
         let _span = opera_trace::span("cholesky.numeric");
         opera_trace::count("cholesky.numeric_factorizations", 1);
         let a = &*self.analysis;
         factor_supernodal(
-            a_perm,
             &a.snodes,
             &a.l_indptr,
             &a.snode_rowptr,
@@ -399,11 +434,13 @@ fn is_structurally_symmetric(a: &CsrMatrix) -> bool {
 }
 
 /// Front end of the analysis: symmetry and shape checks, ordering selection
-/// and the symmetric permutation.
+/// and the symmetric permutation. Returns the input with its one-sided
+/// entries mirrored (in CSC, whose columns are then also its CSR rows), the
+/// permuted matrix and the permutation.
 fn permute_for_cholesky(
     a: &CsrMatrix,
     ordering_choice: OrderingChoice,
-) -> Result<(CscMatrix, Permutation)> {
+) -> Result<(CscMatrix, CscMatrix, Permutation)> {
     let _span = opera_trace::span("cholesky.ordering");
     if a.nrows() != a.ncols() {
         return Err(SparseError::NotSquare {
@@ -430,32 +467,51 @@ fn permute_for_cholesky(
         OrderingChoice::ApproximateMinimumDegree => ordering::approximate_minimum_degree(&a_csc),
     };
     let a_perm = a_csc.permute_symmetric(&perm)?;
-    Ok((a_perm, perm))
+    Ok((a_csc, a_perm, perm))
 }
 
-/// Verifies, column by column, that every entry of `sub` lies at a position
-/// stored in the reference pattern (`indptr`/`indices` of a CSC matrix of the
-/// same shape). Both index lists are sorted, so a two-pointer sweep suffices.
-fn check_pattern_contained(sub: &CscMatrix, indptr: &[usize], indices: &[usize]) -> Result<()> {
-    for j in 0..sub.ncols() {
-        let (rows, _) = sub.col(j);
-        let reference = &indices[indptr[j]..indptr[j + 1]];
-        let mut r = 0usize;
-        for &i in rows {
-            while r < reference.len() && reference[r] < i {
-                r += 1;
+/// The scatter map of an analysis: for each entry `(i, j)` of the
+/// structurally symmetric `input`, in CSR order (row `i` of the pattern is
+/// column `i` of its CSC form), the position in `L`'s values of the
+/// permuted entry `(inv[i], inv[j])`, or [`UPPER`] when that lies above the
+/// diagonal. `L`'s pattern contains the permuted matrix's lower triangle,
+/// so every other entry has a slot.
+///
+/// The sweep runs down the columns `j`, so every entry it meets lands in
+/// the one column `inv[j]` of `L`, whose row list stays in cache; a cursor
+/// per row hands out the CSR positions, since row `i` meets its columns in
+/// ascending order.
+fn scatter_slots(
+    input: &CscMatrix,
+    perm: &Permutation,
+    l_indptr: &[usize],
+    rowptr: &[usize],
+    snode_rows: &[usize],
+) -> Result<Vec<usize>> {
+    let inv = perm.inverse_slice();
+    let mut slots = vec![UPPER; input.nnz()];
+    let mut cursor = input.indptr()[..input.ncols()].to_vec();
+    for j in 0..input.ncols() {
+        let col = inv[j];
+        let (start, len) = (l_indptr[col], l_indptr[col + 1] - l_indptr[col]);
+        let pattern = &snode_rows[rowptr[col]..rowptr[col] + len];
+        for &i in input.col(j).0 {
+            let q = cursor[i];
+            cursor[i] += 1;
+            let row = inv[i];
+            if row < col {
+                continue;
             }
-            if r == reference.len() || reference[r] != i {
-                return Err(SparseError::InvalidStructure {
-                    reason: format!(
-                        "entry ({i}, {j}) lies outside the analysed sparsity pattern; \
-                         numeric refactorisation requires the same (or a sub-) pattern"
-                    ),
-                });
-            }
+            let offset =
+                pattern
+                    .binary_search(&row)
+                    .map_err(|_| SparseError::InvalidStructure {
+                        reason: format!("entry ({i}, {j}) is missing from the pattern of L"),
+                    })?;
+            slots[q] = start + offset;
         }
     }
-    Ok(())
+    Ok(slots)
 }
 
 /// A sparse Cholesky factorisation `P·A·Pᵀ = L·Lᵀ` of a symmetric positive
@@ -510,15 +566,15 @@ impl CholeskyFactor {
     }
 
     /// Factors with an explicit ordering choice: a fresh analysis, then the
-    /// numeric phase of [`SymbolicCholesky::factor_numeric`] on the matrix
-    /// the analysis already permuted.
+    /// numeric phase of [`SymbolicCholesky::factor_numeric`] (whose symmetry
+    /// check the analysis already ran).
     ///
     /// # Errors
     ///
     /// Same as [`CholeskyFactor::factor`].
     pub fn factor_with(a: &CsrMatrix, ordering_choice: OrderingChoice) -> Result<Self> {
-        let (symbolic, a_perm) = SymbolicCholesky::analyze_permuted(a, ordering_choice)?;
-        symbolic.numeric(&a_perm)
+        let symbolic = SymbolicCholesky::analyze_with(a, ordering_choice)?;
+        symbolic.numeric(symbolic.scatter(a)?)
     }
 
     /// Dimension of the factored matrix.
@@ -636,6 +692,152 @@ impl CholeskyFactor {
         for (y_col, b_col) in y.chunks_exact(n).zip(b.chunks_exact_mut(n)) {
             for (yi, &p) in y_col.iter().zip(perm) {
                 b_col[p] = *yi;
+            }
+        }
+    }
+}
+
+/// Up to [`LOCKSTEP_LANES`] numeric factors of **one** [`SymbolicCholesky`]
+/// analysis, stepped in lock step: their values are interleaved lane by
+/// lane (`data[p·lanes + c]` is member `c`'s value of stored entry `p`), so
+/// one sweep over the shared pattern advances every member's solve.
+///
+/// A single-column triangular solve is one serial chain of dependent
+/// subtractions; the members' chains are independent, so a group solve
+/// keeps several in flight per stored entry. Each member's column is
+/// bit-identical to [`CholeskyFactor::solve_in_place`] with that member's
+/// factor. Members are added with [`CholeskyGroup::push`], which copies the
+/// values in and drops the factor, so each member's values exist once.
+///
+/// # Example
+///
+/// ```
+/// use opera_sparse::{CholeskyGroup, Panel, SolveWorkspace, SymbolicCholesky, TripletMatrix};
+///
+/// # fn main() -> Result<(), opera_sparse::SparseError> {
+/// let mut t = TripletMatrix::new(3, 3);
+/// for i in 0..3 {
+///     t.push(i, i, 3.0);
+/// }
+/// t.add_symmetric_pair(0, 1, 1.0);
+/// let a = t.to_csr();
+/// let symbolic = SymbolicCholesky::analyze(&a)?;
+/// let mut group = CholeskyGroup::new(&symbolic, 2);
+/// group.push(symbolic.factor_numeric(&a)?)?;
+/// group.push(symbolic.factor_numeric(&a.scaled(2.0))?)?;
+/// let b = vec![1.0, 0.0, -1.0];
+/// let mut x = Panel::from_columns(&[b.clone(), b.clone()]);
+/// group.solve_panel(&mut x, &mut SolveWorkspace::new());
+/// assert_eq!(x.col(0), &symbolic.factor_numeric(&a)?.solve(&b)[..]);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct CholeskyGroup {
+    symbolic: SymbolicCholesky,
+    /// Lane count (the interleave stride).
+    lanes: usize,
+    /// Members pushed so far: lanes `0..members`.
+    members: usize,
+    /// Interleaved values; lanes without a member hold the identity.
+    data: Vec<f64>,
+}
+
+impl CholeskyGroup {
+    /// An empty group of `lanes` lanes over `symbolic`. Until a member
+    /// fills it, a lane holds the identity factor.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 ≤ lanes ≤ LOCKSTEP_LANES`.
+    pub fn new(symbolic: &SymbolicCholesky, lanes: usize) -> Self {
+        assert!(
+            (1..=LOCKSTEP_LANES).contains(&lanes),
+            "a Cholesky group has 1..={LOCKSTEP_LANES} lanes, got {lanes}"
+        );
+        let a = &symbolic.analysis;
+        let mut data = vec![0.0; a.l_indptr[a.n] * lanes];
+        for &p in &a.l_indptr[..a.n] {
+            data[p * lanes..(p + 1) * lanes].fill(1.0);
+        }
+        CholeskyGroup {
+            symbolic: symbolic.clone(),
+            lanes,
+            members: 0,
+            data,
+        }
+    }
+
+    /// Number of members pushed so far.
+    pub fn len(&self) -> usize {
+        self.members
+    }
+
+    /// Whether no member has been pushed yet.
+    pub fn is_empty(&self) -> bool {
+        self.members == 0
+    }
+
+    /// Adds `factor` as the next member: its values are interleaved into
+    /// the next free lane and the factor itself is dropped.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SparseError::InvalidStructure`] if `factor` was computed
+    /// against another analysis (even one of an equal pattern: the group
+    /// checks identity, not equality) or the group is full.
+    pub fn push(&mut self, factor: CholeskyFactor) -> Result<()> {
+        if !Arc::ptr_eq(&factor.symbolic.analysis, &self.symbolic.analysis) {
+            return Err(SparseError::InvalidStructure {
+                reason: "a Cholesky group holds factors of one symbolic analysis only".to_string(),
+            });
+        }
+        if self.members == self.lanes {
+            return Err(SparseError::InvalidStructure {
+                reason: format!("the Cholesky group is full ({} lanes)", self.lanes),
+            });
+        }
+        let (k, c) = (self.lanes, self.members);
+        for (slot, &v) in self.data.iter_mut().skip(c).step_by(k).zip(&factor.l_data) {
+            *slot = v;
+        }
+        self.members += 1;
+        Ok(())
+    }
+
+    /// Solves member `j`'s system for column `j` of `b`, every member in
+    /// one lock-step sweep: the permutation gather is fused into the pack
+    /// into the interleaved scratch (borrowed from `ws`), both triangular
+    /// solves run on it, and the scatter back is fused into the unpack.
+    /// Column `j` is bit-identical to [`CholeskyFactor::solve_in_place`]
+    /// with member `j`'s factor. Zero heap allocations once `ws` is warm.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `b` has one column per member and the analysed row
+    /// count.
+    pub fn solve_panel(&self, b: &mut Panel, ws: &mut SolveWorkspace) {
+        let a = &*self.symbolic.analysis;
+        let (n, k, w) = (a.n, self.lanes, self.members);
+        assert_eq!(b.nrows(), n, "panel row count mismatch");
+        assert_eq!(b.ncols(), w, "one panel column per group member");
+        if n == 0 {
+            return;
+        }
+        let perm = a.perm.as_slice();
+        let x = ws.scratch(n * k);
+        let cols = b.data_mut();
+        for (row, &p) in x.chunks_exact_mut(k).zip(perm) {
+            for (c, slot) in row.iter_mut().enumerate() {
+                *slot = if c < w { cols[c * n + p] } else { 0.0 };
+            }
+        }
+        let (indptr, rowptr, indices) = (&a.l_indptr, &a.rowptr, &a.snode_rows);
+        lower_solve_lockstep(indptr, rowptr, indices, &self.data, k, n, x);
+        lower_transpose_solve_lockstep(indptr, rowptr, indices, &self.data, k, n, x);
+        for (row, &p) in x.chunks_exact(k).zip(perm) {
+            for (c, &v) in row.iter().take(w).enumerate() {
+                cols[c * n + p] = v;
             }
         }
     }
@@ -816,6 +1018,122 @@ mod tests {
         assert!(matches!(
             symbolic.factor_numeric(&small),
             Err(SparseError::DimensionMismatch { .. })
+        ));
+    }
+
+    /// The numeric path before the scatter map: transpose and permute `a`,
+    /// then place the permuted lower triangle in `L`'s layout column by
+    /// column (the scatter the supernodal phase used to run itself), and
+    /// factor.
+    fn factor_numeric_by_permuting(symbolic: &SymbolicCholesky, a: &CsrMatrix) -> Vec<f64> {
+        let a_perm = a
+            .to_csc()
+            .permute_symmetric(symbolic.permutation())
+            .unwrap();
+        let an = &*symbolic.analysis;
+        let mut l_data = vec![0.0; symbolic.nnz_l()];
+        for c in 0..a_perm.ncols() {
+            let s = an.snodes.containing(c);
+            let pattern = &an.snode_rows[an.rowptr[c]..an.snode_rowptr[s + 1]];
+            let (rows, vals) = a_perm.col(c);
+            for (&r, &v) in rows.iter().zip(vals).filter(|(&r, _)| r >= c) {
+                l_data[an.l_indptr[c] + pattern.binary_search(&r).unwrap()] = v;
+            }
+        }
+        factor_supernodal(
+            &an.snodes,
+            &an.l_indptr,
+            &an.snode_rowptr,
+            &an.snode_rows,
+            &mut l_data,
+        )
+        .unwrap();
+        l_data
+    }
+
+    #[test]
+    fn scatter_map_matches_the_permuting_path_on_equal_and_sub_patterns() {
+        // A "companion" G + C (C diagonal plus one long-range coupling) and
+        // G itself, factored under the companion's analysis as collocation
+        // and Monte Carlo do.
+        let g = grid_spd(7, 6);
+        let n = g.nrows();
+        let mut t = TripletMatrix::new(n, n);
+        for i in 0..n {
+            t.push(i, i, 0.25 + (i as f64 * 0.3).sin().abs());
+        }
+        t.add_symmetric_pair(1, n - 2, 0.125);
+        let companion = g.add_scaled(&t.to_csr(), 1.0).unwrap();
+        for ord in [
+            OrderingChoice::Natural,
+            OrderingChoice::ReverseCuthillMckee,
+            OrderingChoice::ApproximateMinimumDegree,
+        ] {
+            let symbolic = SymbolicCholesky::analyze_with(&companion, ord).unwrap();
+            for a in [&companion, &g, &companion.scaled(1.5)] {
+                let scattered = symbolic.factor_numeric(a).unwrap();
+                let reference = factor_numeric_by_permuting(&symbolic, a);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&scattered.l_data), bits(&reference), "{ord:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn cholesky_group_lanes_match_member_solves_bit_for_bit() {
+        let a = grid_spd(6, 5);
+        let n = a.nrows();
+        let symbolic = SymbolicCholesky::analyze(&a).unwrap();
+        let mut ws = SolveWorkspace::new();
+        for members in 1..=LOCKSTEP_LANES {
+            for lanes in members..=LOCKSTEP_LANES {
+                let matrices: Vec<CsrMatrix> = (0..members)
+                    .map(|c| a.scaled(1.0 + 0.37 * c as f64))
+                    .collect();
+                let mut group = CholeskyGroup::new(&symbolic, lanes);
+                for m in &matrices {
+                    group.push(symbolic.factor_numeric(m).unwrap()).unwrap();
+                }
+                assert_eq!(group.len(), members);
+                let rhs: Vec<Vec<f64>> = (0..members)
+                    .map(|c| (0..n).map(|i| ((i + 3 * c) as f64 * 0.29).cos()).collect())
+                    .collect();
+                let mut panel = Panel::from_columns(&rhs);
+                group.solve_panel(&mut panel, &mut ws);
+                for (c, (m, b)) in matrices.iter().zip(&rhs).enumerate() {
+                    let mut x = b.clone();
+                    symbolic
+                        .factor_numeric(m)
+                        .unwrap()
+                        .solve_in_place(&mut x, &mut ws);
+                    assert_eq!(panel.col(c), &x[..], "member {c} of {members}/{lanes}");
+                }
+            }
+        }
+        // A warm workspace keeps the group solve allocation-free.
+        let mut group = CholeskyGroup::new(&symbolic, 1);
+        group.push(symbolic.factor_numeric(&a).unwrap()).unwrap();
+        let warm = ws.allocation_count();
+        group.solve_panel(&mut Panel::zeros(n, 1), &mut ws);
+        assert_eq!(ws.allocation_count(), warm);
+    }
+
+    #[test]
+    fn cholesky_group_rejects_foreign_factors_and_overflow() {
+        let a = grid_spd(4, 4);
+        let symbolic = SymbolicCholesky::analyze(&a).unwrap();
+        // Same pattern, same ordering, but another analysis: rejected.
+        let other = SymbolicCholesky::analyze(&a).unwrap();
+        let mut group = CholeskyGroup::new(&symbolic, 1);
+        assert!(matches!(
+            group.push(other.factor_numeric(&a).unwrap()),
+            Err(SparseError::InvalidStructure { .. })
+        ));
+        assert!(group.is_empty());
+        group.push(symbolic.factor_numeric(&a).unwrap()).unwrap();
+        assert!(matches!(
+            group.push(symbolic.factor_numeric(&a).unwrap()),
+            Err(SparseError::InvalidStructure { .. })
         ));
     }
 

@@ -71,7 +71,9 @@ pub mod cg;
 pub mod invariants;
 pub mod ordering;
 
-pub use cholesky::{cholesky_solve, CholeskyFactor, OrderingChoice, SymbolicCholesky};
+pub use cholesky::{
+    cholesky_solve, CholeskyFactor, CholeskyGroup, OrderingChoice, SymbolicCholesky,
+};
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;

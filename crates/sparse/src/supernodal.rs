@@ -333,19 +333,18 @@ pub(crate) fn column_layout(snodes: &Supernodes, rowptr: &[usize]) -> (Vec<usize
 ///
 /// Supernode `s`'s row list is `rows[rowptr[s]..rowptr[s + 1]]` (ascending,
 /// its own columns first), which column `k0 + t` reads from position `t`;
-/// `l_indptr` lays out the values, which `l_data` receives. `a_perm` is the
-/// permuted input matrix, whose pattern must be contained in the analysed
-/// pattern — exactly what [`crate::SymbolicCholesky::factor_numeric`]
-/// verifies before calling in.
+/// `l_indptr` lays out the values. `l_data` arrives holding the lower
+/// triangle of the permuted input matrix at its positions in `L` and zeros
+/// elsewhere (the analysis's scatter map puts them there) and leaves
+/// holding `L`.
 pub(crate) fn factor_supernodal(
-    a_perm: &CscMatrix,
     snodes: &Supernodes,
     l_indptr: &[usize],
     rowptr: &[usize],
     rows: &[usize],
     l_data: &mut [f64],
 ) -> Result<()> {
-    let n = a_perm.ncols();
+    let n = l_indptr.len() - 1;
     let nsuper = snodes.count();
 
     // Scratch: the widest panel determines the dense buffer; `pos` maps a
@@ -385,15 +384,11 @@ pub(crate) fn factor_supernodal(
             pos[row] = local;
         }
 
-        // Scatter the lower triangle of A's columns k0..k1 into the panel.
+        // Load the lower triangle of A's columns k0..k1 into the panel:
+        // column jj's rows jj.. are its values in `L`'s layout.
         for (jj, j) in (k0..k1).enumerate() {
-            let (rows, vals) = a_perm.col(j);
-            let col = &mut d_panel[jj * m..(jj + 1) * m];
-            for (&i, &v) in rows.iter().zip(vals) {
-                if i >= j {
-                    col[pos[i]] = v;
-                }
-            }
+            d_panel[jj * m + jj..(jj + 1) * m]
+                .copy_from_slice(&l_data[l_indptr[j]..l_indptr[j + 1]]);
         }
 
         // Apply every pending descendant update, re-queueing each descendant

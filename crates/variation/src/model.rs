@@ -415,6 +415,67 @@ impl StochasticGridModel {
         Ok(u)
     }
 
+    /// [`sample_excitation`](Self::sample_excitation) written into `out`
+    /// (e.g. one column of an excitation panel), bit-equal to it. The
+    /// source waveforms are evaluated once and the drain currents once per
+    /// call, where the allocating form evaluates them once per varying
+    /// variable too and allocates a vector per term; the pad terms come
+    /// from the model's stored pad injection.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VariationError::IndexOutOfBounds`] if `xi.len() != n_vars()`
+    /// or `out.len()` differs from the node count.
+    pub fn sample_excitation_into(&self, t: f64, xi: &[f64], out: &mut [f64]) -> Result<()> {
+        self.check_sample(xi)?;
+        if out.len() != self.node_count() {
+            return Err(VariationError::IndexOutOfBounds {
+                reason: format!(
+                    "excitation buffer has {} entries, grid has {} nodes",
+                    out.len(),
+                    self.node_count()
+                ),
+            });
+        }
+        // The nominal excitation `u_pad − i(t)`, accumulated per source as
+        // `PowerGrid::excitation` does, and the drain currents `i(t)` as
+        // `PowerGrid::drain_current_vector` sums them, from one evaluation
+        // of each waveform.
+        out.copy_from_slice(&self.pad_nominal);
+        let varies_current = xi
+            .iter()
+            .zip(&self.current_sens)
+            .any(|(&x, &sens)| x != 0.0 && sens != 0.0);
+        let mut drain = if varies_current {
+            vec![0.0; out.len()]
+        } else {
+            Vec::new()
+        };
+        for source in self.grid.sources() {
+            let value = source.waveform.value_at(t);
+            out[source.node] -= value;
+            if let Some(i_n) = drain.get_mut(source.node) {
+                *i_n += value;
+            }
+        }
+        for (d, &x) in xi.iter().enumerate() {
+            if x == 0.0 {
+                continue;
+            }
+            let sens = self.current_sens[d];
+            if sens != 0.0 {
+                for ((u_n, &pad), &i_n) in out.iter_mut().zip(&self.pad_pert[d]).zip(&drain) {
+                    *u_n += x * (pad - sens * i_n);
+                }
+            } else {
+                for (u_n, &pad) in out.iter_mut().zip(&self.pad_pert[d]) {
+                    *u_n += x * pad;
+                }
+            }
+        }
+        Ok(())
+    }
+
     fn check_sample(&self, xi: &[f64]) -> Result<()> {
         if xi.len() != self.n_vars() {
             return Err(VariationError::IndexOutOfBounds {
@@ -564,6 +625,37 @@ mod tests {
         );
         // Zero regions is rejected.
         assert!(StochasticGridModel::intra_die_slices(&grid, &spec, 0).is_err());
+    }
+
+    #[test]
+    fn sample_excitation_into_is_bit_equal_to_sample_excitation() {
+        let grid = GridSpec::small_test(150).with_seed(11).build().unwrap();
+        let spec = VariationSpec::paper_defaults();
+        let models = [
+            StochasticGridModel::inter_die(&grid, &spec).unwrap(),
+            StochasticGridModel::inter_die_three_variable(&grid, &spec).unwrap(),
+            StochasticGridModel::intra_die_slices(&grid, &spec, 3).unwrap(),
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for m in &models {
+            let mut out = vec![f64::NAN; m.node_count()];
+            for (k, t) in [0.0, 0.13e-9, 0.5e-9, 1.7e-9].into_iter().enumerate() {
+                let draws = [
+                    vec![0.0; m.n_vars()],
+                    (0..m.n_vars())
+                        .map(|d| 0.7 - 0.45 * (d + k) as f64)
+                        .collect(),
+                ];
+                for xi in &draws {
+                    m.sample_excitation_into(t, xi, &mut out).unwrap();
+                    assert_eq!(bits(&out), bits(&m.sample_excitation(t, xi).unwrap()));
+                }
+            }
+            assert!(m.sample_excitation_into(0.0, &[0.0], &mut out).is_err());
+            let mut short = vec![0.0; m.node_count() - 1];
+            let xi = vec![0.0; m.n_vars()];
+            assert!(m.sample_excitation_into(0.0, &xi, &mut short).is_err());
+        }
     }
 
     #[test]

@@ -37,22 +37,28 @@ fn quick_demo_experiment_runs_end_to_end() {
 fn parallel_monte_carlo_is_bit_identical_to_serial() {
     let grid = GridSpec::small_test(120).with_seed(33).build().unwrap();
     let model = StochasticGridModel::inter_die(&grid, &VariationSpec::paper_defaults()).unwrap();
-    let mut options = MonteCarloOptions::new(24, 9, TransientOptions::new(0.25e-9, 1.0e-9));
+    // 23 samples: five lock-step groups of four and a last group of three,
+    // so every thread count splits the groups into uneven batches.
+    let mut options = MonteCarloOptions::new(23, 9, TransientOptions::new(0.25e-9, 1.0e-9));
     options.probe_nodes = vec![0, 5];
 
     let serial = Parallelism::Serial
         .install(|| run_monte_carlo(&model, &options))
         .unwrap()
         .unwrap();
-    let parallel = Parallelism::Threads(4)
-        .install(|| run_monte_carlo(&model, &options))
-        .unwrap()
-        .unwrap();
-
-    assert_eq!(serial.mean, parallel.mean);
-    assert_eq!(serial.variance, parallel.variance);
-    assert_eq!(serial.probe_traces, parallel.probe_traces);
-    assert_eq!(serial.samples, parallel.samples);
+    for threads in [2, 3, 8] {
+        let parallel = Parallelism::Threads(threads)
+            .install(|| run_monte_carlo(&model, &options))
+            .unwrap()
+            .unwrap();
+        assert_eq!(serial.mean, parallel.mean, "{threads} threads");
+        assert_eq!(serial.variance, parallel.variance, "{threads} threads");
+        assert_eq!(
+            serial.probe_traces, parallel.probe_traces,
+            "{threads} threads"
+        );
+        assert_eq!(serial.samples, parallel.samples);
+    }
 }
 
 #[test]
@@ -63,9 +69,10 @@ fn monte_carlo_samples_are_bit_identical_to_one_shot_transients() {
         StochasticGridModel::inter_die(&grid, &spec).unwrap(),
         StochasticGridModel::inter_die_three_variable(&grid, &spec).unwrap(),
     ];
-    let samples = 5;
     let seed = 13;
-    for model in &models {
+    // One sample, one full lock-step group, a full group plus one sample
+    // stepped alone in the next group, and two full groups plus one.
+    for (model, samples) in models.iter().flat_map(|m| [1, 4, 5, 9].map(|s| (m, s))) {
         for method in [
             IntegrationMethod::BackwardEuler,
             IntegrationMethod::Trapezoidal,
@@ -102,6 +109,70 @@ fn monte_carlo_samples_are_bit_identical_to_one_shot_transients() {
             }
         }
     }
+}
+
+#[test]
+fn monte_carlo_samples_on_the_lu_fallback_step_alone_bit_identically() {
+    // With the widest admissible spread, a Gaussian tail draw of ξ_G below
+    // −1/σ_G makes `G = (1 + σ_G·ξ_G)·G_a` negative definite: that sample's
+    // Cholesky attempts fail and it steps alone on LU factors, while the
+    // rest of its group steps in lock step.
+    let grid = GridSpec::small_test(60).with_seed(7).build().unwrap();
+    let mut spec = VariationSpec::paper_defaults();
+    spec.width_3sigma = 0.59;
+    spec.thickness_3sigma = 0.59;
+    let model = StochasticGridModel::inter_die(&grid, &spec).unwrap();
+    let limit = -1.0 / spec.sigma_conductance();
+    let samples = 6;
+    let draw = |seed: u64, s: usize| -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(sample_seed(seed, s as u64));
+        model
+            .families()
+            .iter()
+            .map(|f| f.sample(&mut rng))
+            .collect()
+    };
+    // The first seed whose first lock-step group holds exactly one such
+    // sample, not in its last lane.
+    let seed = (0u64..)
+        .find(|&seed| {
+            let tails: Vec<usize> = (0..samples)
+                .filter(|&s| draw(seed, s)[0] < limit - 0.05)
+                .collect();
+            tails.len() == 1 && tails[0] < 3
+        })
+        .unwrap();
+    let topts = TransientOptions::new(0.25e-9, 0.75e-9);
+    let mut options = MonteCarloOptions::new(samples, seed, topts);
+    options.probe_nodes = (0..model.node_count()).collect();
+    let serial = run_monte_carlo(&model, &options).unwrap();
+    let parallel = Parallelism::Threads(2)
+        .install(|| run_monte_carlo(&model, &options))
+        .unwrap()
+        .unwrap();
+    assert_eq!(serial.mean, parallel.mean);
+    assert_eq!(serial.variance, parallel.variance);
+    let mut fallbacks = 0;
+    for s in 0..samples {
+        let xi = draw(seed, s);
+        let g = model.sample_conductance(&xi).unwrap();
+        let c = model.sample_capacitance(&xi).unwrap();
+        let companion = g.add_scaled(&c, 1.0 / topts.time_step).unwrap();
+        if opera_sparse::CholeskyFactor::factor(&companion).is_err() {
+            assert!(opera_sparse::CholeskyFactor::factor(&g).is_err());
+            fallbacks += 1;
+        }
+        let reference =
+            solve_transient(&g, &c, |t| model.sample_excitation(t, &xi).unwrap(), &topts).unwrap();
+        for (p, &node) in options.probe_nodes.iter().enumerate() {
+            assert_eq!(
+                serial.probe_traces[p][s],
+                reference.node_waveform(node),
+                "sample {s}, node {node} moved"
+            );
+        }
+    }
+    assert_eq!(fallbacks, 1);
 }
 
 #[test]
