@@ -12,16 +12,14 @@
 //! cargo run --release -p opera-bench --bin experiments_report
 //! ```
 
-use opera::analysis::run_experiment;
 use opera::compare::compare;
 use opera::engine::{CollocationConfig, McConfig, OperaEngine, Scenario};
 use opera::monte_carlo::{run as run_monte_carlo, run_leakage, MonteCarloOptions};
 use opera::special_case::{solve_leakage, SpecialCaseOptions};
-use opera::stochastic::{solve, OperaOptions};
 use opera::transient::TransientOptions;
 use opera_bench::{
     ascii_histogram, collocation_max_order_from_env, mc_samples_from_env, parallelism_from_env,
-    scale_from_env, table1_config, table1_header, table1_row_line,
+    run_table1_row, scale_from_env, table1_engine, table1_header, table1_row_line,
 };
 use opera_grid::GridSpec;
 use opera_netlist::{export_grid, parse};
@@ -37,7 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", table1_header());
     let mut first_report = None;
     for row in 0..7 {
-        let report = run_experiment(&table1_config(row, scale, samples, parallelism)?)?;
+        let engine = table1_engine(row, scale, samples, parallelism)?.build()?;
+        let report = run_table1_row(&engine)?;
         println!("{}", table1_row_line(&report));
         if row == 0 {
             first_report = Some(report);
@@ -91,8 +90,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             run_monte_carlo(&model, &MonteCarloOptions::new(samples, 17, transient))
         })??;
         for order in 1..=3u32 {
+            let builder = OperaEngine::for_model(model.clone())
+                .order(order)
+                .time_step(transient.time_step)
+                .end_time(transient.end_time);
             let started = std::time::Instant::now();
-            let sol = solve(&model, &OperaOptions::with_order(order, transient))?;
+            let sol = builder.build()?.solve()?;
             let secs = started.elapsed().as_secs_f64();
             let err = compare(&sol, &mc, grid.vdd());
             println!(
@@ -139,8 +142,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ------------------------------------------------ Batched scenario sweep
     println!("\n==== Experiment 5: batched scenario sweep on one OperaEngine ====");
-    let base = table1_config(0, scale, samples, parallelism)?;
-    let engine = OperaEngine::from_config(&base)?;
+    let engine = table1_engine(0, scale, samples, parallelism)?.build()?;
     println!(
         "engine: {} nodes, {} basis functions, solver {}, setup {:.2} s",
         engine.node_count(),
@@ -198,14 +200,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "col (s)",
         "MC (s)"
     );
-    let base = table1_config(0, scale, samples, parallelism)?;
     // The Monte Carlo baseline depends only on the model and transient
     // settings, not on the expansion order — run it once for the whole sweep.
     let mut mc_baseline = None;
     for order in 1..=max_order {
-        let mut config = base.clone();
-        config.order = order;
-        let engine = OperaEngine::from_config(&config)?;
+        let engine = table1_engine(0, scale, samples, parallelism)?
+            .order(order)
+            .build()?;
         if mc_baseline.is_none() {
             let started = std::time::Instant::now();
             let mc = engine.monte_carlo(&McConfig::new(samples, 29))?;

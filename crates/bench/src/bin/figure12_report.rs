@@ -8,20 +8,20 @@
 //!     cargo run --release -p opera-bench --bin figure12_report
 //! ```
 
-use opera::analysis::run_experiment;
 use opera_bench::{
-    ascii_histogram, mc_samples_from_env, parallelism_from_env, scale_from_env, table1_config,
+    ascii_histogram, mc_samples_from_env, parallelism_from_env, run_table1_row, scale_from_env,
+    table1_engine,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let scale = scale_from_env();
     let samples = mc_samples_from_env();
     // Figures 1–2 use the 19,181-node grid (Table 1 row 1).
-    let config = table1_config(0, scale, samples, parallelism_from_env()?)?;
+    let builder = table1_engine(0, scale, samples, parallelism_from_env()?)?;
     println!(
         "Figure 1/2 reproduction — grid row 1 at scale {scale}, {samples} Monte Carlo samples"
     );
-    let report = run_experiment(&config)?;
+    let report = run_table1_row(&builder.build()?)?;
     let dist = &report.distribution;
     println!(
         "probe: node {} at time index {} (worst mean drop)\n",

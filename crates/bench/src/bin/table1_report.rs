@@ -12,10 +12,9 @@
 //! cargo run --release -p opera-bench --bin table1_report -- --rows 0,1,2
 //! ```
 
-use opera::analysis::run_experiment;
 use opera_bench::{
-    mc_samples_from_env, parallelism_from_env, scale_from_env, table1_config, table1_header,
-    table1_row_line,
+    mc_samples_from_env, parallelism_from_env, run_table1_row, scale_from_env, table1_engine,
+    table1_header, table1_row_line,
 };
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -40,8 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let parallelism = parallelism_from_env()?;
     println!("{}", table1_header());
     for row in rows {
-        let config = table1_config(row, scale, samples, parallelism)?;
-        let report = run_experiment(&config)?;
+        let engine = table1_engine(row, scale, samples, parallelism)?.build()?;
+        let report = run_table1_row(&engine)?;
         println!("{}", table1_row_line(&report));
     }
     println!("\npaper reference (full scale, 1000 samples):");

@@ -23,8 +23,10 @@
 //! so the same binaries can run as quick smoke tests or as the full
 //! (hours-long) paper-scale reproduction.
 
-use opera::analysis::ExperimentConfig;
-use opera::Parallelism;
+use opera::engine::{EngineBuilder, OperaEngine, Scenario};
+use opera::response::ExperimentReport;
+use opera::{OperaError, Parallelism};
+use opera_grid::GridSpec;
 
 pub mod json;
 pub mod perf;
@@ -99,7 +101,12 @@ pub fn collocation_max_order_from_env() -> u32 {
         .unwrap_or(DEFAULT_COLLOCATION_MAX_ORDER)
 }
 
-/// The experiment configuration for one (possibly scaled) Table 1 row.
+/// The engine builder for one Table 1 row: paper grid `row` (0-based) with
+/// its node count scaled by `scale` (`1.0` keeps the paper's size). The
+/// builder's defaults already are the paper's Table 1 settings (paper
+/// variation magnitudes, order 2, h = 0.05 ns up to the waveform end, 30
+/// histogram bins); this sets the grid, the Monte Carlo sample count, the
+/// row's seed `42 + row` and the worker-thread budget.
 ///
 /// Pass [`parallelism_from_env`] to honour the `OPERA_BENCH_THREADS`
 /// setting; the environment is deliberately not read here so the function's
@@ -107,22 +114,33 @@ pub fn collocation_max_order_from_env() -> u32 {
 ///
 /// # Errors
 ///
-/// Returns [`opera::OperaError::InvalidOptions`] for rows outside the
-/// paper's seven grids.
-pub fn table1_config(
+/// Returns [`OperaError::Grid`] for rows outside the paper's seven grids and
+/// propagates grid-generation errors.
+pub fn table1_engine(
     row: usize,
     scale: f64,
     mc_samples: usize,
     parallelism: Parallelism,
-) -> Result<ExperimentConfig, opera::OperaError> {
-    let config = if (scale - 1.0).abs() < f64::EPSILON {
-        let mut config = ExperimentConfig::table1_row(row)?;
-        config.mc_samples = mc_samples;
-        config
-    } else {
-        ExperimentConfig::table1_row_scaled(row, scale, mc_samples)?
-    };
-    Ok(config.with_parallelism(parallelism))
+) -> Result<EngineBuilder, OperaError> {
+    let spec = GridSpec::paper_grid(row)?.scaled_nodes(scale);
+    Ok(OperaEngine::for_grid(spec)?
+        .mc_samples(mc_samples)
+        .mc_seed(42 + row as u64)
+        .parallelism(parallelism))
+}
+
+/// Runs the engine's baseline scenario: one row of Table 1. The report's
+/// `opera_seconds` includes the engine setup (assembly and factorisation),
+/// the paper's cost accounting for a one-shot analysis.
+///
+/// # Errors
+///
+/// Propagates solver and sampling errors.
+pub fn run_table1_row(engine: &OperaEngine) -> Result<ExperimentReport, OperaError> {
+    let mut report = engine.run_scenario(&Scenario::default())?.report;
+    report.opera_seconds += engine.setup_seconds();
+    report.speedup = report.monte_carlo_seconds / report.opera_seconds;
+    Ok(report)
 }
 
 /// Formats the header of the Table 1 reproduction.
@@ -142,7 +160,7 @@ pub fn table1_header() -> String {
 }
 
 /// Formats one row of the Table 1 reproduction from an experiment report.
-pub fn table1_row_line(report: &opera::analysis::ExperimentReport) -> String {
+pub fn table1_row_line(report: &ExperimentReport) -> String {
     format!(
         "{:>9} | {:>11.4} {:>11.4} | {:>11.2} {:>11.2} | {:>9.1} | {:>10.2} {:>10.2} | {:>8.0}",
         report.node_count,
@@ -226,14 +244,22 @@ mod tests {
     }
 
     #[test]
-    fn table1_config_honours_scale() {
-        let scaled = table1_config(0, 0.1, 50, Parallelism::Serial).unwrap();
-        assert_eq!(scaled.parallelism, Parallelism::Serial);
-        assert_eq!(scaled.mc_samples, 50);
-        assert!(scaled.grid_spec.target_nodes < 3_000);
-        let full = table1_config(0, 1.0, 1000, Parallelism::Max).unwrap();
-        assert_eq!(full.grid_spec.target_nodes, 19_181);
-        assert!(table1_config(9, 0.1, 50, Parallelism::Max).is_err());
+    fn table1_rows_bill_the_engine_setup_into_opera_seconds() {
+        assert!(table1_engine(9, 0.1, 50, Parallelism::Max).is_err());
+        let engine = table1_engine(0, 0.01, 10, Parallelism::Serial)
+            .unwrap()
+            .time_step(0.25e-9)
+            .end_time(1.0e-9)
+            .build()
+            .unwrap();
+        let report = run_table1_row(&engine).unwrap();
+        assert_eq!(report.mc_samples, 10);
+        assert!(report.node_count < 400);
+        assert!(report.opera_seconds > engine.setup_seconds());
+        assert_eq!(
+            report.speedup,
+            report.monte_carlo_seconds / report.opera_seconds
+        );
     }
 
     #[test]

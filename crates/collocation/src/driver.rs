@@ -58,7 +58,8 @@ pub fn build_grid(
 /// [`TransientSpec::time_points`] deliberately mirror `IntegrationMethod`,
 /// `CompanionSystem::step` and `TransientOptions::time_points` there and
 /// must stay in sync (the engine maps its enum onto this one and relies on
-/// both sides producing identical time grids).
+/// both sides producing identical time grids; `tests/integration_collocation.rs`
+/// checks the time grids and [`TR_BDF2_GAMMA`] bit for bit).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StepScheme {
     /// First-order implicit Euler (the default).

@@ -62,7 +62,7 @@ mod error;
 
 pub use driver::{
     build_grid, solve_collocation, CollocationRun, CollocationStats, GridKind, StepScheme,
-    TransientSpec,
+    TransientSpec, TR_BDF2_GAMMA,
 };
 pub use error::CollocationError;
 

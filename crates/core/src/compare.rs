@@ -94,21 +94,30 @@ pub fn compare(opera: &StochasticSolution, mc: &MonteCarloResult, vdd: f64) -> A
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::OperaEngine;
     use crate::monte_carlo::{run, MonteCarloOptions};
-    use crate::stochastic::{solve, OperaOptions};
-    use crate::transient::TransientOptions;
     use opera_grid::GridSpec;
-    use opera_variation::{StochasticGridModel, VariationSpec};
+
+    /// An order-2 engine on `spec` with the transient `(h, end)`.
+    fn engine(spec: GridSpec, h: f64, end: f64) -> OperaEngine {
+        OperaEngine::for_grid(spec)
+            .unwrap()
+            .time_step(h)
+            .end_time(end)
+            .build()
+            .unwrap()
+    }
 
     #[test]
     fn opera_agrees_with_monte_carlo_within_table1_tolerances() {
-        let grid = GridSpec::small_test(100).with_seed(31).build().unwrap();
-        let model =
-            StochasticGridModel::inter_die(&grid, &VariationSpec::paper_defaults()).unwrap();
-        let topts = TransientOptions::new(0.2e-9, 1.0e-9);
-        let opera = solve(&model, &OperaOptions::order2(topts)).unwrap();
-        let mc = run(&model, &MonteCarloOptions::new(300, 7, topts)).unwrap();
-        let summary = compare(&opera, &mc, grid.vdd());
+        let engine = engine(GridSpec::small_test(100).with_seed(31), 0.2e-9, 1.0e-9);
+        let opera = engine.solve().unwrap();
+        let mc = run(
+            engine.model(),
+            &MonteCarloOptions::new(300, 7, *engine.transient()),
+        )
+        .unwrap();
+        let summary = compare(&opera, &mc, engine.grid().vdd());
         // The paper reports µ errors of hundredths of a percent and σ errors
         // of a few percent (with 1000 samples); with 300 samples the Monte
         // Carlo noise dominates, so accept a slightly looser bound.
@@ -129,11 +138,8 @@ mod tests {
     #[test]
     fn identical_statistics_give_zero_error() {
         // Build a Monte Carlo result that copies the OPERA statistics.
-        let grid = GridSpec::small_test(60).with_seed(1).build().unwrap();
-        let model =
-            StochasticGridModel::inter_die(&grid, &VariationSpec::paper_defaults()).unwrap();
-        let topts = TransientOptions::new(0.25e-9, 0.5e-9);
-        let opera = solve(&model, &OperaOptions::order2(topts)).unwrap();
+        let engine = engine(GridSpec::small_test(60).with_seed(1), 0.25e-9, 0.5e-9);
+        let opera = engine.solve().unwrap();
         let times = opera.times().to_vec();
         let mean: Vec<Vec<f64>> = (0..times.len())
             .map(|k| {
@@ -157,7 +163,7 @@ mod tests {
             probe_traces: vec![],
             samples: 1,
         };
-        let summary = compare(&opera, &mc, grid.vdd());
+        let summary = compare(&opera, &mc, engine.grid().vdd());
         assert!(summary.avg_mean_error_percent < 1e-12);
         assert!(summary.max_std_error_percent < 1e-9);
     }
@@ -165,14 +171,9 @@ mod tests {
     #[test]
     #[should_panic]
     fn mismatched_shapes_panic() {
-        let grid = GridSpec::small_test(60).build().unwrap();
-        let model =
-            StochasticGridModel::inter_die(&grid, &VariationSpec::paper_defaults()).unwrap();
-        let opera = solve(
-            &model,
-            &OperaOptions::order2(TransientOptions::new(0.25e-9, 0.5e-9)),
-        )
-        .unwrap();
+        let opera = engine(GridSpec::small_test(60), 0.25e-9, 0.5e-9)
+            .solve()
+            .unwrap();
         let mc = MonteCarloResult {
             times: vec![0.0],
             mean: vec![vec![0.0; 3]],

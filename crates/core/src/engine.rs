@@ -49,13 +49,12 @@ use opera_variation::{StochasticGridModel, VariationSpec};
 use rayon::prelude::*;
 
 use crate::adaptive::{AdaptiveOptions, AdaptiveStats};
-use crate::analysis::{probe_distributions, ExperimentConfig, ExperimentReport};
 use crate::compare::compare;
 use crate::galerkin::GalerkinSystem;
 use crate::monte_carlo::{run as run_monte_carlo, MonteCarloOptions, MonteCarloResult};
 use crate::parallel::Parallelism;
-use crate::response::drop_summary;
-use crate::solver::{backend_by_name, default_backend, PreparedSolver, SolverBackend};
+use crate::response::{drop_summary, probe_distributions, ExperimentReport};
+use crate::solver::{default_backend, PreparedSolver, SolverBackend};
 use crate::stochastic::{
     run_prepared_adaptive, run_prepared_panel, run_prepared_single, StochasticSolution,
 };
@@ -321,21 +320,11 @@ impl EngineBuilder {
     /// ([`BlockJacobiCg`](crate::solver::BlockJacobiCg)), which factors only
     /// nominal-size matrices; pass
     /// [`DirectCholesky`](crate::solver::DirectCholesky) for the bit-pinned
-    /// direct reference.
+    /// direct reference. A custom [`SolverBackend`] plugs in the same way,
+    /// by value.
     pub fn solver(mut self, solver: Arc<dyn SolverBackend>) -> Self {
         self.solver = solver;
         self
-    }
-
-    /// Sets the solver backend by registered name (see
-    /// [`crate::solver::available_backends`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OperaError::InvalidOptions`] for unknown backend names.
-    pub fn solver_name(mut self, name: &str) -> Result<Self> {
-        self.solver = backend_by_name(name)?;
-        Ok(self)
     }
 
     /// Sets the default transient time step in seconds.
@@ -366,7 +355,7 @@ impl EngineBuilder {
     /// symbolic analysis — of the nominal companion on the default CG
     /// backend, of the augmented one on
     /// [`DirectCholesky`](crate::solver::DirectCholesky) (select it with
-    /// [`EngineBuilder::solver`] or `solver_name("direct-cholesky")`).
+    /// [`EngineBuilder::solver`]).
     /// [`EngineBuilder::build`] rejects custom backends that cannot re-step.
     /// `docs/TRANSIENT.md` compares the two backends' adaptive runs and
     /// `docs/PERFORMANCE.md` their measured cost.
@@ -637,29 +626,6 @@ impl OperaEngine {
         builder
     }
 
-    /// Builds an engine from an [`ExperimentConfig`] front end.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OperaError::InvalidOptions`] for invalid configurations and
-    /// propagates setup errors.
-    pub fn from_config(config: &ExperimentConfig) -> Result<OperaEngine> {
-        config.validate()?;
-        let mut builder = OperaEngine::for_grid(config.grid_spec.clone())?
-            .variation(config.variation)
-            .order(config.order)
-            .solver_name(&config.solver)?
-            .time_step(config.time_step)
-            .mc_samples(config.mc_samples)
-            .mc_seed(config.mc_seed)
-            .histogram_bins(config.histogram_bins)
-            .parallelism(config.parallelism);
-        if let Some(end_time) = config.end_time {
-            builder = builder.end_time(end_time);
-        }
-        builder.build()
-    }
-
     /// The power grid the engine was built for.
     pub fn grid(&self) -> &PowerGrid {
         self.model.grid()
@@ -910,33 +876,11 @@ impl OperaEngine {
     /// grid-construction, realisation and factorisation errors.
     pub fn collocation(&self, config: &CollocationConfig) -> Result<CollocationReport> {
         self.parallelism
-            .install(|| self.collocation_in_pool(config, &Scenario::default()))?
-    }
-
-    /// Runs one scenario end to end like [`run_scenario`](Self::run_scenario)
-    /// but computes the stochastic solution by collocation instead of the
-    /// Galerkin solve, validating it against the same Monte Carlo baseline.
-    ///
-    /// # Errors
-    ///
-    /// Propagates collocation, solver and sampling errors.
-    pub fn run_collocation_scenario(
-        &self,
-        scenario: &Scenario,
-        config: &CollocationConfig,
-    ) -> Result<ScenarioReport> {
-        self.parallelism.install(|| {
-            let report = self.collocation_in_pool(config, scenario)?;
-            self.finish_scenario_report(scenario, report.solution, report.seconds)
-        })?
+            .install(|| self.collocation_in_pool(config))?
     }
 
     /// The collocation sweep proper, run on the ambient pool.
-    fn collocation_in_pool(
-        &self,
-        config: &CollocationConfig,
-        scenario: &Scenario,
-    ) -> Result<CollocationReport> {
+    fn collocation_in_pool(&self, config: &CollocationConfig) -> Result<CollocationReport> {
         if config.level == 0 {
             return Err(OperaError::InvalidOptions {
                 reason: "collocation level must be at least 1 \
@@ -944,7 +888,7 @@ impl OperaEngine {
                     .to_string(),
             });
         }
-        let transient = self.scenario_transient(scenario)?;
+        let transient = &self.transient;
         let spec = TransientSpec {
             time_step: transient.time_step,
             end_time: transient.end_time,
@@ -953,7 +897,7 @@ impl OperaEngine {
                 IntegrationMethod::Trapezoidal => StepScheme::Trapezoidal,
                 IntegrationMethod::TrBdf2 => StepScheme::TrBdf2,
             },
-            current_scale: scenario.current_scale,
+            current_scale: 1.0,
         };
         let started = Instant::now();
         let trace_span = opera_trace::span("collocation.sweep");
@@ -990,8 +934,8 @@ impl OperaEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`OperaError::InvalidOptions`] for zero samples and propagates
-    /// sampling/factorisation errors.
+    /// Returns [`OperaError::InvalidOptions`] for zero samples or a probe
+    /// node outside the grid, and propagates sampling/factorisation errors.
     pub fn monte_carlo(&self, config: &McConfig) -> Result<MonteCarloResult> {
         let options = MonteCarloOptions {
             samples: config.samples,
@@ -1158,9 +1102,9 @@ impl OperaEngine {
         self.finish_scenario_report(scenario, opera_solution, opera_seconds)
     }
 
-    /// The backend-independent half of a scenario run: given a stochastic
-    /// solution (Galerkin or collocation) and the seconds it took, runs the
-    /// Monte Carlo validation, accuracy comparison and drop distribution.
+    /// The second half of a scenario run: given the scenario's stochastic
+    /// solution and the seconds it took, runs the Monte Carlo validation,
+    /// accuracy comparison and drop distribution.
     fn finish_scenario_report(
         &self,
         scenario: &Scenario,
@@ -1241,7 +1185,7 @@ impl OperaEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::BLOCK_JACOBI_CG;
+    use crate::solver::{BlockJacobiCg, DirectCholesky, BLOCK_JACOBI_CG};
 
     fn quick_engine() -> OperaEngine {
         OperaEngine::for_grid(GridSpec::small_test(110))
@@ -1277,10 +1221,24 @@ mod tests {
             builder(|b| b.time_step(-1.0)),
             Err(OperaError::InvalidOptions { .. })
         ));
-        assert!(OperaEngine::for_grid(GridSpec::small_test(80))
-            .unwrap()
-            .solver_name("no-such-backend")
-            .is_err());
+        assert!(matches!(
+            builder(|b| b.end_time(f64::NAN)),
+            Err(OperaError::InvalidOptions { .. })
+        ));
+        assert!(
+            matches!(
+                builder(|b| b.time_step(0.5e-9).end_time(0.25e-9)),
+                Err(OperaError::InvalidOptions { .. })
+            ),
+            "step exceeding the horizon"
+        );
+        assert!(matches!(
+            builder(|b| b.solver(Arc::new(BlockJacobiCg {
+                tolerance: 0.0,
+                max_iterations: 10,
+            }))),
+            Err(OperaError::InvalidOptions { .. })
+        ));
     }
 
     #[test]
@@ -1373,6 +1331,39 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_probe_nodes_are_errors_not_panics() {
+        use crate::monte_carlo::{run_leakage, MonteCarloOptions};
+        use opera_variation::LeakageModel;
+        let engine = OperaEngine::for_grid(GridSpec::small_test(60))
+            .unwrap()
+            .time_step(0.25e-9)
+            .end_time(0.5e-9)
+            .build()
+            .unwrap();
+        let n = engine.node_count();
+        let config = McConfig {
+            probe_nodes: vec![0, n + 5],
+            ..McConfig::new(4, 1)
+        };
+        assert!(matches!(
+            engine.monte_carlo(&config),
+            Err(OperaError::InvalidOptions { .. })
+        ));
+        // `n` itself is the first node past the end.
+        let mut options = MonteCarloOptions::new(4, 1, *engine.transient());
+        options.probe_nodes = vec![n];
+        let leakage = LeakageModel::uniform_slices(n, 2, 1.0e-5, 0.04, 23.0).unwrap();
+        let err = run_leakage(engine.grid(), &leakage, &options).unwrap_err();
+        assert!(
+            matches!(err, OperaError::InvalidOptions { .. }),
+            "expected InvalidOptions, got {err}"
+        );
+        // The last node is a valid probe.
+        options.probe_nodes = vec![n - 1];
+        assert!(run_leakage(engine.grid(), &leakage, &options).is_ok());
+    }
+
+    #[test]
     fn scaled_scenarios_keep_opera_and_monte_carlo_consistent() {
         // If the engine scaled the Galerkin excitation but the Monte Carlo
         // baseline did not (or vice versa), the mean error would blow up.
@@ -1436,20 +1427,105 @@ mod tests {
         }
     }
 
+    /// The small direct-Cholesky engine of the scenario-report checks: 40
+    /// Monte Carlo samples, 12 histogram bins.
+    fn demo_engine(nodes: usize) -> OperaEngine {
+        OperaEngine::for_grid(GridSpec::small_test(nodes))
+            .unwrap()
+            .solver(Arc::new(DirectCholesky))
+            .time_step(0.2e-9)
+            .end_time(1.0e-9)
+            .mc_samples(40)
+            .mc_seed(7)
+            .histogram_bins(12)
+            .build()
+            .unwrap()
+    }
+
+    /// `cholesky.numeric` spans under the test's `scenario.test` span (spans
+    /// of tests running concurrently have other roots), split into those
+    /// inside a Monte Carlo run (`mc.run`) and the rest: `(OPERA, MC)`.
+    fn numeric_factorizations(snapshot: &opera_trace::TraceSnapshot) -> (usize, usize) {
+        let root = snapshot.spans.iter().find(|s| s.name == "scenario.test");
+        let root_id = root
+            .map(|s| s.id)
+            .expect("the test's root span was recorded");
+        let ancestors = |mut id: u64| {
+            std::iter::from_fn(move || {
+                let span = snapshot.spans.iter().find(|s| s.id == id)?;
+                id = span.parent;
+                Some(span)
+            })
+        };
+        let (mut monte_carlo, mut opera) = (0, 0);
+        for span in snapshot
+            .spans
+            .iter()
+            .filter(|s| s.name == "cholesky.numeric")
+        {
+            if !ancestors(span.parent).any(|a| a.id == root_id) {
+                continue;
+            }
+            if ancestors(span.parent).any(|a| a.name == "mc.run") {
+                monte_carlo += 1;
+            } else {
+                opera += 1;
+            }
+        }
+        (opera, monte_carlo)
+    }
+
     #[test]
-    fn collocation_scenarios_validate_against_monte_carlo() {
-        let engine = quick_engine();
-        let report = engine
-            .run_collocation_scenario(
-                &Scenario::named("colloc").with_mc_samples(25),
-                &CollocationConfig::smolyak(2),
-            )
-            .unwrap();
-        assert_eq!(report.label, "colloc");
+    fn scenario_report_is_consistent() {
+        // The cost claim is asserted on factorisation counts, not wall
+        // clock: at 120 nodes the measured speed-up scatters around 1.
+        let _guard = opera_trace::test_guard();
+        opera_trace::reset();
+        opera_trace::enable();
+        let root = opera_trace::span("scenario.test");
+        let engine = demo_engine(120);
+        let report = engine.run_scenario(&Scenario::default()).unwrap().report;
+        drop(root);
+        let snapshot = opera_trace::drain();
+        opera_trace::disable();
+        let (opera, monte_carlo) = numeric_factorizations(&snapshot);
+        println!(
+            "numeric factorisations: OPERA {opera}, Monte Carlo {monte_carlo}; speed-up {:.2}",
+            report.speedup
+        );
+        // Each sample factors its own `G` and companion matrix.
+        assert_eq!(monte_carlo, 2 * report.mc_samples);
+        assert!(opera < monte_carlo, "{opera} OPERA vs {monte_carlo} MC");
+        assert!(report.speedup.is_finite() && report.speedup > 0.0);
+
+        assert!(report.node_count >= 100);
+        assert!(report.opera.worst_mean_drop > 0.0);
+        assert!(report.opera.sigma_at_worst > 0.0);
+        assert!(report.errors.avg_mean_error_percent < 1.0);
+        assert!(report.opera_seconds > 0.0);
+        assert!(report.monte_carlo_seconds > 0.0);
+        assert_eq!(report.mc_samples, 40);
+        // Histograms cover the same range and contain all samples.
+        assert_eq!(
+            report.distribution.opera.edges(),
+            report.distribution.monte_carlo.edges()
+        );
+        assert_eq!(report.distribution.monte_carlo.total(), report.mc_samples);
+    }
+
+    #[test]
+    fn distributions_overlap_between_opera_and_monte_carlo() {
+        let report = demo_engine(150)
+            .run_scenario(&Scenario::default())
+            .unwrap()
+            .report;
+        // The modal bins of the two histograms should be close (the paper's
+        // figures show nearly coincident distributions).
+        let mode_opera = report.distribution.opera.mode_bin() as i64;
+        let mode_mc = report.distribution.monte_carlo.mode_bin() as i64;
         assert!(
-            report.report.errors.avg_mean_error_percent < 1.0,
-            "collocation disagrees with Monte Carlo: {} %VDD",
-            report.report.errors.avg_mean_error_percent
+            (mode_opera - mode_mc).abs() <= 3,
+            "modes {mode_opera} vs {mode_mc}"
         );
     }
 
@@ -1509,7 +1585,7 @@ I1 leaf_c 0 PWL(0 0 0.5n 2m 1n 0) block=1
     }
 
     #[test]
-    fn engine_can_be_built_from_a_prebuilt_model_and_named_solver() {
+    fn engine_can_be_built_from_a_prebuilt_model_and_a_solver_value() {
         let grid = GridSpec::small_test(90).with_seed(3).build().unwrap();
         let model =
             StochasticGridModel::inter_die_three_variable(&grid, &VariationSpec::paper_defaults())
@@ -1517,8 +1593,7 @@ I1 leaf_c 0 PWL(0 0 0.5n 2m 1n 0) block=1
         let engine = OperaEngine::for_model(model)
             .time_step(0.25e-9)
             .end_time(1.0e-9)
-            .solver_name(BLOCK_JACOBI_CG)
-            .unwrap()
+            .solver(Arc::new(BlockJacobiCg::default()))
             .build()
             .unwrap();
         assert_eq!(engine.solver().name(), BLOCK_JACOBI_CG);

@@ -7,7 +7,8 @@
 //!
 //! The pieces are:
 //!
-//! * [`engine`] — the reusable [`OperaEngine`] session:
+//! * [`engine`] — the reusable [`OperaEngine`] session, the one way to
+//!   configure and run a stochastic analysis:
 //!   grid generation, stochastic-model construction, Galerkin assembly and
 //!   the solver factorisation happen **once** at build time, then any number
 //!   of [scenarios](engine::Scenario) (waveform rescalings, transient
@@ -17,9 +18,10 @@
 //!   ([`OperaEngine::for_netlist`], grammar in `docs/NETLIST.md`) — netlist
 //!   engines name their nodes in every report.
 //! * [`solver`] — pluggable [`SolverBackend`]s for the
-//!   augmented system (the default Kronecker-preconditioned CG, direct Cholesky
-//!   — the bit-pinned reference — and left-looking LU) plus a name-based
-//!   registry for custom backends.
+//!   augmented system: the default Kronecker-preconditioned CG, direct
+//!   Cholesky (the bit-pinned reference) and left-looking LU. A custom
+//!   backend is passed to the engine builder by value
+//!   ([`EngineBuilder::solver`](engine::EngineBuilder::solver)).
 //! * [`transient`] — deterministic transient MNA solver (backward Euler,
 //!   trapezoidal or L-stable TR-BDF2) used both for nominal analysis and
 //!   inside the Monte Carlo baseline.
@@ -28,9 +30,10 @@
 //!   analysis across all step sizes.
 //! * [`galerkin`] — assembly of the spectral (Galerkin) augmented system
 //!   `(G̃ + sC̃) a(s) = Ũ(s)` of paper Eqs. (19)–(22).
-//! * [`stochastic`] — the one-shot OPERA solver front end: one augmented
-//!   transient solve yields the full polynomial-chaos representation of every
-//!   node voltage at every time step.
+//! * [`stochastic`] — the [`StochasticSolution`] and the augmented
+//!   transient loop behind [`OperaEngine::solve`]: one augmented transient
+//!   solve yields the full polynomial-chaos representation of every node
+//!   voltage at every time step.
 //! * [`special_case`] — the Section 5.1 special case (variations only in the
 //!   excitation, e.g. per-region leakage): a single factorisation of the
 //!   nominal matrix plus `N + 1` independent solves.
@@ -43,13 +46,11 @@
 //! * [`parallel`] — the [`Parallelism`] knob and deterministic per-sample
 //!   seeding that let the Monte Carlo, special-case and batched-scenario
 //!   loops use all cores without changing any statistic.
-//! * [`response`] — node-voltage statistics, voltage-drop summaries and
-//!   histograms (paper Figures 1–2, the ±3σ column of Table 1).
+//! * [`response`] — node-voltage statistics, voltage-drop summaries,
+//!   histograms (paper Figures 1–2, the ±3σ column of Table 1) and the
+//!   [`ExperimentReport`](response::ExperimentReport) of one scenario.
 //! * [`compare`] — OPERA-vs-Monte-Carlo error metrics (the accuracy columns
 //!   of Table 1).
-//! * [`analysis`] — [`ExperimentConfig`](analysis::ExperimentConfig), a thin
-//!   validated front end over the engine, and the one-shot
-//!   [`run_experiment`](analysis::run_experiment) driver.
 //!
 //! # Quickstart
 //!
@@ -94,7 +95,6 @@
 mod error;
 
 pub mod adaptive;
-pub mod analysis;
 pub mod compare;
 pub mod engine;
 pub mod galerkin;
@@ -116,7 +116,7 @@ pub use galerkin::GalerkinSystem;
 pub use opera_simd::Backend as SimdBackend;
 pub use parallel::Parallelism;
 pub use solver::{BlockJacobiCg, DirectCholesky, LeftLookingLu, SolverBackend};
-pub use stochastic::{OperaOptions, StochasticSolution};
+pub use stochastic::StochasticSolution;
 pub use transient::{IntegrationMethod, TransientOptions, TransientSolution};
 
 /// Result alias used throughout the crate.

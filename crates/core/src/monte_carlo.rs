@@ -95,6 +95,18 @@ impl MonteCarloOptions {
         }
         self.transient.validate()
     }
+
+    /// [`validate`](Self::validate), plus every probe node must be one of
+    /// the `nodes` grid nodes.
+    fn validate_for(&self, nodes: usize) -> Result<()> {
+        self.validate()?;
+        match self.probe_nodes.iter().find(|&&node| node >= nodes) {
+            Some(node) => Err(OperaError::InvalidOptions {
+                reason: format!("probe node {node} is out of range for a {nodes}-node grid"),
+            }),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Accumulated Monte Carlo statistics.
@@ -237,13 +249,13 @@ impl OrderedFold {
 ///
 /// # Errors
 ///
-/// Returns [`OperaError::InvalidOptions`] for invalid options, and propagates
-/// sampling or factorisation errors.
+/// Returns [`OperaError::InvalidOptions`] for invalid options or a probe
+/// node outside the grid, and propagates sampling or factorisation errors.
 pub fn run(model: &StochasticGridModel, options: &MonteCarloOptions) -> Result<MonteCarloResult> {
     let _span = opera_trace::span("mc.run");
-    options.validate()?;
-    let times = options.transient.time_points();
     let n = model.node_count();
+    options.validate_for(n)?;
+    let times = options.transient.time_points();
     let families = model.families();
 
     let scale = options.current_scale;
@@ -538,17 +550,17 @@ fn accumulate_sample_groups(
 ///
 /// # Errors
 ///
-/// Returns [`OperaError::InvalidOptions`] for invalid options and propagates
-/// factorisation errors.
+/// Returns [`OperaError::InvalidOptions`] for invalid options or a probe
+/// node outside the grid, and propagates factorisation errors.
 pub fn run_leakage(
     grid: &PowerGrid,
     leakage: &LeakageModel,
     options: &MonteCarloOptions,
 ) -> Result<MonteCarloResult> {
     let _span = opera_trace::span("mc.run");
-    options.validate()?;
-    let times = options.transient.time_points();
     let n = grid.node_count();
+    options.validate_for(n)?;
+    let times = options.transient.time_points();
     let families = leakage.families();
 
     let g = grid.conductance_matrix();
@@ -611,7 +623,7 @@ pub fn run_leakage(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stochastic::{solve, OperaOptions};
+    use crate::engine::OperaEngine;
     use opera_grid::GridSpec;
     use opera_variation::{StochasticGridModel, VariationSpec};
 
@@ -626,7 +638,13 @@ mod tests {
     fn monte_carlo_matches_opera_mean_and_variance() {
         let (grid, model) = setup();
         let topts = TransientOptions::new(0.2e-9, 1.0e-9);
-        let opera = solve(&model, &OperaOptions::order2(topts)).unwrap();
+        let opera = OperaEngine::for_model(model.clone())
+            .time_step(topts.time_step)
+            .end_time(topts.end_time)
+            .build()
+            .unwrap()
+            .solve()
+            .unwrap();
         let mc = run(&model, &MonteCarloOptions::new(200, 1, topts)).unwrap();
         let (node, k, _) = opera.worst_mean_drop(grid.vdd());
         let mean_err = (opera.mean_at(k, node) - mc.mean[k][node]).abs() / grid.vdd();

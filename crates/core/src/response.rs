@@ -4,9 +4,17 @@
 //! drops relative to the nominal drop (≈ ±35 % in Table 1), the negligible
 //! shift of the mean with respect to the nominal analysis, and the
 //! distribution of the voltage drop at selected nodes (Figures 1–2).
+//! [`ExperimentReport`] bundles them into one row of Table 1, as
+//! [`OperaEngine::run_scenario`](crate::engine::OperaEngine::run_scenario)
+//! returns it.
 
+use opera_pce::sampling;
+
+use crate::compare::AccuracySummary;
+use crate::monte_carlo::MonteCarloResult;
 use crate::stochastic::StochasticSolution;
 use crate::transient::TransientSolution;
+use crate::{OperaError, Result};
 
 /// A histogram over equal-width bins, reported in percentages of occurrences
 /// (the y-axis of the paper's Figures 1 and 2).
@@ -234,13 +242,115 @@ pub fn node_density(
     Ok(NodeDensity { moments, density })
 }
 
+/// Distributions of the voltage drop (as % of VDD) at a probe node — the
+/// content of the paper's Figures 1 and 2.
+#[derive(Debug, Clone)]
+pub struct ProbeDistribution {
+    /// Node the distribution was taken at.
+    pub node: usize,
+    /// Time index the distribution was taken at (worst mean drop).
+    pub time_index: usize,
+    /// Histogram of the drop predicted by sampling the OPERA expansion.
+    pub opera: Histogram,
+    /// Histogram of the drop observed in the Monte Carlo samples.
+    pub monte_carlo: Histogram,
+}
+
+/// Everything one OPERA-vs-Monte-Carlo scenario produces: one row of Table 1
+/// plus the data of Figures 1–2.
+#[derive(Debug, Clone)]
+pub struct ExperimentReport {
+    /// Number of nodes of the generated grid.
+    pub node_count: usize,
+    /// Voltage-drop statistics of the OPERA solution.
+    pub opera: DropSummary,
+    /// OPERA-vs-Monte-Carlo accuracy (the µ and σ error columns).
+    pub errors: AccuracySummary,
+    /// Wall-clock seconds of the OPERA solve. The engine's one-time setup is
+    /// not included: it is shared by every scenario and reported by
+    /// [`OperaEngine::setup_seconds`](crate::engine::OperaEngine::setup_seconds).
+    pub opera_seconds: f64,
+    /// Wall-clock seconds of the Monte Carlo baseline.
+    pub monte_carlo_seconds: f64,
+    /// Speed-up `monte_carlo_seconds / opera_seconds`.
+    pub speedup: f64,
+    /// Number of Monte Carlo samples used.
+    pub mc_samples: usize,
+    /// Distribution of the drop at the worst node (Figures 1–2).
+    pub distribution: ProbeDistribution,
+}
+
+/// Builds the OPERA and Monte Carlo drop histograms at a probe node/time
+/// (the paper's Figures 1–2). The OPERA histogram is obtained by sampling the
+/// explicit expansion — no further circuit solves are needed, which is the
+/// point the figures make.
+///
+/// # Errors
+///
+/// Returns [`OperaError::InvalidOptions`] when `node` is not a probe node of
+/// `mc` and propagates expansion-evaluation errors.
+pub fn probe_distributions(
+    opera: &StochasticSolution,
+    mc: &MonteCarloResult,
+    vdd: f64,
+    node: usize,
+    time_index: usize,
+    bins: usize,
+    seed: u64,
+) -> Result<ProbeDistribution> {
+    // Monte Carlo drops at the probe.
+    let mc_voltages =
+        mc.probe_samples_at(node, time_index)
+            .ok_or_else(|| OperaError::InvalidOptions {
+                reason: format!("node {node} is not a Monte Carlo probe node"),
+            })?;
+    let mc_drops = drops_as_percent_of_vdd(&mc_voltages, vdd);
+
+    // OPERA drops: evaluate the expansion at freshly drawn standard samples.
+    let series = opera.node_series(time_index, node)?;
+    let samples = sampling::sample_standard(series.basis(), mc_voltages.len().max(1000), seed);
+    let opera_voltages = sampling::evaluate_at_samples(&series, &samples)?;
+    let opera_drops = drops_as_percent_of_vdd(&opera_voltages, vdd);
+
+    // Shared histogram range so the two distributions are directly comparable.
+    let lo = mc_drops
+        .iter()
+        .chain(opera_drops.iter())
+        .copied()
+        .fold(f64::INFINITY, f64::min);
+    let hi = mc_drops
+        .iter()
+        .chain(opera_drops.iter())
+        .copied()
+        .fold(f64::NEG_INFINITY, f64::max);
+    let span = (hi - lo).max(1e-9);
+    let lo = lo - 0.02 * span;
+    let hi = hi + 0.02 * span;
+
+    Ok(ProbeDistribution {
+        node,
+        time_index,
+        opera: Histogram::with_range(&opera_drops, bins, lo, hi),
+        monte_carlo: Histogram::with_range(&mc_drops, bins, lo, hi),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stochastic::{solve, OperaOptions};
-    use crate::transient::{solve_transient, TransientOptions};
+    use crate::engine::OperaEngine;
+    use crate::transient::solve_transient;
     use opera_grid::GridSpec;
-    use opera_variation::{StochasticGridModel, VariationSpec};
+
+    /// An order-2 engine on `spec` with the transient `(h, 1 ns)`.
+    fn engine(spec: GridSpec, h: f64) -> OperaEngine {
+        OperaEngine::for_grid(spec)
+            .unwrap()
+            .time_step(h)
+            .end_time(1.0e-9)
+            .build()
+            .unwrap()
+    }
 
     #[test]
     fn histogram_counts_and_percentages() {
@@ -276,16 +386,14 @@ mod tests {
 
     #[test]
     fn drop_summary_reports_sensible_percentages() {
-        let grid = GridSpec::small_test(120).with_seed(17).build().unwrap();
-        let model =
-            StochasticGridModel::inter_die(&grid, &VariationSpec::paper_defaults()).unwrap();
-        let topts = TransientOptions::new(0.1e-9, 1.0e-9);
-        let sol = solve(&model, &OperaOptions::order2(topts)).unwrap();
+        let engine = engine(GridSpec::small_test(120).with_seed(17), 0.1e-9);
+        let grid = engine.grid();
+        let sol = engine.solve().unwrap();
         let nominal = solve_transient(
             &grid.conductance_matrix(),
             &grid.capacitance_matrix(),
             |t| grid.excitation(t),
-            &topts,
+            engine.transient(),
         )
         .unwrap();
         let summary = drop_summary(&sol, grid.vdd(), Some(&nominal));
@@ -310,14 +418,9 @@ mod tests {
 
     #[test]
     fn node_density_matches_sampled_histogram_statistics() {
-        let grid = GridSpec::small_test(100).with_seed(23).build().unwrap();
-        let model =
-            StochasticGridModel::inter_die(&grid, &VariationSpec::paper_defaults()).unwrap();
-        let sol = solve(
-            &model,
-            &OperaOptions::order2(TransientOptions::new(0.2e-9, 1.0e-9)),
-        )
-        .unwrap();
+        let engine = engine(GridSpec::small_test(100).with_seed(23), 0.2e-9);
+        let grid = engine.grid();
+        let sol = engine.solve().unwrap();
         let (node, k, _) = sol.worst_mean_drop(grid.vdd());
         let nd = node_density(&sol, k, node).unwrap();
         assert!((nd.moments.mean - sol.mean_at(k, node)).abs() < 1e-10);

@@ -11,9 +11,10 @@
 //! [`SolverBackend`] captures phase 1 and returns a [`PreparedSolver`] that
 //! captures phase 2. The split is what lets the
 //! [`OperaEngine`](crate::engine::OperaEngine) amortise a single preparation
-//! over arbitrarily many scenarios, and it makes alternative solvers a
-//! *registration* ([`register_backend`]) instead of a match-arm edit in the
-//! transient loop.
+//! over arbitrarily many scenarios, and it makes an alternative solver a
+//! value passed to the engine builder
+//! ([`EngineBuilder::solver`](crate::engine::EngineBuilder::solver)) instead
+//! of a match-arm edit in the transient loop.
 //!
 //! Three backends ship with the crate:
 //!
@@ -25,8 +26,8 @@
 //!   backend keeps its historical name).
 //! * [`DirectCholesky`] — sparse Cholesky of the augmented companion matrix,
 //!   factored once and reused for every step (falls back to LU if the matrix
-//!   is not numerically SPD). The bit-pinned reference: select it by value
-//!   or by its registered name [`DIRECT_CHOLESKY`].
+//!   is not numerically SPD). The bit-pinned reference: select it by value,
+//!   `.solver(Arc::new(DirectCholesky))`.
 //! * [`LeftLookingLu`] — left-looking sparse LU with partial pivoting, the
 //!   fallback of choice when large variation magnitudes push the augmented
 //!   matrix away from positive definiteness.
@@ -34,9 +35,8 @@
 //! Every backend re-steps cheaply ([`PreparedSolver::with_time_step`]), so
 //! the adaptive controller of [`crate::adaptive`] runs on each of them.
 
-use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use opera_pce::GalerkinCoupling;
 use opera_sparse::cg::{self, CgOptions, LinearOperator, Preconditioner};
@@ -57,7 +57,7 @@ use crate::{OperaError, Result};
 /// owns the factors and can be reused for every time step — and, through the
 /// engine, for every scenario that shares the system and time step.
 pub trait SolverBackend: fmt::Debug + Send + Sync {
-    /// Stable identifier of the backend (the name it is registered under).
+    /// Stable identifier of the backend, shown in reports and errors.
     fn name(&self) -> &str;
 
     /// Validates the backend's own parameters.
@@ -796,97 +796,22 @@ impl PreparedSolver for CgPrepared {
 }
 
 // --------------------------------------------------------------------------
-// Backend registry.
+// Default backend and names.
 // --------------------------------------------------------------------------
 
-/// The one default backend of the engine builder and of
-/// [`OperaOptions`](crate::stochastic::OperaOptions): [`BlockJacobiCg`] at
-/// its default tolerance. Name [`DirectCholesky`] (or [`DIRECT_CHOLESKY`])
-/// for the bit-pinned direct reference.
+/// The default backend of the engine builder: [`BlockJacobiCg`] at its
+/// default tolerance. Pass [`DirectCholesky`] for the bit-pinned direct
+/// reference.
 pub fn default_backend() -> Arc<dyn SolverBackend> {
     Arc::new(BlockJacobiCg::default())
 }
 
-/// Registered name of [`DirectCholesky`].
+/// [`SolverBackend::name`] of [`DirectCholesky`].
 pub const DIRECT_CHOLESKY: &str = "direct-cholesky";
-/// Registered name of [`BlockJacobiCg`].
+/// [`SolverBackend::name`] of [`BlockJacobiCg`].
 pub const BLOCK_JACOBI_CG: &str = "block-jacobi-cg";
-/// Registered name of [`LeftLookingLu`].
+/// [`SolverBackend::name`] of [`LeftLookingLu`].
 pub const LEFT_LOOKING_LU: &str = "left-looking-lu";
-
-type BackendFactory = Arc<dyn Fn() -> Arc<dyn SolverBackend> + Send + Sync>;
-
-fn registry() -> &'static Mutex<BTreeMap<String, BackendFactory>> {
-    static REGISTRY: OnceLock<Mutex<BTreeMap<String, BackendFactory>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        let mut map: BTreeMap<String, BackendFactory> = BTreeMap::new();
-        map.insert(
-            DIRECT_CHOLESKY.to_string(),
-            Arc::new(|| Arc::new(DirectCholesky)),
-        );
-        map.insert(
-            BLOCK_JACOBI_CG.to_string(),
-            Arc::new(|| Arc::new(BlockJacobiCg::default())),
-        );
-        map.insert(
-            LEFT_LOOKING_LU.to_string(),
-            Arc::new(|| Arc::new(LeftLookingLu)),
-        );
-        Mutex::new(map)
-    })
-}
-
-/// Registers (or replaces) a backend factory under `name`, making it
-/// available to configuration front ends such as
-/// [`ExperimentConfig::solver`](crate::analysis::ExperimentConfig::solver).
-pub fn register_backend(
-    name: &str,
-    factory: impl Fn() -> Arc<dyn SolverBackend> + Send + Sync + 'static,
-) {
-    registry()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .insert(name.to_string(), Arc::new(factory));
-}
-
-/// Instantiates the backend registered under `name`.
-///
-/// # Errors
-///
-/// Returns [`OperaError::InvalidOptions`] for unknown names, listing the
-/// registered backends.
-pub fn backend_by_name(name: &str) -> Result<Arc<dyn SolverBackend>> {
-    // Clone the factory out of the registry before invoking it, so factories
-    // may themselves consult the registry (e.g. delegating backends) without
-    // deadlocking on the mutex.
-    let factory = {
-        let guard = registry()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match guard.get(name) {
-            Some(factory) => Arc::clone(factory),
-            None => {
-                return Err(OperaError::InvalidOptions {
-                    reason: format!(
-                        "unknown solver backend {name:?}; registered backends: {}",
-                        guard.keys().cloned().collect::<Vec<_>>().join(", ")
-                    ),
-                })
-            }
-        }
-    };
-    Ok(factory())
-}
-
-/// Names of all registered backends, sorted.
-pub fn available_backends() -> Vec<String> {
-    registry()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .keys()
-        .cloned()
-        .collect()
-}
 
 #[cfg(test)]
 mod tests {
@@ -904,37 +829,13 @@ mod tests {
         (model, system, TransientOptions::new(0.2e-9, 1.0e-9))
     }
 
-    #[test]
-    fn builtin_backends_are_registered() {
-        let names = available_backends();
-        for expected in [DIRECT_CHOLESKY, BLOCK_JACOBI_CG, LEFT_LOOKING_LU] {
-            assert!(names.iter().any(|n| n == expected), "{expected} missing");
-            assert_eq!(backend_by_name(expected).unwrap().name(), expected);
-        }
-        assert!(matches!(
-            backend_by_name("no-such-backend"),
-            Err(OperaError::InvalidOptions { .. })
-        ));
-    }
-
-    #[test]
-    fn delegating_factories_may_consult_the_registry() {
-        // A factory that itself resolves another backend by name must not
-        // deadlock on the registry mutex.
-        register_backend("delegating-direct", || {
-            backend_by_name(DIRECT_CHOLESKY).expect("builtin backend")
-        });
-        let backend = backend_by_name("delegating-direct").unwrap();
-        assert_eq!(backend.name(), DIRECT_CHOLESKY);
-    }
-
-    #[test]
-    fn custom_backends_can_be_registered() {
-        register_backend("custom-direct", || Arc::new(DirectCholesky));
-        let backend = backend_by_name("custom-direct").unwrap();
-        // The factory controls the instance, not the name lookup.
-        assert_eq!(backend.name(), DIRECT_CHOLESKY);
-        assert!(available_backends().contains(&"custom-direct".to_string()));
+    /// The three built-in backends, by value.
+    fn builtin_backends() -> [Arc<dyn SolverBackend>; 3] {
+        [
+            Arc::new(DirectCholesky),
+            Arc::new(LeftLookingLu),
+            Arc::new(BlockJacobiCg::default()),
+        ]
     }
 
     /// One-column panel of `v`.
@@ -988,8 +889,7 @@ mod tests {
         let u0 = system.excitation(&model, 0.0);
         let u1 = system.excitation(&model, transient.time_step);
         let mut states = Vec::new();
-        for name in [DIRECT_CHOLESKY, LEFT_LOOKING_LU, BLOCK_JACOBI_CG] {
-            let backend = backend_by_name(name).unwrap();
+        for backend in builtin_backends() {
             let prepared = backend.prepare(&model, &system, &transient).unwrap();
             states.push(dc_and_step(prepared.as_ref(), &u0, None, &u1).unwrap().1);
         }
@@ -1005,8 +905,7 @@ mod tests {
         let u_mid = system.excitation(&model, TR_BDF2_GAMMA * transient.time_step);
         let u1 = system.excitation(&model, transient.time_step);
         let mut states = Vec::new();
-        for name in [DIRECT_CHOLESKY, LEFT_LOOKING_LU, BLOCK_JACOBI_CG] {
-            let backend = backend_by_name(name).unwrap();
+        for backend in builtin_backends() {
             let prepared = backend.prepare(&model, &system, &transient).unwrap();
             let (a0, a1) = dc_and_step(prepared.as_ref(), &u0, Some(&u_mid), &u1).unwrap();
             // The single-stage entry refuses a TR-BDF2 preparation, and the

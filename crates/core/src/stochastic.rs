@@ -7,79 +7,23 @@
 //! makes OPERA one to two orders of magnitude faster than Monte Carlo.
 //!
 //! How the augmented system is solved is delegated to a pluggable
-//! [`SolverBackend`]; this module owns only the
-//! backend-independent time-stepping loop. For setup-once/solve-many
-//! workloads, prefer the [`OperaEngine`](crate::engine::OperaEngine), which
-//! keeps the assembled system and prepared factorisation alive across
-//! scenarios.
-
-use std::sync::Arc;
+//! [`SolverBackend`](crate::solver::SolverBackend); this module owns only the
+//! backend-independent time-stepping loop. The
+//! [`OperaEngine`](crate::engine::OperaEngine) drives it: it keeps the
+//! assembled system and prepared factorisation alive across scenarios, and
+//! [`OperaEngine::solve`](crate::engine::OperaEngine::solve) returns the
+//! [`StochasticSolution`].
 
 use opera_pce::{OrthogonalBasis, PceSeries};
 use opera_sparse::{Panel, SolveWorkspace};
-use opera_variation::StochasticGridModel;
 
 use crate::adaptive::{integrate_adaptive, AdaptiveOptions, AdaptiveStats};
 use crate::galerkin::GalerkinSystem;
-use crate::solver::{default_backend, PreparedSolver, SolverBackend};
+use crate::solver::PreparedSolver;
 use crate::transient::{
     integrate_fixed_step, rescale_around_anchor, IntegrationMethod, TransientOptions,
 };
 use crate::{OperaError, Result};
-
-/// Options for the OPERA solver.
-#[derive(Debug, Clone)]
-pub struct OperaOptions {
-    /// Truncation order `p` of the polynomial chaos expansion (the paper uses
-    /// 2 or 3).
-    pub order: u32,
-    /// Transient analysis options.
-    pub transient: TransientOptions,
-    /// How the augmented system is solved.
-    pub solver: Arc<dyn SolverBackend>,
-}
-
-impl OperaOptions {
-    /// Order-2 expansion with the given transient options (the configuration
-    /// used for every Table 1 entry in the paper) and the default solver.
-    pub fn order2(transient: TransientOptions) -> Self {
-        Self::with_order(2, transient)
-    }
-
-    /// Order-`p` expansion with the given transient options and the
-    /// engine's default solver ([`default_backend`]: the
-    /// Kronecker-preconditioned CG). Pass [`DirectCholesky`](crate::solver::DirectCholesky) to
-    /// [`OperaOptions::with_solver`] for the bit-pinned direct reference.
-    pub fn with_order(order: u32, transient: TransientOptions) -> Self {
-        OperaOptions {
-            order,
-            transient,
-            solver: default_backend(),
-        }
-    }
-
-    /// Switches to an arbitrary solver backend.
-    pub fn with_solver(mut self, solver: Arc<dyn SolverBackend>) -> Self {
-        self.solver = solver;
-        self
-    }
-
-    /// Validates the options.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OperaError::InvalidOptions`] for order 0, invalid solver
-    /// parameters, or invalid transient options.
-    pub fn validate(&self) -> Result<()> {
-        if self.order == 0 {
-            return Err(OperaError::InvalidOptions {
-                reason: "expansion order must be at least 1".to_string(),
-            });
-        }
-        self.solver.validate()?;
-        self.transient.validate()
-    }
-}
 
 /// The stochastic voltage response: polynomial-chaos coefficients of every
 /// node voltage at every time point.
@@ -202,68 +146,6 @@ impl StochasticSolution {
         }
         best
     }
-}
-
-/// Runs the OPERA analysis: assembles the Galerkin system for the model and
-/// performs one augmented transient solve.
-///
-/// # Errors
-///
-/// Returns [`OperaError::InvalidOptions`] for invalid options and propagates
-/// assembly/factorisation errors.
-///
-/// # Example
-///
-/// ```
-/// use opera::stochastic::{solve, OperaOptions};
-/// use opera::transient::TransientOptions;
-/// use opera_grid::GridSpec;
-/// use opera_variation::{StochasticGridModel, VariationSpec};
-///
-/// # fn main() -> Result<(), opera::OperaError> {
-/// let grid = GridSpec::small_test(100).build()?;
-/// let model = StochasticGridModel::inter_die(&grid, &VariationSpec::paper_defaults())?;
-/// let options = OperaOptions::order2(TransientOptions::new(0.1e-9, 1.0e-9));
-/// let solution = solve(&model, &options)?;
-/// let (node, k, drop) = solution.worst_mean_drop(grid.vdd());
-/// assert!(drop > 0.0);
-/// assert!(solution.std_dev_at(k, node) > 0.0);
-/// # Ok(())
-/// # }
-/// ```
-pub fn solve(model: &StochasticGridModel, options: &OperaOptions) -> Result<StochasticSolution> {
-    options.validate()?;
-    let basis =
-        OrthogonalBasis::total_order_mixed(model.families(), model.n_vars(), options.order)?;
-    let system = GalerkinSystem::assemble(model, &basis)?;
-    solve_assembled(model, &system, options)
-}
-
-/// Runs the OPERA transient on an already assembled Galerkin system (useful
-/// when the same system is reused with several transient or solver
-/// configurations; the expansion order of `options` is ignored in favour of
-/// the system's basis).
-///
-/// # Errors
-///
-/// Propagates factorisation errors and invalid transient options.
-pub fn solve_assembled(
-    model: &StochasticGridModel,
-    system: &GalerkinSystem,
-    options: &OperaOptions,
-) -> Result<StochasticSolution> {
-    let transient = &options.transient;
-    transient.validate()?;
-    options.solver.validate()?;
-    let prepared = options.solver.prepare(model, system, transient)?;
-    run_prepared_single(
-        prepared.as_ref(),
-        system,
-        |t| system.excitation(model, t),
-        None,
-        1.0,
-        transient,
-    )
 }
 
 /// One augmented transient through [`run_prepared_panel`] as a one-column
@@ -402,8 +284,11 @@ pub(crate) fn run_prepared_panel(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use crate::solver::{BlockJacobiCg, DirectCholesky, LeftLookingLu};
+    use crate::engine::OperaEngine;
+    use crate::solver::{BlockJacobiCg, DirectCholesky, LeftLookingLu, SolverBackend};
     use crate::transient::{solve_transient, TransientOptions};
     use opera_grid::GridSpec;
     use opera_variation::{StochasticGridModel, VariationSpec};
@@ -415,12 +300,39 @@ mod tests {
         (grid, model)
     }
 
+    /// One `OperaEngine::solve()` of `model` at expansion `order` on the
+    /// transient `topts` with `solver`.
+    fn solve_with(
+        model: &StochasticGridModel,
+        order: u32,
+        topts: TransientOptions,
+        solver: Arc<dyn SolverBackend>,
+    ) -> Result<StochasticSolution> {
+        OperaEngine::for_model(model.clone())
+            .order(order)
+            .time_step(topts.time_step)
+            .end_time(topts.end_time)
+            .integration_method(topts.method)
+            .solver(solver)
+            .build()?
+            .solve()
+    }
+
+    /// [`solve_with`] on the engine's default solver.
+    fn engine_solve(
+        model: &StochasticGridModel,
+        order: u32,
+        topts: TransientOptions,
+    ) -> Result<StochasticSolution> {
+        solve_with(model, order, topts, crate::solver::default_backend())
+    }
+
     #[test]
     fn zero_variation_reduces_to_deterministic_transient() {
         let grid = GridSpec::small_test(90).with_seed(4).build().unwrap();
         let model = StochasticGridModel::inter_die(&grid, &VariationSpec::none()).unwrap();
         let topts = TransientOptions::new(0.1e-9, 1.0e-9);
-        let opera = solve(&model, &OperaOptions::order2(topts)).unwrap();
+        let opera = engine_solve(&model, 2, topts).unwrap();
         let det = solve_transient(
             &grid.conductance_matrix(),
             &grid.capacitance_matrix(),
@@ -442,8 +354,7 @@ mod tests {
     #[test]
     fn variation_produces_nonzero_spread_at_loaded_nodes() {
         let (grid, model) = small_setup();
-        let opts = OperaOptions::order2(TransientOptions::new(0.1e-9, 1.0e-9));
-        let sol = solve(&model, &opts).unwrap();
+        let sol = engine_solve(&model, 2, TransientOptions::new(0.1e-9, 1.0e-9)).unwrap();
         let (node, k, drop) = sol.worst_mean_drop(grid.vdd());
         assert!(drop > 0.0);
         let sigma = sol.std_dev_at(k, node);
@@ -459,7 +370,7 @@ mod tests {
         // the same as the nominal voltage drops without variations".
         let (grid, model) = small_setup();
         let topts = TransientOptions::new(0.1e-9, 1.0e-9);
-        let sol = solve(&model, &OperaOptions::order2(topts)).unwrap();
+        let sol = engine_solve(&model, 2, topts).unwrap();
         let det = solve_transient(
             &grid.conductance_matrix(),
             &grid.capacitance_matrix(),
@@ -478,11 +389,7 @@ mod tests {
     #[test]
     fn node_series_matches_solution_statistics() {
         let (_grid, model) = small_setup();
-        let sol = solve(
-            &model,
-            &OperaOptions::order2(TransientOptions::new(0.2e-9, 1.0e-9)),
-        )
-        .unwrap();
+        let sol = engine_solve(&model, 2, TransientOptions::new(0.2e-9, 1.0e-9)).unwrap();
         let k = sol.times().len() - 1;
         let series = sol.node_series(k, 3).unwrap();
         assert!((series.mean() - sol.mean_at(k, 3)).abs() < 1e-14);
@@ -493,8 +400,8 @@ mod tests {
     fn order_one_and_two_agree_on_the_mean_to_first_order() {
         let (_grid, model) = small_setup();
         let topts = TransientOptions::new(0.2e-9, 1.0e-9);
-        let sol1 = solve(&model, &OperaOptions::with_order(1, topts)).unwrap();
-        let sol2 = solve(&model, &OperaOptions::order2(topts)).unwrap();
+        let sol1 = engine_solve(&model, 1, topts).unwrap();
+        let sol2 = engine_solve(&model, 2, topts).unwrap();
         let k = sol1.times().len() - 1;
         for n in (0..model.node_count()).step_by(7) {
             let d = (sol1.mean_at(k, n) - sol2.mean_at(k, n)).abs();
@@ -503,29 +410,18 @@ mod tests {
     }
 
     #[test]
-    fn invalid_options_are_rejected() {
+    fn default_solver_is_the_kronecker_preconditioned_cg() {
         let (_grid, model) = small_setup();
-        let bad = OperaOptions::with_order(0, TransientOptions::new(0.1e-9, 1.0e-9));
-        assert!(matches!(
-            solve(&model, &bad),
-            Err(OperaError::InvalidOptions { .. })
-        ));
-        let bad_cg = OperaOptions::order2(TransientOptions::new(0.1e-9, 1.0e-9)).with_solver(
-            Arc::new(BlockJacobiCg {
-                tolerance: 0.0,
-                max_iterations: 10,
-            }),
+        let engine = OperaEngine::for_model(model)
+            .time_step(0.1e-9)
+            .end_time(1.0e-9)
+            .build()
+            .unwrap();
+        assert_eq!(
+            engine.solver().name(),
+            crate::solver::default_backend().name()
         );
-        assert!(bad_cg.validate().is_err());
-    }
-
-    #[test]
-    fn default_solver_is_the_engine_default() {
-        let opts = OperaOptions::order2(TransientOptions::new(0.1e-9, 1.0e-9));
-        assert_eq!(opts.solver.name(), crate::solver::default_backend().name());
-        assert_eq!(opts.solver.name(), crate::solver::BLOCK_JACOBI_CG);
-        let direct = opts.clone().with_solver(Arc::new(DirectCholesky));
-        assert_eq!(direct.solver.name(), crate::solver::DIRECT_CHOLESKY);
+        assert_eq!(engine.solver().name(), crate::solver::BLOCK_JACOBI_CG);
     }
 
     #[test]
@@ -537,16 +433,8 @@ mod tests {
             end_time: 1.0e-9,
             method: crate::transient::IntegrationMethod::Trapezoidal,
         };
-        let direct = solve(
-            &model,
-            &OperaOptions::order2(topts).with_solver(Arc::new(DirectCholesky)),
-        )
-        .unwrap();
-        let iterative = solve(
-            &model,
-            &OperaOptions::order2(topts).with_solver(Arc::new(BlockJacobiCg::default())),
-        )
-        .unwrap();
+        let direct = solve_with(&model, 2, topts, Arc::new(DirectCholesky)).unwrap();
+        let iterative = solve_with(&model, 2, topts, Arc::new(BlockJacobiCg::default())).unwrap();
         let (node, k, _) = direct.worst_mean_drop(grid.vdd());
         assert!((direct.mean_at(k, node) - iterative.mean_at(k, node)).abs() < 1e-7 * grid.vdd());
         assert!(
@@ -558,16 +446,8 @@ mod tests {
     fn left_looking_lu_backend_matches_direct_cholesky_exactly_enough() {
         let (grid, model) = small_setup();
         let topts = TransientOptions::new(0.2e-9, 1.0e-9);
-        let direct = solve(
-            &model,
-            &OperaOptions::order2(topts).with_solver(Arc::new(DirectCholesky)),
-        )
-        .unwrap();
-        let lu = solve(
-            &model,
-            &OperaOptions::order2(topts).with_solver(Arc::new(LeftLookingLu)),
-        )
-        .unwrap();
+        let direct = solve_with(&model, 2, topts, Arc::new(DirectCholesky)).unwrap();
+        let lu = solve_with(&model, 2, topts, Arc::new(LeftLookingLu)).unwrap();
         let (node, k, _) = direct.worst_mean_drop(grid.vdd());
         assert!((direct.mean_at(k, node) - lu.mean_at(k, node)).abs() < 1e-9 * grid.vdd());
         assert!((direct.std_dev_at(k, node) - lu.std_dev_at(k, node)).abs() < 1e-9 * grid.vdd());
@@ -577,16 +457,8 @@ mod tests {
     fn iterative_solver_matches_direct_solver() {
         let (grid, model) = small_setup();
         let topts = TransientOptions::new(0.1e-9, 1.0e-9);
-        let direct = solve(
-            &model,
-            &OperaOptions::order2(topts).with_solver(Arc::new(DirectCholesky)),
-        )
-        .unwrap();
-        let iterative = solve(
-            &model,
-            &OperaOptions::order2(topts).with_solver(Arc::new(BlockJacobiCg::default())),
-        )
-        .unwrap();
+        let direct = solve_with(&model, 2, topts, Arc::new(DirectCholesky)).unwrap();
+        let iterative = solve_with(&model, 2, topts, Arc::new(BlockJacobiCg::default())).unwrap();
         for k in (0..direct.times().len()).step_by(3) {
             for n in (0..direct.node_count()).step_by(9) {
                 assert!(

@@ -3,11 +3,31 @@
 
 use proptest::prelude::*;
 
+use opera::engine::OperaEngine;
 use opera::special_case::{solve_leakage, SpecialCaseOptions};
-use opera::stochastic::{solve, OperaOptions};
 use opera::transient::{solve_transient, TransientOptions};
-use opera_grid::GridSpec;
+use opera::StochasticSolution;
+use opera_grid::{GridSpec, PowerGrid};
 use opera_variation::{LeakageModel, StochasticGridModel, VariationSpec};
+
+/// One `OperaEngine::solve()` of the inter-die model of `grid` under
+/// `spec` at expansion `order` on the transient `topts`.
+fn engine_solve(
+    grid: &PowerGrid,
+    spec: &VariationSpec,
+    order: u32,
+    topts: TransientOptions,
+) -> StochasticSolution {
+    let model = StochasticGridModel::inter_die(grid, spec).unwrap();
+    OperaEngine::for_model(model)
+        .order(order)
+        .time_step(topts.time_step)
+        .end_time(topts.end_time)
+        .build()
+        .unwrap()
+        .solve()
+        .unwrap()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -31,12 +51,8 @@ proptest! {
             channel_length_3sigma: 0.20 * scale,
             ..VariationSpec::paper_defaults()
         };
-        let solve_for = |spec: &VariationSpec| {
-            let model = StochasticGridModel::inter_die(&grid, spec).unwrap();
-            solve(&model, &OperaOptions::order2(topts)).unwrap()
-        };
-        let small = solve_for(&spec_small);
-        let large = solve_for(&spec_large);
+        let small = engine_solve(&grid, &spec_small, 2, topts);
+        let large = engine_solve(&grid, &spec_large, 2, topts);
         let nominal = solve_transient(
             &grid.conductance_matrix(),
             &grid.capacitance_matrix(),
@@ -56,9 +72,8 @@ proptest! {
     #[test]
     fn solution_is_finite_and_consistent_at_dc(seed in 0u64..40, order in 1u32..4) {
         let grid = GridSpec::small_test(70).with_seed(seed).build().unwrap();
-        let model = StochasticGridModel::inter_die(&grid, &VariationSpec::paper_defaults()).unwrap();
         let topts = TransientOptions::new(0.25e-9, 0.5e-9);
-        let sol = solve(&model, &OperaOptions::with_order(order, topts)).unwrap();
+        let sol = engine_solve(&grid, &VariationSpec::paper_defaults(), order, topts);
         for k in 0..sol.times().len() {
             for i in 0..sol.basis_size() {
                 for node in (0..sol.node_count()).step_by(11) {

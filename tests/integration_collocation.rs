@@ -8,19 +8,26 @@
 //!     collocation nodes (engine counter hooks, mirroring
 //!     `integration_engine_reuse.rs`);
 //! (c) the projected statistics are bit-identical for 1, 2 and 8 worker
-//!     threads.
+//!     threads;
+//!
+//! plus the mirror contract between the collocation driver's transient
+//! settings and `opera::transient`.
 
-use opera::analysis::ExperimentConfig;
 use opera::engine::{CollocationConfig, OperaEngine};
+use opera::transient::TransientOptions;
 use opera::{McConfig, Parallelism};
+use opera_collocation::TransientSpec;
+use opera_grid::GridSpec;
 
 /// The scaled first paper grid shared by the tests below.
 fn paper_engine(parallelism: Parallelism) -> OperaEngine {
-    let mut config = ExperimentConfig::table1_row_scaled(0, 0.012, 50).unwrap();
-    config.time_step = 0.1e-9;
-    config.end_time = Some(1.0e-9);
-    config.parallelism = parallelism;
-    OperaEngine::from_config(&config).unwrap()
+    OperaEngine::for_grid(GridSpec::paper_grid(0).unwrap().scaled_nodes(0.012))
+        .unwrap()
+        .time_step(0.1e-9)
+        .end_time(1.0e-9)
+        .parallelism(parallelism)
+        .build()
+        .unwrap()
 }
 
 #[test]
@@ -128,5 +135,33 @@ fn collocation_statistics_are_bit_identical_for_1_2_and_8_threads() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn collocation_transient_settings_mirror_opera_transient_bit_for_bit() {
+    // The collocation crate sits below `opera` and keeps its own copies of
+    // the time grid and the TR-BDF2 stage split; the engine relies on both
+    // sides agreeing exactly.
+    assert_eq!(
+        opera_collocation::TR_BDF2_GAMMA.to_bits(),
+        opera::transient::TR_BDF2_GAMMA.to_bits()
+    );
+    for (h, end) in [
+        (0.1e-9, 1.0e-9),
+        (0.05e-9, 2.0e-9),
+        (0.25e-9, 1.0e-9),
+        // `h` does not divide `end`: the last point is clamped to `end`.
+        (0.3e-9, 1.0e-9),
+        (0.07e-9, 1.0e-9),
+        (1.0e-9, 1.0e-9),
+    ] {
+        let opera_times = TransientOptions::new(h, end).time_points();
+        let colloc_times = TransientSpec::new(h, end).time_points();
+        assert_eq!(opera_times.len(), colloc_times.len(), "h {h}, end {end}");
+        for (a, b) in opera_times.iter().zip(&colloc_times) {
+            assert_eq!(a.to_bits(), b.to_bits(), "h {h}, end {end}: {a} vs {b}");
+        }
+        assert_eq!(opera_times.last().copied(), Some(end));
     }
 }

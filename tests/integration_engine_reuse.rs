@@ -1,17 +1,42 @@
 //! Integration test for the setup-once/solve-many contract of `OperaEngine`:
 //! a batch of K scenarios must be served by exactly one Galerkin assembly and
 //! one factorisation (counted via the engine's test hooks), while returning
-//! statistics bit-identical to K independent one-shot `run_experiment` calls
-//! that each rebuild everything from scratch.
+//! statistics bit-identical to K independent one-shot engines that each
+//! rebuild everything from scratch.
 
-use opera::analysis::{run_experiment, ExperimentConfig};
-use opera::engine::{OperaEngine, Scenario};
-use opera::solver::{BLOCK_JACOBI_CG, LEFT_LOOKING_LU};
+use std::sync::Arc;
+
+use opera::engine::{EngineBuilder, OperaEngine, Scenario};
+use opera::response::ExperimentReport;
+use opera::solver::{BlockJacobiCg, DirectCholesky, LeftLookingLu, SolverBackend};
+use opera_grid::GridSpec;
+
+/// A small direct-Cholesky engine: 40 Monte Carlo samples (seed 7), 12
+/// histogram bins, h = 0.2 ns up to 1 ns.
+fn demo_engine(nodes: usize) -> EngineBuilder {
+    OperaEngine::for_grid(GridSpec::small_test(nodes))
+        .unwrap()
+        .solver(Arc::new(DirectCholesky))
+        .time_step(0.2e-9)
+        .end_time(1.0e-9)
+        .mc_samples(40)
+        .mc_seed(7)
+        .histogram_bins(12)
+}
+
+/// The baseline scenario's report of a freshly built engine.
+fn one_shot(builder: EngineBuilder) -> ExperimentReport {
+    builder
+        .build()
+        .unwrap()
+        .run_scenario(&Scenario::default())
+        .unwrap()
+        .report
+}
 
 #[test]
 fn run_batch_shares_one_assembly_and_matches_one_shot_runs_bit_for_bit() {
-    let config = ExperimentConfig::quick_demo(140);
-    let engine = OperaEngine::from_config(&config).unwrap();
+    let engine = demo_engine(140).build().unwrap();
     assert_eq!(engine.assembly_count(), 1);
     assert_eq!(engine.factorization_count(), 1);
 
@@ -33,9 +58,7 @@ fn run_batch_shares_one_assembly_and_matches_one_shot_runs_bit_for_bit() {
     // corresponding one-shot experiment, which rebuilds grid, model, system
     // and factorisation from scratch.
     for (&seed, batched) in seeds.iter().zip(&batch) {
-        let mut one_shot_config = config.clone();
-        one_shot_config.mc_seed = seed;
-        let one_shot = run_experiment(&one_shot_config).unwrap();
+        let one_shot = one_shot(demo_engine(140).mc_seed(seed));
 
         assert_eq!(batched.report.node_count, one_shot.node_count);
         assert_eq!(batched.report.mc_samples, one_shot.mc_samples);
@@ -66,7 +89,7 @@ fn run_batch_shares_one_assembly_and_matches_one_shot_runs_bit_for_bit() {
 
 #[test]
 fn time_step_overrides_refactor_but_never_reassemble() {
-    let engine = OperaEngine::from_config(&ExperimentConfig::quick_demo(120)).unwrap();
+    let engine = demo_engine(120).build().unwrap();
     let scenarios = [
         Scenario::named("baseline"),
         Scenario::named("fine").with_time_step(0.1e-9),
@@ -86,11 +109,13 @@ fn time_step_overrides_refactor_but_never_reassemble() {
 }
 
 #[test]
-fn solver_backends_are_interchangeable_through_the_config_front_end() {
-    let direct = run_experiment(&ExperimentConfig::quick_demo(110)).unwrap();
-    for backend in [BLOCK_JACOBI_CG, LEFT_LOOKING_LU] {
-        let config = ExperimentConfig::quick_demo(110).with_solver(backend);
-        let report = run_experiment(&config).unwrap();
+fn solver_backends_are_interchangeable_through_the_builder() {
+    let direct = one_shot(demo_engine(110));
+    let backends: [Arc<dyn SolverBackend>; 2] =
+        [Arc::new(BlockJacobiCg::default()), Arc::new(LeftLookingLu)];
+    for solver in backends {
+        let backend = solver.name().to_string();
+        let report = one_shot(demo_engine(110).solver(solver));
         // Same grid and seeds; only the augmented-system solver differs, so
         // the statistics agree to solver tolerance.
         let rel = (report.opera.worst_mean_drop - direct.opera.worst_mean_drop).abs()

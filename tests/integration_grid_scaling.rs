@@ -1,7 +1,7 @@
 //! Integration test of the synthetic grid generator together with the sparse
-//! solvers at several grid sizes, plus the end-to-end experiment driver.
+//! solvers at several grid sizes, plus one scaled Table 1 row end to end.
 
-use opera::analysis::{run_experiment, ExperimentConfig};
+use opera::engine::{OperaEngine, Scenario};
 use opera_grid::{GridSpec, PAPER_GRID_NODE_COUNTS};
 use opera_sparse::{cg, CholeskyFactor, OrderingChoice};
 
@@ -66,8 +66,15 @@ fn paper_grid_specs_expose_the_seven_table1_sizes() {
 fn scaled_table1_experiment_runs_end_to_end() {
     // A strongly scaled-down version of Table 1 row 1 — the full-size run is
     // exercised by the benchmark harness, not the test suite.
-    let config = ExperimentConfig::table1_row_scaled(0, 0.02, 30).unwrap();
-    let report = run_experiment(&config).unwrap();
+    let report = OperaEngine::for_grid(GridSpec::paper_grid(0).unwrap().scaled_nodes(0.02))
+        .unwrap()
+        .mc_samples(30)
+        .mc_seed(42)
+        .build()
+        .unwrap()
+        .run_scenario(&Scenario::default())
+        .unwrap()
+        .report;
     assert!(report.node_count > 200);
     // With only 30 Monte Carlo samples (kept low so the test is fast) the
     // speed-up is not representative — the benchmark harness measures it at

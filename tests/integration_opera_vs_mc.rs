@@ -3,12 +3,24 @@
 //! exercising every crate of the workspace together.
 
 use opera::compare::compare;
+use opera::engine::OperaEngine;
 use opera::monte_carlo::{run as run_monte_carlo, MonteCarloOptions};
 use opera::response::drop_summary;
-use opera::stochastic::{solve, OperaOptions};
 use opera::transient::{solve_transient, TransientOptions};
+use opera::StochasticSolution;
 use opera_grid::GridSpec;
 use opera_variation::{StochasticGridModel, VariationSpec};
+
+/// One order-2 `OperaEngine::solve()` of `model` on the transient `topts`.
+fn engine_solve(model: &StochasticGridModel, topts: TransientOptions) -> StochasticSolution {
+    OperaEngine::for_model(model.clone())
+        .time_step(topts.time_step)
+        .end_time(topts.end_time)
+        .build()
+        .unwrap()
+        .solve()
+        .unwrap()
+}
 
 #[test]
 fn opera_reproduces_monte_carlo_statistics_on_a_mesh_grid() {
@@ -17,7 +29,7 @@ fn opera_reproduces_monte_carlo_statistics_on_a_mesh_grid() {
     let model = StochasticGridModel::inter_die(&grid, &VariationSpec::paper_defaults()).unwrap();
     let transient = TransientOptions::new(0.1e-9, 1.0e-9);
 
-    let opera = solve(&model, &OperaOptions::order2(transient)).unwrap();
+    let opera = engine_solve(&model, transient);
     let mc = run_monte_carlo(&model, &MonteCarloOptions::new(400, 3, transient)).unwrap();
     let errors = compare(&opera, &mc, grid.vdd());
 
@@ -41,7 +53,7 @@ fn three_sigma_spread_is_a_large_fraction_of_the_nominal_drop() {
     let grid = GridSpec::industrial(600).with_seed(55).build().unwrap();
     let model = StochasticGridModel::inter_die(&grid, &VariationSpec::paper_defaults()).unwrap();
     let transient = TransientOptions::new(0.1e-9, grid.waveform_end_time());
-    let opera = solve(&model, &OperaOptions::order2(transient)).unwrap();
+    let opera = engine_solve(&model, transient);
     let nominal = solve_transient(
         &grid.conductance_matrix(),
         &grid.capacitance_matrix(),
@@ -75,7 +87,7 @@ fn larger_variation_produces_larger_spread() {
 
     let spread = |spec: &VariationSpec| {
         let model = StochasticGridModel::inter_die(&grid, spec).unwrap();
-        let sol = solve(&model, &OperaOptions::order2(transient)).unwrap();
+        let sol = engine_solve(&model, transient);
         let (node, k, _) = sol.worst_mean_drop(grid.vdd());
         sol.std_dev_at(k, node)
     };

@@ -4,10 +4,11 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use opera::engine::{OperaEngine, Scenario};
 use opera::monte_carlo::{run_leakage, MonteCarloOptions};
-use opera::solver::{BLOCK_JACOBI_CG, DIRECT_CHOLESKY, LEFT_LOOKING_LU};
+use opera::solver::{BlockJacobiCg, DirectCholesky, LeftLookingLu, SolverBackend};
 use opera::special_case::{solve_leakage, solve_leakage_reference, SpecialCaseOptions};
 use opera::transient::{integrate_fixed_step, IntegrationMethod, TransientOptions};
 use opera::Parallelism;
@@ -59,16 +60,24 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-fn small_engine(solver: &str) -> OperaEngine {
+/// The three built-in backends, by value.
+fn builtin_backends() -> [Arc<dyn SolverBackend>; 3] {
+    [
+        Arc::new(DirectCholesky),
+        Arc::new(LeftLookingLu),
+        Arc::new(BlockJacobiCg::default()),
+    ]
+}
+
+fn small_engine(solver: Arc<dyn SolverBackend>) -> OperaEngine {
     small_engine_with(solver, IntegrationMethod::BackwardEuler)
 }
 
-fn small_engine_with(solver: &str, method: IntegrationMethod) -> OperaEngine {
+fn small_engine_with(solver: Arc<dyn SolverBackend>, method: IntegrationMethod) -> OperaEngine {
     OperaEngine::for_grid(GridSpec::small_test(120))
         .unwrap()
         .variation(VariationSpec::paper_defaults())
-        .solver_name(solver)
-        .unwrap()
+        .solver(solver)
         .time_step(0.25e-9)
         .end_time(1.0e-9)
         .integration_method(method)
@@ -133,9 +142,10 @@ fn heap_allocations_in_warm_steps(engine: &OperaEngine) -> u64 {
 /// would also catch a stray `Vec` inside the CG iteration.
 #[test]
 fn steady_state_transient_steps_allocate_nothing() {
-    for solver in [DIRECT_CHOLESKY, LEFT_LOOKING_LU, BLOCK_JACOBI_CG] {
+    for backend in builtin_backends() {
+        let solver = backend.name().to_string();
         for method in [IntegrationMethod::BackwardEuler, IntegrationMethod::TrBdf2] {
-            let engine = small_engine_with(solver, method);
+            let engine = small_engine_with(Arc::clone(&backend), method);
             assert_eq!(
                 engine.steady_state_step_allocations().unwrap(),
                 0,
@@ -153,7 +163,7 @@ fn steady_state_transient_steps_allocate_nothing() {
 /// Panel-batched `run_batch` must produce reports bit-identical to solving
 /// every scenario alone, including when the batch mixes panel-eligible
 /// scenarios (engine time grid) with ones that need a private factorisation
-/// (time-step override) — on every registered backend (the CG backend steps
+/// (time-step override) — on every built-in backend (the CG backend steps
 /// its panel columns itself) and on a TR-BDF2 direct engine.
 #[test]
 fn mixed_batches_match_individual_scenario_runs_bit_for_bit() {
@@ -163,12 +173,12 @@ fn mixed_batches_match_individual_scenario_runs_bit_for_bit() {
         Scenario::named("heavy").with_current_scale(1.5),
         Scenario::named("fine").with_time_step(0.125e-9),
     ];
-    let engines = [DIRECT_CHOLESKY, LEFT_LOOKING_LU, BLOCK_JACOBI_CG]
-        .map(|solver| (solver, small_engine(solver)))
+    let engines = builtin_backends()
+        .map(|solver| (solver.name().to_string(), small_engine(solver)))
         .into_iter()
         .chain([(
-            "direct-cholesky + TR-BDF2",
-            small_engine_with(DIRECT_CHOLESKY, IntegrationMethod::TrBdf2),
+            "direct-cholesky + TR-BDF2".to_string(),
+            small_engine_with(Arc::new(DirectCholesky), IntegrationMethod::TrBdf2),
         )]);
     for (name, engine) in engines {
         let batch = engine.run_batch(&scenarios).unwrap();

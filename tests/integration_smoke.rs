@@ -1,18 +1,20 @@
-//! Workspace smoke test: the end-to-end experiment driver runs on a tiny
-//! configuration, the parallel Monte Carlo path is statistics-identical
+//! Workspace smoke test: one engine scenario runs end to end on a tiny
+//! grid, the parallel Monte Carlo path is statistics-identical
 //! to the serial path for a fixed seed (with a wall-clock sanity check on
 //! multi-core machines), and every Monte Carlo sample — factored against
 //! the run's shared symbolic analyses — is bit-identical to a one-shot
 //! transient of its own matrices.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use opera::analysis::{run_experiment, ExperimentConfig};
+use opera::engine::{OperaEngine, Scenario};
 use opera::monte_carlo::{run as run_monte_carlo, run_leakage, MonteCarloOptions};
 use opera::parallel::sample_seed;
+use opera::solver::DirectCholesky;
 use opera::special_case::{solve_leakage, SpecialCaseOptions};
 use opera::transient::{solve_transient, IntegrationMethod, TransientOptions};
 use opera::Parallelism;
@@ -20,8 +22,20 @@ use opera_grid::GridSpec;
 use opera_variation::{LeakageModel, StochasticGridModel, VariationSpec};
 
 #[test]
-fn quick_demo_experiment_runs_end_to_end() {
-    let report = run_experiment(&ExperimentConfig::quick_demo(150)).unwrap();
+fn tiny_engine_scenario_runs_end_to_end() {
+    let report = OperaEngine::for_grid(GridSpec::small_test(150))
+        .unwrap()
+        .solver(Arc::new(DirectCholesky))
+        .time_step(0.2e-9)
+        .end_time(1.0e-9)
+        .mc_samples(40)
+        .mc_seed(7)
+        .histogram_bins(12)
+        .build()
+        .unwrap()
+        .run_scenario(&Scenario::default())
+        .unwrap()
+        .report;
     assert!(report.node_count >= 100);
     assert!(report.opera.max_three_sigma_percent_of_nominal > 0.0);
     assert!(report.errors.avg_mean_error_percent < 1.0);

@@ -9,11 +9,13 @@
 //! [`opera_trace::test_guard`] for its whole body and resets the sink
 //! before enabling.
 
-use opera::analysis::ExperimentConfig;
+use std::sync::Arc;
+
 use opera::engine::{McConfig, OperaEngine, Scenario};
 use opera::monte_carlo::{run as run_monte_carlo, MonteCarloOptions};
-use opera::stochastic::{solve, OperaOptions};
+use opera::solver::DirectCholesky;
 use opera::transient::TransientOptions;
+use opera::StochasticSolution;
 use opera_grid::GridSpec;
 use opera_variation::{StochasticGridModel, VariationSpec};
 
@@ -22,13 +24,39 @@ fn small_model() -> StochasticGridModel {
     StochasticGridModel::inter_die(&grid, &VariationSpec::paper_defaults()).unwrap()
 }
 
+/// A small direct-Cholesky engine: 40 Monte Carlo samples, 12 histogram
+/// bins, h = 0.2 ns up to 1 ns.
+fn demo_engine(nodes: usize) -> OperaEngine {
+    OperaEngine::for_grid(GridSpec::small_test(nodes))
+        .unwrap()
+        .solver(Arc::new(DirectCholesky))
+        .time_step(0.2e-9)
+        .end_time(1.0e-9)
+        .mc_samples(40)
+        .mc_seed(7)
+        .histogram_bins(12)
+        .build()
+        .unwrap()
+}
+
+/// Builds an order-2 engine for [`small_model`] and solves it once.
+fn build_and_solve() -> StochasticSolution {
+    OperaEngine::for_model(small_model())
+        .time_step(0.1e-9)
+        .end_time(1.0e-9)
+        .build()
+        .unwrap()
+        .solve()
+        .unwrap()
+}
+
 #[test]
 fn rayon_fanout_spans_attach_to_the_launching_span() {
     let _guard = opera_trace::test_guard();
     opera_trace::reset();
     opera_trace::enable();
 
-    let engine = OperaEngine::from_config(&ExperimentConfig::quick_demo(100)).unwrap();
+    let engine = demo_engine(100);
     // Discard the build-time spans so the drain below holds exactly the
     // Monte Carlo sweep.
     let _ = opera_trace::drain();
@@ -92,7 +120,7 @@ fn engine_counters_agree_with_the_legacy_test_hooks() {
     opera_trace::reset();
     opera_trace::enable();
 
-    let engine = OperaEngine::from_config(&ExperimentConfig::quick_demo(120)).unwrap();
+    let engine = demo_engine(120);
     // Same batch as `integration_engine_reuse.rs`: the time-step override
     // forces exactly one extra factorisation, nothing re-assembles.
     let scenarios = [
@@ -125,15 +153,13 @@ fn engine_counters_agree_with_the_legacy_test_hooks() {
 #[test]
 fn enabled_tracing_is_bit_invisible_to_the_solver() {
     let _guard = opera_trace::test_guard();
-    let model = small_model();
-    let options = OperaOptions::order2(TransientOptions::new(0.1e-9, 1.0e-9));
 
     opera_trace::reset();
     opera_trace::disable();
-    let untraced = solve(&model, &options).unwrap();
+    let untraced = build_and_solve();
 
     opera_trace::enable();
-    let traced = solve(&model, &options).unwrap();
+    let traced = build_and_solve();
     let snapshot = opera_trace::drain();
     opera_trace::disable();
 
@@ -163,7 +189,7 @@ fn disabled_tracing_keeps_the_steady_state_loop_allocation_free() {
     let _guard = opera_trace::test_guard();
     opera_trace::reset();
     opera_trace::disable();
-    let engine = OperaEngine::from_config(&ExperimentConfig::quick_demo(100)).unwrap();
+    let engine = demo_engine(100);
     assert_eq!(engine.steady_state_step_allocations().unwrap(), 0);
 }
 
@@ -172,7 +198,7 @@ fn build_span_nests_its_phases_and_child_times_fit_inside_the_parent() {
     let _guard = opera_trace::test_guard();
     opera_trace::reset();
     opera_trace::enable();
-    let engine = OperaEngine::from_config(&ExperimentConfig::quick_demo(110)).unwrap();
+    let engine = demo_engine(110);
     let snapshot = opera_trace::drain();
     opera_trace::disable();
     drop(engine);
