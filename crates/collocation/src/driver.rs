@@ -2,13 +2,18 @@
 //! node, all sharing a single symbolic Cholesky analysis, combined into
 //! polynomial-chaos coefficients by discrete projection.
 
+use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use rayon::prelude::*;
 
 use opera_pce::sparse_grid::{smolyak_grid, tensor_grid, QuadratureGrid};
 use opera_pce::{OrthogonalBasis, PolynomialFamily};
-use opera_sparse::{SolveWorkspace, SymbolicCholesky};
+use opera_sparse::{
+    CholeskyGroup, CsrMatrix, Panel, SolveWorkspace, SymbolicCholesky, LOCKSTEP_LANES,
+};
 use opera_variation::StochasticGridModel;
 
 use crate::{CollocationError, Result};
@@ -194,9 +199,18 @@ pub struct CollocationRun {
 /// **one shared symbolic analysis** (no re-ordering, no re-analysis), run the
 /// deterministic transient, and project the node solutions onto `basis`.
 ///
-/// Node solves fan out over the ambient `rayon` pool; the projection
-/// accumulates traces strictly in node-index order, so the resulting
-/// coefficients are bit-identical for every worker-thread count.
+/// The nodes step in lock-step groups of up to [`LOCKSTEP_LANES`]: each
+/// member's DC factor of `G(ξ)` is solved once and dropped, its companion
+/// factor joins one [`CholeskyGroup`], and every time step builds the
+/// members' stage right-hand sides into one [`Panel`] and runs one group
+/// solve (two for TR-BDF2). Each column performs exactly the arithmetic of
+/// a node stepped on its own. Every state is projected as soon as it
+/// exists, so no node's full trace is kept.
+///
+/// Groups fan out over the ambient `rayon` pool; row `k` of node `q` folds
+/// into the projection only once row `k` of every node before `q` has, so
+/// the resulting coefficients are bit-identical for every worker-thread
+/// count.
 ///
 /// # Errors
 ///
@@ -240,148 +254,296 @@ pub fn solve_collocation(
     // it (the perturbations only re-weight existing branches), and the plain
     // G(ξ) needed for the DC start is a sub-pattern too, so both per-node
     // factorisations reuse this analysis.
-    let companion_nominal = model
-        .nominal_conductance()
-        .add_scaled(&model.nominal_capacitance().scaled(h_scale), 1.0)?;
-    let symbolic = SymbolicCholesky::analyze(&companion_nominal)?;
-    let numeric_factorizations = AtomicUsize::new(0);
+    let symbolic = SymbolicCholesky::analyze(
+        &model
+            .nominal_conductance()
+            .add_scaled(&model.nominal_capacitance().scaled(h_scale), 1.0)?,
+    )?;
 
-    // Captured before the fan-out: per-node spans on worker threads nest
-    // under the span that launched the sweep.
-    let parent = opera_trace::current_span();
-    let solve_node = |q: usize| -> Result<Vec<Vec<f64>>> {
-        let _span = opera_trace::span_under(parent, "collocation.node");
-        opera_trace::count("collocation.nodes", 1);
-        let xi: &[f64] = &grid.nodes()[q];
-        let g = model.sample_conductance(xi)?;
-        let c_over_h = model.sample_capacitance(xi)?.scaled(h_scale);
-        let companion = g.add_scaled(&c_over_h, 1.0)?;
-        let dc = symbolic.factor_numeric(&g)?;
-        let stepper = symbolic.factor_numeric(&companion)?;
-        numeric_factorizations.fetch_add(2, Ordering::Relaxed);
+    // Per node, the projection weight `w_q·ψ_i(ξ_q)/‖ψ_i‖²` of each basis
+    // function.
+    let norms: Vec<f64> = (0..basis.len()).map(|i| basis.norm_squared(i)).collect();
+    let mut weights = Vec::with_capacity(grid.len());
+    for (xi, &w) in grid.nodes().iter().zip(grid.weights()) {
+        let psi = basis.evaluate_all(xi)?;
+        weights.push(
+            psi.iter()
+                .zip(&norms)
+                .map(|(p, norm)| w * p / norm)
+                .collect::<Vec<f64>>(),
+        );
+    }
+    let sweep = NodeSweep {
+        model,
+        grid,
+        spec,
+        times: &times,
+        h_scale,
+        symbolic: &symbolic,
+        numeric_factorizations: AtomicUsize::new(0),
+        projection: Mutex::new(OrderedProjection {
+            coefficients: vec![vec![vec![0.0f64; n]; basis.len()]; times.len()],
+            next: vec![0; times.len()],
+            pending: BTreeMap::new(),
+            weights,
+        }),
+        // Captured before the fan-out: per-node spans on worker threads
+        // nest under the span that launched the sweep.
+        parent: opera_trace::current_span(),
+    };
 
-        let scale = spec.current_scale;
-        let anchor = if scale != 1.0 {
-            Some(model.sample_excitation(0.0, xi)?)
-        } else {
-            None
+    // ---- Fan the groups out over the ambient pool, one batch of one group
+    // per worker at a time, which bounds how far a group can run ahead of
+    // the fold. The partition into groups does not depend on the thread
+    // count.
+    let total = grid.len();
+    let total_groups = total.div_ceil(LOCKSTEP_LANES);
+    let batch = rayon::current_num_threads().clamp(1, total_groups);
+    let mut group = 0;
+    while group < total_groups {
+        let end = (group + batch).min(total_groups);
+        let results: Vec<Result<()>> = (group..end)
+            .into_par_iter()
+            .map(|g| {
+                let start = g * LOCKSTEP_LANES;
+                sweep.run_group(start..(start + LOCKSTEP_LANES).min(total))
+            })
+            .collect();
+        results.into_iter().collect::<Result<()>>()?;
+        group = end;
+    }
+    let NodeSweep {
+        projection,
+        numeric_factorizations,
+        ..
+    } = sweep;
+    let projection = match projection.into_inner() {
+        Ok(projection) => projection,
+        Err(poisoned) => poisoned.into_inner(),
+    };
+    debug_assert!(projection.pending.is_empty() && projection.next.iter().all(|&q| q == total));
+
+    Ok(CollocationRun {
+        times,
+        node_count: n,
+        coefficients: projection.coefficients,
+        stats: CollocationStats {
+            nodes: total,
+            symbolic_analyses: 1,
+            numeric_factorizations: numeric_factorizations.into_inner(),
+        },
+    })
+}
+
+/// The discrete projection `c_i += w_q·ψ_i(ξ_q)/‖ψ_i‖² · v_q`, folded per
+/// time row in node order whatever order the states arrive in.
+struct OrderedProjection {
+    /// `coefficients[k][i][n]`, as [`CollocationRun::coefficients`].
+    coefficients: Vec<Vec<Vec<f64>>>,
+    /// Per time row: the next node to fold.
+    next: Vec<usize>,
+    /// States that arrived before their predecessors, by (row, node).
+    pending: BTreeMap<(usize, usize), Vec<f64>>,
+    /// Per node: the projection weight of each basis function.
+    weights: Vec<Vec<f64>>,
+}
+
+impl OrderedProjection {
+    /// Takes the state of node `q` at time row `k`.
+    fn push(&mut self, k: usize, q: usize, state: &[f64]) {
+        if self.next[k] != q {
+            self.pending.insert((k, q), state.to_vec());
+            return;
+        }
+        self.fold(k, state);
+        while let Some(state) = self.pending.remove(&(k, self.next[k])) {
+            self.fold(k, &state);
+        }
+    }
+
+    /// Folds row `k` of its next node.
+    fn fold(&mut self, k: usize, state: &[f64]) {
+        let weights = &self.weights[self.next[k]];
+        for (coeff, &weight) in self.coefficients[k].iter_mut().zip(weights) {
+            for (c, v) in coeff.iter_mut().zip(state) {
+                *c += weight * v;
+            }
+        }
+        self.next[k] += 1;
+    }
+}
+
+/// What every node group of one sweep shares.
+struct NodeSweep<'a> {
+    model: &'a StochasticGridModel,
+    grid: &'a QuadratureGrid,
+    spec: &'a TransientSpec,
+    times: &'a [f64],
+    /// The companion scale `s` of `G + s·C`.
+    h_scale: f64,
+    symbolic: &'a SymbolicCholesky,
+    numeric_factorizations: AtomicUsize,
+    projection: Mutex<OrderedProjection>,
+    parent: opera_trace::SpanToken,
+}
+
+impl NodeSweep<'_> {
+    /// Hands the state of node `q` at time row `k` to the projection.
+    fn project(&self, k: usize, q: usize, state: &[f64]) {
+        let mut projection = match self.projection.lock() {
+            Ok(projection) => projection,
+            Err(poisoned) => poisoned.into_inner(),
         };
-        let excitation = |t: f64| -> Result<Vec<f64>> {
-            let mut u = model.sample_excitation(t, xi)?;
-            if let Some(u0) = &anchor {
+        projection.push(k, q, state);
+    }
+
+    /// Realises, factors and steps the nodes of `range` as one lock-step
+    /// group, projecting every state as it is computed.
+    fn run_group(&self, range: Range<usize>) -> Result<()> {
+        let (model, spec, times) = (self.model, self.spec, self.times);
+        let (n, lanes, first) = (model.node_count(), range.len(), range.start);
+        let xis = &self.grid.nodes()[range];
+        let scale = spec.current_scale;
+        // Anchor the waveform scaling at the quiescent excitation of each
+        // node, so only the switching currents are rescaled.
+        let mut anchors = Vec::with_capacity(lanes);
+        for xi in xis {
+            anchors.push(if scale != 1.0 {
+                Some(model.sample_excitation(0.0, xi)?)
+            } else {
+                None
+            });
+        }
+        let excite = |t: f64, j: usize, u: &mut [f64]| -> Result<()> {
+            model.sample_excitation_into(t, &xis[j], u)?;
+            if let Some(u0) = &anchors[j] {
                 for (u_n, a_n) in u.iter_mut().zip(u0) {
                     *u_n = a_n + scale * (*u_n - a_n);
                 }
             }
-            Ok(u)
+            Ok(())
         };
 
-        // DC start, then fixed-step implicit integration. The node transient
-        // reuses the shared workspace API of `opera_sparse`: one
-        // `SolveWorkspace` plus preallocated rhs/matvec buffers serve every
-        // step, so the steady-state loop allocates only its output rows.
-        let u0 = excitation(0.0)?;
-        let mut ws = SolveWorkspace::with_capacity(n);
-        let mut v0 = u0.clone();
-        dc.solve_in_place(&mut v0, &mut ws);
-        let mut voltages = vec![vec![0.0; n]; times.len()];
-        voltages[0] = v0;
-        let mut rhs = vec![0.0; n];
-        let mut gv = vec![0.0; n];
-        let mut stage = vec![0.0; n];
-        let mut u_prev = u0;
+        // Backward Euler reads only s·C, so its members drop G(ξ) once both
+        // factorisations are done, which keeps the sweep's peak heap down;
+        // the trapezoidal and TR-BDF2 stages read G(ξ) too.
+        let reads_g = spec.scheme != StepScheme::BackwardEuler;
+        let tr_bdf2 = spec.scheme == StepScheme::TrBdf2;
+        let mut group = CholeskyGroup::new(self.symbolic, lanes);
+        let mut c_over_h = Vec::with_capacity(lanes);
+        let mut g = Vec::with_capacity(if reads_g { lanes } else { 0 });
+        let mut ws = SolveWorkspace::with_capacity(n * lanes);
+        let mut state = Panel::zeros(n, lanes);
+        let mut u_prev = Panel::zeros(n, lanes);
+        for (j, xi) in xis.iter().enumerate() {
+            // Realise the node, solve its DC start on a factor of G(ξ) that
+            // is dropped right after, then add its companion factor to the
+            // group.
+            let _span = opera_trace::span_under(self.parent, "collocation.node");
+            opera_trace::count("collocation.nodes", 1);
+            let g_j = model.sample_conductance(xi)?;
+            let c_j = model.sample_capacitance(xi)?.scaled(self.h_scale);
+            excite(0.0, j, u_prev.col_mut(j))?;
+            let v0 = state.col_mut(j);
+            v0.copy_from_slice(u_prev.col(j));
+            self.symbolic
+                .factor_numeric(&g_j)?
+                .solve_in_place(v0, &mut ws);
+            group.push(self.symbolic.factor_numeric(&g_j.add_scaled(&c_j, 1.0)?)?)?;
+            self.numeric_factorizations.fetch_add(2, Ordering::Relaxed);
+            self.project(0, first + j, v0);
+            c_over_h.push(c_j);
+            if reads_g {
+                g.push(g_j);
+            }
+        }
+
+        let mut out = Panel::zeros(n, lanes);
+        let mut u_next = Panel::zeros(n, lanes);
+        let stage_lanes = if tr_bdf2 { lanes } else { 0 };
+        let mut u_mid = Panel::zeros(n, stage_lanes);
+        let mut stage = Panel::zeros(n, stage_lanes);
+        let mut gv = vec![0.0; if reads_g { n } else { 0 }];
+        let _span = opera_trace::span_under(self.parent, "collocation.group");
+        // lint: hot(collocation-lockstep)
         for (k, &t) in times.iter().enumerate().skip(1) {
-            let u_next = excitation(t)?;
-            let v_k = &voltages[k - 1];
+            for j in 0..lanes {
+                excite(t, j, u_next.col_mut(j))?;
+            }
             match spec.scheme {
                 StepScheme::BackwardEuler => {
                     // (G + C/h) v_{k+1} = u_{k+1} + (C/h) v_k
-                    c_over_h.matvec_into(v_k, &mut rhs);
-                    for (r, u) in rhs.iter_mut().zip(&u_next) {
-                        *r += u;
+                    for (j, c) in c_over_h.iter().enumerate() {
+                        let rhs = out.col_mut(j);
+                        c.matvec_into(state.col(j), rhs);
+                        for (r, u) in rhs.iter_mut().zip(u_next.col(j)) {
+                            *r += u;
+                        }
                     }
                 }
                 StepScheme::Trapezoidal => {
                     // (G + 2C/h) v_{k+1} = u_k + u_{k+1} + (2C/h − G) v_k
-                    c_over_h.matvec_into(v_k, &mut rhs);
-                    g.matvec_into(v_k, &mut gv);
-                    for ((r, gv_n), (a, b)) in
-                        rhs.iter_mut().zip(&gv).zip(u_prev.iter().zip(&u_next))
-                    {
-                        *r += a + b - gv_n;
-                    }
+                    let members = (&c_over_h[..], &g[..]);
+                    trapezoidal_rhs(members, &state, [&u_prev, &u_next], &mut out, &mut gv);
                 }
                 StepScheme::TrBdf2 => {
                     // TR stage over [t_k, t_k + γh]:
                     // (G + 2C/(γh)) v_γ = u_k + u_γ + (2C/(γh) − G) v_k
                     let t_prev = times[k - 1];
-                    let u_mid = excitation(t_prev + TR_BDF2_GAMMA * (t - t_prev))?;
-                    c_over_h.matvec_into(v_k, &mut stage);
-                    g.matvec_into(v_k, &mut gv);
-                    for ((r, gv_n), (a, b)) in
-                        stage.iter_mut().zip(&gv).zip(u_prev.iter().zip(&u_mid))
-                    {
-                        *r += a + b - gv_n;
+                    for j in 0..lanes {
+                        excite(t_prev + TR_BDF2_GAMMA * (t - t_prev), j, u_mid.col_mut(j))?;
                     }
-                    stepper.solve_in_place(&mut stage, &mut ws);
+                    let members = (&c_over_h[..], &g[..]);
+                    trapezoidal_rhs(members, &state, [&u_prev, &u_mid], &mut stage, &mut gv);
+                    group.solve_panel(&mut stage, &mut ws);
                     // BDF2 stage on {t_k, t_k + γh, t_{k+1}}:
                     // (G + 2C/(γh)) v_{k+1} = u_{k+1} +
                     //   (2C/(γh))·(v_γ/(2(1−γ)) − v_k·(1−γ)/2)
-                    c_over_h.matvec_into(&stage, &mut rhs);
-                    for r in rhs.iter_mut() {
-                        *r *= TR_BDF2_W_MID;
-                    }
-                    c_over_h.matvec_acc(v_k, -TR_BDF2_W_OLD, &mut rhs);
-                    for (r, u) in rhs.iter_mut().zip(&u_next) {
-                        *r += u;
-                    }
-                }
-            }
-            stepper.solve_in_place(&mut rhs, &mut ws);
-            voltages[k].copy_from_slice(&rhs);
-            u_prev = u_next;
-        }
-        Ok(voltages)
-    };
-
-    // ---- Fan the node solves out over the ambient pool in batches, then
-    // fold each batch into the projection in node-index order. The fold is
-    // the only place floating-point accumulation happens, so the statistics
-    // cannot depend on the worker count; batching bounds the number of
-    // full traces alive at once.
-    let norms: Vec<f64> = (0..basis.len()).map(|i| basis.norm_squared(i)).collect();
-    let mut coefficients = vec![vec![vec![0.0f64; n]; basis.len()]; times.len()];
-    let total = grid.len();
-    let batch = (rayon::current_num_threads().max(1) * 2).min(total);
-    let mut start = 0;
-    while start < total {
-        let end = (start + batch).min(total);
-        let traces: Vec<Result<Vec<Vec<f64>>>> =
-            (start..end).into_par_iter().map(solve_node).collect();
-        for (q, trace) in (start..end).zip(traces) {
-            let trace = trace?;
-            let psi = basis.evaluate_all(&grid.nodes()[q])?;
-            let w = grid.weights()[q];
-            for (coeff_k, trace_k) in coefficients.iter_mut().zip(&trace) {
-                for (i, coeff_ki) in coeff_k.iter_mut().enumerate() {
-                    let scale = w * psi[i] / norms[i];
-                    for (c, v) in coeff_ki.iter_mut().zip(trace_k) {
-                        *c += scale * v;
+                    for (j, c) in c_over_h.iter().enumerate() {
+                        let rhs = out.col_mut(j);
+                        c.matvec_into(stage.col(j), rhs);
+                        for r in rhs.iter_mut() {
+                            *r *= TR_BDF2_W_MID;
+                        }
+                        c.matvec_acc(state.col(j), -TR_BDF2_W_OLD, rhs);
+                        for (r, u) in rhs.iter_mut().zip(u_next.col(j)) {
+                            *r += u;
+                        }
                     }
                 }
             }
+            group.solve_panel(&mut out, &mut ws);
+            for j in 0..lanes {
+                self.project(k, first + j, out.col(j));
+            }
+            std::mem::swap(&mut state, &mut out);
+            std::mem::swap(&mut u_prev, &mut u_next);
         }
-        start = end;
+        // lint: end-hot
+        Ok(())
     }
+}
 
-    Ok(CollocationRun {
-        times,
-        node_count: n,
-        coefficients,
-        stats: CollocationStats {
-            nodes: total,
-            symbolic_analyses: 1,
-            numeric_factorizations: numeric_factorizations.load(Ordering::Relaxed),
-        },
-    })
+/// The trapezoidal right-hand sides `u_a + u_b + (s·C − G)·v` of a group,
+/// column `j` from member `j`'s `s·C` and `G`: the trapezoidal step, and
+/// the TR stage of TR-BDF2. `gv` is scratch for one `G·v`.
+fn trapezoidal_rhs(
+    (c_over_h, g): (&[CsrMatrix], &[CsrMatrix]),
+    state: &Panel,
+    [u_a, u_b]: [&Panel; 2],
+    out: &mut Panel,
+    gv: &mut [f64],
+) {
+    for (j, (c, g)) in c_over_h.iter().zip(g).enumerate() {
+        let rhs = out.col_mut(j);
+        c.matvec_into(state.col(j), rhs);
+        g.matvec_into(state.col(j), gv);
+        for ((r, gv_n), (a, b)) in rhs
+            .iter_mut()
+            .zip(gv.iter())
+            .zip(u_a.col(j).iter().zip(u_b.col(j)))
+        {
+            *r += a + b - gv_n;
+        }
+    }
 }

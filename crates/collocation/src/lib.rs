@@ -9,18 +9,25 @@
 //! **deterministic** transient analysis at each node, and recover the same
 //! polynomial-chaos coefficients by discrete projection.
 //!
-//! Two properties make this a first-class parallel workload:
+//! Three properties make this a cheap, parallel workload:
 //!
 //! * every node solve is independent, so the sweep fans out over a `rayon`
-//!   pool, and
+//!   pool;
 //! * every realised matrix has the same sparsity structure, so all node
 //!   factorisations share **one**
 //!   [`SymbolicCholesky`](opera_sparse::SymbolicCholesky) analysis —
 //!   ordering, elimination tree and column counts are computed once, and each
-//!   node performs only the numeric phase.
+//!   node performs only the numeric phase; and
+//! * because they share that analysis, up to
+//!   [`LOCKSTEP_LANES`](opera_sparse::LOCKSTEP_LANES) nodes step in lock
+//!   step: their companion factors are interleaved into one
+//!   [`CholeskyGroup`](opera_sparse::CholeskyGroup), and each time step runs
+//!   one group solve over the shared pattern for the whole group.
 //!
-//! The projection accumulates node traces in a fixed order, so the resulting
-//! statistics are bit-identical for every worker-thread count.
+//! Each group column does exactly the arithmetic of a node stepped on its
+//! own. Every state is projected as soon as it is computed, and each time
+//! row folds its nodes in node order, so no full trace is kept and the
+//! resulting statistics are bit-identical for every worker-thread count.
 //!
 //! This crate is deliberately independent of the Galerkin engine; the
 //! `opera` crate integrates it as
@@ -140,21 +147,28 @@ mod tests {
     #[test]
     fn statistics_are_bit_identical_across_thread_counts() {
         let (model, basis) = setup(100, 21);
-        let mut runs = Vec::new();
-        for threads in [1usize, 2, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let run = pool.install(|| run_level2(&model, &basis));
-            runs.push(run);
-        }
-        for other in &runs[1..] {
-            assert_eq!(runs[0].times, other.times);
-            assert_eq!(
-                runs[0].coefficients, other.coefficients,
-                "coefficients depend on the worker-thread count"
-            );
+        let nodes = build_grid(GridKind::Smolyak, &model.families(), 2).unwrap();
+        for scheme in [StepScheme::BackwardEuler, StepScheme::TrBdf2] {
+            let mut spec = TransientSpec::new(0.25e-9, 1.0e-9);
+            spec.scheme = scheme;
+            let mut runs = Vec::new();
+            for threads in [1usize, 2, 8] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                let run = pool
+                    .install(|| solve_collocation(&model, &basis, &nodes, &spec))
+                    .unwrap();
+                runs.push(run);
+            }
+            for other in &runs[1..] {
+                assert_eq!(runs[0].times, other.times);
+                assert_eq!(
+                    runs[0].coefficients, other.coefficients,
+                    "{scheme:?} coefficients depend on the worker-thread count"
+                );
+            }
         }
     }
 

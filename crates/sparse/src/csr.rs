@@ -323,7 +323,8 @@ impl CsrMatrix {
     }
 
     /// Computes `self + alpha * other` (general sparse addition; the result
-    /// pattern is the union of both patterns).
+    /// pattern is the union of both patterns). A counting pass sizes the
+    /// result exactly, so it carries no spare capacity.
     ///
     /// # Errors
     ///
@@ -336,32 +337,19 @@ impl CsrMatrix {
                 right: (other.nrows, other.ncols),
             });
         }
+        let mut nnz = 0;
+        for i in 0..self.nrows {
+            merge_rows(self.row(i), other.row(i), alpha, |_, _| nnz += 1);
+        }
         let mut indptr = Vec::with_capacity(self.nrows + 1);
-        let mut indices = Vec::with_capacity(self.nnz() + other.nnz());
-        let mut data = Vec::with_capacity(self.nnz() + other.nnz());
+        let mut indices = Vec::with_capacity(nnz);
+        let mut data = Vec::with_capacity(nnz);
         indptr.push(0);
         for i in 0..self.nrows {
-            let (ca, va) = self.row(i);
-            let (cb, vb) = other.row(i);
-            let (mut p, mut q) = (0, 0);
-            while p < ca.len() || q < cb.len() {
-                let next_a = ca.get(p).copied().unwrap_or(usize::MAX);
-                let next_b = cb.get(q).copied().unwrap_or(usize::MAX);
-                if next_a < next_b {
-                    indices.push(next_a);
-                    data.push(va[p]);
-                    p += 1;
-                } else if next_b < next_a {
-                    indices.push(next_b);
-                    data.push(alpha * vb[q]);
-                    q += 1;
-                } else {
-                    indices.push(next_a);
-                    data.push(va[p] + alpha * vb[q]);
-                    p += 1;
-                    q += 1;
-                }
-            }
+            merge_rows(self.row(i), other.row(i), alpha, |j, v| {
+                indices.push(j);
+                data.push(v);
+            });
             indptr.push(indices.len());
         }
         Ok(CsrMatrix {
@@ -482,6 +470,33 @@ impl CsrMatrix {
     }
 }
 
+/// Visits the union of two sorted CSR rows `a` and `b` in column order,
+/// emitting `(column, value)` with value `a`, `alpha·b` or `a + alpha·b`
+/// as the column is stored in `a`, in `b` or in both.
+fn merge_rows(
+    (ca, va): (&[usize], &[f64]),
+    (cb, vb): (&[usize], &[f64]),
+    alpha: f64,
+    mut emit: impl FnMut(usize, f64),
+) {
+    let (mut p, mut q) = (0, 0);
+    while p < ca.len() || q < cb.len() {
+        let next_a = ca.get(p).copied().unwrap_or(usize::MAX);
+        let next_b = cb.get(q).copied().unwrap_or(usize::MAX);
+        if next_a < next_b {
+            emit(next_a, va[p]);
+            p += 1;
+        } else if next_b < next_a {
+            emit(next_b, alpha * vb[q]);
+            q += 1;
+        } else {
+            emit(next_a, va[p] + alpha * vb[q]);
+            p += 1;
+            q += 1;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -534,6 +549,21 @@ mod tests {
         assert_eq!(c.get(0, 1), 6.0);
         assert_eq!(c.get(1, 1), 10.0);
         assert_eq!(c.nnz(), 3);
+    }
+
+    #[test]
+    fn add_scaled_sizes_a_subset_pattern_sum_exactly() {
+        // A realised matrix adds perturbations whose patterns lie inside
+        // the nominal one: the sum has the nominal pattern, and its arrays
+        // must carry no capacity beyond it.
+        let nominal = sample();
+        let perturbation =
+            CsrMatrix::from_dense(3, 3, &[0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0], 0.0);
+        let sum = nominal.add_scaled(&perturbation, 0.25).unwrap();
+        assert_eq!(sum.nnz(), nominal.nnz());
+        assert_eq!(sum.indices.capacity(), sum.indices.len());
+        assert_eq!(sum.data.capacity(), sum.data.len());
+        assert_eq!(sum.get(0, 0), nominal.get(0, 0) + 0.25 * 0.5);
     }
 
     #[test]

@@ -81,6 +81,9 @@ pub use error::SparseError;
 pub use etree::{column_counts, elimination_tree, postorder};
 pub use factor::MatrixFactor;
 pub use lu::LuFactor;
+/// Most members a [`CholeskyGroup`] steps at once: the lane count of the
+/// lock-step triangular kernels.
+pub use opera_simd::scalar::LOCKSTEP_LANES;
 pub use panel::{Panel, SolveWorkspace};
 pub use permutation::Permutation;
 pub use supernodal::Supernodes;

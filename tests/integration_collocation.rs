@@ -8,23 +8,24 @@
 //!     collocation nodes (engine counter hooks, mirroring
 //!     `integration_engine_reuse.rs`);
 //! (c) the projected statistics are bit-identical for 1, 2 and 8 worker
-//!     threads;
+//!     threads, under backward Euler and TR-BDF2;
 //!
 //! plus the mirror contract between the collocation driver's transient
 //! settings and `opera::transient`.
 
 use opera::engine::{CollocationConfig, OperaEngine};
-use opera::transient::TransientOptions;
+use opera::transient::{IntegrationMethod, TransientOptions};
 use opera::{McConfig, Parallelism};
 use opera_collocation::TransientSpec;
 use opera_grid::GridSpec;
 
 /// The scaled first paper grid shared by the tests below.
-fn paper_engine(parallelism: Parallelism) -> OperaEngine {
+fn paper_engine(parallelism: Parallelism, method: IntegrationMethod) -> OperaEngine {
     OperaEngine::for_grid(GridSpec::paper_grid(0).unwrap().scaled_nodes(0.012))
         .unwrap()
         .time_step(0.1e-9)
         .end_time(1.0e-9)
+        .integration_method(method)
         .parallelism(parallelism)
         .build()
         .unwrap()
@@ -32,7 +33,7 @@ fn paper_engine(parallelism: Parallelism) -> OperaEngine {
 
 #[test]
 fn collocation_matches_galerkin_and_converges_toward_monte_carlo() {
-    let engine = paper_engine(Parallelism::Max);
+    let engine = paper_engine(Parallelism::Max, IntegrationMethod::BackwardEuler);
     let vdd = engine.grid().vdd();
     let galerkin = engine.solve().unwrap();
     let (node, k, drop) = galerkin.worst_mean_drop(vdd);
@@ -78,7 +79,7 @@ fn collocation_matches_galerkin_and_converges_toward_monte_carlo() {
 
 #[test]
 fn exactly_one_symbolic_analysis_serves_all_collocation_nodes() {
-    let engine = paper_engine(Parallelism::Max);
+    let engine = paper_engine(Parallelism::Max, IntegrationMethod::BackwardEuler);
     assert_eq!(engine.collocation_symbolic_count(), 0);
     assert_eq!(engine.collocation_factorization_count(), 0);
 
@@ -101,38 +102,40 @@ fn exactly_one_symbolic_analysis_serves_all_collocation_nodes() {
 
 #[test]
 fn collocation_statistics_are_bit_identical_for_1_2_and_8_threads() {
-    let runs: Vec<_> = [
-        Parallelism::Serial,
-        Parallelism::Threads(2),
-        Parallelism::Threads(8),
-    ]
-    .into_iter()
-    .map(|parallelism| {
-        let engine = paper_engine(parallelism);
-        engine
-            .collocation(&CollocationConfig::smolyak(2))
-            .unwrap()
-            .solution
-    })
-    .collect();
+    // Backward Euler, and TR-BDF2 with its two group solves per step.
+    for method in [IntegrationMethod::BackwardEuler, IntegrationMethod::TrBdf2] {
+        let runs: Vec<_> = [
+            Parallelism::Serial,
+            Parallelism::Threads(2),
+            Parallelism::Threads(8),
+        ]
+        .into_iter()
+        .map(|parallelism| {
+            paper_engine(parallelism, method)
+                .collocation(&CollocationConfig::smolyak(2))
+                .unwrap()
+                .solution
+        })
+        .collect();
 
-    let reference = &runs[0];
-    for (which, other) in runs.iter().enumerate().skip(1) {
-        assert_eq!(reference.times(), other.times());
-        assert_eq!(reference.node_count(), other.node_count());
-        for k in 0..reference.times().len() {
-            for n in 0..reference.node_count() {
-                // Bit-identical, not approximately equal.
-                assert_eq!(
-                    reference.mean_at(k, n).to_bits(),
-                    other.mean_at(k, n).to_bits(),
-                    "mean differs at ({k}, {n}) for thread-variant {which}"
-                );
-                assert_eq!(
-                    reference.variance_at(k, n).to_bits(),
-                    other.variance_at(k, n).to_bits(),
-                    "variance differs at ({k}, {n}) for thread-variant {which}"
-                );
+        let reference = &runs[0];
+        for (which, other) in runs.iter().enumerate().skip(1) {
+            assert_eq!(reference.times(), other.times());
+            assert_eq!(reference.node_count(), other.node_count());
+            for k in 0..reference.times().len() {
+                for n in 0..reference.node_count() {
+                    // Bit-identical, not approximately equal.
+                    assert_eq!(
+                        reference.mean_at(k, n).to_bits(),
+                        other.mean_at(k, n).to_bits(),
+                        "{method:?}: mean differs at ({k}, {n}) for thread-variant {which}"
+                    );
+                    assert_eq!(
+                        reference.variance_at(k, n).to_bits(),
+                        other.variance_at(k, n).to_bits(),
+                        "{method:?}: variance differs at ({k}, {n}) for thread-variant {which}"
+                    );
+                }
             }
         }
     }
