@@ -414,8 +414,10 @@ impl NodeSweep<'_> {
                 None
             });
         }
-        let excite = |t: f64, j: usize, u: &mut [f64]| -> Result<()> {
-            model.sample_excitation_into(t, &xis[j], u)?;
+        // The drain-current scratch of every excitation the group writes.
+        let mut drain = Vec::new();
+        let mut excite = |t: f64, j: usize, u: &mut [f64]| -> Result<()> {
+            model.sample_excitation_into(t, &xis[j], u, &mut drain)?;
             if let Some(u0) = &anchors[j] {
                 for (u_n, a_n) in u.iter_mut().zip(u0) {
                     *u_n = a_n + scale * (*u_n - a_n);

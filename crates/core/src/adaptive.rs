@@ -28,7 +28,7 @@
 //! stretches run entirely on cache hits. See `docs/TRANSIENT.md` for the
 //! full contract.
 
-use opera_sparse::{CsrMatrix, MatrixFactor, Panel, SolveWorkspace};
+use opera_sparse::{CsrMatrix, Panel, SolveWorkspace};
 
 use crate::solver::{DirectPrepared, PreparedSolver};
 use crate::transient::{
@@ -484,9 +484,10 @@ pub fn solve_transient_adaptive_at(
     // The direct solver starts at the controller's first step, so that
     // step's factorisation is the run's first refactorisation.
     let (_, _, initial_step) = step_bounds(output_times, adaptive);
+    let family = CompanionFamily::new(g, c)?;
     let prepared = DirectPrepared::with_family(
-        MatrixFactor::cholesky_or_lu(g)?,
-        CompanionFamily::new(g, c)?,
+        family.dc_factor()?,
+        family,
         initial_step,
         IntegrationMethod::TrBdf2,
     )?;

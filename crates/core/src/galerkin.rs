@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use opera_pce::{GalerkinCoupling, OrthogonalBasis};
-use opera_sparse::{CsrMatrix, TripletMatrix};
+use opera_sparse::CsrMatrix;
 use opera_variation::StochasticGridModel;
 
 use crate::{OperaError, Result};
@@ -65,7 +65,7 @@ impl GalerkinSystem {
                 .map(|d| model.conductance_perturbation(d))
                 .collect::<Vec<_>>()
                 .as_slice(),
-        );
+        )?;
         let c_hat = assemble_block_matrix(
             n,
             size,
@@ -75,7 +75,7 @@ impl GalerkinSystem {
                 .map(|d| model.capacitance_perturbation(d))
                 .collect::<Vec<_>>()
                 .as_slice(),
-        );
+        )?;
         Ok(GalerkinSystem {
             basis: basis.clone(),
             coupling,
@@ -171,45 +171,105 @@ impl GalerkinSystem {
 }
 
 /// Assembles `Σ_ij block(i, j) ⊗ entries` where
-/// `block(i, j) = ⟨ψ_i ψ_j⟩ A_nominal + Σ_d ⟨ξ_d ψ_i ψ_j⟩ A_d`.
+/// `block(i, j) = ⟨ψ_i ψ_j⟩ A_nominal + Σ_d ⟨ξ_d ψ_i ψ_j⟩ A_d`, straight into
+/// CSR: block row `i`, node row `r`, then the nonzero blocks `j` in
+/// ascending order, each contributing row `r` of its model matrices scaled
+/// by their coupling coefficients. No triplets are built and nothing is
+/// sorted per row.
+///
+/// A block with one term (every block of a symmetric family: `⟨ξ_d ψ_i²⟩ =
+/// 0` and no two variables couple the same `(i, j)`) copies its matrix row
+/// as `coef·a`. A block with several terms merges their rows, summing each
+/// entry in term order — the nominal term first, then `d` ascending — and
+/// starting from the first product, not from zero.
 fn assemble_block_matrix(
     n: usize,
     size: usize,
     coupling: &GalerkinCoupling,
     nominal: &CsrMatrix,
     perturbations: &[&CsrMatrix],
-) -> CsrMatrix {
-    // Estimate capacity: the diagonal blocks hold the nominal matrix and each
-    // linear coupling adds a perturbation-sized block.
-    let mut capacity = size * nominal.nnz();
-    for p in perturbations {
-        capacity += 2 * size * p.nnz();
-    }
-    let mut t = TripletMatrix::with_capacity(n * size, n * size, capacity);
-    for i in 0..size {
-        for j in 0..size {
-            // Mass term ⟨ψ_i ψ_j⟩ = δ_ij ⟨ψ_i²⟩.
-            if i == j {
-                let w = coupling.norm_squared(i);
-                for (r, c, v) in nominal.iter() {
-                    t.push(i * n + r, j * n + c, w * v);
+) -> Result<CsrMatrix> {
+    // Per block row: the nonzero blocks, `j` ascending, each with its terms
+    // in summation order.
+    let block_rows: Vec<Vec<(usize, Terms<'_>)>> = (0..size)
+        .map(|i| {
+            (0..size)
+                .filter_map(|j| {
+                    // Mass term ⟨ψ_i ψ_j⟩ = δ_ij ⟨ψ_i²⟩.
+                    let mass = (i == j).then(|| (coupling.norm_squared(i), nominal));
+                    let linear = perturbations.iter().enumerate().filter_map(|(d, &pert)| {
+                        let w = coupling.linear(d, i, j);
+                        (pert.nnz() != 0 && w != 0.0).then_some((w, pert))
+                    });
+                    let terms: Vec<_> = mass.into_iter().chain(linear).collect();
+                    (!terms.is_empty()).then_some((j, terms))
+                })
+                .collect()
+        })
+        .collect();
+    // Exact for single-term blocks, an upper bound for merged ones.
+    let capacity = block_rows
+        .iter()
+        .flatten()
+        .flat_map(|(_, terms)| terms)
+        .map(|(_, a)| a.nnz())
+        .sum::<usize>();
+    let dim = n * size;
+    let mut indptr = Vec::with_capacity(dim + 1);
+    let mut indices = Vec::with_capacity(capacity);
+    let mut data = Vec::with_capacity(capacity);
+    let mut scratch = Vec::new();
+    indptr.push(0);
+    for blocks in &block_rows {
+        for r in 0..n {
+            for (j, terms) in blocks {
+                let offset = j * n;
+                if let [(w, a)] = terms.as_slice() {
+                    let (cols, vals) = a.row(r);
+                    indices.extend(cols.iter().map(|&c| offset + c));
+                    data.extend(vals.iter().map(|&v| w * v));
+                } else {
+                    merge_row(r, terms, offset, &mut scratch, &mut indices, &mut data);
                 }
             }
-            for (d, pert) in perturbations.iter().enumerate() {
-                if pert.nnz() == 0 {
-                    continue;
-                }
-                let w = coupling.linear(d, i, j);
-                if w == 0.0 {
-                    continue;
-                }
-                for (r, c, v) in pert.iter() {
-                    t.push(i * n + r, j * n + c, w * v);
-                }
+            indptr.push(indices.len());
+        }
+    }
+    Ok(CsrMatrix::from_raw_parts(dim, dim, indptr, indices, data)?)
+}
+
+/// The terms of one block of an augmented matrix: each model matrix with
+/// its coupling coefficient, in summation order.
+type Terms<'a> = Vec<(f64, &'a CsrMatrix)>;
+
+/// Appends row `r` of `Σ coef·a` over a multi-term block's `terms` (columns
+/// shifted by `offset`) to `indices`/`data`. The products are gathered in
+/// term order and stably sorted by column, so each entry sums its products
+/// in term order, starting from the first.
+fn merge_row(
+    r: usize,
+    terms: &[(f64, &CsrMatrix)],
+    offset: usize,
+    scratch: &mut Vec<(usize, f64)>,
+    indices: &mut Vec<usize>,
+    data: &mut Vec<f64>,
+) {
+    scratch.clear();
+    for &(w, a) in terms {
+        let (cols, vals) = a.row(r);
+        scratch.extend(cols.iter().zip(vals).map(|(&c, &v)| (offset + c, w * v)));
+    }
+    scratch.sort_by_key(|&(c, _)| c);
+    let start = indices.len();
+    for &(c, v) in scratch.iter() {
+        match data.last_mut() {
+            Some(sum) if indices.len() > start && indices.last() == Some(&c) => *sum += v,
+            _ => {
+                indices.push(c);
+                data.push(v);
             }
         }
     }
-    t.to_csr()
 }
 
 #[cfg(test)]

@@ -37,8 +37,9 @@ use opera_variation::{LeakageModel, StochasticGridModel};
 use crate::parallel::sample_seed;
 use crate::solver::{check_scheme, DirectPrepared, PreparedSolver};
 use crate::transient::{
-    analyze_companion_pattern, assert_same_columns, integrate_fixed_step, rescale_around_anchor,
-    CompanionFamily, CompanionSystem, IntegrationMethod, StepRhs, TransientOptions,
+    analyze_companion_pattern, assert_same_columns, dc_analysis, integrate_fixed_step,
+    rescale_around_anchor, CompanionFamily, CompanionSystem, IntegrationMethod, StepRhs,
+    TransientOptions,
 };
 use crate::{OperaError, Result};
 
@@ -232,9 +233,10 @@ impl OrderedFold {
 
 /// Runs the Monte Carlo baseline for an inter-die variation model.
 ///
-/// A sample only re-weights nominal branches, so nominal `G` and `G + C` are
-/// analysed once, before the fan-out, and every sample factors numerically
-/// against them — bit-identical to a
+/// A sample only re-weights nominal branches, so nominal `G + C` is
+/// analysed once, before the fan-out — grounded capacitors give it `G`'s
+/// pattern, so `G` shares that analysis — and every sample factors
+/// numerically against it — bit-identical to a
 /// [`solve_transient`](crate::transient::solve_transient) of its own
 /// matrices, since the ordering reads only the pattern.
 ///
@@ -261,8 +263,8 @@ pub fn run(model: &StochasticGridModel, options: &MonteCarloOptions) -> Result<M
     let scale = options.current_scale;
     let (method, h) = (options.transient.method, options.transient.time_step);
     let g_nominal = model.nominal_conductance();
-    let dc_analysis = SymbolicCholesky::analyze(g_nominal)?;
     let step_analysis = analyze_companion_pattern(g_nominal, model.nominal_capacitance())?;
+    let dc_analysis = dc_analysis(g_nominal, &step_analysis)?;
     let run_group = |range: Range<usize>, sink: &SampleSink<'_>| -> Result<()> {
         let first = range.start;
         let draws: Vec<Vec<f64>> = range
@@ -309,6 +311,8 @@ pub fn run(model: &StochasticGridModel, options: &MonteCarloOptions) -> Result<M
         let alone_runs = alone
             .iter()
             .map(|(j, p)| (std::slice::from_ref(j), p as &dyn PreparedSolver));
+        // The drain-current scratch of every excitation the group writes.
+        let mut drain = Vec::new();
         for (samples, prepared) in lockstep_run.into_iter().chain(alone_runs) {
             integrate_fixed_step(
                 prepared,
@@ -319,7 +323,7 @@ pub fn run(model: &StochasticGridModel, options: &MonteCarloOptions) -> Result<M
                 |t, u| {
                     for (col, &j) in samples.iter().enumerate() {
                         let u_j = u.col_mut(col);
-                        model.sample_excitation_into(t, &draws[j], u_j)?;
+                        model.sample_excitation_into(t, &draws[j], u_j, &mut drain)?;
                         if let Some(u0) = &anchors[j] {
                             rescale_around_anchor(u_j, u0, scale);
                         }

@@ -456,11 +456,13 @@ impl SolverBackend for BlockJacobiCg {
         let kronecker = Arc::new(KroneckerTerms::new(model, system.coupling())?);
         let c_scale = companion_scale(transient.method, transient.time_step);
         let (dc_mix, mix) = (kronecker.mix(0.0)?, kronecker.mix(c_scale)?);
-        let dc = MatrixFactor::cholesky_or_lu(model.nominal_conductance())?;
         let family = Arc::new(CompanionFamily::new(
             model.nominal_conductance(),
             model.nominal_capacitance(),
         )?);
+        // `G + C` has `G`'s pattern (grounded capacitors), so the DC factor
+        // shares the family's one analysis.
+        let dc = family.dc_factor()?;
         let companion = family.system_for(transient.time_step, transient.method)?;
         let (g, c) = system.shared_matrices();
         Ok(Box::new(CgPrepared {

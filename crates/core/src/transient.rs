@@ -639,6 +639,29 @@ pub(crate) fn analyze_companion_pattern(g: &CsrMatrix, c: &CsrMatrix) -> Result<
     Ok(SymbolicCholesky::analyze(&g.add_scaled(c, 1.0)?)?)
 }
 
+/// The analysis for factoring `g` itself (its DC solve) next to the
+/// `companion` analysis of `G + C`. Capacitors to ground touch only the
+/// diagonal, so `G + C` normally has `G`'s own pattern; the companion
+/// analysis is then the very analysis of `g` and is shared. Otherwise `g`
+/// is analysed on its own.
+pub(crate) fn dc_analysis(g: &CsrMatrix, companion: &SymbolicCholesky) -> Result<SymbolicCholesky> {
+    if companion.matches_pattern(g) {
+        Ok(companion.clone())
+    } else {
+        Ok(SymbolicCholesky::analyze(g)?)
+    }
+}
+
+/// The DC factor of `g` — bit-identical to [`MatrixFactor::cholesky_or_lu`]
+/// — against [`dc_analysis`] of the `companion` analysis.
+pub(crate) fn dc_factor(g: &CsrMatrix, companion: &SymbolicCholesky) -> Result<MatrixFactor> {
+    let analysis = dc_analysis(g, companion)?;
+    Ok(MatrixFactor::from_cholesky_attempt(
+        analysis.factor_numeric(g),
+        g,
+    )?)
+}
+
 /// Number of recently-used step sizes whose numeric companion factors stay
 /// cached (the adaptive controller's deadband revisits a handful of steps).
 const FAMILY_CACHE_CAPACITY: usize = 8;
@@ -716,6 +739,20 @@ impl CompanionFamily {
     /// System dimension (rows of `G`).
     pub fn dim(&self) -> usize {
         self.g.nrows()
+    }
+
+    /// The DC factor of the family's `G`, against the family's analysis when
+    /// `G + C` has `G`'s pattern (see [`dc_analysis`]); an LU family factors
+    /// `G` with [`MatrixFactor::cholesky_or_lu`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates analysis and factorisation errors.
+    pub(crate) fn dc_factor(&self) -> Result<MatrixFactor> {
+        match &self.symbolic {
+            Some(companion) => dc_factor(&self.g, companion),
+            None => Ok(MatrixFactor::cholesky_or_lu(&self.g)?),
+        }
     }
 
     /// Number of symbolic analyses this family has run (0 for the LU
@@ -820,9 +857,10 @@ pub fn solve_transient(
     options.validate()?;
     let times = options.time_points();
     let n = g.nrows();
+    let symbolic = analyze_companion_pattern(g, c)?;
     let prepared = DirectPrepared::new(
-        MatrixFactor::cholesky_or_lu(g)?,
-        CompanionSystem::new(g, c, options.time_step, options.method)?,
+        dc_factor(g, &symbolic)?,
+        CompanionSystem::factored(g, c, options.time_step, options.method, Some(&symbolic))?,
     );
     // The whole output panel is allocated up front; each step's state is
     // copied into its column.

@@ -68,7 +68,6 @@ pub use deck::{
 };
 pub use error::NetlistError;
 pub use export::export_grid;
-pub use lexer::{lex, LogicalLine};
 pub use lower::LoweredNetlist;
 pub use parser::{is_ground, parse, GROUND_NAMES};
 pub use value::{format_value, parse_value};

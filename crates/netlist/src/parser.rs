@@ -1,12 +1,14 @@
-//! Card-level parsing: logical lines → the [`Netlist`] IR.
+//! Card-level parsing: the lexer's cards → the [`Netlist`] IR, one card
+//! at a time.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 
 use crate::deck::{
     CapacitorCard, Card, CurrentSourceCard, Netlist, ResistorCard, SourceWaveform, SupplyCard,
     TranMethod, TranSpec,
 };
-use crate::lexer::{lex, LogicalLine};
+use crate::lexer::{Fields, Lexer};
 use crate::value::parse_value;
 use crate::{NetlistError, Result};
 use opera_grid::CapacitorClass;
@@ -58,13 +60,13 @@ pub fn is_ground(name: &str) -> bool {
 /// ```
 pub fn parse(text: &str) -> Result<Netlist> {
     let _span = opera_trace::span("netlist.parse");
-    let lines = lex(text)?;
+    let mut lexer = Lexer::new(text);
     let mut cards: Vec<Card> = Vec::new();
     let mut tran: Option<TranSpec> = None;
-    let mut seen_names: HashMap<String, usize> = HashMap::new();
+    let mut names = NameIndex::default();
 
-    for ll in lines {
-        let first = ll.fields[0].as_str();
+    while let Some(ll) = lexer.next_card()? {
+        let first = ll.get(0);
         if let Some(directive) = first.strip_prefix('.') {
             match directive {
                 "tran" => {
@@ -74,7 +76,7 @@ pub fn parse(text: &str) -> Result<Netlist> {
                             message: "multiple .tran directives (only one is allowed)".to_string(),
                         });
                     }
-                    tran = Some(parse_tran(&ll)?);
+                    tran = Some(parse_tran(ll)?);
                 }
                 // `.op` is accepted for IBM-benchmark compatibility: the
                 // engine always solves the t = 0 operating point anyway.
@@ -92,10 +94,10 @@ pub fn parse(text: &str) -> Result<Netlist> {
         }
 
         let card = match first.chars().next() {
-            Some('r') => Card::Resistor(parse_resistor(&ll)?),
-            Some('c') => Card::Capacitor(parse_capacitor(&ll)?),
-            Some('i') => Card::Current(parse_current(&ll)?),
-            Some('v') => Card::Supply(parse_supply(&ll)?),
+            Some('r') => Card::Resistor(parse_resistor(ll)?),
+            Some('c') => Card::Capacitor(parse_capacitor(ll)?),
+            Some('i') => Card::Current(parse_current(ll)?),
+            Some('v') => Card::Supply(parse_supply(ll)?),
             Some(
                 c @ ('l' | 'd' | 'q' | 'm' | 'x' | 'k' | 'e' | 'f' | 'g' | 'h' | 'b' | 's' | 'w'
                 | 't' | 'u' | 'o' | 'j' | 'z'),
@@ -120,18 +122,45 @@ pub fn parse(text: &str) -> Result<Netlist> {
             }
         };
 
-        if let Some(&previous_line) = seen_names.get(card.name()) {
+        if let Some(previous_line) = names.insert(&cards, card.name()) {
             return Err(NetlistError::Duplicate {
                 line: ll.line,
                 previous_line,
                 name: card.name().to_string(),
             });
         }
-        seen_names.insert(card.name().to_string(), ll.line);
         cards.push(card);
     }
 
     Ok(Netlist { cards, tran })
+}
+
+/// The element names of the cards parsed so far, for duplicate detection,
+/// without a copy of any name: each name's hash maps to the first card
+/// that hashed to it, and names are compared on the cards themselves. The
+/// hash keys are random per index, so a deck cannot be crafted to make
+/// names collide.
+#[derive(Default)]
+struct NameIndex {
+    state: RandomState,
+    first: HashMap<u64, usize>,
+}
+
+impl NameIndex {
+    /// Records `name`, the name of the card about to become `cards[k]` for
+    /// `k = cards.len()`, and returns the line of an earlier card of the
+    /// same name if there is one.
+    fn insert(&mut self, cards: &[Card], name: &str) -> Option<usize> {
+        let hash = self.state.hash_one(name);
+        let first = *self.first.entry(hash).or_insert(cards.len());
+        match cards.get(first) {
+            None => None,
+            Some(card) if card.name() == name => Some(card.line()),
+            // Another name with the same 64-bit hash: look the name up the
+            // slow way.
+            Some(_) => cards.iter().find(|c| c.name() == name).map(Card::line),
+        }
+    }
 }
 
 /// Trailing `key=value` parameters of a card, in order.
@@ -139,7 +168,8 @@ type Params<'a> = Vec<(&'a str, &'a str)>;
 
 /// Splits off the trailing `key=value` parameters (tokenised as
 /// `key "=" value` triples) and returns `(positional, params)`.
-fn split_params<'a>(fields: &'a [String], line: usize) -> Result<(&'a [String], Params<'a>)> {
+fn split_params(fields: Fields<'_>) -> Result<(Fields<'_>, Params<'_>)> {
+    let line = fields.line;
     let Some(first_eq) = fields.iter().position(|f| f == "=") else {
         return Ok((fields, Vec::new()));
     };
@@ -150,26 +180,27 @@ fn split_params<'a>(fields: &'a [String], line: usize) -> Result<(&'a [String], 
         });
     }
     let split = first_eq - 1;
-    let (positional, tail) = fields.split_at(split);
+    let (positional, tail) = (fields.head(split), fields.tail(split));
     let mut params = Vec::new();
-    let mut chunks = tail.chunks_exact(3);
-    for chunk in &mut chunks {
-        if chunk[1] != "=" || chunk[0] == "=" || chunk[2] == "=" {
+    let mut k = 0;
+    while k + 3 <= tail.len() {
+        let (key, eq, value) = (tail.get(k), tail.get(k + 1), tail.get(k + 2));
+        if eq != "=" || key == "=" || value == "=" {
             return Err(NetlistError::Syntax {
                 line,
                 message: "parameters must be trailing `key=value` pairs".to_string(),
             });
         }
-        let key = chunk[0].as_str();
         if params.iter().any(|&(k, _)| k == key) {
             return Err(NetlistError::Syntax {
                 line,
                 message: format!("parameter `{key}` is given more than once"),
             });
         }
-        params.push((key, chunk[2].as_str()));
+        params.push((key, value));
+        k += 3;
     }
-    if !chunks.remainder().is_empty() {
+    if k != tail.len() {
         return Err(NetlistError::Syntax {
             line,
             message: "incomplete trailing `key=value` parameter".to_string(),
@@ -178,14 +209,14 @@ fn split_params<'a>(fields: &'a [String], line: usize) -> Result<(&'a [String], 
     Ok((positional, params))
 }
 
-fn expect_arity(ll: &LogicalLine, positional: &[String], n: usize, usage: &str) -> Result<()> {
+fn expect_arity(positional: Fields<'_>, n: usize, usage: &str) -> Result<()> {
     if positional.len() != n {
         return Err(NetlistError::Syntax {
-            line: ll.line,
+            line: positional.line,
             message: format!(
                 "expected `{usage}`, got {} field(s): `{}`",
                 positional.len(),
-                positional.join(" ")
+                positional.joined()
             ),
         });
     }
@@ -204,11 +235,11 @@ fn require_positive(value: f64, token: &str, line: usize, what: &str) -> Result<
     }
 }
 
-fn parse_resistor(ll: &LogicalLine) -> Result<ResistorCard> {
-    let (positional, params) = split_params(&ll.fields, ll.line)?;
-    reject_params(ll.line, &params, &[])?;
-    expect_arity(ll, positional, 4, "Rname a b value")?;
-    let token = positional[3].as_str();
+fn parse_resistor(ll: Fields<'_>) -> Result<ResistorCard> {
+    let (positional, params) = split_params(ll)?;
+    reject_params(ll.line, params, &[])?;
+    expect_arity(positional, 4, "Rname a b value")?;
+    let token = positional.get(3);
     // The dialect's exact-interchange extension: a trailing `s` marks the
     // value as a conductance in siemens (`25S`, `1.5kS`); plain values are
     // ohms and are reciprocated here, once.
@@ -225,28 +256,28 @@ fn parse_resistor(ll: &LogicalLine) -> Result<ResistorCard> {
         }
     };
     Ok(ResistorCard {
-        name: positional[0].clone(),
+        name: positional.get(0).to_string(),
         line: ll.line,
-        a: positional[1].clone(),
-        b: positional[2].clone(),
+        a: positional.get(1).to_string(),
+        b: positional.get(2).to_string(),
         conductance,
     })
 }
 
-fn parse_capacitor(ll: &LogicalLine) -> Result<CapacitorCard> {
-    let (positional, params) = split_params(&ll.fields, ll.line)?;
-    expect_arity(ll, positional, 4, "Cname node 0 value [class=…]")?;
-    let node = grounded_terminal(ll, &positional[1], &positional[2], "capacitor")?;
-    let capacitance = parse_value(&positional[3], ll.line)?;
+fn parse_capacitor(ll: Fields<'_>) -> Result<CapacitorCard> {
+    let (positional, params) = split_params(ll)?;
+    expect_arity(positional, 4, "Cname node 0 value [class=…]")?;
+    let node = grounded_terminal(ll.line, positional.get(1), positional.get(2), "capacitor")?;
+    let capacitance = parse_value(positional.get(3), ll.line)?;
     if capacitance < 0.0 {
         return Err(NetlistError::Value {
             line: ll.line,
-            token: positional[3].clone(),
+            token: positional.get(3).to_string(),
             message: "capacitance must be non-negative".to_string(),
         });
     }
     let mut class = CapacitorClass::Diffusion;
-    for (key, value) in reject_params(ll.line, &params, &["class"])? {
+    for (key, value) in reject_params(ll.line, params, &["class"])? {
         debug_assert_eq!(key, "class");
         class = match value {
             "gate" => CapacitorClass::Gate,
@@ -264,7 +295,7 @@ fn parse_capacitor(ll: &LogicalLine) -> Result<CapacitorCard> {
         };
     }
     Ok(CapacitorCard {
-        name: positional[0].clone(),
+        name: positional.get(0).to_string(),
         line: ll.line,
         node,
         capacitance,
@@ -272,18 +303,23 @@ fn parse_capacitor(ll: &LogicalLine) -> Result<CapacitorCard> {
     })
 }
 
-fn parse_current(ll: &LogicalLine) -> Result<CurrentSourceCard> {
-    let (positional, params) = split_params(&ll.fields, ll.line)?;
+fn parse_current(ll: Fields<'_>) -> Result<CurrentSourceCard> {
+    let (positional, params) = split_params(ll)?;
     if positional.len() < 4 {
         return Err(NetlistError::Syntax {
             line: ll.line,
             message: "expected `Iname node 0 <value | PWL …| PULSE …> [block=k]`".to_string(),
         });
     }
-    let node = grounded_terminal(ll, &positional[1], &positional[2], "current source")?;
-    let waveform = parse_waveform(ll, &positional[3..])?;
+    let node = grounded_terminal(
+        ll.line,
+        positional.get(1),
+        positional.get(2),
+        "current source",
+    )?;
+    let waveform = parse_waveform(positional.tail(3))?;
     let mut block = 0usize;
-    for (key, value) in reject_params(ll.line, &params, &["block"])? {
+    for (key, value) in reject_params(ll.line, params, &["block"])? {
         debug_assert_eq!(key, "block");
         block = value.parse().map_err(|_| NetlistError::Value {
             line: ll.line,
@@ -292,7 +328,7 @@ fn parse_current(ll: &LogicalLine) -> Result<CurrentSourceCard> {
         })?;
     }
     Ok(CurrentSourceCard {
-        name: positional[0].clone(),
+        name: positional.get(0).to_string(),
         line: ll.line,
         node,
         waveform,
@@ -300,13 +336,13 @@ fn parse_current(ll: &LogicalLine) -> Result<CurrentSourceCard> {
     })
 }
 
-fn parse_supply(ll: &LogicalLine) -> Result<SupplyCard> {
-    let (positional, params) = split_params(&ll.fields, ll.line)?;
-    reject_params(ll.line, &params, &[])?;
+fn parse_supply(ll: Fields<'_>) -> Result<SupplyCard> {
+    let (positional, params) = split_params(ll)?;
+    reject_params(ll.line, params, &[])?;
     // Accept both `Vname node 0 value` and `Vname node 0 DC value`.
-    let value_fields: &[String] = match positional {
-        [_, _, _, _] => &positional[3..],
-        [_, _, _, dc, _] if dc.as_str() == "dc" => &positional[4..],
+    let value = match positional.len() {
+        4 => positional.get(3),
+        5 if positional.get(3) == "dc" => positional.get(4),
         _ => {
             return Err(NetlistError::Syntax {
                 line: ll.line,
@@ -314,7 +350,7 @@ fn parse_supply(ll: &LogicalLine) -> Result<SupplyCard> {
             });
         }
     };
-    let (node, gnd) = (&positional[1], &positional[2]);
+    let (node, gnd) = (positional.get(1), positional.get(2));
     if !is_ground(gnd) {
         return Err(NetlistError::Syntax {
             line: ll.line,
@@ -330,7 +366,7 @@ fn parse_supply(ll: &LogicalLine) -> Result<SupplyCard> {
             message: "supply node cannot be ground".to_string(),
         });
     }
-    let volts = parse_value(&value_fields[0], ll.line)?;
+    let volts = parse_value(value, ll.line)?;
     if volts <= 0.0 {
         return Err(NetlistError::Lowering {
             line: ll.line,
@@ -341,23 +377,30 @@ fn parse_supply(ll: &LogicalLine) -> Result<SupplyCard> {
         });
     }
     Ok(SupplyCard {
-        name: positional[0].clone(),
+        name: positional.get(0).to_string(),
         line: ll.line,
-        node: node.clone(),
+        node: node.to_string(),
         volts,
     })
 }
 
-fn parse_waveform(ll: &LogicalLine, fields: &[String]) -> Result<SourceWaveform> {
-    match fields[0].as_str() {
+/// The waveform fields of a current source, from its kind (or bare value)
+/// on.
+fn parse_waveform(fields: Fields<'_>) -> Result<SourceWaveform> {
+    let line = fields.line;
+    let values = |from: usize| -> Result<Vec<f64>> {
+        fields
+            .tail(from)
+            .iter()
+            .map(|f| parse_value(f, line))
+            .collect()
+    };
+    match fields.get(0) {
         "pwl" => {
-            let values: Vec<f64> = fields[1..]
-                .iter()
-                .map(|f| parse_value(f, ll.line))
-                .collect::<Result<_>>()?;
+            let values = values(1)?;
             if values.is_empty() || !values.len().is_multiple_of(2) {
                 return Err(NetlistError::Syntax {
-                    line: ll.line,
+                    line,
                     message: format!(
                         "PWL needs an even, non-zero number of values \
                          (t1 v1 t2 v2 …), got {}",
@@ -368,7 +411,7 @@ fn parse_waveform(ll: &LogicalLine, fields: &[String]) -> Result<SourceWaveform>
             let points: Vec<(f64, f64)> = values.chunks_exact(2).map(|p| (p[0], p[1])).collect();
             if points.windows(2).any(|w| w[1].0 < w[0].0) {
                 return Err(NetlistError::Syntax {
-                    line: ll.line,
+                    line,
                     message: "PWL breakpoint times must be non-decreasing".to_string(),
                 });
             }
@@ -377,21 +420,18 @@ fn parse_waveform(ll: &LogicalLine, fields: &[String]) -> Result<SourceWaveform>
         "pulse" => {
             if fields.len() != 8 {
                 return Err(NetlistError::Syntax {
-                    line: ll.line,
+                    line,
                     message: format!(
                         "PULSE takes exactly 7 values (i1 i2 td tr tf pw per), got {}",
                         fields.len() - 1
                     ),
                 });
             }
-            let v: Vec<f64> = fields[1..]
-                .iter()
-                .map(|f| parse_value(f, ll.line))
-                .collect::<Result<_>>()?;
+            let v = values(1)?;
             for (label, &t) in ["td", "tr", "tf", "pw", "per"].iter().zip(&v[2..]) {
                 if t < 0.0 {
                     return Err(NetlistError::Syntax {
-                        line: ll.line,
+                        line,
                         message: format!("PULSE {label} must be non-negative, got {t}"),
                     });
                 }
@@ -406,10 +446,10 @@ fn parse_waveform(ll: &LogicalLine, fields: &[String]) -> Result<SourceWaveform>
                 period: v[6],
             })
         }
-        "dc" if fields.len() == 2 => Ok(SourceWaveform::Dc(parse_value(&fields[1], ll.line)?)),
-        _ if fields.len() == 1 => Ok(SourceWaveform::Dc(parse_value(&fields[0], ll.line)?)),
+        "dc" if fields.len() == 2 => Ok(SourceWaveform::Dc(parse_value(fields.get(1), line)?)),
+        _ if fields.len() == 1 => Ok(SourceWaveform::Dc(parse_value(fields.get(0), line)?)),
         other => Err(NetlistError::Syntax {
-            line: ll.line,
+            line,
             message: format!(
                 "expected a DC value, `PWL(t v …)` or `PULSE(i1 i2 td tr tf pw per)`, \
                  got `{other} …`"
@@ -418,15 +458,15 @@ fn parse_waveform(ll: &LogicalLine, fields: &[String]) -> Result<SourceWaveform>
     }
 }
 
-fn parse_tran(ll: &LogicalLine) -> Result<TranSpec> {
-    let (fields, params) = split_params(&ll.fields, ll.line)?;
+fn parse_tran(ll: Fields<'_>) -> Result<TranSpec> {
+    let (fields, params) = split_params(ll)?;
     if !(3..=4).contains(&fields.len()) {
         return Err(NetlistError::Syntax {
             line: ll.line,
             message: "expected `.tran tstep tstop [tstart] [method=be|trap|trbdf2]`".to_string(),
         });
     }
-    let params = reject_params(ll.line, &params, &["method"])?;
+    let params = reject_params(ll.line, params, &["method"])?;
     let mut method = None;
     for (key, value) in params {
         debug_assert_eq!(key, "method");
@@ -444,9 +484,9 @@ fn parse_tran(ll: &LogicalLine) -> Result<TranSpec> {
             }
         });
     }
-    let time_step = parse_value(&fields[1], ll.line)?;
-    let end_time = parse_value(&fields[2], ll.line)?;
-    if fields.len() == 4 && parse_value(&fields[3], ll.line)? != 0.0 {
+    let time_step = parse_value(fields.get(1), ll.line)?;
+    let end_time = parse_value(fields.get(2), ll.line)?;
+    if fields.len() == 4 && parse_value(fields.get(3), ll.line)? != 0.0 {
         return Err(NetlistError::Unsupported {
             line: ll.line,
             what: ".tran tstart".to_string(),
@@ -470,12 +510,8 @@ fn parse_tran(ll: &LogicalLine) -> Result<TranSpec> {
 }
 
 /// Validates that every parameter key is in `allowed`; returns the params.
-fn reject_params<'a>(
-    line: usize,
-    params: &[(&'a str, &'a str)],
-    allowed: &[&str],
-) -> Result<Vec<(&'a str, &'a str)>> {
-    for &(key, _) in params {
+fn reject_params<'a>(line: usize, params: Params<'a>, allowed: &[&str]) -> Result<Params<'a>> {
+    for &(key, _) in &params {
         if !allowed.contains(&key) {
             return Err(NetlistError::Syntax {
                 line,
@@ -490,27 +526,27 @@ fn reject_params<'a>(
             });
         }
     }
-    Ok(params.to_vec())
+    Ok(params)
 }
 
 /// For two-terminal-to-ground elements: exactly one terminal must be
 /// ground; returns the other (the grid node), which must come first.
-fn grounded_terminal(ll: &LogicalLine, a: &str, b: &str, what: &str) -> Result<String> {
+fn grounded_terminal(line: usize, a: &str, b: &str, what: &str) -> Result<String> {
     match (is_ground(a), is_ground(b)) {
         (false, true) => Ok(a.to_string()),
         (true, false) => Err(NetlistError::Syntax {
-            line: ll.line,
+            line,
             message: format!(
                 "write the grid node first (`…name {b} 0 …`): a {what}'s \
                  second terminal must be ground"
             ),
         }),
         (true, true) => Err(NetlistError::Syntax {
-            line: ll.line,
+            line,
             message: format!("{what} has both terminals grounded"),
         }),
         (false, false) => Err(NetlistError::Lowering {
-            line: ll.line,
+            line,
             message: format!(
                 "{what} between two grid nodes (`{a}`, `{b}`) is not supported; \
                  the second terminal must be ground (`0`)"

@@ -316,6 +316,21 @@ impl SymbolicCholesky {
         &a.snode_rows[a.snode_rowptr[s]..a.snode_rowptr[s + 1]]
     }
 
+    /// `true` when `a`'s stored pattern is exactly the pattern this analysis
+    /// was computed from. An analysis reads only the pattern, so analysing
+    /// `a` itself would then give this very analysis, and
+    /// [`factor_numeric`](Self::factor_numeric) of `a` is bit-identical to
+    /// [`CholeskyFactor::factor_with`] of it under this analysis's
+    /// [`ordering`](Self::ordering). A matrix with a one-sided entry
+    /// never matches: its analysed pattern holds the mirrored entry too.
+    pub fn matches_pattern(&self, a: &CsrMatrix) -> bool {
+        let an = &*self.analysis;
+        a.nrows() == an.n
+            && a.ncols() == an.n
+            && a.indptr() == an.input_indptr.as_slice()
+            && a.indices() == an.input_indices.as_slice()
+    }
+
     /// Performs a numeric-only factorisation of `a` against this shared
     /// analysis: no ordering, no elimination tree, no column counts are
     /// recomputed, and the factor shares the analysis instead of copying
@@ -1019,6 +1034,33 @@ mod tests {
             symbolic.factor_numeric(&small),
             Err(SparseError::DimensionMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn an_analysis_matches_exactly_the_pattern_it_was_computed_from() {
+        let a = grid_spd(5, 4);
+        // Same pattern, other values (a diagonal shift, like `C` of grounded
+        // capacitors): the analysis matches, and factoring against it gives
+        // the one-shot factor's bits.
+        let mut shift = TripletMatrix::new(a.nrows(), a.ncols());
+        for i in 0..a.nrows() {
+            shift.push(i, i, 0.25 + i as f64 * 1e-3);
+        }
+        let shifted = a.add_scaled(&shift.to_csr(), 1.0).unwrap();
+        let symbolic = SymbolicCholesky::analyze(&shifted).unwrap();
+        assert!(symbolic.matches_pattern(&a));
+        let shared = symbolic.factor_numeric(&a).unwrap();
+        let own = CholeskyFactor::factor(&a).unwrap();
+        let bits = |f: &CholeskyFactor| f.l_data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&shared), bits(&own));
+        // A strict sub-pattern and a different shape do not match.
+        let mut extra = TripletMatrix::new(a.nrows(), a.ncols());
+        extra.add_symmetric_pair(0, a.nrows() - 1, 0.3);
+        let denser = a.add_scaled(&extra.to_csr(), 1.0).unwrap();
+        assert!(!SymbolicCholesky::analyze(&denser)
+            .unwrap()
+            .matches_pattern(&a));
+        assert!(!symbolic.matches_pattern(&grid_spd(2, 2)));
     }
 
     /// The numeric path before the scatter map: transpose and permute `a`,

@@ -420,13 +420,22 @@ impl StochasticGridModel {
     /// source waveforms are evaluated once and the drain currents once per
     /// call, where the allocating form evaluates them once per varying
     /// variable too and allocates a vector per term; the pad terms come
-    /// from the model's stored pad injection.
+    /// from the model's stored pad injection. `drain` is the caller's
+    /// scratch for the drain currents: a loop that passes the same one to
+    /// every call allocates on its first call only (and not at all while no
+    /// current sensitivity varies).
     ///
     /// # Errors
     ///
     /// Returns [`VariationError::IndexOutOfBounds`] if `xi.len() != n_vars()`
     /// or `out.len()` differs from the node count.
-    pub fn sample_excitation_into(&self, t: f64, xi: &[f64], out: &mut [f64]) -> Result<()> {
+    pub fn sample_excitation_into(
+        &self,
+        t: f64,
+        xi: &[f64],
+        out: &mut [f64],
+        drain: &mut Vec<f64>,
+    ) -> Result<()> {
         self.check_sample(xi)?;
         if out.len() != self.node_count() {
             return Err(VariationError::IndexOutOfBounds {
@@ -446,10 +455,12 @@ impl StochasticGridModel {
             .iter()
             .zip(&self.current_sens)
             .any(|(&x, &sens)| x != 0.0 && sens != 0.0);
-        let mut drain = if varies_current {
-            vec![0.0; out.len()]
+        let drain: &mut [f64] = if varies_current {
+            drain.clear();
+            drain.resize(out.len(), 0.0);
+            drain
         } else {
-            Vec::new()
+            &mut []
         };
         for source in self.grid.sources() {
             let value = source.waveform.value_at(t);
@@ -464,7 +475,7 @@ impl StochasticGridModel {
             }
             let sens = self.current_sens[d];
             if sens != 0.0 {
-                for ((u_n, &pad), &i_n) in out.iter_mut().zip(&self.pad_pert[d]).zip(&drain) {
+                for ((u_n, &pad), &i_n) in out.iter_mut().zip(&self.pad_pert[d]).zip(&*drain) {
                     *u_n += x * (pad - sens * i_n);
                 }
             } else {
@@ -639,6 +650,9 @@ mod tests {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for m in &models {
             let mut out = vec![f64::NAN; m.node_count()];
+            // One drain scratch serves every call: the previous call's
+            // currents must not leak into the next.
+            let mut drain = Vec::new();
             for (k, t) in [0.0, 0.13e-9, 0.5e-9, 1.7e-9].into_iter().enumerate() {
                 let draws = [
                     vec![0.0; m.n_vars()],
@@ -647,14 +661,19 @@ mod tests {
                         .collect(),
                 ];
                 for xi in &draws {
-                    m.sample_excitation_into(t, xi, &mut out).unwrap();
+                    m.sample_excitation_into(t, xi, &mut out, &mut drain)
+                        .unwrap();
                     assert_eq!(bits(&out), bits(&m.sample_excitation(t, xi).unwrap()));
                 }
             }
-            assert!(m.sample_excitation_into(0.0, &[0.0], &mut out).is_err());
+            assert!(m
+                .sample_excitation_into(0.0, &[0.0], &mut out, &mut drain)
+                .is_err());
             let mut short = vec![0.0; m.node_count() - 1];
             let xi = vec![0.0; m.n_vars()];
-            assert!(m.sample_excitation_into(0.0, &xi, &mut short).is_err());
+            assert!(m
+                .sample_excitation_into(0.0, &xi, &mut short, &mut drain)
+                .is_err());
         }
     }
 

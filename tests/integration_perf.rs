@@ -7,14 +7,18 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use opera::engine::{OperaEngine, Scenario};
-use opera::monte_carlo::{run_leakage, MonteCarloOptions};
+use opera::monte_carlo::{run as run_monte_carlo, run_leakage, MonteCarloOptions};
 use opera::solver::{BlockJacobiCg, DirectCholesky, LeftLookingLu, SolverBackend};
 use opera::special_case::{solve_leakage, solve_leakage_reference, SpecialCaseOptions};
 use opera::transient::{integrate_fixed_step, IntegrationMethod, TransientOptions};
 use opera::Parallelism;
+use opera_collocation::{
+    build_grid, solve_collocation, GridKind, TransientSpec as CollocationTransient,
+};
 use opera_grid::GridSpec;
+use opera_pce::{OrthogonalBasis, PolynomialFamily};
 use opera_sparse::SolveWorkspace;
-use opera_variation::{LeakageModel, VariationSpec};
+use opera_variation::{LeakageModel, StochasticGridModel, VariationSpec};
 
 thread_local! {
     /// Heap allocations (including reallocations) made by this thread.
@@ -252,4 +256,58 @@ fn special_case_panel_and_reference_agree_for_all_thread_counts() {
             }
         }
     }
+}
+
+/// Heap allocations of a serial inter-die Monte Carlo run of `samples`
+/// samples over `steps` backward-Euler steps.
+fn monte_carlo_allocations(model: &StochasticGridModel, samples: usize, steps: usize) -> u64 {
+    let h = 0.25e-9;
+    let options = MonteCarloOptions::new(samples, 9, TransientOptions::new(h, steps as f64 * h));
+    let before = allocations_so_far();
+    let mc = Parallelism::Serial
+        .install(|| run_monte_carlo(model, &options))
+        .unwrap()
+        .unwrap();
+    let allocations = allocations_so_far() - before;
+    drop(mc);
+    allocations
+}
+
+/// Heap allocations of a serial collocation sweep over the tensor grid of
+/// `level` with `steps` backward-Euler steps.
+fn collocation_allocations(model: &StochasticGridModel, level: u32, steps: usize) -> u64 {
+    let h = 0.25e-9;
+    let families = [PolynomialFamily::Hermite; 2];
+    let basis = OrthogonalBasis::total_order(PolynomialFamily::Hermite, 2, 2).unwrap();
+    let grid = build_grid(GridKind::Tensor, &families, level).unwrap();
+    let spec = CollocationTransient::new(h, steps as f64 * h);
+    let before = allocations_so_far();
+    let run = Parallelism::Serial
+        .install(|| solve_collocation(model, &basis, &grid, &spec))
+        .unwrap()
+        .unwrap();
+    let allocations = allocations_so_far() - before;
+    drop(run);
+    allocations
+}
+
+/// The lock-step steppers of Monte Carlo and collocation allocate nothing
+/// per step of a group: the excitation's drain-current scratch is reused,
+/// so the allocations that extra steps add (the fold's per-time rows) do
+/// not depend on how many groups step. The paper-default inter-die model
+/// varies the switching currents, which is what needs the scratch.
+#[test]
+fn lockstep_groups_allocate_nothing_per_step() {
+    let grid = GridSpec::small_test(90).with_seed(5).build().unwrap();
+    let model = StochasticGridModel::inter_die(&grid, &VariationSpec::paper_defaults()).unwrap();
+    let mc_extra_steps = |samples| {
+        monte_carlo_allocations(&model, samples, 8) - monte_carlo_allocations(&model, samples, 4)
+    };
+    // One group of four samples against three.
+    assert_eq!(mc_extra_steps(12), mc_extra_steps(4));
+    let colloc_extra_steps = |level| {
+        collocation_allocations(&model, level, 8) - collocation_allocations(&model, level, 4)
+    };
+    // One node (one group) against nine nodes (three groups).
+    assert_eq!(colloc_extra_steps(2), colloc_extra_steps(1));
 }
