@@ -353,7 +353,7 @@ fn multi_rhs_sweep(grid: &opera_grid::PowerGrid) -> Result<Vec<Json>, String> {
         };
 
         // --- Pre-PR per-column path: one scalar solve per column per step,
-        // allocating state per step.
+        // allocating a fresh state and workspace per step.
         let per_column = || -> opera::Result<Vec<Vec<f64>>> {
             let mut finals = Vec::with_capacity(size);
             for j in 0..size {
@@ -362,7 +362,15 @@ fn multi_rhs_sweep(grid: &opera_grid::PowerGrid) -> Result<Vec<Json>, String> {
                 let mut u_prev = u0;
                 for &t in &times[1..] {
                     let u_next = rhs_at(j, t);
-                    state = companion.step(&state, &u_prev, &u_next);
+                    let mut next = vec![0.0; n];
+                    companion.step_into(
+                        &state,
+                        &u_prev,
+                        &u_next,
+                        &mut next,
+                        &mut SolveWorkspace::new(),
+                    );
+                    state = next;
                     u_prev = u_next;
                 }
                 finals.push(state);

@@ -22,7 +22,7 @@
 //! by construction: a re-step goes through the solver's
 //! [`CompanionFamily`], which reuses one shared symbolic Cholesky analysis
 //! (numeric-only refactorisation) and serves recently used step sizes from
-//! an LRU cache — of the augmented companion on the direct backends, of the
+//! an LRU cache — of the augmented companion on the direct backend, of the
 //! nominal one on the CG backend. A dead-band in the controller keeps the
 //! step unchanged when the predicted growth is modest, so long smooth
 //! stretches run entirely on cache hits. See `docs/TRANSIENT.md` for the
@@ -484,10 +484,8 @@ pub fn solve_transient_adaptive_at(
     // The direct solver starts at the controller's first step, so that
     // step's factorisation is the run's first refactorisation.
     let (_, _, initial_step) = step_bounds(output_times, adaptive);
-    let family = CompanionFamily::new(g, c)?;
     let prepared = DirectPrepared::with_family(
-        family.dc_factor()?,
-        family,
+        CompanionFamily::new(g, c)?,
         initial_step,
         IntegrationMethod::TrBdf2,
     )?;

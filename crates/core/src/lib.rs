@@ -18,8 +18,8 @@
 //!   ([`OperaEngine::for_netlist`], grammar in `docs/NETLIST.md`) — netlist
 //!   engines name their nodes in every report.
 //! * [`solver`] — pluggable [`SolverBackend`]s for the
-//!   augmented system: the default Kronecker-preconditioned CG, direct
-//!   Cholesky (the bit-pinned reference) and left-looking LU. A custom
+//!   augmented system: the default Kronecker-preconditioned CG and direct
+//!   Cholesky (the bit-pinned reference). A custom
 //!   backend is passed to the engine builder by value
 //!   ([`EngineBuilder::solver`](engine::EngineBuilder::solver)).
 //! * [`transient`] — deterministic transient MNA solver (backward Euler,
@@ -115,7 +115,7 @@ pub use error::OperaError;
 pub use galerkin::GalerkinSystem;
 pub use opera_simd::Backend as SimdBackend;
 pub use parallel::Parallelism;
-pub use solver::{BlockJacobiCg, DirectCholesky, LeftLookingLu, SolverBackend};
+pub use solver::{BlockJacobiCg, DirectCholesky, SolverBackend};
 pub use stochastic::StochasticSolution;
 pub use transient::{IntegrationMethod, TransientOptions, TransientSolution};
 

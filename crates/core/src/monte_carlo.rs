@@ -36,6 +36,7 @@ use opera_variation::{LeakageModel, StochasticGridModel};
 
 use crate::parallel::sample_seed;
 use crate::solver::{check_scheme, DirectPrepared, PreparedSolver};
+use crate::special_case::check_leakage_nodes;
 use crate::transient::{
     analyze_companion_pattern, assert_same_columns, dc_analysis, integrate_fixed_step,
     rescale_around_anchor, CompanionFamily, CompanionSystem, IntegrationMethod, StepRhs,
@@ -292,7 +293,7 @@ pub fn run(model: &StochasticGridModel, options: &MonteCarloOptions) -> Result<M
         for (j, xi) in draws.iter().enumerate() {
             let g = model.sample_conductance(xi)?;
             let c = model.sample_capacitance(xi)?;
-            match CompanionSystem::factored(&g, &c, h, method, Some(&step_analysis))?
+            match CompanionSystem::factored(&g, &c, h, method, &step_analysis)?
                 .into_cholesky_parts()
             {
                 Ok(parts) => {
@@ -554,8 +555,9 @@ fn accumulate_sample_groups(
 ///
 /// # Errors
 ///
-/// Returns [`OperaError::InvalidOptions`] for invalid options or a probe
-/// node outside the grid, and propagates factorisation errors.
+/// Returns [`OperaError::InvalidOptions`] for invalid options, a probe node
+/// outside the grid or a leakage model of another node count, and
+/// propagates factorisation errors.
 pub fn run_leakage(
     grid: &PowerGrid,
     leakage: &LeakageModel,
@@ -564,16 +566,17 @@ pub fn run_leakage(
     let _span = opera_trace::span("mc.run");
     let n = grid.node_count();
     options.validate_for(n)?;
+    check_leakage_nodes(grid, leakage)?;
     let times = options.transient.time_points();
     let families = leakage.families();
 
-    let g = grid.conductance_matrix();
-    let c = grid.capacitance_matrix();
     let method = options.transient.method;
-    let prepared = DirectPrepared::new(
-        MatrixFactor::cholesky_or_lu(&g)?,
-        CompanionSystem::new(&g, &c, options.transient.time_step, method)?,
-    );
+    let prepared = DirectPrepared::nominal(
+        &grid.conductance_matrix(),
+        &grid.capacitance_matrix(),
+        options.transient.time_step,
+        method,
+    )?;
     let scale = options.current_scale;
 
     // The waveform scaling is anchored at t = 0, so it rescales only the
@@ -698,6 +701,19 @@ mod tests {
         }
         let (_, _, worst) = mc.worst_mean_drop(grid.vdd());
         assert!(worst >= 0.0);
+    }
+
+    #[test]
+    fn leakage_models_of_another_node_count_are_rejected() {
+        use opera_variation::LeakageModel;
+        let grid = GridSpec::small_test(63).with_seed(19).build().unwrap();
+        let n = grid.node_count();
+        let leakage = LeakageModel::uniform_slices(n - 1, 2, 1.0e-5, 0.03, 23.0).unwrap();
+        let opts = MonteCarloOptions::new(4, 1, TransientOptions::new(0.25e-9, 0.5e-9));
+        assert!(matches!(
+            run_leakage(&grid, &leakage, &opts),
+            Err(OperaError::InvalidOptions { .. })
+        ));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! ([`EngineBuilder::solver`](crate::engine::EngineBuilder::solver)) instead
 //! of a match-arm edit in the transient loop.
 //!
-//! Three backends ship with the crate:
+//! Two backends ship with the crate:
 //!
 //! * [`BlockJacobiCg`] — **the default** ([`default_backend`]): conjugate
 //!   gradient on the augmented system with Ullmann's Kronecker-product
@@ -25,12 +25,9 @@
 //!   §5.2 "iterative block solver with appropriate pre-conditioner"; the
 //!   backend keeps its historical name).
 //! * [`DirectCholesky`] — sparse Cholesky of the augmented companion matrix,
-//!   factored once and reused for every step (falls back to LU if the matrix
-//!   is not numerically SPD). The bit-pinned reference: select it by value,
-//!   `.solver(Arc::new(DirectCholesky))`.
-//! * [`LeftLookingLu`] — left-looking sparse LU with partial pivoting, the
-//!   fallback of choice when large variation magnitudes push the augmented
-//!   matrix away from positive definiteness.
+//!   factored once and reused for every step (falls back to LU, counted, if
+//!   the matrix is not numerically SPD). The bit-pinned reference: select it
+//!   by value, `.solver(Arc::new(DirectCholesky))`.
 //!
 //! Every backend re-steps cheaply ([`PreparedSolver::with_time_step`]), so
 //! the adaptive controller of [`crate::adaptive`] runs on each of them.
@@ -45,8 +42,8 @@ use opera_variation::StochasticGridModel;
 
 use crate::galerkin::GalerkinSystem;
 use crate::transient::{
-    assert_same_columns, companion_scale, CompanionFamily, CompanionSystem, IntegrationMethod,
-    StepRhs, TransientOptions,
+    analyze_companion_pattern, assert_same_columns, companion_scale, dc_factor, CompanionFamily,
+    CompanionSystem, IntegrationMethod, StepRhs, TransientOptions,
 };
 use crate::{OperaError, Result};
 
@@ -165,7 +162,7 @@ pub trait PreparedSolver: Send + Sync {
 
     /// The companion family that serves this solver's step-size changes:
     /// one symbolic analysis, a numeric refactorisation per new step size.
-    /// For the direct backends it factors the augmented companion, for
+    /// For [`DirectCholesky`] it factors the augmented companion, for
     /// [`BlockJacobiCg`] the nominal companion its preconditioner is built
     /// on. Its counters are what the adaptive controller reports. `None` for
     /// backends that cannot re-step.
@@ -196,34 +193,30 @@ pub(crate) fn check_scheme(prepared: IntegrationMethod, tr_bdf2_call: bool) -> R
 }
 
 // --------------------------------------------------------------------------
-// Direct backends (Cholesky and left-looking LU).
+// Direct backend.
 // --------------------------------------------------------------------------
 
 /// Sparse Cholesky factorisation of the full `(N+1)·n` augmented companion
 /// matrix, factored once and reused for every time step. Falls back to
-/// left-looking LU if the augmented matrix is not numerically positive
-/// definite (use [`LeftLookingLu`] to skip the Cholesky attempt entirely).
-/// The bit-pinned reference backend.
+/// left-looking LU, counted as `sparse.cholesky_fallbacks`, if a matrix is
+/// not numerically positive definite (see
+/// [`MatrixFactor::from_cholesky_attempt`]). The bit-pinned reference
+/// backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DirectCholesky;
 
-/// Left-looking sparse LU with partial pivoting of the augmented companion
-/// matrix — for augmented systems that large variation magnitudes have pushed
-/// away from positive definiteness, where [`DirectCholesky`]'s first attempt
-/// is wasted work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LeftLookingLu;
-
-/// A direct prepared solver: a DC factor of `G̃` and a factored companion
-/// system, plus — for the direct backends — the companion family (one
-/// symbolic analysis for every step size) the companion came from. Without
-/// a family it is the plain `(MatrixFactor, CompanionSystem)` pair of the
-/// deterministic, Monte Carlo and special-case transients.
+/// A direct prepared solver: a DC factor of `G` and a factored companion
+/// system, plus — for [`DirectCholesky`] and the adaptive solve — the
+/// companion family (one symbolic analysis for every step size) the
+/// companion came from. Without a family it is the plain
+/// `(MatrixFactor, CompanionSystem)` pair of the deterministic, Monte Carlo
+/// and special-case transients.
 ///
-/// The DC factor deliberately keeps its own full factorisation instead of
-/// the family's union-pattern analysis: `G̃`'s pattern is a strict subset of
-/// `G̃ + C̃`, so factoring it against the union analysis would change fill
-/// and break bit-identity with the pre-family behaviour.
+/// The DC factor comes from [`dc_factor`] in both forms: it shares the
+/// analysis of `G + C` when the two patterns match (grounded capacitors
+/// touch only the diagonal, so nominal `G` does) and analyses `G` alone
+/// otherwise (the augmented `G̃` never has `G̃ + C̃`'s pattern). Either way
+/// it is bit-identical to [`MatrixFactor::cholesky_or_lu`] of `G`.
 pub(crate) struct DirectPrepared {
     pub(crate) dc: Arc<MatrixFactor>,
     family: Option<Arc<CompanionFamily>>,
@@ -240,14 +233,38 @@ impl DirectPrepared {
         }
     }
 
-    /// A preparation whose companion for `time_step` and `method` comes
-    /// from `family`, which stays available for re-stepping.
+    /// The preparation of a deterministic transient of `G·v + C·dv/dt = u`
+    /// at one step size: one analysis of `G + C` serves the companion
+    /// factor and, on an equal pattern, the DC factor.
+    ///
+    /// # Errors
+    ///
+    /// Propagates pattern-union, analysis and factorisation errors.
+    pub(crate) fn nominal(
+        g: &CsrMatrix,
+        c: &CsrMatrix,
+        time_step: f64,
+        method: IntegrationMethod,
+    ) -> Result<Self> {
+        let symbolic = analyze_companion_pattern(g, c)?;
+        Ok(Self::new(
+            dc_factor(g, &symbolic)?,
+            CompanionSystem::factored(g, c, time_step, method, &symbolic)?,
+        ))
+    }
+
+    /// A preparation whose DC factor and companion for `time_step` and
+    /// `method` come from `family`, which stays available for re-stepping.
+    ///
+    /// # Errors
+    ///
+    /// Propagates factorisation errors.
     pub(crate) fn with_family(
-        dc: MatrixFactor,
         family: CompanionFamily,
         time_step: f64,
         method: IntegrationMethod,
     ) -> Result<Self> {
+        let dc = family.dc_factor()?;
         let family = Arc::new(family);
         let companion = family.system_for(time_step, method)?;
         Ok(DirectPrepared {
@@ -348,33 +365,8 @@ impl SolverBackend for DirectCholesky {
         transient: &TransientOptions,
     ) -> Result<Box<dyn PreparedSolver>> {
         let _span = opera_trace::span("solver.prepare");
-        let dc = MatrixFactor::cholesky_or_lu(system.conductance())?;
         let family = CompanionFamily::new(system.conductance(), system.capacitance())?;
         Ok(Box::new(DirectPrepared::with_family(
-            dc,
-            family,
-            transient.time_step,
-            transient.method,
-        )?))
-    }
-}
-
-impl SolverBackend for LeftLookingLu {
-    fn name(&self) -> &str {
-        LEFT_LOOKING_LU
-    }
-
-    fn prepare(
-        &self,
-        _model: &StochasticGridModel,
-        system: &GalerkinSystem,
-        transient: &TransientOptions,
-    ) -> Result<Box<dyn PreparedSolver>> {
-        let _span = opera_trace::span("solver.prepare");
-        let dc = MatrixFactor::lu(system.conductance())?;
-        let family = CompanionFamily::with_lu(system.conductance(), system.capacitance())?;
-        Ok(Box::new(DirectPrepared::with_family(
-            dc,
             family,
             transient.time_step,
             transient.method,
@@ -812,8 +804,6 @@ pub fn default_backend() -> Arc<dyn SolverBackend> {
 pub const DIRECT_CHOLESKY: &str = "direct-cholesky";
 /// [`SolverBackend::name`] of [`BlockJacobiCg`].
 pub const BLOCK_JACOBI_CG: &str = "block-jacobi-cg";
-/// [`SolverBackend::name`] of [`LeftLookingLu`].
-pub const LEFT_LOOKING_LU: &str = "left-looking-lu";
 
 #[cfg(test)]
 mod tests {
@@ -831,13 +821,9 @@ mod tests {
         (model, system, TransientOptions::new(0.2e-9, 1.0e-9))
     }
 
-    /// The three built-in backends, by value.
-    fn builtin_backends() -> [Arc<dyn SolverBackend>; 3] {
-        [
-            Arc::new(DirectCholesky),
-            Arc::new(LeftLookingLu),
-            Arc::new(BlockJacobiCg::default()),
-        ]
+    /// The two built-in backends, by value.
+    fn builtin_backends() -> [Arc<dyn SolverBackend>; 2] {
+        [Arc::new(DirectCholesky), Arc::new(BlockJacobiCg::default())]
     }
 
     /// One-column panel of `v`.
@@ -886,7 +872,7 @@ mod tests {
     }
 
     #[test]
-    fn all_three_backends_agree_on_a_time_step() {
+    fn both_backends_agree_on_a_time_step() {
         let (model, system, transient) = prepared_setup();
         let u0 = system.excitation(&model, 0.0);
         let u1 = system.excitation(&model, transient.time_step);
@@ -899,7 +885,7 @@ mod tests {
     }
 
     #[test]
-    fn all_three_backends_agree_on_a_tr_bdf2_step() {
+    fn both_backends_agree_on_a_tr_bdf2_step() {
         use crate::transient::TR_BDF2_GAMMA;
         let (model, system, mut transient) = prepared_setup();
         transient.method = IntegrationMethod::TrBdf2;
@@ -932,14 +918,14 @@ mod tests {
         let prepared = DirectCholesky.prepare(&model, &system, &transient).unwrap();
         let family_analyses = prepared
             .companion_family()
-            .expect("direct backends expose their family")
+            .expect("the direct backend exposes its family")
             .symbolic_analysis_count();
         assert_eq!(family_analyses, 1);
         let refactors_before = prepared.companion_family().unwrap().refactorization_count();
         let restepped = prepared
             .with_time_step(transient.time_step / 2.0)
             .unwrap()
-            .expect("direct backends re-step cheaply");
+            .expect("the direct backend re-steps cheaply");
         let family = restepped.companion_family().unwrap();
         // One numeric refactorisation, zero new symbolic analyses.
         assert_eq!(family.symbolic_analysis_count(), 1);
@@ -954,6 +940,80 @@ mod tests {
         let via_restep = dc_and_step(restepped.as_ref(), &u0, None, &u1).unwrap();
         for (x, y) in via_fresh.1.data().iter().zip(via_restep.1.data()) {
             assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+
+    /// A 3-node `G` whose middle node has a negative diagonal, with
+    /// grounded capacitors: `G` and every companion `G + s·C` used below are
+    /// symmetric indefinite.
+    fn indefinite_pair() -> (CsrMatrix, CsrMatrix) {
+        let mut g = opera_sparse::TripletMatrix::new(3, 3);
+        let mut c = opera_sparse::TripletMatrix::new(3, 3);
+        for (i, j, v) in [
+            (0, 0, 2.0),
+            (1, 1, -3.0),
+            (2, 2, 2.0),
+            (0, 1, -1.0),
+            (1, 2, -1.0),
+        ] {
+            g.push(i, j, v);
+            if i != j {
+                g.push(j, i, v);
+            }
+        }
+        for i in 0..3 {
+            c.push(i, i, 0.1);
+        }
+        (g.to_csr(), c.to_csr())
+    }
+
+    #[test]
+    fn indefinite_direct_preparations_fall_back_to_lu_and_match_a_dense_solve() {
+        use crate::transient::TR_BDF2_GAMMA;
+        let (g, c) = indefinite_pair();
+        let h = 1.0;
+        // (G + s·C)⁻¹·rhs, densely.
+        let dense_solve = |s: f64, rhs: &[f64]| {
+            let m = g.add_scaled(&c, s).unwrap().to_dense();
+            m.solve(rhs).unwrap()
+        };
+        let u0 = [1.0, -0.5, 0.25];
+        let u_mid = [0.75, 0.5, -1.0];
+        let u1 = [0.5, 1.0, -0.75];
+        let v0 = dense_solve(0.0, &u0);
+        for method in [IntegrationMethod::BackwardEuler, IntegrationMethod::TrBdf2] {
+            let family = CompanionFamily::new(&g, &c).unwrap();
+            let prepared = DirectPrepared::with_family(family, h, method).unwrap();
+            assert!(matches!(*prepared.dc, MatrixFactor::Lu(_)));
+            assert!(matches!(prepared.companion.factor(), MatrixFactor::Lu(_)));
+
+            let s = companion_scale(method, h);
+            let scaled_c = |v: &[f64]| -> Vec<f64> { c.matvec(v).iter().map(|x| s * x).collect() };
+            let c_v0 = scaled_c(&v0);
+            let two_stage = method == IntegrationMethod::TrBdf2;
+            let v1 = if two_stage {
+                // Trapezoidal stage over γh, then BDF2 over the rest.
+                let g_v0 = g.matvec(&v0);
+                let rhs: Vec<f64> = (0..3)
+                    .map(|i| c_v0[i] - g_v0[i] + u0[i] + u_mid[i])
+                    .collect();
+                let v_mid = dense_solve(s, &rhs);
+                let (w_mid, w_old) = (0.5 / (1.0 - TR_BDF2_GAMMA), 0.5 * (1.0 - TR_BDF2_GAMMA));
+                let blend: Vec<f64> = (0..3).map(|i| w_mid * v_mid[i] - w_old * v0[i]).collect();
+                let c_blend = scaled_c(&blend);
+                let rhs: Vec<f64> = (0..3).map(|i| c_blend[i] + u1[i]).collect();
+                dense_solve(s, &rhs)
+            } else {
+                let rhs: Vec<f64> = (0..3).map(|i| c_v0[i] + u1[i]).collect();
+                dense_solve(s, &rhs)
+            };
+
+            let (a0, a1) =
+                dc_and_step(&prepared, &u0, two_stage.then_some(&u_mid[..]), &u1).unwrap();
+            let dc_error = max_relative_difference(a0.data(), &v0);
+            let step_error = max_relative_difference(a1.data(), &v1);
+            assert!(dc_error <= 1e-12, "{method:?} DC: {dc_error:e}");
+            assert!(step_error <= 1e-12, "{method:?} step: {step_error:e}");
         }
     }
 

@@ -26,15 +26,13 @@
 
 use opera_grid::PowerGrid;
 use opera_pce::{GalerkinCoupling, OrthogonalBasis};
-use opera_sparse::{MatrixFactor, SolveWorkspace};
+use opera_sparse::SolveWorkspace;
 use opera_variation::LeakageModel;
 use rayon::prelude::*;
 
 use crate::solver::DirectPrepared;
 use crate::stochastic::StochasticSolution;
-use crate::transient::{
-    integrate_fixed_step, CompanionSystem, IntegrationMethod, TransientOptions, TR_BDF2_GAMMA,
-};
+use crate::transient::{integrate_fixed_step, IntegrationMethod, TransientOptions, TR_BDF2_GAMMA};
 use crate::{OperaError, Result};
 
 /// Options for the special-case (RHS-only variation) solver.
@@ -166,21 +164,26 @@ pub fn solve_leakage_reference(
     let per_j: Vec<Vec<Vec<f64>>> = (0..size)
         .into_par_iter()
         .map(|j| {
+            let mut ws = SolveWorkspace::new();
+            let mut stage = vec![0.0; n];
             let u0 = sys.rhs_at(j, 0.0);
-            let mut state = dc_factor.solve(&u0);
             let mut series = Vec::with_capacity(times.len());
-            series.push(state.clone());
+            series.push(dc_factor.solve(&u0));
             let mut u_prev = u0;
             let mut t_prev = times[0];
             for &t in &times[1..] {
                 let u_next = sys.rhs_at(j, t);
-                state = if two_stage {
+                let state = &series[series.len() - 1];
+                let mut next = vec![0.0; n];
+                if two_stage {
                     let u_mid = sys.rhs_at(j, t_prev + TR_BDF2_GAMMA * (t - t_prev));
-                    companion.step_tr_bdf2(&state, &u_prev, &u_mid, &u_next)
+                    companion.step_tr_bdf2_into(
+                        state, &u_prev, &u_mid, &u_next, &mut stage, &mut next, &mut ws,
+                    );
                 } else {
-                    companion.step(&state, &u_prev, &u_next)
-                };
-                series.push(state.clone());
+                    companion.step_into(state, &u_prev, &u_next, &mut next, &mut ws);
+                }
+                series.push(next);
                 u_prev = u_next;
                 t_prev = t;
             }
@@ -203,6 +206,21 @@ pub fn solve_leakage_reference(
     ))
 }
 
+/// Rejects a leakage model whose node count differs from the grid's, before
+/// any excitation silently pairs the shorter vector with the longer one.
+pub(crate) fn check_leakage_nodes(grid: &PowerGrid, leakage: &LeakageModel) -> Result<()> {
+    if leakage.node_count() == grid.node_count() {
+        return Ok(());
+    }
+    Err(OperaError::InvalidOptions {
+        reason: format!(
+            "leakage model covers {} nodes but the grid has {}",
+            leakage.node_count(),
+            grid.node_count()
+        ),
+    })
+}
+
 /// The shared setup of both special-case drivers: basis, projected
 /// injections, the two shared factorisations and the time grid.
 struct LeakageSystem<'a> {
@@ -222,15 +240,7 @@ impl<'a> LeakageSystem<'a> {
         options: &SpecialCaseOptions,
     ) -> Result<Self> {
         options.validate()?;
-        if leakage.node_count() != grid.node_count() {
-            return Err(OperaError::InvalidOptions {
-                reason: format!(
-                    "leakage model covers {} nodes but the grid has {}",
-                    leakage.node_count(),
-                    grid.node_count()
-                ),
-            });
-        }
+        check_leakage_nodes(grid, leakage)?;
         let basis = OrthogonalBasis::total_order_mixed(
             leakage.families(),
             leakage.region_count(),
@@ -240,21 +250,15 @@ impl<'a> LeakageSystem<'a> {
         // Projected leakage injections: inj[j][node] (amperes drawn).
         let injections = leakage.projected_injections(&basis, &coupling)?;
 
-        let g = grid.conductance_matrix();
-        let c = grid.capacitance_matrix();
-
         // One factorisation of G for the DC start and one of the companion
         // matrix for the time stepping — shared by all N + 1 systems (the
         // whole point of the special case).
-        let prepared = DirectPrepared::new(
-            MatrixFactor::cholesky_or_lu(&g)?,
-            CompanionSystem::new(
-                &g,
-                &c,
-                options.transient.time_step,
-                options.transient.method,
-            )?,
-        );
+        let prepared = DirectPrepared::nominal(
+            &grid.conductance_matrix(),
+            &grid.capacitance_matrix(),
+            options.transient.time_step,
+            options.transient.method,
+        )?;
 
         Ok(LeakageSystem {
             grid,

@@ -288,7 +288,7 @@ mod tests {
 
     use super::*;
     use crate::engine::OperaEngine;
-    use crate::solver::{BlockJacobiCg, DirectCholesky, LeftLookingLu, SolverBackend};
+    use crate::solver::{BlockJacobiCg, DirectCholesky, SolverBackend};
     use crate::transient::{solve_transient, TransientOptions};
     use opera_grid::GridSpec;
     use opera_variation::{StochasticGridModel, VariationSpec};
@@ -440,17 +440,6 @@ mod tests {
         assert!(
             (direct.std_dev_at(k, node) - iterative.std_dev_at(k, node)).abs() < 1e-6 * grid.vdd()
         );
-    }
-
-    #[test]
-    fn left_looking_lu_backend_matches_direct_cholesky_exactly_enough() {
-        let (grid, model) = small_setup();
-        let topts = TransientOptions::new(0.2e-9, 1.0e-9);
-        let direct = solve_with(&model, 2, topts, Arc::new(DirectCholesky)).unwrap();
-        let lu = solve_with(&model, 2, topts, Arc::new(LeftLookingLu)).unwrap();
-        let (node, k, _) = direct.worst_mean_drop(grid.vdd());
-        assert!((direct.mean_at(k, node) - lu.mean_at(k, node)).abs() < 1e-9 * grid.vdd());
-        assert!((direct.std_dev_at(k, node) - lu.std_dev_at(k, node)).abs() < 1e-9 * grid.vdd());
     }
 
     #[test]

@@ -274,28 +274,24 @@ impl CompanionSystem {
         method: IntegrationMethod,
     ) -> Result<Self> {
         let symbolic = analyze_companion_pattern(g, c)?;
-        Self::factored(g, c, time_step, method, Some(&symbolic))
+        Self::factored(g, c, time_step, method, &symbolic)
     }
 
     /// The one constructor of every companion system (`new`, the family,
-    /// Monte Carlo samples): Cholesky against the shared `symbolic`
-    /// analysis with the counted LU fallback of
-    /// [`MatrixFactor::from_cholesky_attempt`], or LU outright for `None`.
+    /// the nominal direct preparation, Monte Carlo samples): Cholesky
+    /// against the shared `symbolic` analysis with the counted LU fallback
+    /// of [`MatrixFactor::from_cholesky_attempt`].
     pub(crate) fn factored(
         g: &CsrMatrix,
         c: &CsrMatrix,
         time_step: f64,
         method: IntegrationMethod,
-        symbolic: Option<&SymbolicCholesky>,
+        symbolic: &SymbolicCholesky,
     ) -> Result<Self> {
         let c_over_h = c.scaled(companion_scale(method, time_step));
         let companion = g.add_scaled(&c_over_h, 1.0)?;
-        let factor = match symbolic {
-            Some(s) => {
-                MatrixFactor::from_cholesky_attempt(s.factor_numeric(&companion), &companion)?
-            }
-            None => MatrixFactor::lu(&companion)?,
-        };
+        let factor =
+            MatrixFactor::from_cholesky_attempt(symbolic.factor_numeric(&companion), &companion)?;
         Ok(CompanionSystem {
             factor,
             c_over_h,
@@ -354,42 +350,16 @@ impl CompanionSystem {
         self.factor.solve_panel(rhs, ws);
     }
 
-    /// Advances one time step: given the state `v_k` and the excitations at
-    /// `t_k` and `t_{k+1}`, returns `v_{k+1}`. Allocates the result; the hot
-    /// loops use [`CompanionSystem::step_into`].
-    pub fn step(&self, v_k: &[f64], u_k: &[f64], u_k1: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; v_k.len()];
-        self.step_into(v_k, u_k, u_k1, &mut out, &mut SolveWorkspace::new());
-        out
-    }
-
-    /// Advances one TR-BDF2 step, allocating the result; the hot loops use
-    /// [`CompanionSystem::step_tr_bdf2_into`]. Returns `v_{k+1}`.
-    pub fn step_tr_bdf2(&self, v_k: &[f64], u_k: &[f64], u_mid: &[f64], u_k1: &[f64]) -> Vec<f64> {
-        let mut stage = vec![0.0; v_k.len()];
-        let mut out = vec![0.0; v_k.len()];
-        self.step_tr_bdf2_into(
-            v_k,
-            u_k,
-            u_mid,
-            u_k1,
-            &mut stage,
-            &mut out,
-            &mut SolveWorkspace::new(),
-        );
-        out
-    }
-
     // The per-step state advance: zero allocations, scratch comes from the
     // caller's SolveWorkspace (the engine's allocation counter asserts the
     // same property at run time).
     // lint: hot(transient-step)
 
-    /// Advances one time step into a caller-provided buffer: builds the
-    /// implicit right-hand side in `out` and solves it in place, borrowing
-    /// all scratch from `ws`. A steady-state loop that double-buffers `v_k`
-    /// and `out` performs zero heap allocations per step. Bit-identical to
-    /// [`CompanionSystem::step`].
+    /// Advances one time step: given the state `v_k` and the excitations at
+    /// `t_k` and `t_{k+1}`, builds the implicit right-hand side in `out` and
+    /// solves it in place for `v_{k+1}`, borrowing all scratch from `ws`. A
+    /// steady-state loop that double-buffers `v_k` and `out` performs zero
+    /// heap allocations per step.
     ///
     /// # Panics
     ///
@@ -472,7 +442,7 @@ impl CompanionSystem {
     /// this companion system: column `j` of `out` receives the step of column
     /// `j` of `v_k` driven by column `j` of `u_k`/`u_k1`, and all columns go
     /// through **one** blocked panel solve. Each column is bit-identical to
-    /// [`CompanionSystem::step`] on that column.
+    /// [`CompanionSystem::step_into`] on that column.
     ///
     /// # Panics
     ///
@@ -653,11 +623,15 @@ pub(crate) fn dc_analysis(g: &CsrMatrix, companion: &SymbolicCholesky) -> Result
 }
 
 /// The DC factor of `g` — bit-identical to [`MatrixFactor::cholesky_or_lu`]
-/// — against [`dc_analysis`] of the `companion` analysis.
+/// — against the `companion` analysis of `G + C` when the two patterns
+/// match (see [`dc_analysis`]); otherwise it *is*
+/// [`MatrixFactor::cholesky_or_lu`] of `g`.
 pub(crate) fn dc_factor(g: &CsrMatrix, companion: &SymbolicCholesky) -> Result<MatrixFactor> {
-    let analysis = dc_analysis(g, companion)?;
+    if !companion.matches_pattern(g) {
+        return Ok(MatrixFactor::cholesky_or_lu(g)?);
+    }
     Ok(MatrixFactor::from_cholesky_attempt(
-        analysis.factor_numeric(g),
+        companion.factor_numeric(g),
         g,
     )?)
 }
@@ -688,8 +662,8 @@ const FAMILY_CACHE_CAPACITY: usize = 8;
 pub struct CompanionFamily {
     g: CsrMatrix,
     c: CsrMatrix,
-    /// The shared analysis; `None` for an LU family.
-    symbolic: Option<SymbolicCholesky>,
+    /// The analysis of `G + C` that every step size shares.
+    symbolic: SymbolicCholesky,
     cache: Mutex<Vec<CachedFactor>>,
     symbolic_analyses: Counter,
     refactorizations: Counter,
@@ -708,32 +682,16 @@ impl CompanionFamily {
     ///
     /// Propagates pattern-union and symbolic-analysis errors.
     pub fn new(g: &CsrMatrix, c: &CsrMatrix) -> Result<Self> {
-        let family = Self::with_analysis(g, c, Some(analyze_companion_pattern(g, c)?));
-        family.symbolic_analyses.incr();
-        Ok(family)
-    }
-
-    /// Prepares a family that factors every step size with left-looking LU,
-    /// skipping the shared Cholesky analysis — for matrices known not to be
-    /// positive definite. Step-size changes re-run the full LU.
-    ///
-    /// # Errors
-    ///
-    /// None: an LU family runs no analysis. The `Result` mirrors
-    /// [`CompanionFamily::new`].
-    pub fn with_lu(g: &CsrMatrix, c: &CsrMatrix) -> Result<Self> {
-        Ok(Self::with_analysis(g, c, None))
-    }
-
-    fn with_analysis(g: &CsrMatrix, c: &CsrMatrix, symbolic: Option<SymbolicCholesky>) -> Self {
-        CompanionFamily {
+        let family = CompanionFamily {
             g: g.clone(),
             c: c.clone(),
-            symbolic,
+            symbolic: analyze_companion_pattern(g, c)?,
             cache: Mutex::new(Vec::new()),
             symbolic_analyses: Counter::new("transient.symbolic_analyses"),
             refactorizations: Counter::new("transient.refactorizations"),
-        }
+        };
+        family.symbolic_analyses.incr();
+        Ok(family)
     }
 
     /// System dimension (rows of `G`).
@@ -741,22 +699,19 @@ impl CompanionFamily {
         self.g.nrows()
     }
 
-    /// The DC factor of the family's `G`, against the family's analysis when
-    /// `G + C` has `G`'s pattern (see [`dc_analysis`]); an LU family factors
-    /// `G` with [`MatrixFactor::cholesky_or_lu`].
+    /// The DC factor of the family's `G` through [`dc_factor`]: against the
+    /// family's analysis when `G + C` has `G`'s pattern, otherwise
+    /// [`MatrixFactor::cholesky_or_lu`] of `G`.
     ///
     /// # Errors
     ///
     /// Propagates analysis and factorisation errors.
     pub(crate) fn dc_factor(&self) -> Result<MatrixFactor> {
-        match &self.symbolic {
-            Some(companion) => dc_factor(&self.g, companion),
-            None => Ok(MatrixFactor::cholesky_or_lu(&self.g)?),
-        }
+        dc_factor(&self.g, &self.symbolic)
     }
 
-    /// Number of symbolic analyses this family has run (0 for the LU
-    /// fallback, 1 otherwise — never more).
+    /// Number of symbolic analyses this family has run: the one of
+    /// [`CompanionFamily::new`], never more.
     pub fn symbolic_analysis_count(&self) -> u64 {
         self.symbolic_analyses.get()
     }
@@ -809,7 +764,7 @@ impl CompanionFamily {
             &self.c,
             time_step,
             method,
-            self.symbolic.as_ref(),
+            &self.symbolic,
         )?);
         self.refactorizations.incr();
         cache.insert(0, (key, Arc::clone(&system)));
@@ -857,11 +812,7 @@ pub fn solve_transient(
     options.validate()?;
     let times = options.time_points();
     let n = g.nrows();
-    let symbolic = analyze_companion_pattern(g, c)?;
-    let prepared = DirectPrepared::new(
-        dc_factor(g, &symbolic)?,
-        CompanionSystem::factored(g, c, options.time_step, options.method, Some(&symbolic))?,
-    );
+    let prepared = DirectPrepared::nominal(g, c, options.time_step, options.method)?;
     // The whole output panel is allocated up front; each step's state is
     // copied into its column.
     let mut states = Panel::zeros(n, times.len());
@@ -1220,14 +1171,16 @@ mod tests {
         let u0 = grid.excitation(0.0);
         let u1 = grid.excitation(0.05e-9);
         let v0 = MatrixFactor::cholesky_or_lu(&g).unwrap().solve(&u0);
+        let mut ws = SolveWorkspace::new();
         for method in [
             IntegrationMethod::BackwardEuler,
             IntegrationMethod::Trapezoidal,
         ] {
             let one_shot = CompanionSystem::new(&g, &c, 0.05e-9, method).unwrap();
             let shared = family.system_for(0.05e-9, method).unwrap();
-            let a = one_shot.step(&v0, &u0, &u1);
-            let b = shared.step(&v0, &u0, &u1);
+            let (mut a, mut b) = (vec![0.0; g.nrows()], vec![0.0; g.nrows()]);
+            one_shot.step_into(&v0, &u0, &u1, &mut a, &mut ws);
+            shared.step_into(&v0, &u0, &u1, &mut b, &mut ws);
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.to_bits(), y.to_bits(), "family factor diverged");
             }
@@ -1268,7 +1221,7 @@ mod tests {
     }
 
     #[test]
-    fn tr_bdf2_step_wrapper_matches_step_into_and_panel_path() {
+    fn tr_bdf2_step_into_matches_the_panel_path() {
         let grid = opera_grid::GridSpec::small_test(80).build().unwrap();
         let g = grid.conductance_matrix();
         let c = grid.capacitance_matrix();
@@ -1278,10 +1231,19 @@ mod tests {
         let u_mid = grid.excitation(TR_BDF2_GAMMA * 0.05e-9);
         let u1 = grid.excitation(0.05e-9);
         let v0 = MatrixFactor::cholesky_or_lu(&g).unwrap().solve(&u0);
-        let scalar = sys.step_tr_bdf2(&v0, &u0, &u_mid, &u1);
+        let mut ws = SolveWorkspace::with_capacity(2 * n);
+        let (mut scalar_stage, mut scalar) = (vec![0.0; n], vec![0.0; n]);
+        sys.step_tr_bdf2_into(
+            &v0,
+            &u0,
+            &u_mid,
+            &u1,
+            &mut scalar_stage,
+            &mut scalar,
+            &mut ws,
+        );
         // Panel with two identical columns: both must equal the scalar step
         // bit for bit.
-        let mut ws = SolveWorkspace::with_capacity(2 * n);
         let fill = |src: &[f64]| {
             let mut p = Panel::zeros(n, 2);
             p.col_mut(0).copy_from_slice(src);

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use opera::engine::{OperaEngine, Scenario};
 use opera::monte_carlo::{run as run_monte_carlo, run_leakage, MonteCarloOptions};
-use opera::solver::{BlockJacobiCg, DirectCholesky, LeftLookingLu, SolverBackend};
+use opera::solver::{BlockJacobiCg, DirectCholesky, SolverBackend};
 use opera::special_case::{solve_leakage, solve_leakage_reference, SpecialCaseOptions};
 use opera::transient::{integrate_fixed_step, IntegrationMethod, TransientOptions};
 use opera::Parallelism;
@@ -64,13 +64,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// The three built-in backends, by value.
-fn builtin_backends() -> [Arc<dyn SolverBackend>; 3] {
-    [
-        Arc::new(DirectCholesky),
-        Arc::new(LeftLookingLu),
-        Arc::new(BlockJacobiCg::default()),
-    ]
+/// The two built-in backends, by value.
+fn builtin_backends() -> [Arc<dyn SolverBackend>; 2] {
+    [Arc::new(DirectCholesky), Arc::new(BlockJacobiCg::default())]
 }
 
 fn small_engine(solver: Arc<dyn SolverBackend>) -> OperaEngine {

@@ -1,6 +1,7 @@
 //! Integration tests for the `opera_trace` observability layer: span
 //! nesting across the rayon fan-outs, counter totals agreeing with the
-//! engine's legacy test hooks, Monte Carlo's one analysis per pattern, and
+//! engine's legacy test hooks, one analysis per pattern for Monte Carlo and
+//! the leakage special case, and
 //! the zero-overhead contract (tracing
 //! enabled must not perturb a single bit of the results; tracing disabled
 //! must keep the steady-state transient loop allocation-free).
@@ -12,12 +13,13 @@
 use std::sync::Arc;
 
 use opera::engine::{McConfig, OperaEngine, Scenario};
-use opera::monte_carlo::{run as run_monte_carlo, MonteCarloOptions};
+use opera::monte_carlo::{run as run_monte_carlo, run_leakage, MonteCarloOptions};
 use opera::solver::DirectCholesky;
+use opera::special_case::{solve_leakage, SpecialCaseOptions};
 use opera::transient::TransientOptions;
 use opera::StochasticSolution;
 use opera_grid::GridSpec;
-use opera_variation::{StochasticGridModel, VariationSpec};
+use opera_variation::{LeakageModel, StochasticGridModel, VariationSpec};
 
 fn small_model() -> StochasticGridModel {
     let grid = GridSpec::small_test(120).with_seed(9).build().unwrap();
@@ -113,6 +115,38 @@ fn monte_carlo_runs_one_symbolic_analysis_per_pattern() {
         2 * samples as u64
     );
     assert_eq!(snapshot.counter("sparse.cholesky_fallbacks"), 0);
+}
+
+#[test]
+fn leakage_paths_run_one_symbolic_analysis_per_pattern() {
+    let _guard = opera_trace::test_guard();
+    let grid = GridSpec::small_test(120).with_seed(9).build().unwrap();
+    let leakage = LeakageModel::uniform_slices(grid.node_count(), 2, 3.0e-5, 0.04, 23.0).unwrap();
+    let transient = TransientOptions::new(0.25e-9, 1.0e-9);
+    let traced = |run: &dyn Fn()| {
+        opera_trace::reset();
+        opera_trace::enable();
+        run();
+        let snapshot = opera_trace::drain();
+        opera_trace::disable();
+        snapshot
+    };
+
+    // Nominal `G + C` has `G`'s pattern (grounded capacitors), so its one
+    // analysis serves both the DC factor and the companion factor that all
+    // chaos columns, or all samples, share.
+    let special = traced(&|| {
+        solve_leakage(&grid, &leakage, &SpecialCaseOptions::order2(transient)).unwrap();
+    });
+    assert_eq!(special.counter("cholesky.symbolic_analyses"), 1);
+    assert_eq!(special.counter("cholesky.numeric_factorizations"), 2);
+
+    let mc = traced(&|| {
+        run_leakage(&grid, &leakage, &MonteCarloOptions::new(6, 5, transient)).unwrap();
+    });
+    assert_eq!(mc.counter("cholesky.symbolic_analyses"), 1);
+    assert_eq!(mc.counter("cholesky.numeric_factorizations"), 2);
+    assert_eq!(mc.counter("sparse.cholesky_fallbacks"), 0);
 }
 
 #[test]

@@ -44,7 +44,7 @@ fn rc_grid(max_n: usize) -> impl Strategy<Value = (CsrMatrix, CsrMatrix)> {
 }
 
 /// The pre-refactor reference loop: every step allocates a fresh state
-/// vector through the allocating `step` primitive.
+/// vector and a fresh workspace.
 fn reference_transient(
     g: &CsrMatrix,
     c: &CsrMatrix,
@@ -60,7 +60,14 @@ fn reference_transient(
     let mut u_prev = u0;
     for k in 1..times.len() {
         let u_next = excitation(times[k]);
-        let v_next = companion.step(&voltages[k - 1], &u_prev, &u_next);
+        let mut v_next = vec![0.0; g.nrows()];
+        companion.step_into(
+            &voltages[k - 1],
+            &u_prev,
+            &u_next,
+            &mut v_next,
+            &mut SolveWorkspace::new(),
+        );
         voltages.push(v_next);
         u_prev = u_next;
     }
@@ -130,7 +137,8 @@ proptest! {
                 &mut ws,
             );
             for j in 0..k {
-                let scalar = companion.step(&states[j], &u_prev[j], &u_next[j]);
+                let mut scalar = vec![0.0; n];
+                companion.step_into(&states[j], &u_prev[j], &u_next[j], &mut scalar, &mut ws);
                 prop_assert_eq!(out.col(j), &scalar[..], "column {} under {:?}", j, method);
             }
         }

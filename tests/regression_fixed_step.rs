@@ -17,7 +17,7 @@ use opera::transient::{
     solve_transient, CompanionFamily, CompanionSystem, IntegrationMethod, TransientOptions,
 };
 use opera_grid::GridSpec;
-use opera_sparse::{CsrMatrix, TripletMatrix};
+use opera_sparse::{CsrMatrix, SolveWorkspace, TripletMatrix};
 
 /// FNV-1a over the IEEE-754 bit patterns of a trajectory, order-sensitive.
 /// The state panel is column-major with one column per time point, so
@@ -100,11 +100,12 @@ fn family_factors_step_bit_identically_to_one_shot_systems() {
             let v = pinned_excitation(0.3);
             let u_prev = pinned_excitation(0.0);
             let u_next = pinned_excitation(h);
-            assert_eq!(
-                from_family.step(&v, &u_prev, &u_next),
-                one_shot.step(&v, &u_prev, &u_next),
-                "{method:?} at h = {h}"
-            );
+            let step = |system: &CompanionSystem| {
+                let mut out = vec![0.0; v.len()];
+                system.step_into(&v, &u_prev, &u_next, &mut out, &mut SolveWorkspace::new());
+                out
+            };
+            assert_eq!(step(&from_family), step(&one_shot), "{method:?} at h = {h}");
         }
     }
     // Three distinct (h, method) factors, one symbolic analysis; the repeat
