@@ -12,9 +12,9 @@ use rayon::prelude::*;
 use opera_pce::sparse_grid::{smolyak_grid, tensor_grid, QuadratureGrid};
 use opera_pce::{OrthogonalBasis, PolynomialFamily};
 use opera_sparse::{
-    CholeskyGroup, CsrMatrix, Panel, SolveWorkspace, SymbolicCholesky, LOCKSTEP_LANES,
+    CholeskyGroup, CsrView, Panel, SolveWorkspace, SymbolicCholesky, LOCKSTEP_LANES,
 };
-use opera_variation::StochasticGridModel;
+use opera_variation::{NominalPatterns, SampleValues, StochasticGridModel};
 
 use crate::{CollocationError, Result};
 
@@ -250,15 +250,12 @@ pub fn solve_collocation(
     };
 
     // ---- The one shared symbolic analysis, on the nominal companion
-    // pattern G_a + C_a/h. Every realised matrix has a pattern contained in
-    // it (the perturbations only re-weight existing branches), and the plain
-    // G(ξ) needed for the DC start is a sub-pattern too, so both per-node
+    // pattern G_a + C_a. Every realised matrix lies on the nominal patterns
+    // (the perturbations only re-weight existing branches), and the plain
+    // G(ξ) needed for the DC start is a sub-pattern, so both per-node
     // factorisations reuse this analysis.
-    let symbolic = SymbolicCholesky::analyze(
-        &model
-            .nominal_conductance()
-            .add_scaled(&model.nominal_capacitance().scaled(h_scale), 1.0)?,
-    )?;
+    let patterns = NominalPatterns::new(model)?;
+    let symbolic = SymbolicCholesky::analyze(patterns.companion())?;
 
     // Per node, the projection weight `w_q·ψ_i(ξ_q)/‖ψ_i‖²` of each basis
     // function.
@@ -279,6 +276,7 @@ pub fn solve_collocation(
         spec,
         times: &times,
         h_scale,
+        patterns: &patterns,
         symbolic: &symbolic,
         numeric_factorizations: AtomicUsize::new(0),
         projection: Mutex::new(OrderedProjection {
@@ -381,6 +379,8 @@ struct NodeSweep<'a> {
     times: &'a [f64],
     /// The companion scale `s` of `G + s·C`.
     h_scale: f64,
+    /// The nominal patterns every node's matrices are realised on.
+    patterns: &'a NominalPatterns<'a>,
     symbolic: &'a SymbolicCholesky,
     numeric_factorizations: AtomicUsize,
     projection: Mutex<OrderedProjection>,
@@ -428,12 +428,15 @@ impl NodeSweep<'_> {
 
         // Backward Euler reads only s·C, so its members drop G(ξ) once both
         // factorisations are done, which keeps the sweep's peak heap down;
-        // the trapezoidal and TR-BDF2 stages read G(ξ) too.
+        // the trapezoidal and TR-BDF2 stages read G(ξ) too. A member keeps
+        // its matrices as values on the nominal patterns.
         let reads_g = spec.scheme != StepScheme::BackwardEuler;
         let tr_bdf2 = spec.scheme == StepScheme::TrBdf2;
+        let (g_pattern, c_pattern) = (self.patterns.conductance(), self.patterns.capacitance());
         let mut group = CholeskyGroup::new(self.symbolic, lanes);
         let mut c_over_h = Vec::with_capacity(lanes);
         let mut g = Vec::with_capacity(if reads_g { lanes } else { 0 });
+        let mut values = SampleValues::default();
         let mut ws = SolveWorkspace::with_capacity(n * lanes);
         let mut state = Panel::zeros(n, lanes);
         let mut u_prev = Panel::zeros(n, lanes);
@@ -443,22 +446,27 @@ impl NodeSweep<'_> {
             // group.
             let _span = opera_trace::span_under(self.parent, "collocation.node");
             opera_trace::count("collocation.nodes", 1);
-            let g_j = model.sample_conductance(xi)?;
-            let c_j = model.sample_capacitance(xi)?.scaled(self.h_scale);
+            self.patterns.realise(xi, self.h_scale, &mut values)?;
             excite(0.0, j, u_prev.col_mut(j))?;
             let v0 = state.col_mut(j);
             v0.copy_from_slice(u_prev.col(j));
             self.symbolic
-                .factor_numeric(&g_j)?
+                .factor_values(g_pattern.with_values(&values.conductance))?
                 .solve_in_place(v0, &mut ws);
-            group.push(self.symbolic.factor_numeric(&g_j.add_scaled(&c_j, 1.0)?)?)?;
+            group.push(
+                self.symbolic
+                    .factor_values(self.patterns.companion().with_values(&values.companion))?,
+            )?;
             self.numeric_factorizations.fetch_add(2, Ordering::Relaxed);
             self.project(0, first + j, v0);
-            c_over_h.push(c_j);
+            c_over_h.push(std::mem::take(&mut values.scaled_capacitance));
             if reads_g {
-                g.push(g_j);
+                g.push(std::mem::take(&mut values.conductance));
             }
         }
+        let c_over_h: Vec<CsrView<'_>> =
+            c_over_h.iter().map(|c| c_pattern.with_values(c)).collect();
+        let g: Vec<CsrView<'_>> = g.iter().map(|g| g_pattern.with_values(g)).collect();
 
         let mut out = Panel::zeros(n, lanes);
         let mut u_next = Panel::zeros(n, lanes);
@@ -530,7 +538,7 @@ impl NodeSweep<'_> {
 /// column `j` from member `j`'s `s·C` and `G`: the trapezoidal step, and
 /// the TR stage of TR-BDF2. `gv` is scratch for one `G·v`.
 fn trapezoidal_rhs(
-    (c_over_h, g): (&[CsrMatrix], &[CsrMatrix]),
+    (c_over_h, g): (&[CsrView<'_>], &[CsrView<'_>]),
     state: &Panel,
     [u_a, u_b]: [&Panel; 2],
     out: &mut Panel,

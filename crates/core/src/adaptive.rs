@@ -177,20 +177,6 @@ pub struct AdaptiveStats {
     pub symbolic_analyses: u64,
 }
 
-/// Internal result of [`integrate_adaptive`]: dense output rows plus the
-/// accepted internal trajectory and controller statistics.
-pub(crate) struct AdaptiveRun {
-    /// State at every requested output time (dense interpolated output).
-    pub states: Vec<Vec<f64>>,
-    /// The internal accepted time sequence, starting at `t0` and ending
-    /// exactly at `t_end`.
-    pub accepted_times: Vec<f64>,
-    /// State at every accepted time.
-    pub accepted_states: Vec<Vec<f64>>,
-    /// Controller statistics.
-    pub stats: AdaptiveStats,
-}
-
 /// Result of an adaptive deterministic transient analysis.
 #[derive(Debug, Clone)]
 pub struct AdaptiveTransientSolution {
@@ -269,8 +255,12 @@ fn validate_output_times(output_times: &[f64]) -> Result<()> {
 
 /// The LTE-driven adaptive TR-BDF2 loop. Starts from the one-column state
 /// `v0` at `output_times[0]`, integrates to `*output_times.last()`, and
-/// returns the dense output on `output_times` plus the accepted internal
-/// trajectory.
+/// hands every state to the caller as it is computed, as
+/// [`integrate_fixed_step`](crate::transient::integrate_fixed_step) does:
+/// `output(k, state)` receives the dense output at `output_times[k]` (`k =
+/// 0` is `v0`), `accepted(t, state)` the state at every accepted step time
+/// `t`, starting with `v0` at `t0`. Nothing is kept here, so a caller that
+/// folds the rows as they arrive holds no second copy of the output.
 ///
 /// Every attempted step size is prepared by `prepared.with_time_step` (one
 /// symbolic analysis in the solver's companion family, LRU'd numeric
@@ -285,13 +275,16 @@ fn validate_output_times(output_times: &[f64]) -> Result<()> {
 /// strictly increasing, when the solver cannot re-step, or when the controller cannot meet the tolerance
 /// within `max_rejects` consecutive rejections at the minimum step;
 /// propagates solver errors.
+#[allow(clippy::too_many_arguments)] // the controller's inputs plus two sinks
 pub(crate) fn integrate_adaptive(
     prepared: &dyn PreparedSolver,
     v0: Panel,
     excitation: &dyn Fn(f64) -> Vec<f64>,
     output_times: &[f64],
     options: &AdaptiveOptions,
-) -> Result<AdaptiveRun> {
+    mut output: impl FnMut(usize, &[f64]),
+    mut accepted: impl FnMut(f64, &[f64]),
+) -> Result<AdaptiveStats> {
     options.validate()?;
     validate_output_times(output_times)?;
     let family = prepared.companion_family().ok_or_else(|| {
@@ -314,11 +307,11 @@ pub(crate) fn integrate_adaptive(
     let mut err = Panel::zeros(n, 1);
     let mut ws = SolveWorkspace::with_capacity(n);
 
-    let mut states = Vec::with_capacity(output_times.len());
-    states.push(v.data().to_vec());
+    output(0, v.data());
+    accepted(t0, v.data());
     let mut out_idx = 1;
-    let mut accepted_times = vec![t0];
-    let mut accepted_states = vec![v.data().to_vec()];
+    // The interpolated output row, reused for every dense output point.
+    let mut row = vec![0.0; n];
 
     let mut rejected_last = false;
     let mut consecutive_rejects = 0u32;
@@ -357,20 +350,18 @@ pub(crate) fn integrate_adaptive(
             while out_idx < output_times.len() && output_times[out_idx] <= t_new {
                 let t_out = output_times[out_idx];
                 if t_out == t_new {
-                    states.push(next.data().to_vec());
+                    output(out_idx, next.data());
                 } else {
-                    let mut row = vec![0.0; n];
                     let theta = (t_out - t) / h_eff;
                     interpolate_into(v.data(), stage.data(), next.data(), theta, &mut row);
-                    states.push(row);
+                    output(out_idx, &row);
                 }
                 out_idx += 1;
             }
             t = t_new;
             std::mem::swap(&mut v, &mut next);
             u_prev = u_new;
-            accepted_times.push(t);
-            accepted_states.push(v.data().to_vec());
+            accepted(t, v.data());
             // Grow/shrink for the next step; never grow right after a
             // rejection, and hold the step inside the dead-band so smooth
             // stretches keep hitting the factor cache.
@@ -403,12 +394,7 @@ pub(crate) fn integrate_adaptive(
 
     stats.refactorizations = family.refactorization_count() - refactorizations_before;
     stats.symbolic_analyses = family.symbolic_analysis_count();
-    Ok(AdaptiveRun {
-        states,
-        accepted_times,
-        accepted_states,
-        stats,
-    })
+    Ok(stats)
 }
 
 /// Runs an adaptive TR-BDF2 transient analysis of `G·v + C·dv/dt = u(t)`,
@@ -489,20 +475,34 @@ pub fn solve_transient_adaptive_at(
         initial_step,
         IntegrationMethod::TrBdf2,
     )?;
-    let u0 = Panel::from_vec(g.nrows(), 1, excitation(output_times[0]));
-    let mut v0 = Panel::zeros(g.nrows(), 1);
+    let n = g.nrows();
+    let u0 = Panel::from_vec(n, 1, excitation(output_times[0]));
+    let mut v0 = Panel::zeros(n, 1);
     prepared.solve_dc_panel(&u0, &mut v0, &mut SolveWorkspace::new())?;
-    let mut run = integrate_adaptive(&prepared, v0, &excitation, output_times, adaptive)?;
+    let mut states = Panel::zeros(n, output_times.len());
+    let (mut accepted_times, mut accepted_states) = (Vec::new(), Vec::new());
+    let mut stats = integrate_adaptive(
+        &prepared,
+        v0,
+        &excitation,
+        output_times,
+        adaptive,
+        |k, state| states.col_mut(k).copy_from_slice(state),
+        |t, state| {
+            accepted_times.push(t);
+            accepted_states.push(state.to_vec());
+        },
+    )?;
     // The family lives for this run only: every refactorisation is the
     // run's, including the one at the initial step.
     if let Some(family) = prepared.companion_family() {
-        run.stats.refactorizations = family.refactorization_count();
+        stats.refactorizations = family.refactorization_count();
     }
     Ok(AdaptiveTransientSolution {
-        solution: TransientSolution::from_states(output_times.to_vec(), &run.states),
-        accepted_times: run.accepted_times,
-        accepted_states: run.accepted_states,
-        stats: run.stats,
+        solution: TransientSolution::new(output_times.to_vec(), states),
+        accepted_times,
+        accepted_states,
+        stats,
     })
 }
 

@@ -21,7 +21,7 @@
 
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,17 +30,16 @@ use rayon::prelude::*;
 use opera_grid::PowerGrid;
 use opera_simd::scalar::LOCKSTEP_LANES;
 use opera_sparse::{
-    CholeskyFactor, CholeskyGroup, CsrMatrix, MatrixFactor, Panel, SolveWorkspace, SymbolicCholesky,
+    CholeskyFactor, CholeskyGroup, MatrixFactor, Panel, SolveWorkspace, SymbolicCholesky,
 };
-use opera_variation::{LeakageModel, StochasticGridModel};
+use opera_variation::{LeakageModel, NominalPatterns, SampleValues, StochasticGridModel};
 
 use crate::parallel::sample_seed;
 use crate::solver::{check_scheme, DirectPrepared, PreparedSolver};
 use crate::special_case::check_leakage_nodes;
 use crate::transient::{
-    analyze_companion_pattern, assert_same_columns, dc_analysis, integrate_fixed_step,
-    rescale_around_anchor, CompanionFamily, CompanionSystem, IntegrationMethod, StepRhs,
-    TransientOptions,
+    assert_same_columns, companion_scale, dc_analysis, integrate_fixed_step, rescale_around_anchor,
+    CompanionFamily, CompanionSystem, IntegrationMethod, StepRhs, TransientOptions,
 };
 use crate::{OperaError, Result};
 
@@ -245,10 +244,12 @@ impl OrderedFold {
 /// companion factors share the one analysis, so a group interleaves them
 /// into one [`CholeskyGroup`] and each time step runs one lock-step solve
 /// over the shared pattern for the whole group, column `j` on sample `j`'s
-/// own `G`, `C` and factor. Each column performs exactly the single-sample
+/// own `G`, `C` and factor. A sample's `G` and `s·C` are value arrays on
+/// the nominal patterns ([`NominalPatterns::realise`]), so no group builds
+/// a matrix of its own. Each column performs exactly the single-sample
 /// arithmetic, so every sample stays bit-identical to its one-shot
 /// transient. A sample whose companion needs the counted Cholesky→LU
-/// fallback steps alone.
+/// fallback gets CSR matrices of its own and steps alone.
 ///
 /// # Errors
 ///
@@ -263,9 +264,10 @@ pub fn run(model: &StochasticGridModel, options: &MonteCarloOptions) -> Result<M
 
     let scale = options.current_scale;
     let (method, h) = (options.transient.method, options.transient.time_step);
-    let g_nominal = model.nominal_conductance();
-    let step_analysis = analyze_companion_pattern(g_nominal, model.nominal_capacitance())?;
-    let dc_analysis = dc_analysis(g_nominal, &step_analysis)?;
+    let c_scale = companion_scale(method, h);
+    let patterns = NominalPatterns::new(model)?;
+    let step_analysis = SymbolicCholesky::analyze(patterns.companion())?;
+    let dc_analysis = dc_analysis(patterns.conductance(), &step_analysis)?;
     let run_group = |range: Range<usize>, sink: &SampleSink<'_>| -> Result<()> {
         let first = range.start;
         let draws: Vec<Vec<f64>> = range
@@ -284,26 +286,42 @@ pub fn run(model: &StochasticGridModel, options: &MonteCarloOptions) -> Result<M
                 None
             });
         }
-        // Each companion factor is interleaved into the group as soon as it
+        // Each sample is realised as values on the nominal patterns; its
+        // companion factor is interleaved into the group as soon as it
         // exists and then dropped, so one sample's factor is the only
         // single factor alive at a time.
-        let mut lockstep = LockstepSamples::new(&dc_analysis, &step_analysis, method, draws.len());
+        let mut lockstep =
+            LockstepSamples::new(&patterns, &dc_analysis, &step_analysis, method, draws.len());
         let mut alone: Vec<(usize, DirectPrepared)> = Vec::new();
         let mut members = Vec::with_capacity(draws.len());
+        let mut values = SampleValues::default();
         for (j, xi) in draws.iter().enumerate() {
-            let g = model.sample_conductance(xi)?;
-            let c = model.sample_capacitance(xi)?;
-            match CompanionSystem::factored(&g, &c, h, method, &step_analysis)?
-                .into_cholesky_parts()
-            {
-                Ok(parts) => {
-                    lockstep.push(parts)?;
+            patterns.realise(xi, c_scale, &mut values)?;
+            let companion = patterns.companion().with_values(&values.companion);
+            match step_analysis.factor_values(companion) {
+                Ok(factor) => {
+                    lockstep.push(
+                        factor,
+                        std::mem::take(&mut values.conductance),
+                        std::mem::take(&mut values.scaled_capacitance),
+                    )?;
                     members.push(j);
                 }
-                Err(companion) => {
-                    let dc =
-                        MatrixFactor::from_cholesky_attempt(dc_analysis.factor_numeric(&g), &g)?;
-                    alone.push((j, DirectPrepared::new(dc, *companion)));
+                Err(err) => {
+                    // The counted LU fallback: this sample alone gets
+                    // matrices of its own and steps by itself.
+                    let companion = MatrixFactor::from_cholesky_attempt(Err(err), companion)?;
+                    let g = patterns.conductance().with_values(&values.conductance);
+                    let dc = MatrixFactor::from_cholesky_attempt(dc_analysis.factor_values(g), g)?;
+                    let system = CompanionSystem::from_parts(
+                        companion,
+                        Arc::new(g.to_csr()),
+                        Arc::new(patterns.capacitance().clone()),
+                        std::mem::take(&mut values.scaled_capacitance),
+                        method,
+                        h,
+                    );
+                    alone.push((j, DirectPrepared::new(dc, system)));
                 }
             }
         }
@@ -345,64 +363,71 @@ pub fn run(model: &StochasticGridModel, options: &MonteCarloOptions) -> Result<M
 
 /// Up to `MC_PANEL_WIDTH` inter-die samples stepped in lock step by
 /// [`run`]: column `j` of every panel is member `j`, which steps on its own
-/// `G`, `s·C` and companion factor (lane `j` of one [`CholeskyGroup`]).
-/// Each column performs exactly the arithmetic of a one-column
-/// [`DirectPrepared`] over that sample's own factors.
-struct LockstepSamples {
+/// `G`, `s·C` and companion factor (lane `j` of one [`CholeskyGroup`]). A
+/// member's matrices are value arrays on the nominal patterns. Each column
+/// performs exactly the arithmetic of a one-column [`DirectPrepared`] over
+/// that sample's own factors.
+struct LockstepSamples<'a> {
     method: IntegrationMethod,
+    patterns: &'a NominalPatterns<'a>,
     /// The analysis of the nominal `G` that each member's DC factor is
     /// computed against.
-    dc_analysis: SymbolicCholesky,
-    /// Per member: `G` and `s·C`, the matrices its stage right-hand sides
-    /// read.
-    matrices: Vec<(CsrMatrix, CsrMatrix)>,
+    dc_analysis: &'a SymbolicCholesky,
+    /// Per member: the values of `G` and `s·C`, the matrices its stage
+    /// right-hand sides read.
+    values: Vec<(Vec<f64>, Vec<f64>)>,
     companions: CholeskyGroup,
 }
 
-impl LockstepSamples {
+impl<'a> LockstepSamples<'a> {
     fn new(
-        dc_analysis: &SymbolicCholesky,
+        patterns: &'a NominalPatterns<'a>,
+        dc_analysis: &'a SymbolicCholesky,
         step_analysis: &SymbolicCholesky,
         method: IntegrationMethod,
         lanes: usize,
     ) -> Self {
         LockstepSamples {
             method,
-            dc_analysis: dc_analysis.clone(),
-            matrices: Vec::with_capacity(lanes),
+            patterns,
+            dc_analysis,
+            values: Vec::with_capacity(lanes),
             companions: CholeskyGroup::new(step_analysis, lanes),
         }
     }
 
-    /// Adds a member from a Cholesky-factored companion system's parts.
+    /// Adds a member: its companion factor and its `G` and `s·C` values.
     fn push(
         &mut self,
-        (factor, g, c_over_h): (CholeskyFactor, CsrMatrix, CsrMatrix),
+        factor: CholeskyFactor,
+        conductance: Vec<f64>,
+        scaled_capacitance: Vec<f64>,
     ) -> Result<()> {
         self.companions.push(factor)?;
-        self.matrices.push((g, c_over_h));
+        self.values.push((conductance, scaled_capacitance));
         Ok(())
     }
 
     /// Member `j`'s stage right-hand-side builder.
     fn rhs(&self, j: usize) -> StepRhs<'_> {
-        let (g, c_over_h) = &self.matrices[j];
+        let (g, c_over_h) = &self.values[j];
         StepRhs {
-            c: c_over_h,
+            c: self.patterns.capacitance().with_values(c_over_h),
             c_scale: 1.0,
-            g,
+            g: self.patterns.conductance().with_values(g),
         }
     }
 }
 
-impl PreparedSolver for LockstepSamples {
+impl PreparedSolver for LockstepSamples<'_> {
     /// Factors each member's `G` when its DC solve comes and drops the
     /// factor after that one solve: only the companion factors stay alive
     /// for the transient.
     fn solve_dc_panel(&self, u0: &Panel, out: &mut Panel, ws: &mut SolveWorkspace) -> Result<()> {
         out.data_mut().copy_from_slice(u0.data());
-        for (j, (g, _)) in self.matrices.iter().enumerate() {
-            let dc = MatrixFactor::from_cholesky_attempt(self.dc_analysis.factor_numeric(g), g)?;
+        for (j, (g, _)) in self.values.iter().enumerate() {
+            let g = self.patterns.conductance().with_values(g);
+            let dc = MatrixFactor::from_cholesky_attempt(self.dc_analysis.factor_values(g), g)?;
             dc.solve_columns(out.col_mut(j), ws);
         }
         Ok(())

@@ -42,8 +42,8 @@ use opera_variation::StochasticGridModel;
 
 use crate::galerkin::GalerkinSystem;
 use crate::transient::{
-    analyze_companion_pattern, assert_same_columns, companion_scale, dc_factor, CompanionFamily,
-    CompanionSystem, IntegrationMethod, StepRhs, TransientOptions,
+    assert_same_columns, companion_scale, CompanionFamily, CompanionPattern, CompanionSystem,
+    IntegrationMethod, StepRhs, TransientOptions,
 };
 use crate::{OperaError, Result};
 
@@ -246,10 +246,10 @@ impl DirectPrepared {
         time_step: f64,
         method: IntegrationMethod,
     ) -> Result<Self> {
-        let symbolic = analyze_companion_pattern(g, c)?;
+        let pattern = CompanionPattern::new(Arc::new(g.clone()), Arc::new(c.clone()))?;
         Ok(Self::new(
-            dc_factor(g, &symbolic)?,
-            CompanionSystem::factored(g, c, time_step, method, &symbolic)?,
+            pattern.dc_factor()?,
+            pattern.system(time_step, method)?,
         ))
     }
 
@@ -365,7 +365,8 @@ impl SolverBackend for DirectCholesky {
         transient: &TransientOptions,
     ) -> Result<Box<dyn PreparedSolver>> {
         let _span = opera_trace::span("solver.prepare");
-        let family = CompanionFamily::new(system.conductance(), system.capacitance())?;
+        let (g, c) = system.shared_matrices();
+        let family = CompanionFamily::shared(g, c)?;
         Ok(Box::new(DirectPrepared::with_family(
             family,
             transient.time_step,
@@ -448,10 +449,8 @@ impl SolverBackend for BlockJacobiCg {
         let kronecker = Arc::new(KroneckerTerms::new(model, system.coupling())?);
         let c_scale = companion_scale(transient.method, transient.time_step);
         let (dc_mix, mix) = (kronecker.mix(0.0)?, kronecker.mix(c_scale)?);
-        let family = Arc::new(CompanionFamily::new(
-            model.nominal_conductance(),
-            model.nominal_capacitance(),
-        )?);
+        let (g_nominal, c_nominal) = model.shared_nominal_matrices();
+        let family = Arc::new(CompanionFamily::shared(g_nominal, c_nominal)?);
         // `G + C` has `G`'s pattern (grounded capacitors), so the DC factor
         // shares the family's one analysis.
         let dc = family.dc_factor()?;
@@ -654,9 +653,9 @@ impl Preconditioner for KroneckerNominal<'_> {
 impl CgPrepared {
     fn rhs(&self) -> StepRhs<'_> {
         StepRhs {
-            c: &self.c,
+            c: self.c.view(),
             c_scale: self.c_scale,
-            g: &self.g,
+            g: self.g.view(),
         }
     }
 

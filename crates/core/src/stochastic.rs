@@ -196,15 +196,21 @@ pub(crate) fn run_prepared_adaptive(
         &mut v0,
         &mut SolveWorkspace::with_capacity(dim),
     )?;
-    let run = integrate_adaptive(prepared, v0, &excitation, &times, adaptive)?;
-    let coefficients = run
-        .states
-        .iter()
-        .map(|state| system.split_solution(state))
-        .collect();
+    // Each output row is split into its chaos coefficients as it arrives:
+    // the run keeps neither the stacked rows nor the accepted states.
+    let mut coefficients = Vec::with_capacity(times.len());
+    let stats = integrate_adaptive(
+        prepared,
+        v0,
+        &excitation,
+        &times,
+        adaptive,
+        |_, state| coefficients.push(system.split_solution(state)),
+        |_, _| {},
+    )?;
     Ok((
         StochasticSolution::new(system.basis().clone(), times, n, coefficients),
-        run.stats,
+        stats,
     ))
 }
 

@@ -12,9 +12,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use opera_sparse::{
-    CholeskyFactor, CsrMatrix, MatrixFactor, Panel, SolveWorkspace, SymbolicCholesky,
-};
+use opera_sparse::{CsrMatrix, CsrView, MatrixFactor, Panel, SolveWorkspace, SymbolicCholesky};
 use opera_trace::Counter;
 
 use crate::solver::{DirectPrepared, PreparedSolver};
@@ -250,10 +248,16 @@ impl TransientSolution {
 /// A factored companion system that can advance the transient solution and be
 /// reused across right-hand sides (this is what makes the special case of the
 /// paper cheap: one factorisation, many solves).
+///
+/// `G` and `C` are shared (`Arc`) with the family or preparation the system
+/// came from, so the systems of a family's step sizes hold one `G` between
+/// them; each stores only its factor and `s·C` as values on `C`'s pattern.
 pub struct CompanionSystem {
     factor: MatrixFactor,
-    c_over_h: CsrMatrix,
-    g: CsrMatrix,
+    g: Arc<CsrMatrix>,
+    c: Arc<CsrMatrix>,
+    /// `s·C`, one value per stored entry of `C`.
+    c_over_h: Vec<f64>,
     method: IntegrationMethod,
     h: f64,
 }
@@ -273,43 +277,27 @@ impl CompanionSystem {
         time_step: f64,
         method: IntegrationMethod,
     ) -> Result<Self> {
-        let symbolic = analyze_companion_pattern(g, c)?;
-        Self::factored(g, c, time_step, method, &symbolic)
+        CompanionPattern::new(Arc::new(g.clone()), Arc::new(c.clone()))?.system(time_step, method)
     }
 
-    /// The one constructor of every companion system (`new`, the family,
-    /// the nominal direct preparation, Monte Carlo samples): Cholesky
-    /// against the shared `symbolic` analysis with the counted LU fallback
-    /// of [`MatrixFactor::from_cholesky_attempt`].
-    pub(crate) fn factored(
-        g: &CsrMatrix,
-        c: &CsrMatrix,
-        time_step: f64,
+    /// A system from its parts: the factored companion, `G` and `C` (whose
+    /// pattern `c_over_h` lies on) and the scheme and step it was built
+    /// for.
+    pub(crate) fn from_parts(
+        factor: MatrixFactor,
+        g: Arc<CsrMatrix>,
+        c: Arc<CsrMatrix>,
+        c_over_h: Vec<f64>,
         method: IntegrationMethod,
-        symbolic: &SymbolicCholesky,
-    ) -> Result<Self> {
-        let c_over_h = c.scaled(companion_scale(method, time_step));
-        let companion = g.add_scaled(&c_over_h, 1.0)?;
-        let factor =
-            MatrixFactor::from_cholesky_attempt(symbolic.factor_numeric(&companion), &companion)?;
-        Ok(CompanionSystem {
+        h: f64,
+    ) -> Self {
+        CompanionSystem {
             factor,
+            g,
+            c,
             c_over_h,
-            g: g.clone(),
             method,
-            h: time_step,
-        })
-    }
-
-    /// Splits a Cholesky-factored system into its factor and the matrices
-    /// its stage right-hand sides read, `G` and `s·C`; a system on the LU
-    /// fallback comes back unchanged as the error.
-    pub(crate) fn into_cholesky_parts(
-        self,
-    ) -> std::result::Result<(CholeskyFactor, CsrMatrix, CsrMatrix), Box<Self>> {
-        match self.factor {
-            MatrixFactor::Cholesky(factor) => Ok((factor, self.g, self.c_over_h)),
-            factor => Err(Box::new(CompanionSystem { factor, ..self })),
+            h,
         }
     }
 
@@ -326,9 +314,9 @@ impl CompanionSystem {
     /// The stage right-hand-side builder over this system's matrices.
     fn rhs(&self) -> StepRhs<'_> {
         StepRhs {
-            c: &self.c_over_h,
+            c: self.c.with_values(&self.c_over_h),
             c_scale: 1.0,
-            g: &self.g,
+            g: self.g.view(),
         }
     }
 
@@ -523,12 +511,14 @@ pub(crate) fn assert_same_columns(inputs: &[&Panel], out: &Panel) {
 /// `s·C` is `c_scale · c`: the direct backends hand in the stored product
 /// `s·C` with `c_scale = 1` (multiplying by one is exact, so their bits do
 /// not depend on the split), the CG backend the shared `C̃` with `c_scale =
-/// s`, so a step-size change there rescales nothing but a scalar.
+/// s`, so a step-size change there rescales nothing but a scalar. The
+/// matrices are [`CsrView`]s: a system's own `G`, or a lock-step member's
+/// values on the nominal patterns.
 #[derive(Clone, Copy)]
 pub(crate) struct StepRhs<'a> {
-    pub(crate) c: &'a CsrMatrix,
+    pub(crate) c: CsrView<'a>,
     pub(crate) c_scale: f64,
-    pub(crate) g: &'a CsrMatrix,
+    pub(crate) g: CsrView<'a>,
 }
 
 impl StepRhs<'_> {
@@ -602,11 +592,80 @@ impl StepRhs<'_> {
 
 // lint: end-hot
 
-/// Analyses the pattern that every companion matrix `G + s·C` shares. The
-/// analysis reads only the pattern, so `s = 1` stands in for every positive
-/// companion scale.
-pub(crate) fn analyze_companion_pattern(g: &CsrMatrix, c: &CsrMatrix) -> Result<SymbolicCholesky> {
-    Ok(SymbolicCholesky::analyze(&g.add_scaled(c, 1.0)?)?)
+/// One `(G, C)` pair and the analysis of `G + C` that every companion
+/// matrix `G + s·C` shares (the analysis reads only the pattern, so `s = 1`
+/// stands in for every positive companion scale): what a
+/// [`CompanionFamily`], a nominal [`DirectPrepared`] and
+/// [`CompanionSystem::new`] build their systems from.
+pub(crate) struct CompanionPattern {
+    g: Arc<CsrMatrix>,
+    c: Arc<CsrMatrix>,
+    /// The pattern of `G + C` when it is not `G`'s own; capacitors to
+    /// ground touch only the diagonal, so normally it is, and the companion
+    /// values lie on `G`'s pattern.
+    union: Option<CsrMatrix>,
+    symbolic: SymbolicCholesky,
+}
+
+impl CompanionPattern {
+    /// Analyses the union pattern `G + C` once.
+    ///
+    /// # Errors
+    ///
+    /// Propagates pattern-union and symbolic-analysis errors.
+    pub(crate) fn new(g: Arc<CsrMatrix>, c: Arc<CsrMatrix>) -> Result<Self> {
+        let union = g.add_scaled(&c, 1.0)?;
+        let symbolic = SymbolicCholesky::analyze(&union)?;
+        Ok(CompanionPattern {
+            union: (!union.same_pattern(&g)).then_some(union),
+            g,
+            c,
+            symbolic,
+        })
+    }
+
+    /// The one constructor of every companion system: `s·C` and the
+    /// companion `G + s·C` realised as values (in `scaled` and
+    /// `add_scaled`'s arithmetic), then Cholesky against the shared
+    /// analysis with the counted LU fallback of
+    /// [`MatrixFactor::from_cholesky_attempt`]. The system shares `G` and
+    /// `C`; no matrix is copied.
+    ///
+    /// # Errors
+    ///
+    /// Propagates factorisation errors.
+    pub(crate) fn system(
+        &self,
+        time_step: f64,
+        method: IntegrationMethod,
+    ) -> Result<CompanionSystem> {
+        let scale = companion_scale(method, time_step);
+        let c_over_h: Vec<f64> = self.c.data().iter().map(|&v| v * scale).collect();
+        let mut values = Vec::new();
+        self.g
+            .view()
+            .add_scaled_values(self.c.with_values(&c_over_h), 1.0, &mut values)?;
+        let companion = self.union.as_ref().unwrap_or(&self.g).with_values(&values);
+        let factor =
+            MatrixFactor::from_cholesky_attempt(self.symbolic.factor_values(companion), companion)?;
+        Ok(CompanionSystem::from_parts(
+            factor,
+            Arc::clone(&self.g),
+            Arc::clone(&self.c),
+            c_over_h,
+            method,
+            time_step,
+        ))
+    }
+
+    /// The DC factor of `G` through [`dc_factor`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates analysis and factorisation errors.
+    pub(crate) fn dc_factor(&self) -> Result<MatrixFactor> {
+        dc_factor(&self.g, &self.symbolic)
+    }
 }
 
 /// The analysis for factoring `g` itself (its DC solve) next to the
@@ -632,7 +691,7 @@ pub(crate) fn dc_factor(g: &CsrMatrix, companion: &SymbolicCholesky) -> Result<M
     }
     Ok(MatrixFactor::from_cholesky_attempt(
         companion.factor_numeric(g),
-        g,
+        g.view(),
     )?)
 }
 
@@ -660,10 +719,8 @@ const FAMILY_CACHE_CAPACITY: usize = 8;
 /// [`CompanionFamily::refactorization_count`] always read the per-family
 /// totals.
 pub struct CompanionFamily {
-    g: CsrMatrix,
-    c: CsrMatrix,
-    /// The analysis of `G + C` that every step size shares.
-    symbolic: SymbolicCholesky,
+    /// `G`, `C` and the analysis of `G + C` that every step size shares.
+    pattern: CompanionPattern,
     cache: Mutex<Vec<CachedFactor>>,
     symbolic_analyses: Counter,
     refactorizations: Counter,
@@ -676,16 +733,26 @@ type CachedFactor = ((u64, IntegrationMethod), Arc<CompanionSystem>);
 impl CompanionFamily {
     /// Analyses the union pattern `G + C` once and prepares the family for
     /// Cholesky factors (with a per-step-size LU fallback mirroring
-    /// [`MatrixFactor::cholesky_or_lu`]).
+    /// [`MatrixFactor::cholesky_or_lu`]). The family keeps one copy of `G`
+    /// and `C`, which every system it builds shares.
     ///
     /// # Errors
     ///
     /// Propagates pattern-union and symbolic-analysis errors.
     pub fn new(g: &CsrMatrix, c: &CsrMatrix) -> Result<Self> {
+        Self::shared(Arc::new(g.clone()), Arc::new(c.clone()))
+    }
+
+    /// [`CompanionFamily::new`] over matrices the caller already shares (a
+    /// Galerkin system's `G̃` and `C̃`, a model's nominal `G` and `C`): the
+    /// family copies neither.
+    ///
+    /// # Errors
+    ///
+    /// As [`CompanionFamily::new`].
+    pub(crate) fn shared(g: Arc<CsrMatrix>, c: Arc<CsrMatrix>) -> Result<Self> {
         let family = CompanionFamily {
-            g: g.clone(),
-            c: c.clone(),
-            symbolic: analyze_companion_pattern(g, c)?,
+            pattern: CompanionPattern::new(g, c)?,
             cache: Mutex::new(Vec::new()),
             symbolic_analyses: Counter::new("transient.symbolic_analyses"),
             refactorizations: Counter::new("transient.refactorizations"),
@@ -696,7 +763,7 @@ impl CompanionFamily {
 
     /// System dimension (rows of `G`).
     pub fn dim(&self) -> usize {
-        self.g.nrows()
+        self.pattern.g.nrows()
     }
 
     /// The DC factor of the family's `G` through [`dc_factor`]: against the
@@ -707,7 +774,7 @@ impl CompanionFamily {
     ///
     /// Propagates analysis and factorisation errors.
     pub(crate) fn dc_factor(&self) -> Result<MatrixFactor> {
-        dc_factor(&self.g, &self.symbolic)
+        self.pattern.dc_factor()
     }
 
     /// Number of symbolic analyses this family has run: the one of
@@ -759,13 +826,7 @@ impl CompanionFamily {
             cache.insert(0, entry);
             return Ok(Arc::clone(&cache[0].1));
         }
-        let system = Arc::new(CompanionSystem::factored(
-            &self.g,
-            &self.c,
-            time_step,
-            method,
-            &self.symbolic,
-        )?);
+        let system = Arc::new(self.pattern.system(time_step, method)?);
         self.refactorizations.incr();
         cache.insert(0, (key, Arc::clone(&system)));
         cache.truncate(FAMILY_CACHE_CAPACITY);

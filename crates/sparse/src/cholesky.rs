@@ -17,8 +17,8 @@ use crate::supernodal::{
 };
 use crate::triangular::{lower_panel_raw, lower_transpose_panel_raw};
 use crate::{
-    column_counts, elimination_tree, ordering, CscMatrix, CsrMatrix, Panel, Permutation, Result,
-    SolveWorkspace, SparseError,
+    column_counts, elimination_tree, ordering, CscMatrix, CsrMatrix, CsrView, Panel, Permutation,
+    Result, SolveWorkspace, SparseError,
 };
 use opera_simd::scalar::{lower_solve_lockstep, lower_transpose_solve_lockstep, LOCKSTEP_LANES};
 
@@ -354,6 +354,20 @@ impl SymbolicCholesky {
     /// entry outside the analysed pattern, and
     /// [`SparseError::NotPositiveDefinite`] if `a` is not positive definite.
     pub fn factor_numeric(&self, a: &CsrMatrix) -> Result<CholeskyFactor> {
+        self.factor_values(a.view())
+    }
+
+    /// [`factor_numeric`](Self::factor_numeric) of a matrix given as a
+    /// pattern and a value array ([`CsrMatrix::with_values`]): a
+    /// realisation stored as values on a shared pattern factors without a
+    /// CSR of its own, bit-identically to `factor_numeric` of the CSR it
+    /// describes. The symmetry check reads each entry's mirror in place
+    /// instead of building a transpose.
+    ///
+    /// # Errors
+    ///
+    /// As [`factor_numeric`](Self::factor_numeric).
+    pub fn factor_values(&self, a: CsrView<'_>) -> Result<CholeskyFactor> {
         let n = self.dim();
         if a.nrows() != n || a.ncols() != n {
             return Err(SparseError::DimensionMismatch {
@@ -371,7 +385,7 @@ impl SymbolicCholesky {
     /// elsewhere): each CSR row of `a` is walked against the analysed row,
     /// which is the entry-by-entry containment check, and each value lands
     /// in its scatter-map slot.
-    fn scatter(&self, a: &CsrMatrix) -> Result<Vec<f64>> {
+    fn scatter(&self, a: CsrView<'_>) -> Result<Vec<f64>> {
         let an = &*self.analysis;
         let mut l_data = vec![0.0; self.nnz_l()];
         for i in 0..an.n {
@@ -426,7 +440,7 @@ impl SymbolicCholesky {
 
 /// Rejects a matrix that is not symmetric to within `1e-10·max(‖A‖_F, 1)`:
 /// the factorisation reads one triangle, so it would factor another matrix.
-fn check_symmetric(a: &CsrMatrix) -> Result<()> {
+fn check_symmetric(a: CsrView<'_>) -> Result<()> {
     let scale = a.frobenius_norm().max(1.0);
     if a.is_symmetric(1e-10 * scale) {
         Ok(())
@@ -462,7 +476,7 @@ fn permute_for_cholesky(
             shape: (a.nrows(), a.ncols()),
         });
     }
-    check_symmetric(a)?;
+    check_symmetric(a.view())?;
     // The elimination tree and column counts read A's pattern from the
     // upper triangle, the supernode row lists and the numeric scatter from
     // the lower one. A zero stored on one side only passes the value check
@@ -589,7 +603,7 @@ impl CholeskyFactor {
     /// Same as [`CholeskyFactor::factor`].
     pub fn factor_with(a: &CsrMatrix, ordering_choice: OrderingChoice) -> Result<Self> {
         let symbolic = SymbolicCholesky::analyze_with(a, ordering_choice)?;
-        symbolic.numeric(symbolic.scatter(a)?)
+        symbolic.numeric(symbolic.scatter(a.view())?)
     }
 
     /// Dimension of the factored matrix.
@@ -1224,6 +1238,36 @@ mod tests {
             Err(SparseError::InvalidStructure { .. })
         ));
         assert!(symbolic.factor_numeric(&symmetrised).is_ok());
+    }
+
+    #[test]
+    fn factor_values_matches_factor_numeric_and_rejects_what_it_rejects() {
+        // A matrix stored as values on another matrix's pattern factors
+        // bit-identically to its own CSR; values outside the analysed
+        // pattern or not symmetric fail with InvalidStructure, no panic.
+        let a = CsrMatrix::from_dense(3, 3, &[4.0, 1.0, 0.0, 1.0, 4.0, 1.0, 0.0, 1.0, 4.0], 0.0);
+        let symbolic = SymbolicCholesky::analyze(&a).unwrap();
+        let values: Vec<f64> = a.data().iter().map(|v| 1.5 * v + 0.25).collect();
+        let mut own = a.clone();
+        own.data_mut().copy_from_slice(&values);
+        let from_values = symbolic.factor_values(a.with_values(&values)).unwrap();
+        let from_csr = symbolic.factor_numeric(&own).unwrap();
+        let b = [1.0, -2.0, 0.5];
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(bits(from_values.solve(&b)), bits(from_csr.solve(&b)));
+
+        let mut skewed = values.clone();
+        skewed[1] += 1.0; // (0, 1) no longer mirrors (1, 0)
+        assert!(matches!(
+            symbolic.factor_values(a.with_values(&skewed)),
+            Err(SparseError::InvalidStructure { .. })
+        ));
+        let wider =
+            CsrMatrix::from_dense(3, 3, &[4.0, 1.0, 1.0, 1.0, 4.0, 1.0, 1.0, 1.0, 4.0], 0.0);
+        assert!(matches!(
+            symbolic.factor_values(wider.view()),
+            Err(SparseError::InvalidStructure { .. })
+        ));
     }
 
     #[test]

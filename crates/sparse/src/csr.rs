@@ -182,9 +182,7 @@ impl CsrMatrix {
     ///
     /// Panics if `i >= nrows`.
     pub fn row(&self, i: usize) -> (&[usize], &[f64]) {
-        let lo = self.indptr[i];
-        let hi = self.indptr[i + 1];
-        (&self.indices[lo..hi], &self.data[lo..hi])
+        self.view().row(i)
     }
 
     /// Returns the value at `(i, j)`, or `0.0` if the entry is not stored.
@@ -219,17 +217,7 @@ impl CsrMatrix {
     ///
     /// Panics if the dimensions do not match.
     pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols, "matvec dimension mismatch");
-        assert_eq!(y.len(), self.nrows, "matvec output dimension mismatch");
-        for (i, out) in y.iter_mut().enumerate() {
-            let lo = self.indptr[i];
-            let hi = self.indptr[i + 1];
-            let mut acc = 0.0;
-            for k in lo..hi {
-                acc += self.data[k] * x[self.indices[k]];
-            }
-            *out = acc;
-        }
+        self.view().matvec_into(x, y);
     }
 
     /// Accumulating matrix-vector product `y += alpha · A·x`.
@@ -238,17 +226,87 @@ impl CsrMatrix {
     ///
     /// Panics if the dimensions do not match.
     pub fn matvec_acc(&self, x: &[f64], alpha: f64, y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols, "matvec dimension mismatch");
-        assert_eq!(y.len(), self.nrows, "matvec output dimension mismatch");
-        for (i, out) in y.iter_mut().enumerate() {
-            let lo = self.indptr[i];
-            let hi = self.indptr[i + 1];
-            let mut acc = 0.0;
-            for k in lo..hi {
-                acc += self.data[k] * x[self.indices[k]];
-            }
-            *out += alpha * acc;
+        self.view().matvec_acc(x, alpha, y);
+    }
+
+    /// This matrix as a [`CsrView`] of its own values.
+    pub fn view(&self) -> CsrView<'_> {
+        CsrView {
+            nrows: self.nrows,
+            ncols: self.ncols,
+            indptr: &self.indptr,
+            indices: &self.indices,
+            data: &self.data,
         }
+    }
+
+    /// This matrix's pattern carrying `values` instead of its own: a
+    /// matrix of the same pattern stored as a value array only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values.len() != self.nnz()`.
+    pub fn with_values<'a>(&'a self, values: &'a [f64]) -> CsrView<'a> {
+        assert_eq!(values.len(), self.nnz(), "one value per stored entry");
+        CsrView {
+            data: values,
+            ..self.view()
+        }
+    }
+
+    /// `true` when `other` stores exactly this matrix's entries (shape,
+    /// row pointers and column indices; the values may differ).
+    pub fn same_pattern(&self, other: &CsrMatrix) -> bool {
+        (self.nrows, self.ncols) == (other.nrows, other.ncols)
+            && self.indptr == other.indptr
+            && self.indices == other.indices
+    }
+
+    /// Adds `alpha · other` onto `values`, a value array on this matrix's
+    /// pattern, in [`add_scaled`](Self::add_scaled)'s arithmetic: an entry
+    /// stored in both becomes `v + alpha·w`, the others keep `v`. This is
+    /// `add_scaled` in place, for an `other` whose pattern lies inside this
+    /// one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SparseError::DimensionMismatch`] if the shapes differ and
+    /// [`SparseError::InvalidStructure`] if `other` stores an entry outside
+    /// this pattern (`values` is then partly updated).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values.len() != self.nnz()`.
+    pub fn add_scaled_onto(&self, values: &mut [f64], other: &CsrMatrix, alpha: f64) -> Result<()> {
+        assert_eq!(values.len(), self.nnz(), "one value per stored entry");
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols) {
+            return Err(SparseError::DimensionMismatch {
+                op: "add_scaled_onto",
+                left: (self.nrows, self.ncols),
+                right: (other.nrows, other.ncols),
+            });
+        }
+        for i in 0..self.nrows {
+            let lo = self.indptr[i];
+            let cols = &self.indices[lo..self.indptr[i + 1]];
+            let mut p = 0;
+            let (cb, vb) = other.row(i);
+            for (&j, &w) in cb.iter().zip(vb) {
+                while p < cols.len() && cols[p] < j {
+                    p += 1;
+                }
+                if p == cols.len() || cols[p] != j {
+                    return Err(SparseError::InvalidStructure {
+                        reason: format!(
+                            "entry ({i}, {j}) lies outside the pattern it is added onto"
+                        ),
+                    });
+                }
+                values[lo + p] += alpha * w;
+                p += 1;
+            }
+        }
+        Ok(())
     }
 
     /// Returns the transposed matrix.
@@ -373,7 +431,7 @@ impl CsrMatrix {
 
     /// Frobenius norm of the matrix.
     pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
+        self.view().frobenius_norm()
     }
 
     /// Frobenius inner product `⟨A, B⟩_F = Σ_ij a_ij·b_ij`: one merge pass
@@ -414,37 +472,12 @@ impl CsrMatrix {
     /// Maximum absolute value of `A - Aᵀ` over all entries; zero for a
     /// (numerically) symmetric matrix.
     pub fn asymmetry(&self) -> f64 {
-        if self.nrows != self.ncols {
-            return f64::INFINITY;
-        }
-        let t = self.transpose();
-        let mut max = 0.0f64;
-        for i in 0..self.nrows {
-            let (ca, va) = self.row(i);
-            let (cb, vb) = t.row(i);
-            let (mut p, mut q) = (0, 0);
-            while p < ca.len() || q < cb.len() {
-                let next_a = ca.get(p).copied().unwrap_or(usize::MAX);
-                let next_b = cb.get(q).copied().unwrap_or(usize::MAX);
-                if next_a < next_b {
-                    max = max.max(va[p].abs());
-                    p += 1;
-                } else if next_b < next_a {
-                    max = max.max(vb[q].abs());
-                    q += 1;
-                } else {
-                    max = max.max((va[p] - vb[q]).abs());
-                    p += 1;
-                    q += 1;
-                }
-            }
-        }
-        max
+        self.view().asymmetry()
     }
 
     /// Returns `true` if the matrix is square and symmetric to within `tol`.
     pub fn is_symmetric(&self, tol: f64) -> bool {
-        self.nrows == self.ncols && self.asymmetry() <= tol
+        self.view().is_symmetric(tol)
     }
 
     /// Computes the residual infinity norm `‖A·x − b‖∞`.
@@ -467,6 +500,154 @@ impl CsrMatrix {
             let (cols, vals) = self.row(i);
             cols.iter().zip(vals).map(move |(&j, &v)| (i, j, v))
         })
+    }
+}
+
+/// A CSR matrix borrowed as a pattern and one value per stored entry: a
+/// [`CsrMatrix`]'s own values ([`CsrMatrix::view`]) or a separate value
+/// array on its pattern ([`CsrMatrix::with_values`]). Matrices that share
+/// one pattern — every realisation of a stochastic model, every step size
+/// of a companion matrix — can then be stored as value arrays alone. The
+/// matrix-vector products of [`CsrMatrix`] run through this type, so a view
+/// multiplies bit-identically to the matrix it describes.
+#[derive(Debug, Clone, Copy)]
+pub struct CsrView<'a> {
+    nrows: usize,
+    ncols: usize,
+    indptr: &'a [usize],
+    indices: &'a [usize],
+    data: &'a [f64],
+}
+
+impl<'a> CsrView<'a> {
+    /// Number of rows.
+    pub fn nrows(&self) -> usize {
+        self.nrows
+    }
+
+    /// Number of columns.
+    pub fn ncols(&self) -> usize {
+        self.ncols
+    }
+
+    /// Returns the column indices and values of row `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= nrows`.
+    pub fn row(&self, i: usize) -> (&'a [usize], &'a [f64]) {
+        let (lo, hi) = (self.indptr[i], self.indptr[i + 1]);
+        (&self.indices[lo..hi], &self.data[lo..hi])
+    }
+
+    /// Matrix-vector product `y = A·x` into a preallocated buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dimensions do not match.
+    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
+        assert_eq!(x.len(), self.ncols, "matvec dimension mismatch");
+        assert_eq!(y.len(), self.nrows, "matvec output dimension mismatch");
+        for (i, out) in y.iter_mut().enumerate() {
+            *out = self.row_dot(i, x);
+        }
+    }
+
+    /// Accumulating matrix-vector product `y += alpha · A·x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dimensions do not match.
+    pub fn matvec_acc(&self, x: &[f64], alpha: f64, y: &mut [f64]) {
+        assert_eq!(x.len(), self.ncols, "matvec dimension mismatch");
+        assert_eq!(y.len(), self.nrows, "matvec output dimension mismatch");
+        for (i, out) in y.iter_mut().enumerate() {
+            *out += alpha * self.row_dot(i, x);
+        }
+    }
+
+    /// Row `i` times `x`, accumulated in storage order.
+    #[inline]
+    fn row_dot(&self, i: usize, x: &[f64]) -> f64 {
+        let mut acc = 0.0;
+        for k in self.indptr[i]..self.indptr[i + 1] {
+            acc += self.data[k] * x[self.indices[k]];
+        }
+        acc
+    }
+
+    /// The values of `self + alpha·other` — [`CsrMatrix::add_scaled`]'s
+    /// arithmetic, in the order of its result's entries — written into
+    /// `out`, whose previous contents are replaced. `add_scaled` without
+    /// building the pattern: for two patterns fixed in advance, the result
+    /// pattern is fixed too.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SparseError::DimensionMismatch`] if the shapes differ.
+    pub fn add_scaled_values(
+        &self,
+        other: CsrView<'_>,
+        alpha: f64,
+        out: &mut Vec<f64>,
+    ) -> Result<()> {
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols) {
+            return Err(SparseError::DimensionMismatch {
+                op: "add_scaled_values",
+                left: (self.nrows, self.ncols),
+                right: (other.nrows, other.ncols),
+            });
+        }
+        out.clear();
+        out.reserve(self.data.len().max(other.data.len()));
+        for i in 0..self.nrows {
+            merge_rows(self.row(i), other.row(i), alpha, |_, v| out.push(v));
+        }
+        Ok(())
+    }
+
+    /// Frobenius norm.
+    pub fn frobenius_norm(&self) -> f64 {
+        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
+    }
+
+    /// Maximum absolute value of `A − Aᵀ` over all entries (an entry whose
+    /// mirror is not stored counts whole); zero for a (numerically)
+    /// symmetric matrix, infinite for a non-square one. Each mirror is one
+    /// binary search in its sorted row away, so nothing is allocated.
+    pub fn asymmetry(&self) -> f64 {
+        if self.nrows != self.ncols {
+            return f64::INFINITY;
+        }
+        let mut max = 0.0f64;
+        for i in 0..self.nrows {
+            let (cols, vals) = self.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                let (mirror_cols, mirror_vals) = self.row(j);
+                let mirror = match mirror_cols.binary_search(&i) {
+                    Ok(k) => mirror_vals[k],
+                    Err(_) => 0.0,
+                };
+                max = max.max((v - mirror).abs());
+            }
+        }
+        max
+    }
+
+    /// Returns `true` if the matrix is square and symmetric to within `tol`.
+    pub fn is_symmetric(&self, tol: f64) -> bool {
+        self.nrows == self.ncols && self.asymmetry() <= tol
+    }
+
+    /// An owned [`CsrMatrix`] with this view's pattern and values.
+    pub fn to_csr(&self) -> CsrMatrix {
+        CsrMatrix {
+            nrows: self.nrows,
+            ncols: self.ncols,
+            indptr: self.indptr.to_vec(),
+            indices: self.indices.to_vec(),
+            data: self.data.to_vec(),
+        }
     }
 }
 
@@ -564,6 +745,57 @@ mod tests {
         assert_eq!(sum.indices.capacity(), sum.indices.len());
         assert_eq!(sum.data.capacity(), sum.data.len());
         assert_eq!(sum.get(0, 0), nominal.get(0, 0) + 0.25 * 0.5);
+    }
+
+    #[test]
+    fn views_carry_values_on_a_shared_pattern() {
+        let a = sample();
+        let values = [2.0, -1.0, 0.5, 3.0, 4.0];
+        let view = a.with_values(&values);
+        let owned = view.to_csr();
+        assert!(owned.same_pattern(&a));
+        assert_eq!(owned.data(), &values);
+        let x = [1.0, 2.0, 3.0];
+        let mut yv = vec![0.0; 3];
+        view.matvec_into(&x, &mut yv);
+        assert_eq!(yv, owned.matvec(&x));
+        let mut y = vec![1.0; 3];
+        view.matvec_acc(&x, 0.5, &mut y);
+        let mut expected = vec![1.0; 3];
+        owned.matvec_acc(&x, 0.5, &mut expected);
+        assert_eq!(y, expected);
+        assert_eq!(view.asymmetry(), owned.asymmetry());
+        assert_eq!(a.view().asymmetry(), 2.0);
+        // A one-sided entry counts whole.
+        let one_sided = CsrMatrix::from_dense(2, 2, &[1.0, -3.0, 0.0, 1.0], 0.0);
+        assert_eq!(one_sided.asymmetry(), 3.0);
+        assert!(CsrMatrix::zeros(2, 3).asymmetry().is_infinite());
+    }
+
+    #[test]
+    fn value_merges_replay_add_scaled() {
+        let a = sample();
+        let sub = CsrMatrix::from_dense(3, 3, &[0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0], 0.0);
+        let other =
+            CsrMatrix::from_dense(3, 3, &[0.0, 7.0, 0.0, 0.0, -2.0, 0.0, 1.0, 0.0, 0.0], 0.0);
+        let mut merged = vec![f64::NAN];
+        a.view()
+            .add_scaled_values(other.view(), 0.3, &mut merged)
+            .unwrap();
+        assert_eq!(merged, a.add_scaled(&other, 0.3).unwrap().data());
+        let mut values = a.data().to_vec();
+        a.add_scaled_onto(&mut values, &sub, 0.25).unwrap();
+        assert_eq!(values, a.add_scaled(&sub, 0.25).unwrap().data());
+        // An entry outside the pattern is an error, not a silent drop.
+        assert!(matches!(
+            a.add_scaled_onto(&mut values, &other, 1.0),
+            Err(SparseError::InvalidStructure { .. })
+        ));
+        assert!(matches!(
+            a.view()
+                .add_scaled_values(CsrMatrix::zeros(2, 3).view(), 1.0, &mut merged),
+            Err(SparseError::DimensionMismatch { .. })
+        ));
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! definite in the nominal case, but Galerkin-augmented matrices can lose
 //! numerical positive definiteness for large variation magnitudes. Callers
 //! therefore routinely want "Cholesky, falling back to LU when the matrix is
-//! not SPD". [`MatrixFactor`] packages that policy (and the pure-LU variant)
+//! not SPD". [`MatrixFactor`] packages that policy
 //! behind one `solve` interface so downstream crates do not each carry their
 //! own two-variant enum.
 
 use crate::cholesky::CholeskyFactor;
-use crate::csr::CsrMatrix;
+use crate::csr::{CsrMatrix, CsrView};
 use crate::lu::LuFactor;
 use crate::panel::{Panel, SolveWorkspace};
 use crate::Result;
@@ -32,18 +32,19 @@ impl MatrixFactor {
     ///
     /// Returns the LU factorisation error if both attempts fail.
     pub fn cholesky_or_lu(a: &CsrMatrix) -> Result<Self> {
-        Self::from_cholesky_attempt(CholeskyFactor::factor(a), a)
+        Self::from_cholesky_attempt(CholeskyFactor::factor(a), a.view())
     }
 
     /// Keeps a successful Cholesky `attempt` at factoring `a`, or falls back
-    /// to left-looking LU of `a`. The fallback is never silent: it counts
+    /// to left-looking LU of `a` (the one place a matrix given as a view is
+    /// copied into a [`CsrMatrix`]). The fallback is never silent: it counts
     /// `sparse.cholesky_fallbacks` and emits a `sparse.cholesky_fallback`
     /// trace event carrying the discarded Cholesky error.
     ///
     /// # Errors
     ///
     /// Returns the LU factorisation error if the fallback fails too.
-    pub fn from_cholesky_attempt(attempt: Result<CholeskyFactor>, a: &CsrMatrix) -> Result<Self> {
+    pub fn from_cholesky_attempt(attempt: Result<CholeskyFactor>, a: CsrView<'_>) -> Result<Self> {
         match attempt {
             Ok(f) => Ok(MatrixFactor::Cholesky(f)),
             Err(err) => {
@@ -51,19 +52,9 @@ impl MatrixFactor {
                 if opera_trace::enabled() {
                     opera_trace::event("sparse.cholesky_fallback", &err.to_string());
                 }
-                Ok(MatrixFactor::Lu(LuFactor::factor(a)?))
+                Ok(MatrixFactor::Lu(LuFactor::factor(&a.to_csr())?))
             }
         }
-    }
-
-    /// Factors `a` with left-looking LU with partial pivoting, regardless of
-    /// symmetry or definiteness.
-    ///
-    /// # Errors
-    ///
-    /// Returns the LU error for singular matrices.
-    pub fn lu(a: &CsrMatrix) -> Result<Self> {
-        Ok(MatrixFactor::Lu(LuFactor::factor(a)?))
     }
 
     /// Returns `true` if the factor is a Cholesky factor.
@@ -185,7 +176,7 @@ mod tests {
         let rhs: Vec<Vec<f64>> = (0..3).map(|k| vec![1.0 + k as f64, -2.0]).collect();
         for factor in [
             MatrixFactor::Cholesky(CholeskyFactor::factor(&spd2()).unwrap()),
-            MatrixFactor::lu(&indefinite2()).unwrap(),
+            MatrixFactor::Lu(LuFactor::factor(&indefinite2()).unwrap()),
         ] {
             let mut ws = SolveWorkspace::new();
             let mut panel = Panel::from_columns(&rhs);
@@ -206,7 +197,7 @@ mod tests {
     #[test]
     fn pure_variants_respect_their_contract() {
         assert!(CholeskyFactor::factor(&indefinite2()).is_err());
-        let f = MatrixFactor::lu(&spd2()).unwrap();
+        let f = MatrixFactor::Lu(LuFactor::factor(&spd2()).unwrap());
         assert!(!f.is_cholesky());
         let x = f.solve(&[4.0, 1.0]);
         assert!(spd2().residual_inf_norm(&x, &[4.0, 1.0]) < 1e-12);

@@ -75,7 +75,7 @@ pub use cholesky::{
     cholesky_solve, CholeskyFactor, CholeskyGroup, OrderingChoice, SymbolicCholesky,
 };
 pub use csc::CscMatrix;
-pub use csr::CsrMatrix;
+pub use csr::{CsrMatrix, CsrView};
 pub use dense::DenseMatrix;
 pub use error::SparseError;
 pub use etree::{column_counts, elimination_tree, postorder};

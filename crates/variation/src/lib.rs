@@ -46,7 +46,7 @@ pub mod correlation;
 
 pub use error::VariationError;
 pub use leakage::LeakageModel;
-pub use model::{StochasticGridModel, VariationVariable};
+pub use model::{NominalPatterns, SampleValues, StochasticGridModel, VariationVariable};
 pub use spec::VariationSpec;
 
 /// Result alias used throughout the crate.

@@ -1,6 +1,8 @@
 //! The stochastic grid model: nominal matrices plus per-variable
 //! perturbations (paper Eqs. 13–14).
 
+use std::sync::Arc;
+
 use opera_grid::{BranchKind, CapacitorClass, PowerGrid};
 use opera_pce::PolynomialFamily;
 use opera_sparse::CsrMatrix;
@@ -32,8 +34,9 @@ pub struct VariationVariable {
 pub struct StochasticGridModel {
     grid: PowerGrid,
     variables: Vec<VariationVariable>,
-    ga: CsrMatrix,
-    ca: CsrMatrix,
+    /// `G_a` and `C_a`, shared with the solvers that keep them.
+    ga: Arc<CsrMatrix>,
+    ca: Arc<CsrMatrix>,
     g_pert: Vec<CsrMatrix>,
     c_pert: Vec<CsrMatrix>,
     /// Constant (pad) part of the excitation perturbations.
@@ -101,8 +104,8 @@ impl StochasticGridModel {
         Ok(StochasticGridModel {
             grid: grid.clone(),
             variables,
-            ga,
-            ca,
+            ga: Arc::new(ga),
+            ca: Arc::new(ca),
             g_pert: vec![gg, CsrMatrix::zeros(grid.node_count(), grid.node_count())],
             c_pert: vec![CsrMatrix::zeros(grid.node_count(), grid.node_count()), cc],
             pad_nominal,
@@ -174,8 +177,8 @@ impl StochasticGridModel {
                     family: PolynomialFamily::Hermite,
                 },
             ],
-            ga,
-            ca,
+            ga: Arc::new(ga),
+            ca: Arc::new(ca),
             g_pert: vec![gw, gt, zero.clone()],
             c_pert: vec![zero.clone(), zero, cc],
             pad_nominal: grid.pad_injection_vector(),
@@ -264,8 +267,8 @@ impl StochasticGridModel {
         Ok(StochasticGridModel {
             grid: grid.clone(),
             variables,
-            ga,
-            ca,
+            ga: Arc::new(ga),
+            ca: Arc::new(ca),
             g_pert,
             c_pert,
             pad_nominal: grid.pad_injection_vector(),
@@ -307,6 +310,12 @@ impl StochasticGridModel {
     /// Nominal capacitance matrix `C_a`.
     pub fn nominal_capacitance(&self) -> &CsrMatrix {
         &self.ca
+    }
+
+    /// `G_a` and `C_a` themselves, shared rather than copied (what a solver
+    /// that keeps the nominal matrices for its whole life holds).
+    pub fn shared_nominal_matrices(&self) -> (Arc<CsrMatrix>, Arc<CsrMatrix>) {
+        (Arc::clone(&self.ga), Arc::clone(&self.ca))
     }
 
     /// Conductance perturbation matrix `G_d` of variable `d`.
@@ -362,14 +371,10 @@ impl StochasticGridModel {
     /// Returns [`VariationError::IndexOutOfBounds`] if `xi.len() != n_vars()`.
     pub fn sample_conductance(&self, xi: &[f64]) -> Result<CsrMatrix> {
         self.check_sample(xi)?;
-        let mut g = self.ga.clone();
+        let mut g = CsrMatrix::clone(&self.ga);
         for (d, &x) in xi.iter().enumerate() {
             if x != 0.0 && self.g_pert[d].nnz() > 0 {
-                g = g
-                    .add_scaled(&self.g_pert[d], x)
-                    .map_err(|e| VariationError::Numerical {
-                        reason: e.to_string(),
-                    })?;
+                g = g.add_scaled(&self.g_pert[d], x).map_err(numerical)?;
             }
         }
         Ok(g)
@@ -382,14 +387,10 @@ impl StochasticGridModel {
     /// Returns [`VariationError::IndexOutOfBounds`] if `xi.len() != n_vars()`.
     pub fn sample_capacitance(&self, xi: &[f64]) -> Result<CsrMatrix> {
         self.check_sample(xi)?;
-        let mut c = self.ca.clone();
+        let mut c = CsrMatrix::clone(&self.ca);
         for (d, &x) in xi.iter().enumerate() {
             if x != 0.0 && self.c_pert[d].nnz() > 0 {
-                c = c
-                    .add_scaled(&self.c_pert[d], x)
-                    .map_err(|e| VariationError::Numerical {
-                        reason: e.to_string(),
-                    })?;
+                c = c.add_scaled(&self.c_pert[d], x).map_err(numerical)?;
             }
         }
         Ok(c)
@@ -498,6 +499,125 @@ impl StochasticGridModel {
             });
         }
         Ok(())
+    }
+}
+
+/// The matrices of one sample `ξ` as value arrays on a model's nominal
+/// patterns (see [`NominalPatterns`]): every realisation only re-weights
+/// nominal branches, so its matrices need no pattern of their own.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SampleValues {
+    /// `G(ξ)` on the pattern of `G_a`.
+    pub conductance: Vec<f64>,
+    /// `s·C(ξ)` on the pattern of `C_a`.
+    pub scaled_capacitance: Vec<f64>,
+    /// The companion matrix `G(ξ) + s·C(ξ)` on
+    /// [`NominalPatterns::companion`].
+    pub companion: Vec<f64>,
+}
+
+/// The nominal patterns of a [`StochasticGridModel`] and the realisation of
+/// samples as values on them: the one way the lock-step samplers (Monte
+/// Carlo and collocation) realise a sample's matrices. The values are
+/// bit-identical to the matrices the allocating path builds —
+/// [`sample_conductance`](StochasticGridModel::sample_conductance),
+/// `sample_capacitance(ξ).scaled(s)` and their sum by
+/// [`CsrMatrix::add_scaled`] — because they replay the same merges on the
+/// same patterns, without building a pattern per sample.
+#[derive(Debug)]
+pub struct NominalPatterns<'a> {
+    model: &'a StochasticGridModel,
+    /// The pattern of `G_a + C_a` when it is not `G_a`'s own. Capacitors to
+    /// ground touch only the diagonal, so normally it is, and no second
+    /// pattern is stored.
+    union: Option<CsrMatrix>,
+}
+
+impl<'a> NominalPatterns<'a> {
+    /// The patterns of `model`'s nominal matrices and of their sum.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VariationError::Numerical`] if the nominal matrices'
+    /// shapes differ.
+    pub fn new(model: &'a StochasticGridModel) -> Result<Self> {
+        let union = model.ga.add_scaled(&model.ca, 1.0).map_err(numerical)?;
+        Ok(NominalPatterns {
+            model,
+            union: (!union.same_pattern(&model.ga)).then_some(union),
+        })
+    }
+
+    /// `G_a`, whose pattern [`SampleValues::conductance`] lies on.
+    pub fn conductance(&self) -> &'a CsrMatrix {
+        &self.model.ga
+    }
+
+    /// `C_a`, whose pattern [`SampleValues::scaled_capacitance`] lies on.
+    pub fn capacitance(&self) -> &'a CsrMatrix {
+        &self.model.ca
+    }
+
+    /// A matrix with the pattern of `G_a + C_a`, on which
+    /// [`SampleValues::companion`] lies (its own values are nominal ones;
+    /// an analysis of it reads only the pattern).
+    pub fn companion(&self) -> &CsrMatrix {
+        self.union.as_ref().unwrap_or(&self.model.ga)
+    }
+
+    /// Writes sample `xi`'s `G(ξ)`, `s·C(ξ)` (with `s = scale`) and
+    /// companion values into `out`, reusing its buffers.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VariationError::IndexOutOfBounds`] if `xi.len() !=
+    /// n_vars()` and [`VariationError::Numerical`] (carrying the sparse
+    /// `InvalidStructure` error) if a perturbation that `xi` weights stores
+    /// an entry outside its nominal pattern.
+    pub fn realise(&self, xi: &[f64], scale: f64, out: &mut SampleValues) -> Result<()> {
+        let model = self.model;
+        model.check_sample(xi)?;
+        realise_onto(&model.ga, &model.g_pert, xi, &mut out.conductance)?;
+        realise_onto(&model.ca, &model.c_pert, xi, &mut out.scaled_capacitance)?;
+        for v in &mut out.scaled_capacitance {
+            *v *= scale;
+        }
+        model
+            .ga
+            .with_values(&out.conductance)
+            .add_scaled_values(
+                model.ca.with_values(&out.scaled_capacitance),
+                1.0,
+                &mut out.companion,
+            )
+            .map_err(numerical)
+    }
+}
+
+/// `nominal + Σ_d ξ_d·perturbation_d` as values on `nominal`'s pattern, in
+/// the order and arithmetic of the
+/// [`sample_conductance`](StochasticGridModel::sample_conductance) fold.
+fn realise_onto(
+    nominal: &CsrMatrix,
+    perturbations: &[CsrMatrix],
+    xi: &[f64],
+    out: &mut Vec<f64>,
+) -> Result<()> {
+    out.clear();
+    out.extend_from_slice(nominal.data());
+    for (perturbation, &x) in perturbations.iter().zip(xi) {
+        if x != 0.0 && perturbation.nnz() > 0 {
+            nominal
+                .add_scaled_onto(out, perturbation, x)
+                .map_err(numerical)?;
+        }
+    }
+    Ok(())
+}
+
+fn numerical(e: opera_sparse::SparseError) -> VariationError {
+    VariationError::Numerical {
+        reason: e.to_string(),
     }
 }
 
@@ -710,5 +830,62 @@ mod tests {
                 < sigma_g * m.nominal_conductance().get(pad_node, pad_node)
                     - 0.5 * sigma_g * g_pads_only.get(pad_node, pad_node)
         );
+    }
+
+    #[test]
+    fn realised_values_are_bit_identical_to_the_allocating_realisation() {
+        let grid = GridSpec::small_test(150).with_seed(11).build().unwrap();
+        let spec = VariationSpec::paper_defaults();
+        let models = [
+            StochasticGridModel::inter_die(&grid, &spec).unwrap(),
+            StochasticGridModel::inter_die_three_variable(&grid, &spec).unwrap(),
+            StochasticGridModel::intra_die_slices(&grid, &spec, 3).unwrap(),
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let scale = 1.0 / 0.25e-9;
+        for m in &models {
+            let patterns = NominalPatterns::new(m).unwrap();
+            // One buffer set serves every draw: nothing of the previous
+            // sample may survive into the next.
+            let mut values = SampleValues::default();
+            let r = m.n_vars();
+            let draws = [
+                vec![0.0; r],
+                vec![-0.0; r],
+                (0..r).map(|d| 1.3 - 0.9 * d as f64).collect(),
+                // Mixed signed zeros among nonzero coordinates.
+                (0..r)
+                    .map(|d| match d % 3 {
+                        0 => -0.0,
+                        1 => 0.0,
+                        _ => -2.1,
+                    })
+                    .collect::<Vec<f64>>(),
+                (0..r)
+                    .map(|d| if d == r - 1 { 0.7 } else { -0.0 })
+                    .collect(),
+            ];
+            for xi in &draws {
+                patterns.realise(xi, scale, &mut values).unwrap();
+                let g = m.sample_conductance(xi).unwrap();
+                let c = m.sample_capacitance(xi).unwrap().scaled(scale);
+                let companion = g.add_scaled(&c, 1.0).unwrap();
+                assert_eq!(bits(&values.conductance), bits(g.data()), "G({xi:?})");
+                assert_eq!(
+                    bits(&values.scaled_capacitance),
+                    bits(c.data()),
+                    "sC({xi:?})"
+                );
+                assert_eq!(
+                    bits(&values.companion),
+                    bits(companion.data()),
+                    "G + sC({xi:?})"
+                );
+                assert!(g.same_pattern(patterns.conductance()));
+                assert!(c.same_pattern(patterns.capacitance()));
+                assert!(companion.same_pattern(patterns.companion()));
+            }
+            assert!(patterns.realise(&[0.0], scale, &mut values).is_err());
+        }
     }
 }

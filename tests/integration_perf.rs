@@ -10,7 +10,9 @@ use opera::engine::{OperaEngine, Scenario};
 use opera::monte_carlo::{run as run_monte_carlo, run_leakage, MonteCarloOptions};
 use opera::solver::{BlockJacobiCg, DirectCholesky, SolverBackend};
 use opera::special_case::{solve_leakage, solve_leakage_reference, SpecialCaseOptions};
-use opera::transient::{integrate_fixed_step, IntegrationMethod, TransientOptions};
+use opera::transient::{
+    integrate_fixed_step, CompanionFamily, IntegrationMethod, TransientOptions,
+};
 use opera::Parallelism;
 use opera_collocation::{
     build_grid, solve_collocation, GridKind, TransientSpec as CollocationTransient,
@@ -23,14 +25,23 @@ use opera_variation::{LeakageModel, StochasticGridModel, VariationSpec};
 thread_local! {
     /// Heap allocations (including reallocations) made by this thread.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// A watched allocation size in bytes, and how many allocations of
+    /// exactly that size this thread has made.
+    static WATCHED: Cell<(usize, u64)> = const { Cell::new((0, 0)) };
 }
 
 /// Counts every allocation per thread, so a test can see exactly what its
 /// own loop allocates while the harness runs other tests concurrently.
 struct CountingAllocator;
 
-fn count_allocation() {
+fn count_allocation(bytes: usize) {
     let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    let _ = WATCHED.try_with(|w| {
+        let (size, hits) = w.get();
+        if bytes == size {
+            w.set((size, hits + 1));
+        }
+    });
 }
 
 fn allocations_so_far() -> u64 {
@@ -42,17 +53,17 @@ fn allocations_so_far() -> u64 {
 // observes calls.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
+        count_allocation(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
+        count_allocation(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation();
+        count_allocation(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -306,4 +317,67 @@ fn lockstep_groups_allocate_nothing_per_step() {
     };
     // One node (one group) against nine nodes (three groups).
     assert_eq!(colloc_extra_steps(2), colloc_extra_steps(1));
+}
+
+/// Row-pointer arrays of an `n`-row CSR matrix (`n + 1` indices) that `f`
+/// allocates on this thread. Every CSR copy of an `n × n` matrix — a clone
+/// of `G`, a transpose, a union `G + s·C` — allocates one; matrices stored
+/// as values on a shared pattern allocate none.
+fn csr_copies(n: usize, f: impl FnOnce()) -> u64 {
+    let bytes = (n + 1) * std::mem::size_of::<usize>();
+    WATCHED.with(|w| w.set((bytes, 0)));
+    f();
+    WATCHED.with(|w| w.replace((0, 0)).1)
+}
+
+/// A refactorisation at a new step size shares the family's `G` and `C`
+/// and forms the companion as values, and a lock-step Monte Carlo group
+/// realises its samples as values on the nominal patterns: neither builds
+/// a CSR copy of `G` (the group cost is one group's run against two
+/// groups', for every scheme).
+#[test]
+fn refactorisations_and_lockstep_groups_copy_no_matrix() {
+    let grid = GridSpec::small_test(90).with_seed(5).build().unwrap();
+    let model = StochasticGridModel::inter_die(&grid, &VariationSpec::paper_defaults()).unwrap();
+    let (g, c) = (model.nominal_conductance(), model.nominal_capacitance());
+    let n = g.nrows();
+    assert!(
+        !(n + 1).is_power_of_two(),
+        "a grown Vec could match the watched size"
+    );
+
+    let family = CompanionFamily::new(g, c).unwrap();
+    family
+        .system_for(1.0e-10, IntegrationMethod::TrBdf2)
+        .unwrap();
+    let refactorisation = csr_copies(n, || {
+        family
+            .system_for(2.0e-10, IntegrationMethod::TrBdf2)
+            .unwrap();
+    });
+    assert_eq!(family.refactorization_count(), 2);
+    assert_eq!(refactorisation, 0, "a refactorisation copied a matrix");
+
+    for method in [
+        IntegrationMethod::BackwardEuler,
+        IntegrationMethod::Trapezoidal,
+        IntegrationMethod::TrBdf2,
+    ] {
+        let mut transient = TransientOptions::new(0.25e-9, 1.0e-9);
+        transient.method = method;
+        let copies = |samples| {
+            let options = MonteCarloOptions::new(samples, 9, transient);
+            csr_copies(n, || {
+                Parallelism::Serial
+                    .install(|| run_monte_carlo(&model, &options))
+                    .unwrap()
+                    .unwrap();
+            })
+        };
+        assert_eq!(
+            copies(8),
+            copies(4),
+            "{method:?}: a lock-step group copied a matrix"
+        );
+    }
 }

@@ -82,6 +82,7 @@ fn monte_carlo_samples_are_bit_identical_to_one_shot_transients() {
     let models = [
         StochasticGridModel::inter_die(&grid, &spec).unwrap(),
         StochasticGridModel::inter_die_three_variable(&grid, &spec).unwrap(),
+        StochasticGridModel::intra_die_slices(&grid, &spec, 3).unwrap(),
     ];
     let seed = 13;
     // One sample, one full lock-step group, a full group plus one sample

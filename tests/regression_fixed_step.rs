@@ -139,3 +139,70 @@ fn engine_defaults_keep_adaptive_stepping_opt_in() {
     assert!(opted_in.adaptive_options().is_some());
     assert_eq!(opted_in.transient().method, IntegrationMethod::TrBdf2);
 }
+
+/// FNV-1a over the bit patterns of every chaos coefficient of a solution,
+/// time-major, then basis function, then node.
+fn fnv1a_coefficients(solution: &opera::StochasticSolution) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for k in 0..solution.times().len() {
+        for i in 0..solution.basis_size() {
+            for node in 0..solution.node_count() {
+                for byte in solution.coefficient(k, i, node).to_bits().to_le_bytes() {
+                    hash ^= u64::from(byte);
+                    hash = hash.wrapping_mul(0x1000_0000_01b3);
+                }
+            }
+        }
+    }
+    hash
+}
+
+/// The engine's adaptive Galerkin solve streams its dense output rows into
+/// the solution as the controller produces them; its coefficients must not
+/// move a bit. Pins recorded on the solve that collected every output row
+/// and accepted state before splitting them, for both built-in backends at
+/// chaos orders 1 and 2.
+#[test]
+fn adaptive_engine_coefficients_are_bit_identical_to_the_pins() {
+    use opera::engine::Scenario;
+    use opera::solver::{default_backend, DirectCholesky, SolverBackend};
+    use opera_variation::VariationSpec;
+    use std::sync::Arc;
+
+    let backends: [(Arc<dyn SolverBackend>, [u64; 2]); 2] = [
+        (
+            default_backend(),
+            [0xee51_b195_331c_0738, 0xe91e_5a1e_c22b_928c],
+        ),
+        (
+            Arc::new(DirectCholesky),
+            [0x0074_d05d_2ebf_f621, 0x3936_cfdd_25b0_1095],
+        ),
+    ];
+    for (backend, pins) in backends {
+        for (order, expected) in [1, 2].into_iter().zip(pins) {
+            let adaptive = AdaptiveOptions::with_rel_tol(1e-4);
+            let engine = OperaEngine::for_grid(GridSpec::small_test(60).with_seed(7))
+                .unwrap()
+                .variation(VariationSpec::paper_defaults())
+                .order(order)
+                .solver(Arc::clone(&backend))
+                .time_step(0.1e-9)
+                .end_time(1.0e-9)
+                .adaptive(adaptive.clone())
+                .build()
+                .unwrap();
+            let (solution, stats) = engine
+                .solve_scenario_adaptive(&Scenario::default(), &adaptive)
+                .unwrap();
+            assert_eq!(stats.symbolic_analyses, 1);
+            let hash = fnv1a_coefficients(&solution);
+            assert_eq!(
+                hash,
+                expected,
+                "{}, order {order}: adaptive coefficients moved (got {hash:#018x})",
+                backend.name()
+            );
+        }
+    }
+}
