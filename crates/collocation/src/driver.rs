@@ -1,21 +1,13 @@
-//! The collocation driver: one deterministic transient solve per quadrature
-//! node, all sharing a single symbolic Cholesky analysis, combined into
-//! polynomial-chaos coefficients by discrete projection.
-
-use std::collections::BTreeMap;
-use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-use rayon::prelude::*;
+//! The collocation driver: the lock-step sampler at the quadrature nodes,
+//! its states combined into polynomial-chaos coefficients by discrete
+//! projection.
 
 use opera_pce::sparse_grid::{smolyak_grid, tensor_grid, QuadratureGrid};
 use opera_pce::{OrthogonalBasis, PolynomialFamily};
-use opera_sparse::{
-    CholeskyGroup, CsrView, Panel, SolveWorkspace, SymbolicCholesky, LOCKSTEP_LANES,
-};
-use opera_variation::{NominalPatterns, SampleValues, StochasticGridModel};
+use opera_sparse::stepping::{check_window, time_points, IntegrationMethod};
+use opera_variation::StochasticGridModel;
 
+use crate::sampler::{sample_points, SweepTrace};
 use crate::{CollocationError, Result};
 
 /// Which multi-dimensional quadrature grid the collocation sweep uses.
@@ -56,34 +48,10 @@ pub fn build_grid(
     })
 }
 
-/// Time-integration scheme of the per-node transient solves.
-///
-/// This crate sits *below* the `opera` engine crate, so it cannot reuse the
-/// integrator in `opera::transient`; the scheme enum, the step formulas and
-/// [`TransientSpec::time_points`] deliberately mirror `IntegrationMethod`,
-/// `CompanionSystem::step` and `TransientOptions::time_points` there and
-/// must stay in sync (the engine maps its enum onto this one and relies on
-/// both sides producing identical time grids; `tests/integration_collocation.rs`
-/// checks the time grids and [`TR_BDF2_GAMMA`] bit for bit).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StepScheme {
-    /// First-order implicit Euler (the default).
-    #[default]
-    BackwardEuler,
-    /// Second-order trapezoidal rule.
-    Trapezoidal,
-    /// Second-order L-stable TR-BDF2 composite (trapezoidal stage over
-    /// `γh`, BDF2 stage over the remainder, `γ = 2 − √2`).
-    TrBdf2,
-}
-
-/// TR-BDF2 stage split; mirrors the constant of the same name in
-/// `opera::transient`.
-pub const TR_BDF2_GAMMA: f64 = 2.0 - std::f64::consts::SQRT_2;
-/// BDF2-stage weight of the intermediate state: `1/(2(1−γ))`.
-const TR_BDF2_W_MID: f64 = 0.5 / (1.0 - TR_BDF2_GAMMA);
-/// BDF2-stage weight of the old state: `(1−γ)/2`.
-const TR_BDF2_W_OLD: f64 = 0.5 * (1.0 - TR_BDF2_GAMMA);
+/// Time-integration scheme of the per-node transient solves: the
+/// engine's scheme enum, whose stage formulas live in
+/// [`opera_sparse::stepping`] with every other copy of the integrator.
+pub type StepScheme = IntegrationMethod;
 
 /// Transient options of the per-node deterministic solves.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,21 +87,8 @@ impl TransientSpec {
     /// non-finite step/end times, a step exceeding the horizon, or a negative
     /// or non-finite current scale.
     pub fn validate(&self) -> Result<()> {
-        if self.time_step <= 0.0 || !self.time_step.is_finite() {
-            return Err(CollocationError::InvalidOptions {
-                reason: format!("time_step must be positive, got {}", self.time_step),
-            });
-        }
-        if self.end_time <= 0.0 || !self.end_time.is_finite() {
-            return Err(CollocationError::InvalidOptions {
-                reason: format!("end_time must be positive, got {}", self.end_time),
-            });
-        }
-        if self.time_step > self.end_time {
-            return Err(CollocationError::InvalidOptions {
-                reason: "time_step must not exceed end_time".to_string(),
-            });
-        }
+        check_window(self.time_step, self.end_time)
+            .map_err(|reason| CollocationError::InvalidOptions { reason })?;
         if !self.current_scale.is_finite() || self.current_scale < 0.0 {
             return Err(CollocationError::InvalidOptions {
                 reason: format!(
@@ -145,33 +100,24 @@ impl TransientSpec {
         Ok(())
     }
 
-    /// The time points `t₀ = 0, t₁ = h, …` covered by the solves.
-    ///
-    /// Interior points are the drift-free `k as f64 * h` form and the final
-    /// point is `end_time` itself — bit-identical to
-    /// `TransientOptions::time_points` in the engine crate.
+    /// The time points `t₀ = 0, t₁ = h, …` covered by the solves: the
+    /// drift-free grid of [`opera_sparse::stepping::time_points`], which
+    /// lands exactly on `end_time`.
     pub fn time_points(&self) -> Vec<f64> {
-        let steps = (self.end_time / self.time_step).round() as usize;
-        (0..=steps)
-            .map(|k| {
-                if k == steps {
-                    self.end_time
-                } else {
-                    k as f64 * self.time_step
-                }
-            })
-            .collect()
+        time_points(self.time_step, self.end_time)
     }
 }
 
-/// Work counters of one collocation sweep — the test hooks proving the
-/// setup-once/solve-many contract at the sparse-matrix level.
+/// Work counters of one sweep of the lock-step sampler — the test hooks
+/// proving the setup-once/solve-many contract at the sparse-matrix level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CollocationStats {
-    /// Number of quadrature nodes solved.
+    /// Number of points (quadrature nodes, samples) solved.
     pub nodes: usize,
     /// Symbolic analyses (ordering + elimination tree + column counts)
-    /// performed. Always `1`: every node reuses the one shared analysis.
+    /// performed: `1`, as every point reuses the one shared analysis, or
+    /// `2` when `G`'s pattern is not the companion's and its DC factors
+    /// need an analysis of their own.
     pub symbolic_analyses: usize,
     /// Numeric-only factorisations performed against the shared analysis
     /// (two per node: the DC matrix `G(ξ)` and the companion `G(ξ) + C(ξ)/h`).
@@ -194,29 +140,22 @@ pub struct CollocationRun {
     pub stats: CollocationStats,
 }
 
-/// Runs the collocation sweep: for every quadrature node `ξ_q`, realise
-/// `G(ξ_q)`, `C(ξ_q)` and the excitation, numerically factor against the
-/// **one shared symbolic analysis** (no re-ordering, no re-analysis), run the
-/// deterministic transient, and project the node solutions onto `basis`.
-///
-/// The nodes step in lock-step groups of up to [`LOCKSTEP_LANES`]: each
-/// member's DC factor of `G(ξ)` is solved once and dropped, its companion
-/// factor joins one [`CholeskyGroup`], and every time step builds the
-/// members' stage right-hand sides into one [`Panel`] and runs one group
-/// solve (two for TR-BDF2). Each column performs exactly the arithmetic of
-/// a node stepped on its own. Every state is projected as soon as it
-/// exists, so no node's full trace is kept.
-///
-/// Groups fan out over the ambient `rayon` pool; row `k` of node `q` folds
-/// into the projection only once row `k` of every node before `q` has, so
-/// the resulting coefficients are bit-identical for every worker-thread
-/// count.
+/// Runs the collocation sweep: the lock-step sampler ([`sample_points`])
+/// at the quadrature nodes `ξ_q`, with the discrete projection
+/// `c_i += w_q·ψ_i(ξ_q)/‖ψ_i‖² · v_q` as its fold. Every node's matrices are
+/// factored against one shared symbolic analysis (no re-ordering, no
+/// re-analysis), and every state is projected as soon as it is computed, so
+/// no node's full trace is kept. The fold sees each time row in node order,
+/// so the coefficients are bit-identical for every worker-thread count, and
+/// each node's column is bit-identical to a deterministic transient of its
+/// own matrices.
 ///
 /// # Errors
 ///
 /// Returns [`CollocationError::InvalidOptions`] for an empty grid or
 /// mismatched variable counts, and propagates realisation and factorisation
-/// errors (e.g. loss of positive definiteness at an extreme node).
+/// errors (an extreme node whose companion is not positive definite takes
+/// the counted LU fallback instead).
 pub fn solve_collocation(
     model: &StochasticGridModel,
     basis: &OrthogonalBasis,
@@ -240,23 +179,6 @@ pub fn solve_collocation(
         });
     }
 
-    let times = spec.time_points();
-    let n = model.node_count();
-    let h_scale = match spec.scheme {
-        StepScheme::BackwardEuler => 1.0 / spec.time_step,
-        StepScheme::Trapezoidal => 2.0 / spec.time_step,
-        // Both TR-BDF2 stages share the one companion scale 2/(γh).
-        StepScheme::TrBdf2 => 2.0 / (TR_BDF2_GAMMA * spec.time_step),
-    };
-
-    // ---- The one shared symbolic analysis, on the nominal companion
-    // pattern G_a + C_a. Every realised matrix lies on the nominal patterns
-    // (the perturbations only re-weight existing branches), and the plain
-    // G(ξ) needed for the DC start is a sub-pattern, so both per-node
-    // factorisations reuse this analysis.
-    let patterns = NominalPatterns::new(model)?;
-    let symbolic = SymbolicCholesky::analyze(patterns.companion())?;
-
     // Per node, the projection weight `w_q·ψ_i(ξ_q)/‖ψ_i‖²` of each basis
     // function.
     let norms: Vec<f64> = (0..basis.len()).map(|i| basis.norm_squared(i)).collect();
@@ -270,290 +192,37 @@ pub fn solve_collocation(
                 .collect::<Vec<f64>>(),
         );
     }
-    let sweep = NodeSweep {
+    let times = spec.time_points();
+    let n = model.node_count();
+    let mut coefficients = vec![vec![vec![0.0f64; n]; basis.len()]; times.len()];
+    let stats = sample_points(
         model,
-        grid,
+        grid.nodes(),
         spec,
-        times: &times,
-        h_scale,
-        patterns: &patterns,
-        symbolic: &symbolic,
-        numeric_factorizations: AtomicUsize::new(0),
-        projection: Mutex::new(OrderedProjection {
-            coefficients: vec![vec![vec![0.0f64; n]; basis.len()]; times.len()],
-            next: vec![0; times.len()],
-            pending: BTreeMap::new(),
-            weights,
-        }),
-        // Captured before the fan-out: per-node spans on worker threads
-        // nest under the span that launched the sweep.
-        parent: opera_trace::current_span(),
-    };
-
-    // ---- Fan the groups out over the ambient pool, one batch of one group
-    // per worker at a time, which bounds how far a group can run ahead of
-    // the fold. The partition into groups does not depend on the thread
-    // count.
-    let total = grid.len();
-    let total_groups = total.div_ceil(LOCKSTEP_LANES);
-    let batch = rayon::current_num_threads().clamp(1, total_groups);
-    let mut group = 0;
-    while group < total_groups {
-        let end = (group + batch).min(total_groups);
-        let results: Vec<Result<()>> = (group..end)
-            .into_par_iter()
-            .map(|g| {
-                let start = g * LOCKSTEP_LANES;
-                sweep.run_group(start..(start + LOCKSTEP_LANES).min(total))
-            })
-            .collect();
-        results.into_iter().collect::<Result<()>>()?;
-        group = end;
-    }
-    let NodeSweep {
-        projection,
-        numeric_factorizations,
-        ..
-    } = sweep;
-    let projection = match projection.into_inner() {
-        Ok(projection) => projection,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    debug_assert!(projection.pending.is_empty() && projection.next.iter().all(|&q| q == total));
-
+        COLLOCATION_TRACE,
+        |k, q, state: &[f64]| {
+            for (coeff, &weight) in coefficients[k].iter_mut().zip(&weights[q]) {
+                for (c, v) in coeff.iter_mut().zip(state) {
+                    *c += weight * v;
+                }
+            }
+        },
+    )?;
     Ok(CollocationRun {
         times,
         node_count: n,
-        coefficients: projection.coefficients,
-        stats: CollocationStats {
-            nodes: total,
-            symbolic_analyses: 1,
-            numeric_factorizations: numeric_factorizations.into_inner(),
-        },
+        coefficients,
+        stats,
     })
 }
 
-/// The discrete projection `c_i += w_q·ψ_i(ξ_q)/‖ψ_i‖² · v_q`, folded per
-/// time row in node order whatever order the states arrive in.
-struct OrderedProjection {
-    /// `coefficients[k][i][n]`, as [`CollocationRun::coefficients`].
-    coefficients: Vec<Vec<Vec<f64>>>,
-    /// Per time row: the next node to fold.
-    next: Vec<usize>,
-    /// States that arrived before their predecessors, by (row, node).
-    pending: BTreeMap<(usize, usize), Vec<f64>>,
-    /// Per node: the projection weight of each basis function.
-    weights: Vec<Vec<f64>>,
-}
-
-impl OrderedProjection {
-    /// Takes the state of node `q` at time row `k`.
-    fn push(&mut self, k: usize, q: usize, state: &[f64]) {
-        if self.next[k] != q {
-            self.pending.insert((k, q), state.to_vec());
-            return;
-        }
-        self.fold(k, state);
-        while let Some(state) = self.pending.remove(&(k, self.next[k])) {
-            self.fold(k, &state);
-        }
-    }
-
-    /// Folds row `k` of its next node.
-    fn fold(&mut self, k: usize, state: &[f64]) {
-        let weights = &self.weights[self.next[k]];
-        for (coeff, &weight) in self.coefficients[k].iter_mut().zip(weights) {
-            for (c, v) in coeff.iter_mut().zip(state) {
-                *c += weight * v;
-            }
-        }
-        self.next[k] += 1;
-    }
-}
-
-/// What every node group of one sweep shares.
-struct NodeSweep<'a> {
-    model: &'a StochasticGridModel,
-    grid: &'a QuadratureGrid,
-    spec: &'a TransientSpec,
-    times: &'a [f64],
-    /// The companion scale `s` of `G + s·C`.
-    h_scale: f64,
-    /// The nominal patterns every node's matrices are realised on.
-    patterns: &'a NominalPatterns<'a>,
-    symbolic: &'a SymbolicCholesky,
-    numeric_factorizations: AtomicUsize,
-    projection: Mutex<OrderedProjection>,
-    parent: opera_trace::SpanToken,
-}
-
-impl NodeSweep<'_> {
-    /// Hands the state of node `q` at time row `k` to the projection.
-    fn project(&self, k: usize, q: usize, state: &[f64]) {
-        let mut projection = match self.projection.lock() {
-            Ok(projection) => projection,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        projection.push(k, q, state);
-    }
-
-    /// Realises, factors and steps the nodes of `range` as one lock-step
-    /// group, projecting every state as it is computed.
-    fn run_group(&self, range: Range<usize>) -> Result<()> {
-        let (model, spec, times) = (self.model, self.spec, self.times);
-        let (n, lanes, first) = (model.node_count(), range.len(), range.start);
-        let xis = &self.grid.nodes()[range];
-        let scale = spec.current_scale;
-        // Anchor the waveform scaling at the quiescent excitation of each
-        // node, so only the switching currents are rescaled.
-        let mut anchors = Vec::with_capacity(lanes);
-        for xi in xis {
-            anchors.push(if scale != 1.0 {
-                Some(model.sample_excitation(0.0, xi)?)
-            } else {
-                None
-            });
-        }
-        // The drain-current scratch of every excitation the group writes.
-        let mut drain = Vec::new();
-        let mut excite = |t: f64, j: usize, u: &mut [f64]| -> Result<()> {
-            model.sample_excitation_into(t, &xis[j], u, &mut drain)?;
-            if let Some(u0) = &anchors[j] {
-                for (u_n, a_n) in u.iter_mut().zip(u0) {
-                    *u_n = a_n + scale * (*u_n - a_n);
-                }
-            }
-            Ok(())
-        };
-
-        // Backward Euler reads only s·C, so its members drop G(ξ) once both
-        // factorisations are done, which keeps the sweep's peak heap down;
-        // the trapezoidal and TR-BDF2 stages read G(ξ) too. A member keeps
-        // its matrices as values on the nominal patterns.
-        let reads_g = spec.scheme != StepScheme::BackwardEuler;
-        let tr_bdf2 = spec.scheme == StepScheme::TrBdf2;
-        let (g_pattern, c_pattern) = (self.patterns.conductance(), self.patterns.capacitance());
-        let mut group = CholeskyGroup::new(self.symbolic, lanes);
-        let mut c_over_h = Vec::with_capacity(lanes);
-        let mut g = Vec::with_capacity(if reads_g { lanes } else { 0 });
-        let mut values = SampleValues::default();
-        let mut ws = SolveWorkspace::with_capacity(n * lanes);
-        let mut state = Panel::zeros(n, lanes);
-        let mut u_prev = Panel::zeros(n, lanes);
-        for (j, xi) in xis.iter().enumerate() {
-            // Realise the node, solve its DC start on a factor of G(ξ) that
-            // is dropped right after, then add its companion factor to the
-            // group.
-            let _span = opera_trace::span_under(self.parent, "collocation.node");
-            opera_trace::count("collocation.nodes", 1);
-            self.patterns.realise(xi, self.h_scale, &mut values)?;
-            excite(0.0, j, u_prev.col_mut(j))?;
-            let v0 = state.col_mut(j);
-            v0.copy_from_slice(u_prev.col(j));
-            self.symbolic
-                .factor_values(g_pattern.with_values(&values.conductance))?
-                .solve_in_place(v0, &mut ws);
-            group.push(
-                self.symbolic
-                    .factor_values(self.patterns.companion().with_values(&values.companion))?,
-            )?;
-            self.numeric_factorizations.fetch_add(2, Ordering::Relaxed);
-            self.project(0, first + j, v0);
-            c_over_h.push(std::mem::take(&mut values.scaled_capacitance));
-            if reads_g {
-                g.push(std::mem::take(&mut values.conductance));
-            }
-        }
-        let c_over_h: Vec<CsrView<'_>> =
-            c_over_h.iter().map(|c| c_pattern.with_values(c)).collect();
-        let g: Vec<CsrView<'_>> = g.iter().map(|g| g_pattern.with_values(g)).collect();
-
-        let mut out = Panel::zeros(n, lanes);
-        let mut u_next = Panel::zeros(n, lanes);
-        let stage_lanes = if tr_bdf2 { lanes } else { 0 };
-        let mut u_mid = Panel::zeros(n, stage_lanes);
-        let mut stage = Panel::zeros(n, stage_lanes);
-        let mut gv = vec![0.0; if reads_g { n } else { 0 }];
-        let _span = opera_trace::span_under(self.parent, "collocation.group");
-        // lint: hot(collocation-lockstep)
-        for (k, &t) in times.iter().enumerate().skip(1) {
-            for j in 0..lanes {
-                excite(t, j, u_next.col_mut(j))?;
-            }
-            match spec.scheme {
-                StepScheme::BackwardEuler => {
-                    // (G + C/h) v_{k+1} = u_{k+1} + (C/h) v_k
-                    for (j, c) in c_over_h.iter().enumerate() {
-                        let rhs = out.col_mut(j);
-                        c.matvec_into(state.col(j), rhs);
-                        for (r, u) in rhs.iter_mut().zip(u_next.col(j)) {
-                            *r += u;
-                        }
-                    }
-                }
-                StepScheme::Trapezoidal => {
-                    // (G + 2C/h) v_{k+1} = u_k + u_{k+1} + (2C/h − G) v_k
-                    let members = (&c_over_h[..], &g[..]);
-                    trapezoidal_rhs(members, &state, [&u_prev, &u_next], &mut out, &mut gv);
-                }
-                StepScheme::TrBdf2 => {
-                    // TR stage over [t_k, t_k + γh]:
-                    // (G + 2C/(γh)) v_γ = u_k + u_γ + (2C/(γh) − G) v_k
-                    let t_prev = times[k - 1];
-                    for j in 0..lanes {
-                        excite(t_prev + TR_BDF2_GAMMA * (t - t_prev), j, u_mid.col_mut(j))?;
-                    }
-                    let members = (&c_over_h[..], &g[..]);
-                    trapezoidal_rhs(members, &state, [&u_prev, &u_mid], &mut stage, &mut gv);
-                    group.solve_panel(&mut stage, &mut ws);
-                    // BDF2 stage on {t_k, t_k + γh, t_{k+1}}:
-                    // (G + 2C/(γh)) v_{k+1} = u_{k+1} +
-                    //   (2C/(γh))·(v_γ/(2(1−γ)) − v_k·(1−γ)/2)
-                    for (j, c) in c_over_h.iter().enumerate() {
-                        let rhs = out.col_mut(j);
-                        c.matvec_into(stage.col(j), rhs);
-                        for r in rhs.iter_mut() {
-                            *r *= TR_BDF2_W_MID;
-                        }
-                        c.matvec_acc(state.col(j), -TR_BDF2_W_OLD, rhs);
-                        for (r, u) in rhs.iter_mut().zip(u_next.col(j)) {
-                            *r += u;
-                        }
-                    }
-                }
-            }
-            group.solve_panel(&mut out, &mut ws);
-            for j in 0..lanes {
-                self.project(k, first + j, out.col(j));
-            }
-            std::mem::swap(&mut state, &mut out);
-            std::mem::swap(&mut u_prev, &mut u_next);
-        }
-        // lint: end-hot
-        Ok(())
-    }
-}
-
-/// The trapezoidal right-hand sides `u_a + u_b + (s·C − G)·v` of a group,
-/// column `j` from member `j`'s `s·C` and `G`: the trapezoidal step, and
-/// the TR stage of TR-BDF2. `gv` is scratch for one `G·v`.
-fn trapezoidal_rhs(
-    (c_over_h, g): (&[CsrView<'_>], &[CsrView<'_>]),
-    state: &Panel,
-    [u_a, u_b]: [&Panel; 2],
-    out: &mut Panel,
-    gv: &mut [f64],
-) {
-    for (j, (c, g)) in c_over_h.iter().zip(g).enumerate() {
-        let rhs = out.col_mut(j);
-        c.matvec_into(state.col(j), rhs);
-        g.matvec_into(state.col(j), gv);
-        for ((r, gv_n), (a, b)) in rhs
-            .iter_mut()
-            .zip(gv.iter())
-            .zip(u_a.col(j).iter().zip(u_b.col(j)))
-        {
-            *r += a + b - gv_n;
-        }
-    }
-}
+/// The collocation sweep's trace names: a `collocation.node` span per node
+/// (its realisation, factorisations and DC solve), `collocation.nodes`
+/// counting them, and a `collocation.group` span around each group's
+/// stepping, all under the span that launched the sweep.
+const COLLOCATION_TRACE: SweepTrace = SweepTrace {
+    group: None,
+    points: "collocation.nodes",
+    point: Some("collocation.node"),
+    stepping: "collocation.group",
+};

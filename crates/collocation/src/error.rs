@@ -6,8 +6,8 @@ use std::fmt;
 /// Errors produced by the collocation subsystem.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CollocationError {
-    /// An underlying sparse linear-algebra operation failed (e.g. a realised
-    /// conductance matrix lost positive definiteness at an outlying node).
+    /// An underlying sparse linear-algebra operation failed (e.g. the LU
+    /// fallback of an outlying node's factorisation failed too).
     Sparse(opera_sparse::SparseError),
     /// A polynomial-chaos operation failed.
     Pce(opera_pce::PceError),

@@ -1,36 +1,28 @@
-//! Stochastic collocation for the OPERA power-grid reproduction.
+//! The lock-step sampler and stochastic collocation for the OPERA
+//! power-grid reproduction.
 //!
-//! The paper's Galerkin spectral-stochastic method couples all polynomial
-//! chaos coefficients into one large augmented system. Stochastic
-//! *collocation* is the non-intrusive alternative: evaluate the stochastic
-//! grid model at a finite set of quadrature nodes
+//! The paper's Galerkin method couples all polynomial-chaos coefficients
+//! into one augmented system. Its non-intrusive cross-checks run ordinary
+//! **deterministic** transients at points `ξ_q` instead: Monte Carlo at
+//! random draws, stochastic *collocation* at the nodes of a quadrature grid
 //! (a [Smolyak sparse grid](opera_pce::sparse_grid::smolyak_grid) or a full
-//! [tensor grid](opera_pce::sparse_grid::tensor_grid)), run an ordinary
-//! **deterministic** transient analysis at each node, and recover the same
-//! polynomial-chaos coefficients by discrete projection.
+//! [tensor grid](opera_pce::sparse_grid::tensor_grid)), whose states it
+//! projects onto the chaos coefficients. Both run on this crate's lock-step
+//! sampler, [`sample_points`], with their own fold: the `opera` engine's
+//! Monte Carlo baseline folds Welford statistics, [`solve_collocation`] the
+//! discrete projection.
 //!
-//! Three properties make this a cheap, parallel workload:
-//!
-//! * every node solve is independent, so the sweep fans out over a `rayon`
-//!   pool;
-//! * every realised matrix has the same sparsity structure, so all node
-//!   factorisations share **one**
-//!   [`SymbolicCholesky`](opera_sparse::SymbolicCholesky) analysis —
-//!   ordering, elimination tree and column counts are computed once, and each
-//!   node performs only the numeric phase; and
-//! * because they share that analysis, up to
-//!   [`LOCKSTEP_LANES`](opera_sparse::LOCKSTEP_LANES) nodes step in lock
-//!   step: their companion factors are interleaved into one
-//!   [`CholeskyGroup`](opera_sparse::CholeskyGroup), and each time step runs
-//!   one group solve over the shared pattern for the whole group.
-//!
-//! Each group column does exactly the arithmetic of a node stepped on its
-//! own. Every state is projected as soon as it is computed, and each time
-//! row folds its nodes in node order, so no full trace is kept and the
-//! resulting statistics are bit-identical for every worker-thread count.
-//!
-//! This crate is deliberately independent of the Galerkin engine; the
-//! `opera` crate integrates it as
+//! Every point solve is independent, so a sweep fans out over a `rayon`
+//! pool ([`fan_out`]). Every realised matrix has the nominal sparsity
+//! structure, so all point factorisations share **one**
+//! [`SymbolicCholesky`](opera_sparse::SymbolicCholesky) analysis, and up to
+//! [`LOCKSTEP_LANES`](opera_sparse::LOCKSTEP_LANES) points step in lock step
+//! through one [`CholeskyGroup`](opera_sparse::CholeskyGroup) solve per
+//! stage. Each group column does exactly the arithmetic of a point stepped
+//! on its own, through the stage formulas of [`opera_sparse::stepping`].
+//! Every state is folded as soon as it is computed, each time row in point
+//! order, so no full trace is kept and the results are bit-identical for
+//! every worker-thread count. The `opera` crate integrates collocation as
 //! `OperaEngine::collocation(&CollocationConfig)`.
 //!
 //! # Example
@@ -66,12 +58,15 @@
 
 mod driver;
 mod error;
+mod sampler;
 
 pub use driver::{
     build_grid, solve_collocation, CollocationRun, CollocationStats, GridKind, StepScheme,
-    TransientSpec, TR_BDF2_GAMMA,
+    TransientSpec,
 };
 pub use error::CollocationError;
+pub use opera_sparse::stepping::TR_BDF2_GAMMA;
+pub use sampler::{fan_out, sample_points, PointSink, SweepTrace};
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, CollocationError>;

@@ -256,7 +256,9 @@ fn validate_output_times(output_times: &[f64]) -> Result<()> {
 /// The LTE-driven adaptive TR-BDF2 loop. Starts from the one-column state
 /// `v0` at `output_times[0]`, integrates to `*output_times.last()`, and
 /// hands every state to the caller as it is computed, as
-/// [`integrate_fixed_step`](crate::transient::integrate_fixed_step) does:
+/// [`integrate_fixed_step`](crate::transient::integrate_fixed_step) does.
+/// `excitation(t, u)` writes the excitation at `t` into `u`; the loop keeps
+/// one buffer per stage node and reuses them for every attempted step.
 /// `output(k, state)` receives the dense output at `output_times[k]` (`k =
 /// 0` is `v0`), `accepted(t, state)` the state at every accepted step time
 /// `t`, starting with `v0` at `t0`. Nothing is kept here, so a caller that
@@ -279,7 +281,7 @@ fn validate_output_times(output_times: &[f64]) -> Result<()> {
 pub(crate) fn integrate_adaptive(
     prepared: &dyn PreparedSolver,
     v0: Panel,
-    excitation: &dyn Fn(f64) -> Vec<f64>,
+    mut excitation: impl FnMut(f64, &mut [f64]),
     output_times: &[f64],
     options: &AdaptiveOptions,
     mut output: impl FnMut(usize, &[f64]),
@@ -298,10 +300,12 @@ pub(crate) fn integrate_adaptive(
     let refactorizations_before = family.refactorization_count();
     let mut stats = AdaptiveStats::default();
 
-    let excitation_panel = |t: f64| Panel::from_vec(n, 1, excitation(t));
     let mut v = v0;
     let mut t = t0;
-    let mut u_prev = excitation_panel(t0);
+    let mut u_prev = Panel::zeros(n, 1);
+    excitation(t0, u_prev.data_mut());
+    let mut u_mid = Panel::zeros(n, 1);
+    let mut u_new = Panel::zeros(n, 1);
     let mut stage = Panel::zeros(n, 1);
     let mut next = Panel::zeros(n, 1);
     let mut err = Panel::zeros(n, 1);
@@ -328,8 +332,8 @@ pub(crate) fn integrate_adaptive(
 
         stats.steps_attempted += 1;
         opera_trace::count("transient.adaptive.steps_attempted", 1);
-        let u_mid = excitation_panel(t + TR_BDF2_GAMMA * h_eff);
-        let u_new = excitation_panel(t_new);
+        excitation(t + TR_BDF2_GAMMA * h_eff, u_mid.data_mut());
+        excitation(t_new, u_new.data_mut());
         stepper
             .step_tr_bdf2_panel_into(&v, &u_prev, &u_mid, &u_new, &mut stage, &mut next, &mut ws)?;
         stepper.tr_bdf2_error_panel_into(
@@ -360,7 +364,7 @@ pub(crate) fn integrate_adaptive(
             }
             t = t_new;
             std::mem::swap(&mut v, &mut next);
-            u_prev = u_new;
+            std::mem::swap(&mut u_prev, &mut u_new);
             accepted(t, v.data());
             // Grow/shrink for the next step; never grow right after a
             // rejection, and hold the step inside the dead-band so smooth
@@ -484,7 +488,7 @@ pub fn solve_transient_adaptive_at(
     let mut stats = integrate_adaptive(
         &prepared,
         v0,
-        &excitation,
+        |t, u| u.copy_from_slice(&excitation(t)),
         output_times,
         adaptive,
         |k, state| states.col_mut(k).copy_from_slice(state),

@@ -41,7 +41,7 @@ use std::time::Instant;
 use opera_trace::Counter;
 
 pub use opera_collocation::GridKind;
-use opera_collocation::{build_grid, solve_collocation, StepScheme, TransientSpec};
+use opera_collocation::{build_grid, solve_collocation, TransientSpec};
 use opera_grid::{GridSpec, NodeMap, PowerGrid};
 use opera_netlist::LoweredNetlist;
 use opera_pce::OrthogonalBasis;
@@ -846,12 +846,11 @@ impl OperaEngine {
         run_prepared_adaptive(
             self.prepared.as_ref(),
             &self.system,
-            |t| {
-                let mut u = self.system.excitation(&self.model, t);
+            |t, u| {
+                self.system.excitation_into(&self.model, t, u);
                 if let Some(u0) = &anchor {
-                    rescale_around_anchor(&mut u, u0, scale);
+                    rescale_around_anchor(u, u0, scale);
                 }
-                u
             },
             transient.time_points(),
             adaptive,
@@ -892,11 +891,7 @@ impl OperaEngine {
         let spec = TransientSpec {
             time_step: transient.time_step,
             end_time: transient.end_time,
-            scheme: match transient.method {
-                IntegrationMethod::BackwardEuler => StepScheme::BackwardEuler,
-                IntegrationMethod::Trapezoidal => StepScheme::Trapezoidal,
-                IntegrationMethod::TrBdf2 => StepScheme::TrBdf2,
-            },
+            scheme: transient.method,
             current_scale: 1.0,
         };
         let started = Instant::now();

@@ -129,9 +129,23 @@ impl GalerkinSystem {
     /// Assembles the augmented excitation `Ũ(t)` from the model: block `i`
     /// receives `⟨ψ_i⟩ u_a(t) + Σ_d ⟨ξ_d ψ_i⟩ u_d(t)`.
     pub fn excitation(&self, model: &StochasticGridModel, t: f64) -> Vec<f64> {
+        let mut u_hat = vec![0.0; self.dim()];
+        self.excitation_into(model, t, &mut u_hat);
+        u_hat
+    }
+
+    /// [`excitation`](Self::excitation) written into `u_hat`, a buffer of
+    /// [`dim`](Self::dim) entries: a loop that reuses one buffer allocates
+    /// nothing of the stacked size.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u_hat` does not have `dim()` entries.
+    pub fn excitation_into(&self, model: &StochasticGridModel, t: f64, u_hat: &mut [f64]) {
         let n = self.node_count;
         let size = self.basis.len();
-        let mut u_hat = vec![0.0; n * size];
+        assert_eq!(u_hat.len(), n * size, "excitation dimension mismatch");
+        u_hat.fill(0.0);
         // ⟨ψ_i⟩ is nonzero only for i = 0 where it equals 1 (ψ₀ ≡ 1).
         let u_a = model.excitation_nominal(t);
         u_hat[..n].copy_from_slice(&u_a);
@@ -152,7 +166,6 @@ impl GalerkinSystem {
                 }
             }
         }
-        u_hat
     }
 
     /// Splits a stacked augmented solution vector into per-basis-function

@@ -224,15 +224,6 @@ pub(crate) struct DirectPrepared {
 }
 
 impl DirectPrepared {
-    /// Pairs a DC factor with a factored companion system.
-    pub(crate) fn new(dc: MatrixFactor, companion: CompanionSystem) -> Self {
-        DirectPrepared {
-            dc: Arc::new(dc),
-            family: None,
-            companion: Arc::new(companion),
-        }
-    }
-
     /// The preparation of a deterministic transient of `G·v + C·dv/dt = u`
     /// at one step size: one analysis of `G + C` serves the companion
     /// factor and, on an equal pattern, the DC factor.
@@ -247,10 +238,11 @@ impl DirectPrepared {
         method: IntegrationMethod,
     ) -> Result<Self> {
         let pattern = CompanionPattern::new(Arc::new(g.clone()), Arc::new(c.clone()))?;
-        Ok(Self::new(
-            pattern.dc_factor()?,
-            pattern.system(time_step, method)?,
-        ))
+        Ok(DirectPrepared {
+            dc: Arc::new(pattern.dc_factor()?),
+            family: None,
+            companion: Arc::new(pattern.system(time_step, method)?),
+        })
     }
 
     /// A preparation whose DC factor and companion for `time_step` and
@@ -655,7 +647,7 @@ impl CgPrepared {
         StepRhs {
             c: self.c.view(),
             c_scale: self.c_scale,
-            g: self.g.view(),
+            g: Some(self.g.view()),
         }
     }
 

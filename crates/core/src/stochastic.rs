@@ -183,26 +183,23 @@ pub(crate) fn run_prepared_single(
 pub(crate) fn run_prepared_adaptive(
     prepared: &dyn PreparedSolver,
     system: &GalerkinSystem,
-    excitation: impl Fn(f64) -> Vec<f64>,
+    mut excitation: impl FnMut(f64, &mut [f64]),
     times: Vec<f64>,
     adaptive: &AdaptiveOptions,
 ) -> Result<(StochasticSolution, AdaptiveStats)> {
     let n = system.node_count();
     let dim = system.dim();
-    let u0 = excitation(times.first().copied().unwrap_or(0.0));
+    let mut u0 = Panel::zeros(dim, 1);
+    excitation(times.first().copied().unwrap_or(0.0), u0.data_mut());
     let mut v0 = Panel::zeros(dim, 1);
-    prepared.solve_dc_panel(
-        &Panel::from_vec(dim, 1, u0),
-        &mut v0,
-        &mut SolveWorkspace::with_capacity(dim),
-    )?;
+    prepared.solve_dc_panel(&u0, &mut v0, &mut SolveWorkspace::with_capacity(dim))?;
     // Each output row is split into its chaos coefficients as it arrives:
     // the run keeps neither the stacked rows nor the accepted states.
     let mut coefficients = Vec::with_capacity(times.len());
     let stats = integrate_adaptive(
         prepared,
         v0,
-        &excitation,
+        excitation,
         &times,
         adaptive,
         |_, state| coefficients.push(system.split_solution(state)),

@@ -8,75 +8,21 @@
 //! for every time step. [`CompanionFamily`] extends the reuse across step
 //! sizes: one symbolic analysis serves numeric-only refactorisations for
 //! every `h` the adaptive controller visits, with an LRU cache of the
-//! recently-used factors. See `docs/TRANSIENT.md`.
+//! recently-used factors. The schemes' formulas — `IntegrationMethod`, `γ`,
+//! the companion scale, the time grid and the stage right-hand sides — live
+//! in [`opera_sparse::stepping`], which the lock-step sampler of Monte
+//! Carlo and collocation builds through too. See `docs/TRANSIENT.md`.
 
 use std::sync::{Arc, Mutex};
 
-use opera_sparse::{CsrMatrix, CsrView, MatrixFactor, Panel, SolveWorkspace, SymbolicCholesky};
+use opera_sparse::{CsrMatrix, MatrixFactor, Panel, SolveWorkspace, SymbolicCholesky};
 use opera_trace::Counter;
 
 use crate::solver::{DirectPrepared, PreparedSolver};
 use crate::{OperaError, Result};
 
-/// TR-BDF2 stage split: the trapezoidal stage covers `γh`, the BDF2 stage the
-/// remaining `(1−γ)h`, with `γ = 2 − √2` so both stages share one companion
-/// matrix `G + (2/(γh))·C`.
-pub const TR_BDF2_GAMMA: f64 = 2.0 - std::f64::consts::SQRT_2;
-
-/// BDF2-stage weight of the intermediate state: `1/(2(1−γ))`.
-const TR_BDF2_W_MID: f64 = 0.5 / (1.0 - TR_BDF2_GAMMA);
-/// BDF2-stage weight of the old state: `(1−γ)/2`.
-const TR_BDF2_W_OLD: f64 = 0.5 * (1.0 - TR_BDF2_GAMMA);
-
-/// TR-BDF2 local-error constant `(3γ² − 4γ + 2) / (12(2 − γ))`
-/// (Hosea–Shampine), folded below into the per-node residual weights of the
-/// filtered error estimate.
-const TR_BDF2_ERR_CONST: f64 = (3.0 * TR_BDF2_GAMMA * TR_BDF2_GAMMA - 4.0 * TR_BDF2_GAMMA + 2.0)
-    / (12.0 * (2.0 - TR_BDF2_GAMMA));
-/// Residual weight of the step-start node in the filtered LTE solve.
-const TR_BDF2_ERR_OLD: f64 = 2.0 * TR_BDF2_ERR_CONST / (TR_BDF2_GAMMA * TR_BDF2_GAMMA);
-/// Residual weight of the intermediate (`t + γh`) node.
-const TR_BDF2_ERR_MID: f64 =
-    -2.0 * TR_BDF2_ERR_CONST / (TR_BDF2_GAMMA * TR_BDF2_GAMMA * (1.0 - TR_BDF2_GAMMA));
-/// Residual weight of the step-end node.
-const TR_BDF2_ERR_NEW: f64 = 2.0 * TR_BDF2_ERR_CONST / (TR_BDF2_GAMMA * (1.0 - TR_BDF2_GAMMA));
-
-/// Companion-matrix scale `s` in `G + s·C` for a scheme at step `h`.
-pub(crate) fn companion_scale(method: IntegrationMethod, time_step: f64) -> f64 {
-    match method {
-        IntegrationMethod::BackwardEuler => 1.0 / time_step,
-        IntegrationMethod::Trapezoidal => 2.0 / time_step,
-        IntegrationMethod::TrBdf2 => 2.0 / (TR_BDF2_GAMMA * time_step),
-    }
-}
-
-/// Rescales an excitation vector around an anchor (the quiescent `t = 0`
-/// excitation): `u ← anchor + scale·(u − anchor)`. Because switching
-/// currents vanish at quiescence, this scales exactly the switching part
-/// while leaving the pad (supply) injection untouched. Shared by the
-/// engine's scenario paths and the Monte Carlo baseline so the two sides of
-/// an OPERA-vs-MC comparison always apply the same scaling.
-pub(crate) fn rescale_around_anchor(u: &mut [f64], anchor: &[f64], scale: f64) {
-    for (u_n, a_n) in u.iter_mut().zip(anchor) {
-        *u_n = a_n + scale * (*u_n - a_n);
-    }
-}
-
-/// Time-integration scheme for the transient solver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IntegrationMethod {
-    /// First-order implicit Euler — robust, matches the paper's fixed-step
-    /// analysis. This is the default.
-    #[default]
-    BackwardEuler,
-    /// Second-order trapezoidal rule — more accurate for smooth waveforms.
-    Trapezoidal,
-    /// Second-order TR-BDF2 composite (trapezoidal stage over `γh`, BDF2
-    /// stage over the rest, `γ = 2 − √2`) — L-stable, so stiff RC decks do
-    /// not ring, with an embedded error estimate that drives the adaptive
-    /// controller in [`crate::adaptive`].
-    TrBdf2,
-}
+pub(crate) use opera_sparse::stepping::{companion_scale, rescale_around_anchor, StepRhs};
+pub use opera_sparse::stepping::{IntegrationMethod, TR_BDF2_GAMMA};
 
 /// Options for a fixed-step transient analysis.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,42 +52,15 @@ impl TransientOptions {
     /// Returns [`OperaError::InvalidOptions`] for non-positive step or end
     /// time, or a step larger than the end time.
     pub fn validate(&self) -> Result<()> {
-        if self.time_step <= 0.0 || !self.time_step.is_finite() {
-            return Err(OperaError::InvalidOptions {
-                reason: format!("time_step must be positive, got {}", self.time_step),
-            });
-        }
-        if self.end_time <= 0.0 || !self.end_time.is_finite() {
-            return Err(OperaError::InvalidOptions {
-                reason: format!("end_time must be positive, got {}", self.end_time),
-            });
-        }
-        if self.time_step > self.end_time {
-            return Err(OperaError::InvalidOptions {
-                reason: "time_step must not exceed end_time".to_string(),
-            });
-        }
-        Ok(())
+        opera_sparse::stepping::check_window(self.time_step, self.end_time)
+            .map_err(|reason| OperaError::InvalidOptions { reason })
     }
 
-    /// The time points `t₀ = 0, t₁ = h, …` covered by the analysis.
-    ///
-    /// Interior points are generated as `k as f64 * h` (not by accumulating
-    /// `t += h`, which drifts), and the final point is `end_time` itself, so
-    /// the grid always lands exactly on the requested horizon even when
-    /// `steps · h` rounds away from it. `TransientSpec::time_points` in
-    /// `opera-collocation` mirrors this exactly.
+    /// The time points `t₀ = 0, t₁ = h, …` covered by the analysis: the
+    /// drift-free grid of [`opera_sparse::stepping::time_points`], which
+    /// lands exactly on `end_time`.
     pub fn time_points(&self) -> Vec<f64> {
-        let steps = (self.end_time / self.time_step).round() as usize;
-        (0..=steps)
-            .map(|k| {
-                if k == steps {
-                    self.end_time
-                } else {
-                    k as f64 * self.time_step
-                }
-            })
-            .collect()
+        opera_sparse::stepping::time_points(self.time_step, self.end_time)
     }
 }
 
@@ -280,27 +199,6 @@ impl CompanionSystem {
         CompanionPattern::new(Arc::new(g.clone()), Arc::new(c.clone()))?.system(time_step, method)
     }
 
-    /// A system from its parts: the factored companion, `G` and `C` (whose
-    /// pattern `c_over_h` lies on) and the scheme and step it was built
-    /// for.
-    pub(crate) fn from_parts(
-        factor: MatrixFactor,
-        g: Arc<CsrMatrix>,
-        c: Arc<CsrMatrix>,
-        c_over_h: Vec<f64>,
-        method: IntegrationMethod,
-        h: f64,
-    ) -> Self {
-        CompanionSystem {
-            factor,
-            g,
-            c,
-            c_over_h,
-            method,
-            h,
-        }
-    }
-
     /// Time step the companion matrix was built for.
     pub fn time_step(&self) -> f64 {
         self.h
@@ -316,7 +214,7 @@ impl CompanionSystem {
         StepRhs {
             c: self.c.with_values(&self.c_over_h),
             c_scale: 1.0,
-            g: self.g.view(),
+            g: Some(self.g.view()),
         }
     }
 
@@ -501,95 +399,6 @@ pub(crate) fn assert_same_columns(inputs: &[&Panel], out: &Panel) {
     }
 }
 
-/// The stage right-hand sides of a companion step over the companion matrix
-/// `G + s·C` — the only copy of the stage formulas. The scalar and panel
-/// steps of [`CompanionSystem`] and the CG backend all build through it, so
-/// every path performs the same floating-point operations in the same
-/// order. Each builder writes `out` and panics if a vector's length differs
-/// from `out`'s.
-///
-/// `s·C` is `c_scale · c`: the direct backends hand in the stored product
-/// `s·C` with `c_scale = 1` (multiplying by one is exact, so their bits do
-/// not depend on the split), the CG backend the shared `C̃` with `c_scale =
-/// s`, so a step-size change there rescales nothing but a scalar. The
-/// matrices are [`CsrView`]s: a system's own `G`, or a lock-step member's
-/// values on the nominal patterns.
-#[derive(Clone, Copy)]
-pub(crate) struct StepRhs<'a> {
-    pub(crate) c: CsrView<'a>,
-    pub(crate) c_scale: f64,
-    pub(crate) g: CsrView<'a>,
-}
-
-impl StepRhs<'_> {
-    /// A single-stage step: backward Euler `(s·C)·v_k + u_{k+1}` or the
-    /// [trapezoidal](Self::trapezoidal) rule. Panics for TR-BDF2, which needs
-    /// the mid-stage excitation.
-    pub(crate) fn single_stage(
-        self,
-        method: IntegrationMethod,
-        v_k: &[f64],
-        u_k: &[f64],
-        u_k1: &[f64],
-        out: &mut [f64],
-    ) {
-        assert!(
-            method != IntegrationMethod::TrBdf2,
-            "TR-BDF2 needs the mid-stage excitation: step via step_tr_bdf2_into"
-        );
-        if method == IntegrationMethod::Trapezoidal {
-            return self.trapezoidal(v_k, u_k, u_k1, out);
-        }
-        assert_eq!(u_k1.len(), out.len(), "excitation dimension mismatch");
-        self.scaled_c_into(v_k, out);
-        opera_simd::add_assign(out, u_k1, opera_simd::active());
-    }
-
-    /// The trapezoidal rule `(s·C − G)·v_k + (u_k + u_{k+1})` — also the
-    /// trapezoidal stage of TR-BDF2, with `u_k1` the excitation at `t + γh`.
-    pub(crate) fn trapezoidal(self, v_k: &[f64], u_k: &[f64], u_k1: &[f64], out: &mut [f64]) {
-        assert_eq!(u_k.len(), out.len(), "excitation dimension mismatch");
-        assert_eq!(u_k1.len(), out.len(), "excitation dimension mismatch");
-        self.scaled_c_into(v_k, out);
-        self.g.matvec_acc(v_k, -1.0, out);
-        opera_simd::add2_assign(out, u_k, u_k1, opera_simd::active());
-    }
-
-    /// The BDF2 stage of TR-BDF2 on the unequally spaced nodes
-    /// `{t, t+γh, t+h}`: `(s·C)·(v_γ/(2(1−γ)) − v_k·(1−γ)/2) + u_{k+1}`.
-    pub(crate) fn bdf2(self, v_k: &[f64], v_mid: &[f64], u_k1: &[f64], out: &mut [f64]) {
-        assert_eq!(u_k1.len(), out.len(), "excitation dimension mismatch");
-        let backend = opera_simd::active();
-        self.c.matvec_into(v_mid, out);
-        opera_simd::scale_assign(out, TR_BDF2_W_MID * self.c_scale, backend);
-        self.c.matvec_acc(v_k, -TR_BDF2_W_OLD * self.c_scale, out);
-        opera_simd::add_assign(out, u_k1, backend);
-    }
-
-    /// The right-hand side of the filtered TR-BDF2 error estimate,
-    /// `Σ w_i (u_i − G v_i)` over the step-start, intermediate and step-end
-    /// nodes ([`CompanionSystem::tr_bdf2_error_into`] solves it through the
-    /// companion matrix).
-    pub(crate) fn tr_bdf2_error(self, v: [&[f64]; 3], u: [&[f64]; 3], out: &mut [f64]) {
-        let weights = [TR_BDF2_ERR_OLD, TR_BDF2_ERR_MID, TR_BDF2_ERR_NEW];
-        for state in v {
-            assert_eq!(state.len(), out.len(), "state dimension mismatch");
-        }
-        opera_simd::weighted_sum3(out, u, weights, opera_simd::active());
-        for (state, weight) in v.into_iter().zip(weights) {
-            self.g.matvec_acc(state, -weight, out);
-        }
-    }
-
-    /// `out = (s·C)·v`; the scaling pass is skipped for a pre-scaled `C`.
-    fn scaled_c_into(self, v: &[f64], out: &mut [f64]) {
-        self.c.matvec_into(v, out);
-        if self.c_scale != 1.0 {
-            opera_simd::scale_assign(out, self.c_scale, opera_simd::active());
-        }
-    }
-}
-
 // lint: end-hot
 
 /// One `(G, C)` pair and the analysis of `G + C` that every companion
@@ -648,14 +457,14 @@ impl CompanionPattern {
         let companion = self.union.as_ref().unwrap_or(&self.g).with_values(&values);
         let factor =
             MatrixFactor::from_cholesky_attempt(self.symbolic.factor_values(companion), companion)?;
-        Ok(CompanionSystem::from_parts(
+        Ok(CompanionSystem {
             factor,
-            Arc::clone(&self.g),
-            Arc::clone(&self.c),
+            g: Arc::clone(&self.g),
+            c: Arc::clone(&self.c),
             c_over_h,
             method,
-            time_step,
-        ))
+            h: time_step,
+        })
     }
 
     /// The DC factor of `G` through [`dc_factor`].
@@ -668,22 +477,10 @@ impl CompanionPattern {
     }
 }
 
-/// The analysis for factoring `g` itself (its DC solve) next to the
-/// `companion` analysis of `G + C`. Capacitors to ground touch only the
-/// diagonal, so `G + C` normally has `G`'s own pattern; the companion
-/// analysis is then the very analysis of `g` and is shared. Otherwise `g`
-/// is analysed on its own.
-pub(crate) fn dc_analysis(g: &CsrMatrix, companion: &SymbolicCholesky) -> Result<SymbolicCholesky> {
-    if companion.matches_pattern(g) {
-        Ok(companion.clone())
-    } else {
-        Ok(SymbolicCholesky::analyze(g)?)
-    }
-}
-
 /// The DC factor of `g` — bit-identical to [`MatrixFactor::cholesky_or_lu`]
 /// — against the `companion` analysis of `G + C` when the two patterns
-/// match (see [`dc_analysis`]); otherwise it *is*
+/// match (capacitors to ground touch only the diagonal, so `G + C`
+/// normally has `G`'s own pattern); otherwise it *is*
 /// [`MatrixFactor::cholesky_or_lu`] of `g`.
 pub(crate) fn dc_factor(g: &CsrMatrix, companion: &SymbolicCholesky) -> Result<MatrixFactor> {
     if !companion.matches_pattern(g) {

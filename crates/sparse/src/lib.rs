@@ -28,6 +28,9 @@
 //!   every transient runs through blocked panel triangular kernels with zero
 //!   steady-state heap allocations.
 //! * [`DenseMatrix`] — small dense kernels used by quadrature and tests.
+//! * [`stepping`] — the one copy of the fixed-step integration formulas:
+//!   the scheme enum, the TR-BDF2 split, the companion scale, the time grid
+//!   and the stage right-hand sides every transient builds through.
 //!
 //! # Example
 //!
@@ -70,6 +73,7 @@ mod triplet;
 pub mod cg;
 pub mod invariants;
 pub mod ordering;
+pub mod stepping;
 
 pub use cholesky::{
     cholesky_solve, CholeskyFactor, CholeskyGroup, OrderingChoice, SymbolicCholesky,

@@ -517,8 +517,8 @@ pub struct SampleValues {
 }
 
 /// The nominal patterns of a [`StochasticGridModel`] and the realisation of
-/// samples as values on them: the one way the lock-step samplers (Monte
-/// Carlo and collocation) realise a sample's matrices. The values are
+/// samples as values on them: the one way the lock-step sampler (Monte
+/// Carlo and collocation) realises a sample's matrices. The values are
 /// bit-identical to the matrices the allocating path builds —
 /// [`sample_conductance`](StochasticGridModel::sample_conductance),
 /// `sample_capacitance(ξ).scaled(s)` and their sum by

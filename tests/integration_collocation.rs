@@ -11,13 +11,18 @@
 //!     threads, under backward Euler and TR-BDF2;
 //!
 //! plus the mirror contract between the collocation driver's transient
-//! settings and `opera::transient`.
+//! settings and `opera::transient`, and the LU fallback of an extreme node.
 
 use opera::engine::{CollocationConfig, OperaEngine};
-use opera::transient::{IntegrationMethod, TransientOptions};
+use opera::transient::{solve_transient, IntegrationMethod, TransientOptions};
 use opera::{McConfig, Parallelism};
-use opera_collocation::TransientSpec;
+use opera_collocation::{
+    build_grid, sample_points, solve_collocation, GridKind, SweepTrace, TransientSpec,
+};
 use opera_grid::GridSpec;
+use opera_pce::OrthogonalBasis;
+use opera_sparse::CholeskyFactor;
+use opera_variation::{StochasticGridModel, VariationSpec};
 
 /// The scaled first paper grid shared by the tests below.
 fn paper_engine(parallelism: Parallelism, method: IntegrationMethod) -> OperaEngine {
@@ -143,9 +148,9 @@ fn collocation_statistics_are_bit_identical_for_1_2_and_8_threads() {
 
 #[test]
 fn collocation_transient_settings_mirror_opera_transient_bit_for_bit() {
-    // The collocation crate sits below `opera` and keeps its own copies of
-    // the time grid and the TR-BDF2 stage split; the engine relies on both
-    // sides agreeing exactly.
+    // The collocation crate sits below `opera`; both take the time grid and
+    // the TR-BDF2 stage split from `opera_sparse::stepping`, and the engine
+    // relies on both sides agreeing exactly.
     assert_eq!(
         opera_collocation::TR_BDF2_GAMMA.to_bits(),
         opera::transient::TR_BDF2_GAMMA.to_bits()
@@ -166,5 +171,79 @@ fn collocation_transient_settings_mirror_opera_transient_bit_for_bit() {
             assert_eq!(a.to_bits(), b.to_bits(), "h {h}, end {end}: {a} vs {b}");
         }
         assert_eq!(opera_times.last().copied(), Some(end));
+    }
+}
+
+#[test]
+fn collocation_nodes_on_the_lu_fallback_step_alone_bit_identically() {
+    // With the widest admissible spread, a quadrature node of ξ_G below
+    // −1/σ_G makes `G = (1 + σ_G·ξ_G)·G_a` negative definite: that node's
+    // Cholesky attempts fail and it steps alone on LU factors, as a Monte
+    // Carlo sample in the Gaussian tail does.
+    let _guard = opera_trace::test_guard();
+    let grid = GridSpec::small_test(60).with_seed(7).build().unwrap();
+    let mut variation = VariationSpec::paper_defaults();
+    variation.width_3sigma = 0.59;
+    variation.thickness_3sigma = 0.59;
+    let model = StochasticGridModel::inter_die(&grid, &variation).unwrap();
+    let limit = -1.0 / variation.sigma_conductance();
+    let basis = OrthogonalBasis::total_order_mixed(model.families(), model.n_vars(), 2).unwrap();
+    // The first Smolyak level with a node in that tail.
+    let nodes = (1..=8)
+        .map(|level| build_grid(GridKind::Smolyak, &model.families(), level).unwrap())
+        .find(|nodes| nodes.nodes().iter().any(|xi| xi[0] < limit - 0.05))
+        .unwrap();
+    let extreme = nodes
+        .nodes()
+        .iter()
+        .position(|xi| xi[0] < limit - 0.05)
+        .unwrap();
+    let xi = &nodes.nodes()[extreme];
+    let g = model.sample_conductance(xi).unwrap();
+    let c = model.sample_capacitance(xi).unwrap();
+
+    for scheme in [IntegrationMethod::BackwardEuler, IntegrationMethod::TrBdf2] {
+        let mut spec = TransientSpec::new(0.25e-9, 0.75e-9);
+        spec.scheme = scheme;
+        let s = opera_sparse::stepping::companion_scale(scheme, spec.time_step);
+        assert!(CholeskyFactor::factor(&g.add_scaled(&c, s).unwrap()).is_err());
+
+        opera_trace::reset();
+        opera_trace::enable();
+        let run = solve_collocation(&model, &basis, &nodes, &spec);
+        let snapshot = opera_trace::drain();
+        opera_trace::disable();
+        let run = run.unwrap();
+        assert_eq!(run.stats.numeric_factorizations, 2 * nodes.len());
+        assert!(snapshot.counter("sparse.cholesky_fallbacks") > 0);
+
+        // The node's trajectory, as the sampler hands it to the fold.
+        let mut trajectory = vec![Vec::new(); run.times.len()];
+        let trace = SweepTrace {
+            group: None,
+            points: "collocation.nodes",
+            point: None,
+            stepping: "collocation.group",
+        };
+        sample_points(&model, nodes.nodes(), &spec, trace, |k, q, state| {
+            if q == extreme {
+                trajectory[k] = state.to_vec();
+            }
+        })
+        .unwrap();
+        let options = TransientOptions {
+            time_step: spec.time_step,
+            end_time: spec.end_time,
+            method: scheme,
+        };
+        let excitation = |t| model.sample_excitation(t, xi).unwrap();
+        let reference = solve_transient(&g, &c, excitation, &options).unwrap();
+        for (k, state) in trajectory.iter().enumerate() {
+            assert_eq!(
+                state.as_slice(),
+                reference.state_at(k),
+                "{scheme:?}: node {extreme} moved at time row {k}"
+            );
+        }
     }
 }

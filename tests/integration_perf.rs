@@ -6,6 +6,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
+use opera::adaptive::AdaptiveOptions;
 use opera::engine::{OperaEngine, Scenario};
 use opera::monte_carlo::{run as run_monte_carlo, run_leakage, MonteCarloOptions};
 use opera::solver::{BlockJacobiCg, DirectCholesky, SolverBackend};
@@ -378,6 +379,49 @@ fn refactorisations_and_lockstep_groups_copy_no_matrix() {
             copies(8),
             copies(4),
             "{method:?}: a lock-step group copied a matrix"
+        );
+    }
+}
+
+/// Allocations of `dim` values (one stacked excitation) that an adaptive
+/// solve of `engine` at `rel_tol` makes on this thread beyond one per
+/// refactorisation (the direct backend stores each step size's `s·C̃`,
+/// which holds as many values here), and the steps it attempted.
+fn adaptive_excitation_allocations(engine: &OperaEngine, rel_tol: f64) -> (u64, u64) {
+    let bytes = engine.system().dim() * std::mem::size_of::<f64>();
+    WATCHED.with(|w| w.set((bytes, 0)));
+    let (_, stats) = engine
+        .solve_scenario_adaptive(
+            &Scenario::default(),
+            &AdaptiveOptions::with_rel_tol(rel_tol),
+        )
+        .unwrap();
+    let hits = WATCHED.with(|w| w.replace((0, 0)).1);
+    (
+        hits.saturating_sub(stats.refactorizations),
+        stats.steps_attempted,
+    )
+}
+
+/// The adaptive controller writes every excitation into buffers it reuses:
+/// a solve that attempts ten times more steps allocates no more vectors of
+/// the stacked dimension, on either backend.
+#[test]
+fn adaptive_attempts_allocate_no_excitation() {
+    for solver in builtin_backends() {
+        let engine = small_engine_with(solver, IntegrationMethod::TrBdf2);
+        let dim = engine.system().dim();
+        assert!(
+            !dim.is_power_of_two(),
+            "a grown Vec could match the watched size"
+        );
+        let (loose, loose_attempts) = adaptive_excitation_allocations(&engine, 1e-2);
+        let (tight, tight_attempts) = adaptive_excitation_allocations(&engine, 1e-6);
+        assert!(tight_attempts > loose_attempts);
+        assert_eq!(
+            tight, loose,
+            "{tight_attempts} vs {loose_attempts} attempts allocated {tight} vs {loose} \
+             stacked vectors"
         );
     }
 }

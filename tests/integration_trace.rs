@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use opera::engine::{McConfig, OperaEngine, Scenario};
+use opera::engine::{CollocationConfig, McConfig, OperaEngine, Scenario};
 use opera::monte_carlo::{run as run_monte_carlo, run_leakage, MonteCarloOptions};
 use opera::solver::DirectCholesky;
 use opera::special_case::{solve_leakage, SpecialCaseOptions};
@@ -310,4 +310,36 @@ fn pattern_rows_gauge_counts_the_supernode_row_lists() {
         "{list_rows} rows for {} entries",
         symbolic.nnz_l()
     );
+}
+
+/// Monte Carlo and collocation run on one lock-step sampler but keep their
+/// own trace vocabulary: a Monte Carlo run records no `collocation.*` name
+/// and a collocation sweep no `mc.*` name.
+#[test]
+fn monte_carlo_and_collocation_keep_their_own_trace_names() {
+    let _guard = opera_trace::test_guard();
+    let engine = demo_engine(100);
+    let names = |snapshot: &opera_trace::TraceSnapshot| -> Vec<String> {
+        let spans = snapshot.spans.iter().map(|s| s.name.to_string());
+        spans
+            .chain(snapshot.counters.keys().map(|k| k.to_string()))
+            .collect()
+    };
+    opera_trace::reset();
+    opera_trace::enable();
+    engine.monte_carlo(&McConfig::new(6, 3)).unwrap();
+    let monte_carlo = names(&opera_trace::drain());
+    let report = engine.collocation(&CollocationConfig::smolyak(2)).unwrap();
+    let collocation = opera_trace::drain();
+    opera_trace::disable();
+
+    assert!(monte_carlo.iter().any(|n| n == "mc.sample_group"));
+    assert!(!monte_carlo.iter().any(|n| n.starts_with("collocation.")));
+    assert_eq!(collocation.span_count("collocation.node"), report.nodes);
+    assert_eq!(
+        collocation.counter("collocation.nodes"),
+        report.nodes as u64
+    );
+    assert!(collocation.span_count("collocation.group") >= 1);
+    assert!(!names(&collocation).iter().any(|n| n.starts_with("mc.")));
 }
