@@ -15,18 +15,18 @@
 //! are bit-exact copies of the accepted state.
 //!
 //! The controller steps through a [`PreparedSolver`], so one controller
-//! serves every backend: each attempted step size comes from
-//! [`PreparedSolver::with_time_step`], the stages from
+//! serves every backend: the stages come from
 //! [`PreparedSolver::step_tr_bdf2_panel_into`] and the error estimate from
-//! [`PreparedSolver::tr_bdf2_error_panel_into`]. Step-size changes are cheap
-//! by construction: a re-step goes through the solver's
-//! [`CompanionFamily`], which reuses one shared symbolic Cholesky analysis
-//! (numeric-only refactorisation) and serves recently used step sizes from
-//! an LRU cache — of the augmented companion on the direct backend, of the
-//! nominal one on the CG backend. A dead-band in the controller keeps the
-//! step unchanged when the predicted growth is modest, so long smooth
-//! stretches run entirely on cache hits. See `docs/TRANSIENT.md` for the
-//! full contract.
+//! [`PreparedSolver::tr_bdf2_error_panel_into`]. The controller holds one
+//! stepper for the current step size and re-steps it through
+//! [`PreparedSolver::with_time_step`] only when the step size changes. A
+//! re-step goes through the solver's [`CompanionFamily`], which reuses one
+//! shared symbolic Cholesky analysis and runs one numeric refactorisation —
+//! of the augmented companion on the direct backend, of the nominal one on
+//! the CG backend. A dead-band in the controller keeps the step unchanged
+//! when the predicted growth is modest, so long smooth stretches step on one
+//! factor. Nothing outlives the solve: the stepper is dropped when it ends.
+//! See `docs/TRANSIENT.md` for the full contract.
 
 use opera_sparse::{CsrMatrix, Panel, SolveWorkspace};
 
@@ -38,7 +38,7 @@ use crate::{OperaError, Result};
 
 /// Controller dead-band: predicted step factors inside `[DEADBAND_LOW,
 /// DEADBAND_HIGH]` keep the current step, so consecutive smooth steps reuse
-/// the cached factorisation instead of refactoring for a marginal gain.
+/// the current factorisation instead of refactoring for a marginal gain.
 const DEADBAND_LOW: f64 = 0.9;
 const DEADBAND_HIGH: f64 = 1.3;
 
@@ -170,7 +170,8 @@ pub struct AdaptiveStats {
     /// Steps rejected by the error test (never emitted).
     pub steps_rejected: u64,
     /// Numeric refactorisations the run triggered in the solver's
-    /// [`CompanionFamily`] (cache hits excluded).
+    /// [`CompanionFamily`]: one per change of the step size (the run of
+    /// [`solve_transient_adaptive`] also counts its initial step's).
     pub refactorizations: u64,
     /// Symbolic analyses the family has ever run (1 for Cholesky families,
     /// on every backend: step-size changes are numeric-only).
@@ -264,17 +265,19 @@ fn validate_output_times(output_times: &[f64]) -> Result<()> {
 /// `t`, starting with `v0` at `t0`. Nothing is kept here, so a caller that
 /// folds the rows as they arrive holds no second copy of the output.
 ///
-/// Every attempted step size is prepared by `prepared.with_time_step` (one
-/// symbolic analysis in the solver's companion family, LRU'd numeric
-/// factors); rejected steps are never emitted; the final step is capped so
-/// the last accepted time is **exactly** `t_end`. Counters
+/// The loop starts on `prepared` itself and re-steps with
+/// `prepared.with_time_step` whenever an attempt's step size differs from
+/// the current stepper's (one symbolic analysis in the solver's companion
+/// family, one numeric refactorisation per change); the stepper is dropped
+/// when the loop ends. Rejected steps are never emitted; the final step is
+/// capped so the last accepted time is **exactly** `t_end`. Counters
 /// `transient.adaptive.steps_attempted` / `transient.adaptive.steps_rejected`
 /// flow into [`opera_trace`] alongside the family's refactorisation counter.
 ///
 /// # Errors
 ///
 /// Returns [`OperaError::InvalidOptions`] when the output grid is not
-/// strictly increasing, when the solver cannot re-step, or when the controller cannot meet the tolerance
+/// strictly increasing, or when the controller cannot meet the tolerance
 /// within `max_rejects` consecutive rejections at the minimum step;
 /// propagates solver errors.
 #[allow(clippy::too_many_arguments)] // the controller's inputs plus two sinks
@@ -289,9 +292,7 @@ pub(crate) fn integrate_adaptive(
 ) -> Result<AdaptiveStats> {
     options.validate()?;
     validate_output_times(output_times)?;
-    let family = prepared.companion_family().ok_or_else(|| {
-        invalid("adaptive stepping needs a solver backend that can re-step".to_string())
-    })?;
+    let family = prepared.companion_family();
     let t0 = output_times[0];
     let t_end = output_times[output_times.len() - 1];
     let (min_step, max_step, mut h) = step_bounds(output_times, options);
@@ -319,6 +320,10 @@ pub(crate) fn integrate_adaptive(
 
     let mut rejected_last = false;
     let mut consecutive_rejects = 0u32;
+    // The stepper for the current step size: `prepared` itself until the
+    // first change, then the latest re-step.
+    let mut restepped: Option<Box<dyn PreparedSolver>> = None;
+    let mut stepper_h = prepared.time_step();
 
     let adaptive_span = opera_trace::span("transient.adaptive");
     while t < t_end {
@@ -326,9 +331,11 @@ pub(crate) fn integrate_adaptive(
         let last_step = h >= t_end - t;
         let h_eff = if last_step { t_end - t } else { h };
         let t_new = if last_step { t_end } else { t + h };
-        let stepper = prepared
-            .with_time_step(h_eff)?
-            .ok_or_else(|| invalid("the solver backend cannot re-step".to_string()))?;
+        if h_eff.to_bits() != stepper_h.to_bits() {
+            restepped = Some(prepared.with_time_step(h_eff)?);
+            stepper_h = h_eff;
+        }
+        let stepper = restepped.as_deref().unwrap_or(prepared);
 
         stats.steps_attempted += 1;
         opera_trace::count("transient.adaptive.steps_attempted", 1);
@@ -368,7 +375,7 @@ pub(crate) fn integrate_adaptive(
             accepted(t, v.data());
             // Grow/shrink for the next step; never grow right after a
             // rejection, and hold the step inside the dead-band so smooth
-            // stretches keep hitting the factor cache.
+            // stretches keep stepping on the current factor.
             let mut factor = step_factor(err_norm, options);
             if rejected_last {
                 factor = factor.min(1.0);
@@ -474,7 +481,7 @@ pub fn solve_transient_adaptive_at(
     // The direct solver starts at the controller's first step, so that
     // step's factorisation is the run's first refactorisation.
     let (_, _, initial_step) = step_bounds(output_times, adaptive);
-    let prepared = DirectPrepared::with_family(
+    let prepared = DirectPrepared::new(
         CompanionFamily::new(g, c)?,
         initial_step,
         IntegrationMethod::TrBdf2,
@@ -499,9 +506,7 @@ pub fn solve_transient_adaptive_at(
     )?;
     // The family lives for this run only: every refactorisation is the
     // run's, including the one at the initial step.
-    if let Some(family) = prepared.companion_family() {
-        stats.refactorizations = family.refactorization_count();
-    }
+    stats.refactorizations = prepared.companion_family().refactorization_count();
     Ok(AdaptiveTransientSolution {
         solution: TransientSolution::new(output_times.to_vec(), states),
         accepted_times,

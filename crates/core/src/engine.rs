@@ -55,9 +55,7 @@ use crate::monte_carlo::{run as run_monte_carlo, MonteCarloOptions, MonteCarloRe
 use crate::parallel::Parallelism;
 use crate::response::{drop_summary, probe_distributions, ExperimentReport};
 use crate::solver::{default_backend, PreparedSolver, SolverBackend};
-use crate::stochastic::{
-    run_prepared_adaptive, run_prepared_panel, run_prepared_single, StochasticSolution,
-};
+use crate::stochastic::{run_prepared_adaptive, run_prepared_panel, StochasticSolution};
 use crate::transient::{
     integrate_fixed_step, rescale_around_anchor, solve_transient, IntegrationMethod,
     TransientOptions,
@@ -356,7 +354,6 @@ impl EngineBuilder {
     /// backend, of the augmented one on
     /// [`DirectCholesky`](crate::solver::DirectCholesky) (select it with
     /// [`EngineBuilder::solver`]).
-    /// [`EngineBuilder::build`] rejects custom backends that cannot re-step.
     /// `docs/TRANSIENT.md` compares the two backends' adaptive runs and
     /// `docs/PERFORMANCE.md` their measured cost.
     pub fn adaptive(mut self, adaptive: AdaptiveOptions) -> Self {
@@ -455,15 +452,6 @@ impl EngineBuilder {
             OrthogonalBasis::total_order_mixed(model.families(), model.n_vars(), self.order)?;
         let system = GalerkinSystem::assemble(&model, &basis)?;
         let prepared = self.solver.prepare(&model, &system, &transient)?;
-        if self.adaptive.is_some() && prepared.companion_family().is_none() {
-            return Err(OperaError::InvalidOptions {
-                reason: format!(
-                    "adaptive stepping needs a backend that can re-step, \
-                     but '{}' exposes no companion family",
-                    self.solver.name()
-                ),
-            });
-        }
         let setup_seconds = started.elapsed().as_secs_f64();
         drop(trace_span);
 
@@ -811,14 +799,19 @@ impl OperaEngine {
                 let prepared = fresh.as_deref().unwrap_or(self.prepared.as_ref());
                 let scale = scenario.current_scale;
                 let anchor = (scale != 1.0).then(|| self.system.excitation(&self.model, 0.0));
-                run_prepared_single(
+                run_prepared_panel(
                     prepared,
                     &self.system,
-                    |t| self.system.excitation(&self.model, t),
+                    |t, u| self.system.excitation_into(&self.model, t, u),
                     anchor.as_deref(),
-                    scale,
-                    &transient,
-                )
+                    &[scale],
+                    transient.time_points(),
+                    transient.method,
+                )?
+                .pop()
+                .ok_or_else(|| OperaError::InvalidOptions {
+                    reason: "a one-column transient produced no solution".to_string(),
+                })
             }
         }
     }
@@ -831,10 +824,8 @@ impl OperaEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`OperaError::InvalidOptions`] when the engine's backend
-    /// cannot re-step (exposes no companion family), for invalid overrides,
-    /// and when the controller cannot meet its tolerance; propagates solver
-    /// errors.
+    /// Returns [`OperaError::InvalidOptions`] for invalid overrides and when
+    /// the controller cannot meet its tolerance; propagates solver errors.
     pub fn solve_scenario_adaptive(
         &self,
         scenario: &Scenario,
@@ -1012,7 +1003,7 @@ impl OperaEngine {
                 let panel_solutions = run_prepared_panel(
                     self.prepared.as_ref(),
                     &self.system,
-                    |t| self.system.excitation(&self.model, t),
+                    |t, u| self.system.excitation_into(&self.model, t, u),
                     anchor.as_deref(),
                     &scales,
                     self.transient.time_points(),
@@ -1061,32 +1052,23 @@ impl OperaEngine {
         Ok(transient)
     }
 
-    /// Returns a freshly prepared solver when `transient` is incompatible
-    /// with the engine's prepared factors (different time step), `None` when
-    /// the shared preparation can be reused. Backends with a
-    /// [`CompanionFamily`](crate::transient::CompanionFamily) re-step via a
-    /// numeric-only refactorisation against the shared symbolic analysis
-    /// ([`PreparedSolver::with_time_step`]); others run a full prepare.
-    /// Either way the refresh counts towards
-    /// [`factorization_count`](Self::factorization_count).
+    /// Returns the engine's solver re-stepped to `transient`'s time step
+    /// when it differs from the engine's, `None` when the shared preparation
+    /// can be reused. A re-step is one numeric refactorisation against the
+    /// shared symbolic analysis ([`PreparedSolver::with_time_step`]) and
+    /// counts towards [`factorization_count`](Self::factorization_count).
+    /// The scheme is always the engine's ([`Self::scenario_transient`]
+    /// copies it).
     fn prepare_if_needed(
         &self,
         transient: &TransientOptions,
     ) -> Result<Option<Box<dyn PreparedSolver>>> {
-        if transient.time_step == self.transient.time_step
-            && transient.method == self.transient.method
-        {
+        if transient.time_step == self.transient.time_step {
             return Ok(None);
         }
-        if transient.method == self.transient.method {
-            if let Some(restepped) = self.prepared.with_time_step(transient.time_step)? {
-                self.factorizations.incr();
-                return Ok(Some(restepped));
-            }
-        }
-        let prepared = self.solver.prepare(&self.model, &self.system, transient)?;
+        let restepped = self.prepared.with_time_step(transient.time_step)?;
         self.factorizations.incr();
-        Ok(Some(prepared))
+        Ok(Some(restepped))
     }
 
     fn run_scenario_in_pool(&self, scenario: &Scenario) -> Result<ScenarioReport> {

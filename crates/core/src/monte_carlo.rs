@@ -33,7 +33,9 @@ use opera_variation::{LeakageModel, StochasticGridModel};
 use crate::parallel::sample_seed;
 use crate::solver::DirectPrepared;
 use crate::special_case::check_leakage_nodes;
-use crate::transient::{integrate_fixed_step, rescale_around_anchor, TransientOptions};
+use crate::transient::{
+    integrate_fixed_step, rescale_around_anchor, CompanionFamily, TransientOptions,
+};
 use crate::{OperaError, Result};
 
 /// Options for a Monte Carlo run.
@@ -279,9 +281,8 @@ pub fn run_leakage(
     let families = leakage.families();
 
     let method = options.transient.method;
-    let prepared = DirectPrepared::nominal(
-        &grid.conductance_matrix(),
-        &grid.capacitance_matrix(),
+    let prepared = DirectPrepared::new(
+        CompanionFamily::new(&grid.conductance_matrix(), &grid.capacitance_matrix())?,
         options.transient.time_step,
         method,
     )?;

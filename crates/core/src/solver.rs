@@ -29,8 +29,10 @@
 //!   the matrix is not numerically SPD). The bit-pinned reference: select it
 //!   by value, `.solver(Arc::new(DirectCholesky))`.
 //!
-//! Every backend re-steps cheaply ([`PreparedSolver::with_time_step`]), so
-//! the adaptive controller of [`crate::adaptive`] runs on each of them.
+//! Every prepared solver re-steps through its companion family
+//! ([`PreparedSolver::with_time_step`]: one numeric refactorisation, no new
+//! analysis), so the adaptive controller of [`crate::adaptive`] runs on each
+//! of them.
 
 use std::fmt;
 use std::sync::Arc;
@@ -42,8 +44,8 @@ use opera_variation::StochasticGridModel;
 
 use crate::galerkin::GalerkinSystem;
 use crate::transient::{
-    assert_same_columns, companion_scale, CompanionFamily, CompanionPattern, CompanionSystem,
-    IntegrationMethod, StepRhs, TransientOptions,
+    assert_same_columns, companion_scale, CompanionFamily, CompanionSystem, IntegrationMethod,
+    StepRhs, TransientOptions,
 };
 use crate::{OperaError, Result};
 
@@ -160,25 +162,28 @@ pub trait PreparedSolver: Send + Sync {
         ws: &mut SolveWorkspace,
     ) -> Result<()>;
 
+    /// The time step this solver steps at.
+    fn time_step(&self) -> f64;
+
     /// The companion family that serves this solver's step-size changes:
-    /// one symbolic analysis, a numeric refactorisation per new step size.
-    /// For [`DirectCholesky`] it factors the augmented companion, for
+    /// one symbolic analysis, a numeric refactorisation per re-step. For
+    /// [`DirectCholesky`] it factors the augmented companion, for
     /// [`BlockJacobiCg`] the nominal companion its preconditioner is built
-    /// on. Its counters are what the adaptive controller reports. `None` for
-    /// backends that cannot re-step.
-    fn companion_family(&self) -> Option<&CompanionFamily>;
+    /// on. Its counters are what the adaptive controller reports.
+    fn companion_family(&self) -> &CompanionFamily;
 
     /// Re-prepares this solver for a different fixed time step, reusing
     /// every step-size-independent artifact (the DC factor and the shared
-    /// symbolic analysis) and re-running only one numeric factorisation
-    /// through [`companion_family`](Self::companion_family). Returns
-    /// `Ok(None)` when the backend cannot re-step cheaply and the caller
-    /// should run a full prepare.
+    /// symbolic analysis) and re-running one numeric factorisation through
+    /// [`companion_family`](Self::companion_family). Nothing is cached:
+    /// every call refactors, and the factor lives as long as the solver it
+    /// returns.
     ///
     /// # Errors
     ///
-    /// Propagates factorisation errors.
-    fn with_time_step(&self, time_step: f64) -> Result<Option<Box<dyn PreparedSolver>>>;
+    /// Returns [`OperaError::InvalidOptions`] for a non-positive step and
+    /// propagates factorisation errors.
+    fn with_time_step(&self, time_step: f64) -> Result<Box<dyn PreparedSolver>>;
 }
 
 /// Rejects a step call (TR-BDF2 or single-stage) that does not match the
@@ -205,64 +210,41 @@ pub(crate) fn check_scheme(prepared: IntegrationMethod, tr_bdf2_call: bool) -> R
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DirectCholesky;
 
-/// A direct prepared solver: a DC factor of `G` and a factored companion
-/// system, plus — for [`DirectCholesky`] and the adaptive solve — the
-/// companion family (one symbolic analysis for every step size) the
-/// companion came from. Without a family it is the plain
-/// `(MatrixFactor, CompanionSystem)` pair of the deterministic, Monte Carlo
-/// and special-case transients.
+/// A direct prepared solver: a DC factor of `G`, a factored companion
+/// system at one step size, and the companion family (one symbolic analysis
+/// for every step size) both came from. It prepares the augmented system of
+/// [`DirectCholesky`] and the deterministic transients (fixed-step,
+/// adaptive, Monte Carlo and special case) alike.
 ///
-/// The DC factor comes from [`dc_factor`] in both forms: it shares the
-/// analysis of `G + C` when the two patterns match (grounded capacitors
-/// touch only the diagonal, so nominal `G` does) and analyses `G` alone
-/// otherwise (the augmented `G̃` never has `G̃ + C̃`'s pattern). Either way
-/// it is bit-identical to [`MatrixFactor::cholesky_or_lu`] of `G`.
+/// The DC factor is [`CompanionFamily::dc_factor`]: it shares the analysis
+/// of `G + C` when the two patterns match (grounded capacitors touch only
+/// the diagonal, so nominal `G` does) and analyses `G` alone otherwise (the
+/// augmented `G̃` never has `G̃ + C̃`'s pattern). Either way it is
+/// bit-identical to [`MatrixFactor::cholesky_or_lu`] of `G`.
 pub(crate) struct DirectPrepared {
     pub(crate) dc: Arc<MatrixFactor>,
-    family: Option<Arc<CompanionFamily>>,
+    family: Arc<CompanionFamily>,
     pub(crate) companion: Arc<CompanionSystem>,
 }
 
 impl DirectPrepared {
-    /// The preparation of a deterministic transient of `G·v + C·dv/dt = u`
-    /// at one step size: one analysis of `G + C` serves the companion
-    /// factor and, on an equal pattern, the DC factor.
+    /// The preparation of `family`'s system at `time_step` and `method`:
+    /// one numeric factorisation of the companion against the family's
+    /// analysis and the DC factor of [`CompanionFamily::dc_factor`].
     ///
     /// # Errors
     ///
-    /// Propagates pattern-union, analysis and factorisation errors.
-    pub(crate) fn nominal(
-        g: &CsrMatrix,
-        c: &CsrMatrix,
-        time_step: f64,
-        method: IntegrationMethod,
-    ) -> Result<Self> {
-        let pattern = CompanionPattern::new(Arc::new(g.clone()), Arc::new(c.clone()))?;
-        Ok(DirectPrepared {
-            dc: Arc::new(pattern.dc_factor()?),
-            family: None,
-            companion: Arc::new(pattern.system(time_step, method)?),
-        })
-    }
-
-    /// A preparation whose DC factor and companion for `time_step` and
-    /// `method` come from `family`, which stays available for re-stepping.
-    ///
-    /// # Errors
-    ///
-    /// Propagates factorisation errors.
-    pub(crate) fn with_family(
+    /// Returns [`OperaError::InvalidOptions`] for a non-positive step and
+    /// propagates factorisation errors.
+    pub(crate) fn new(
         family: CompanionFamily,
         time_step: f64,
         method: IntegrationMethod,
     ) -> Result<Self> {
-        let dc = family.dc_factor()?;
-        let family = Arc::new(family);
-        let companion = family.system_for(time_step, method)?;
         Ok(DirectPrepared {
-            dc: Arc::new(dc),
-            family: Some(family),
-            companion,
+            dc: Arc::new(family.dc_factor()?),
+            companion: family.system_for(time_step, method)?,
+            family: Arc::new(family),
         })
     }
 }
@@ -328,20 +310,20 @@ impl PreparedSolver for DirectPrepared {
         Ok(())
     }
 
-    fn companion_family(&self) -> Option<&CompanionFamily> {
-        self.family.as_deref()
+    fn time_step(&self) -> f64 {
+        self.companion.time_step()
     }
 
-    fn with_time_step(&self, time_step: f64) -> Result<Option<Box<dyn PreparedSolver>>> {
-        let Some(family) = &self.family else {
-            return Ok(None);
-        };
-        let companion = family.system_for(time_step, self.companion.method())?;
-        Ok(Some(Box::new(DirectPrepared {
+    fn companion_family(&self) -> &CompanionFamily {
+        &self.family
+    }
+
+    fn with_time_step(&self, time_step: f64) -> Result<Box<dyn PreparedSolver>> {
+        Ok(Box::new(DirectPrepared {
             dc: Arc::clone(&self.dc),
-            family: Some(Arc::clone(family)),
-            companion,
-        })))
+            family: Arc::clone(&self.family),
+            companion: self.family.system_for(time_step, self.companion.method())?,
+        }))
     }
 }
 
@@ -358,9 +340,8 @@ impl SolverBackend for DirectCholesky {
     ) -> Result<Box<dyn PreparedSolver>> {
         let _span = opera_trace::span("solver.prepare");
         let (g, c) = system.shared_matrices();
-        let family = CompanionFamily::shared(g, c)?;
-        Ok(Box::new(DirectPrepared::with_family(
-            family,
+        Ok(Box::new(DirectPrepared::new(
+            CompanionFamily::shared(g, c)?,
             transient.time_step,
             transient.method,
         )?))
@@ -764,19 +745,23 @@ impl PreparedSolver for CgPrepared {
 
     // lint: end-hot
 
-    fn companion_family(&self) -> Option<&CompanionFamily> {
-        Some(&self.family)
+    fn time_step(&self) -> f64 {
+        self.companion.time_step()
     }
 
-    fn with_time_step(&self, time_step: f64) -> Result<Option<Box<dyn PreparedSolver>>> {
+    fn companion_family(&self) -> &CompanionFamily {
+        &self.family
+    }
+
+    fn with_time_step(&self, time_step: f64) -> Result<Box<dyn PreparedSolver>> {
         let companion = self.family.system_for(time_step, self.method)?;
         let c_scale = companion_scale(self.method, time_step);
-        Ok(Some(Box::new(CgPrepared {
+        Ok(Box::new(CgPrepared {
             c_scale,
             companion,
             mix: self.kronecker.mix(c_scale)?,
             ..self.clone()
-        })))
+        }))
     }
 }
 
@@ -907,17 +892,11 @@ mod tests {
     fn with_time_step_reuses_the_symbolic_analysis() {
         let (model, system, transient) = prepared_setup();
         let prepared = DirectCholesky.prepare(&model, &system, &transient).unwrap();
-        let family_analyses = prepared
-            .companion_family()
-            .expect("the direct backend exposes its family")
-            .symbolic_analysis_count();
-        assert_eq!(family_analyses, 1);
-        let refactors_before = prepared.companion_family().unwrap().refactorization_count();
-        let restepped = prepared
-            .with_time_step(transient.time_step / 2.0)
-            .unwrap()
-            .expect("the direct backend re-steps cheaply");
-        let family = restepped.companion_family().unwrap();
+        assert_eq!(prepared.companion_family().symbolic_analysis_count(), 1);
+        let refactors_before = prepared.companion_family().refactorization_count();
+        let restepped = prepared.with_time_step(transient.time_step / 2.0).unwrap();
+        assert_eq!(restepped.time_step(), transient.time_step / 2.0);
+        let family = restepped.companion_family();
         // One numeric refactorisation, zero new symbolic analyses.
         assert_eq!(family.symbolic_analysis_count(), 1);
         assert_eq!(family.refactorization_count(), refactors_before + 1);
@@ -974,7 +953,7 @@ mod tests {
         let v0 = dense_solve(0.0, &u0);
         for method in [IntegrationMethod::BackwardEuler, IntegrationMethod::TrBdf2] {
             let family = CompanionFamily::new(&g, &c).unwrap();
-            let prepared = DirectPrepared::with_family(family, h, method).unwrap();
+            let prepared = DirectPrepared::new(family, h, method).unwrap();
             assert!(matches!(*prepared.dc, MatrixFactor::Lu(_)));
             assert!(matches!(prepared.companion.factor(), MatrixFactor::Lu(_)));
 
@@ -1014,27 +993,31 @@ mod tests {
         let cg = BlockJacobiCg::default()
             .prepare(&model, &system, &transient)
             .unwrap();
-        let family = cg.companion_family().expect("CG re-steps too");
+        let family = cg.companion_family();
         // The family factors the nominal companion, not the augmented one.
         assert_eq!(family.dim(), system.node_count());
         assert_eq!(family.symbolic_analysis_count(), 1);
         assert_eq!(family.refactorization_count(), 1);
         let mut halved = transient;
         halved.time_step /= 2.0;
-        let restepped = cg
-            .with_time_step(halved.time_step)
-            .unwrap()
-            .expect("CG re-steps cheaply");
-        // One nominal numeric refactorisation, no new analysis; the original
-        // step size is still cached.
-        let family = restepped.companion_family().unwrap();
+        let restepped = cg.with_time_step(halved.time_step).unwrap();
+        // One nominal numeric refactorisation, no new analysis.
+        let family = restepped.companion_family();
         assert_eq!(family.symbolic_analysis_count(), 1);
         assert_eq!(family.refactorization_count(), 2);
-        cg.with_time_step(transient.time_step).unwrap().unwrap();
-        assert_eq!(family.refactorization_count(), 2);
+        // A re-step back to the original step size refactors too (nothing is
+        // cached) and steps bit-identically to the original preparation.
+        let back = cg.with_time_step(transient.time_step).unwrap();
+        assert_eq!(family.refactorization_count(), 3);
+        let u0 = system.excitation(&model, 0.0);
+        let u_step = system.excitation(&model, transient.time_step);
+        let via_original = dc_and_step(cg.as_ref(), &u0, None, &u_step).unwrap();
+        let via_back = dc_and_step(back.as_ref(), &u0, None, &u_step).unwrap();
+        for (x, y) in via_original.1.data().iter().zip(via_back.1.data()) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
         // The re-stepped solver matches a fresh preparation at the new step
         // bit for bit, and the direct reference to the CG tolerance.
-        let u0 = system.excitation(&model, 0.0);
         let u1 = system.excitation(&model, halved.time_step);
         let via_restep = dc_and_step(restepped.as_ref(), &u0, None, &u1).unwrap();
         let fresh = BlockJacobiCg::default()

@@ -32,7 +32,9 @@ use rayon::prelude::*;
 
 use crate::solver::DirectPrepared;
 use crate::stochastic::StochasticSolution;
-use crate::transient::{integrate_fixed_step, IntegrationMethod, TransientOptions, TR_BDF2_GAMMA};
+use crate::transient::{
+    integrate_fixed_step, CompanionFamily, IntegrationMethod, TransientOptions, TR_BDF2_GAMMA,
+};
 use crate::{OperaError, Result};
 
 /// Options for the special-case (RHS-only variation) solver.
@@ -253,9 +255,8 @@ impl<'a> LeakageSystem<'a> {
         // One factorisation of G for the DC start and one of the companion
         // matrix for the time stepping — shared by all N + 1 systems (the
         // whole point of the special case).
-        let prepared = DirectPrepared::nominal(
-            &grid.conductance_matrix(),
-            &grid.capacitance_matrix(),
+        let prepared = DirectPrepared::new(
+            CompanionFamily::new(&grid.conductance_matrix(), &grid.capacitance_matrix())?,
             options.transient.time_step,
             options.transient.method,
         )?;

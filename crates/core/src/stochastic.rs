@@ -20,9 +20,7 @@ use opera_sparse::{Panel, SolveWorkspace};
 use crate::adaptive::{integrate_adaptive, AdaptiveOptions, AdaptiveStats};
 use crate::galerkin::GalerkinSystem;
 use crate::solver::PreparedSolver;
-use crate::transient::{
-    integrate_fixed_step, rescale_around_anchor, IntegrationMethod, TransientOptions,
-};
+use crate::transient::{integrate_fixed_step, rescale_around_anchor, IntegrationMethod};
 use crate::{OperaError, Result};
 
 /// The stochastic voltage response: polynomial-chaos coefficients of every
@@ -148,35 +146,11 @@ impl StochasticSolution {
     }
 }
 
-/// One augmented transient through [`run_prepared_panel`] as a one-column
-/// panel: the excitation rescaled around `anchor` by `scale`.
-pub(crate) fn run_prepared_single(
-    prepared: &dyn PreparedSolver,
-    system: &GalerkinSystem,
-    excitation: impl Fn(f64) -> Vec<f64>,
-    anchor: Option<&[f64]>,
-    scale: f64,
-    transient: &TransientOptions,
-) -> Result<StochasticSolution> {
-    let mut solutions = run_prepared_panel(
-        prepared,
-        system,
-        excitation,
-        anchor,
-        &[scale],
-        transient.time_points(),
-        transient.method,
-    )?;
-    solutions.pop().ok_or_else(|| OperaError::InvalidOptions {
-        reason: "a one-column transient produced no solution".to_string(),
-    })
-}
-
 /// Adaptive variant of [`run_prepared_panel`]: the augmented transient is
 /// advanced by the LTE-driven TR-BDF2 controller of [`crate::adaptive`]
-/// through the prepared solver, re-stepped per step size via its
+/// through the prepared solver, re-stepped at each step-size change via its
 /// [`CompanionFamily`](crate::transient::CompanionFamily) (one symbolic
-/// analysis; numeric-only refactorisation per step size), and
+/// analysis; one numeric refactorisation per change), and
 /// the polynomial-chaos coefficients are reported on `times` via dense
 /// interpolation — bit-exact copies wherever an output time coincides with an
 /// accepted step.
@@ -217,15 +191,17 @@ pub(crate) fn run_prepared_adaptive(
 /// `scales[j]`. At every time step the scenario states form the columns of
 /// one [`Panel`] and advance through a single blocked multi-RHS solve, so the
 /// factor is streamed once per step instead of once per scenario per step.
-/// A single scenario is the one-column case ([`run_prepared_single`]).
+/// A single scenario is the one-column case.
 ///
-/// Column `j` of the panel is bit-identical to running scenario `j` alone:
-/// a scale of exactly `1.0` copies the shared excitation verbatim (no
-/// rescaling arithmetic).
+/// `excitation(t, u)` writes the shared excitation at `t` into `u`, column
+/// 0 of the excitation panel, which is then copied to the other columns;
+/// no stacked excitation is allocated per step. Column `j` of the panel is
+/// bit-identical to running scenario `j` alone: a scale of exactly `1.0`
+/// keeps the shared excitation verbatim (no rescaling arithmetic).
 pub(crate) fn run_prepared_panel(
     prepared: &dyn PreparedSolver,
     system: &GalerkinSystem,
-    excitation: impl Fn(f64) -> Vec<f64>,
+    mut excitation: impl FnMut(f64, &mut [f64]),
     anchor: Option<&[f64]>,
     scales: &[f64],
     times: Vec<f64>,
@@ -254,14 +230,17 @@ pub(crate) fn run_prepared_panel(
         &times,
         (dim, k),
         &mut SolveWorkspace::with_capacity(dim * k),
-        // The shared excitation, rescaled per scenario.
+        // The shared excitation in column 0, copied to the others, then
+        // rescaled per scenario.
         |t, panel| {
-            let u = excitation(t);
+            let (shared, rest) = panel.data_mut().split_at_mut(dim);
+            excitation(t, shared);
+            for col in rest.chunks_exact_mut(dim) {
+                col.copy_from_slice(shared);
+            }
             for (j, &scale) in scales.iter().enumerate() {
-                let col = panel.col_mut(j);
-                col.copy_from_slice(&u);
                 if scale != 1.0 {
-                    rescale_around_anchor(col, anchor, scale);
+                    rescale_around_anchor(panel.col_mut(j), anchor, scale);
                 }
             }
             Ok(())

@@ -6,14 +6,15 @@
 //! composite. The companion matrix `G + s·C` (`s = 1/h`, `2/h` or `2/(γh)`
 //! depending on the scheme) is factored once with sparse Cholesky and reused
 //! for every time step. [`CompanionFamily`] extends the reuse across step
-//! sizes: one symbolic analysis serves numeric-only refactorisations for
-//! every `h` the adaptive controller visits, with an LRU cache of the
-//! recently-used factors. The schemes' formulas — `IntegrationMethod`, `γ`,
+//! sizes: one symbolic analysis serves a numeric-only refactorisation for
+//! every `h` the adaptive controller visits. The family caches no factor;
+//! a solver re-stepped to a new `h` holds its own, for as long as its
+//! caller keeps it. The schemes' formulas — `IntegrationMethod`, `γ`,
 //! the companion scale, the time grid and the stage right-hand sides — live
 //! in [`opera_sparse::stepping`], which the lock-step sampler of Monte
 //! Carlo and collocation builds through too. See `docs/TRANSIENT.md`.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use opera_sparse::{CsrMatrix, MatrixFactor, Panel, SolveWorkspace, SymbolicCholesky};
 use opera_trace::Counter;
@@ -168,7 +169,7 @@ impl TransientSolution {
 /// reused across right-hand sides (this is what makes the special case of the
 /// paper cheap: one factorisation, many solves).
 ///
-/// `G` and `C` are shared (`Arc`) with the family or preparation the system
+/// `G` and `C` are shared (`Arc`) with the [`CompanionFamily`] the system
 /// came from, so the systems of a family's step sizes hold one `G` between
 /// them; each stores only its factor and `s·C` as values on `C`'s pattern.
 pub struct CompanionSystem {
@@ -183,12 +184,14 @@ pub struct CompanionSystem {
 
 impl CompanionSystem {
     /// Builds and factors the companion matrix for the given `G`, `C` and
-    /// step size: one symbolic analysis of the `G + C` pattern, then
-    /// Cholesky with an LU fallback for a numerically indefinite matrix.
+    /// step size through a one-off [`CompanionFamily`]: one symbolic
+    /// analysis of the `G + C` pattern, then Cholesky with an LU fallback
+    /// for a numerically indefinite matrix.
     ///
     /// # Errors
     ///
-    /// Propagates pattern-union and symbolic-analysis errors (e.g. a
+    /// Returns [`OperaError::InvalidOptions`] for a non-positive step and
+    /// propagates pattern-union and symbolic-analysis errors (e.g. a
     /// non-symmetric `G + C`), and the LU error if the fallback fails too.
     pub fn new(
         g: &CsrMatrix,
@@ -196,7 +199,7 @@ impl CompanionSystem {
         time_step: f64,
         method: IntegrationMethod,
     ) -> Result<Self> {
-        CompanionPattern::new(Arc::new(g.clone()), Arc::new(c.clone()))?.system(time_step, method)
+        CompanionFamily::new(g, c)?.system(time_step, method)
     }
 
     /// Time step the companion matrix was built for.
@@ -401,114 +404,16 @@ pub(crate) fn assert_same_columns(inputs: &[&Panel], out: &Panel) {
 
 // lint: end-hot
 
-/// One `(G, C)` pair and the analysis of `G + C` that every companion
-/// matrix `G + s·C` shares (the analysis reads only the pattern, so `s = 1`
-/// stands in for every positive companion scale): what a
-/// [`CompanionFamily`], a nominal [`DirectPrepared`] and
-/// [`CompanionSystem::new`] build their systems from.
-pub(crate) struct CompanionPattern {
-    g: Arc<CsrMatrix>,
-    c: Arc<CsrMatrix>,
-    /// The pattern of `G + C` when it is not `G`'s own; capacitors to
-    /// ground touch only the diagonal, so normally it is, and the companion
-    /// values lie on `G`'s pattern.
-    union: Option<CsrMatrix>,
-    symbolic: SymbolicCholesky,
-}
-
-impl CompanionPattern {
-    /// Analyses the union pattern `G + C` once.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pattern-union and symbolic-analysis errors.
-    pub(crate) fn new(g: Arc<CsrMatrix>, c: Arc<CsrMatrix>) -> Result<Self> {
-        let union = g.add_scaled(&c, 1.0)?;
-        let symbolic = SymbolicCholesky::analyze(&union)?;
-        Ok(CompanionPattern {
-            union: (!union.same_pattern(&g)).then_some(union),
-            g,
-            c,
-            symbolic,
-        })
-    }
-
-    /// The one constructor of every companion system: `s·C` and the
-    /// companion `G + s·C` realised as values (in `scaled` and
-    /// `add_scaled`'s arithmetic), then Cholesky against the shared
-    /// analysis with the counted LU fallback of
-    /// [`MatrixFactor::from_cholesky_attempt`]. The system shares `G` and
-    /// `C`; no matrix is copied.
-    ///
-    /// # Errors
-    ///
-    /// Propagates factorisation errors.
-    pub(crate) fn system(
-        &self,
-        time_step: f64,
-        method: IntegrationMethod,
-    ) -> Result<CompanionSystem> {
-        let scale = companion_scale(method, time_step);
-        let c_over_h: Vec<f64> = self.c.data().iter().map(|&v| v * scale).collect();
-        let mut values = Vec::new();
-        self.g
-            .view()
-            .add_scaled_values(self.c.with_values(&c_over_h), 1.0, &mut values)?;
-        let companion = self.union.as_ref().unwrap_or(&self.g).with_values(&values);
-        let factor =
-            MatrixFactor::from_cholesky_attempt(self.symbolic.factor_values(companion), companion)?;
-        Ok(CompanionSystem {
-            factor,
-            g: Arc::clone(&self.g),
-            c: Arc::clone(&self.c),
-            c_over_h,
-            method,
-            h: time_step,
-        })
-    }
-
-    /// The DC factor of `G` through [`dc_factor`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates analysis and factorisation errors.
-    pub(crate) fn dc_factor(&self) -> Result<MatrixFactor> {
-        dc_factor(&self.g, &self.symbolic)
-    }
-}
-
-/// The DC factor of `g` — bit-identical to [`MatrixFactor::cholesky_or_lu`]
-/// — against the `companion` analysis of `G + C` when the two patterns
-/// match (capacitors to ground touch only the diagonal, so `G + C`
-/// normally has `G`'s own pattern); otherwise it *is*
-/// [`MatrixFactor::cholesky_or_lu`] of `g`.
-pub(crate) fn dc_factor(g: &CsrMatrix, companion: &SymbolicCholesky) -> Result<MatrixFactor> {
-    if !companion.matches_pattern(g) {
-        return Ok(MatrixFactor::cholesky_or_lu(g)?);
-    }
-    Ok(MatrixFactor::from_cholesky_attempt(
-        companion.factor_numeric(g),
-        g.view(),
-    )?)
-}
-
-/// Number of recently-used step sizes whose numeric companion factors stay
-/// cached (the adaptive controller's deadband revisits a handful of steps).
-const FAMILY_CACHE_CAPACITY: usize = 8;
-
 /// A family of companion systems over one `(G, C)` pair: the sparsity
 /// pattern of `G + s·C` is independent of `s`, so **one**
 /// [`SymbolicCholesky`] analysis (AMD ordering, etree, supernodes) serves
 /// every step size, and changing `h` only re-runs the numeric factorisation.
-/// Recently-used factors are kept in a small LRU cache keyed by
-/// `(h, method)`, so the adaptive controller's deadband — and TR-BDF2 step
-/// sequences that alternate a few step sizes — pay no factorisation at all
-/// on revisits.
-///
-/// The factors produced here are bit-identical to [`CompanionSystem::new`]
-/// on the same inputs: both go through one constructor against an analysis
-/// of the same union pattern, so ordering, fill and the numeric kernel all
-/// match the one-shot path.
+/// Every companion system is built here — [`CompanionFamily::system_for`],
+/// [`CompanionSystem::new`] and every direct preparation — so ordering, fill
+/// and the numeric kernel are the same on every path, and the Cholesky→LU
+/// policy is written once. The family keeps no factor: whoever steps at a
+/// step size holds the system it got, and a system lives no longer than
+/// its holder.
 ///
 /// Bookkeeping is observable two ways: the `transient.symbolic_analyses` and
 /// `transient.refactorizations` counters flow into [`opera_trace`] when
@@ -516,16 +421,20 @@ const FAMILY_CACHE_CAPACITY: usize = 8;
 /// [`CompanionFamily::refactorization_count`] always read the per-family
 /// totals.
 pub struct CompanionFamily {
-    /// `G`, `C` and the analysis of `G + C` that every step size shares.
-    pattern: CompanionPattern,
-    cache: Mutex<Vec<CachedFactor>>,
+    /// `G` and `C`, shared with every system the family builds.
+    g: Arc<CsrMatrix>,
+    c: Arc<CsrMatrix>,
+    /// The pattern of `G + C` when it is not `G`'s own; capacitors to
+    /// ground touch only the diagonal, so normally it is, and the companion
+    /// values lie on `G`'s pattern.
+    union: Option<CsrMatrix>,
+    /// The analysis of `G + C`, which every companion `G + s·C` shares (the
+    /// analysis reads only the pattern, so `s = 1` stands in for every
+    /// positive companion scale).
+    symbolic: SymbolicCholesky,
     symbolic_analyses: Counter,
     refactorizations: Counter,
 }
-
-/// One LRU entry of a [`CompanionFamily`]: a factored companion system keyed
-/// by the step-size bit pattern and the scheme it was built for.
-type CachedFactor = ((u64, IntegrationMethod), Arc<CompanionSystem>);
 
 impl CompanionFamily {
     /// Analyses the union pattern `G + C` once and prepares the family for
@@ -548,9 +457,13 @@ impl CompanionFamily {
     ///
     /// As [`CompanionFamily::new`].
     pub(crate) fn shared(g: Arc<CsrMatrix>, c: Arc<CsrMatrix>) -> Result<Self> {
+        let union = g.add_scaled(&c, 1.0)?;
+        let symbolic = SymbolicCholesky::analyze(&union)?;
         let family = CompanionFamily {
-            pattern: CompanionPattern::new(g, c)?,
-            cache: Mutex::new(Vec::new()),
+            union: (!union.same_pattern(&g)).then_some(union),
+            g,
+            c,
+            symbolic,
             symbolic_analyses: Counter::new("transient.symbolic_analyses"),
             refactorizations: Counter::new("transient.refactorizations"),
         };
@@ -560,18 +473,27 @@ impl CompanionFamily {
 
     /// System dimension (rows of `G`).
     pub fn dim(&self) -> usize {
-        self.pattern.g.nrows()
+        self.g.nrows()
     }
 
-    /// The DC factor of the family's `G` through [`dc_factor`]: against the
-    /// family's analysis when `G + C` has `G`'s pattern, otherwise
-    /// [`MatrixFactor::cholesky_or_lu`] of `G`.
+    /// The DC factor of `G` — bit-identical to
+    /// [`MatrixFactor::cholesky_or_lu`] — against the family's analysis when
+    /// `G + C` has `G`'s own pattern (grounded capacitors touch only the
+    /// diagonal, so nominal `G` does); otherwise it *is*
+    /// [`MatrixFactor::cholesky_or_lu`] of `G` (the augmented `G̃` never has
+    /// `G̃ + C̃`'s pattern).
     ///
     /// # Errors
     ///
     /// Propagates analysis and factorisation errors.
     pub(crate) fn dc_factor(&self) -> Result<MatrixFactor> {
-        self.pattern.dc_factor()
+        if !self.symbolic.matches_pattern(&self.g) {
+            return Ok(MatrixFactor::cholesky_or_lu(&self.g)?);
+        }
+        Ok(MatrixFactor::from_cholesky_attempt(
+            self.symbolic.factor_numeric(&self.g),
+            self.g.view(),
+        )?)
     }
 
     /// Number of symbolic analyses this family has run: the one of
@@ -580,24 +502,18 @@ impl CompanionFamily {
         self.symbolic_analyses.get()
     }
 
-    /// Number of numeric (re)factorisations this family has run — one per
-    /// distinct `(h, method)` requested, cache hits excluded.
+    /// Number of numeric factorisations this family has run: one per
+    /// [`system_for`](Self::system_for) call.
     pub fn refactorization_count(&self) -> u64 {
         self.refactorizations.get()
     }
 
-    /// Number of companion systems currently held by the LRU cache.
-    pub fn cached_systems(&self) -> usize {
-        match self.cache.lock() {
-            Ok(cache) => cache.len(),
-            Err(poisoned) => poisoned.into_inner().len(),
-        }
-    }
-
-    /// Returns the factored companion system for `(time_step, method)`,
-    /// reusing the cached factor when the pair was recently requested and
-    /// otherwise running a numeric-only refactorisation against the shared
-    /// symbolic analysis.
+    /// The factored companion system for `(time_step, method)`: `s·C` and
+    /// the companion `G + s·C` realised as values (in `scaled` and
+    /// `add_scaled`'s arithmetic), then one numeric Cholesky against the
+    /// shared analysis with the counted LU fallback of
+    /// [`MatrixFactor::from_cholesky_attempt`]. Every call refactors. The
+    /// system shares `G` and `C`; no matrix is copied.
     ///
     /// # Errors
     ///
@@ -608,26 +524,34 @@ impl CompanionFamily {
         time_step: f64,
         method: IntegrationMethod,
     ) -> Result<Arc<CompanionSystem>> {
+        self.system(time_step, method).map(Arc::new)
+    }
+
+    /// [`system_for`](Self::system_for), owned.
+    fn system(&self, time_step: f64, method: IntegrationMethod) -> Result<CompanionSystem> {
         if time_step <= 0.0 || !time_step.is_finite() {
             return Err(OperaError::InvalidOptions {
                 reason: format!("companion step must be positive, got {time_step}"),
             });
         }
-        let key = (time_step.to_bits(), method);
-        let mut cache = match self.cache.lock() {
-            Ok(cache) => cache,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if let Some(pos) = cache.iter().position(|(k, _)| *k == key) {
-            let entry = cache.remove(pos);
-            cache.insert(0, entry);
-            return Ok(Arc::clone(&cache[0].1));
-        }
-        let system = Arc::new(self.pattern.system(time_step, method)?);
+        let scale = companion_scale(method, time_step);
+        let c_over_h: Vec<f64> = self.c.data().iter().map(|&v| v * scale).collect();
+        let mut values = Vec::new();
+        self.g
+            .view()
+            .add_scaled_values(self.c.with_values(&c_over_h), 1.0, &mut values)?;
+        let companion = self.union.as_ref().unwrap_or(&self.g).with_values(&values);
+        let factor =
+            MatrixFactor::from_cholesky_attempt(self.symbolic.factor_values(companion), companion)?;
         self.refactorizations.incr();
-        cache.insert(0, (key, Arc::clone(&system)));
-        cache.truncate(FAMILY_CACHE_CAPACITY);
-        Ok(system)
+        Ok(CompanionSystem {
+            factor,
+            g: Arc::clone(&self.g),
+            c: Arc::clone(&self.c),
+            c_over_h,
+            method,
+            h: time_step,
+        })
     }
 }
 
@@ -670,7 +594,11 @@ pub fn solve_transient(
     options.validate()?;
     let times = options.time_points();
     let n = g.nrows();
-    let prepared = DirectPrepared::nominal(g, c, options.time_step, options.method)?;
+    let prepared = DirectPrepared::new(
+        CompanionFamily::new(g, c)?,
+        options.time_step,
+        options.method,
+    )?;
     // The whole output panel is allocated up front; each step's state is
     // copied into its column.
     let mut states = Panel::zeros(n, times.len());
@@ -1046,36 +974,21 @@ mod tests {
     }
 
     #[test]
-    fn companion_family_reuses_one_symbolic_analysis_and_caches_factors() {
+    fn companion_family_reuses_one_symbolic_analysis_and_refactors_per_call() {
         let (g, c) = rc_circuit();
         let family = CompanionFamily::new(&g, &c).unwrap();
         assert_eq!(family.symbolic_analysis_count(), 1);
         assert_eq!(family.refactorization_count(), 0);
-        let first = family.system_for(0.1, IntegrationMethod::TrBdf2).unwrap();
+        family.system_for(0.1, IntegrationMethod::TrBdf2).unwrap();
         assert_eq!(family.refactorization_count(), 1);
-        // Cache hit: same (h, method) pair returns the same factor object.
-        let again = family.system_for(0.1, IntegrationMethod::TrBdf2).unwrap();
-        assert!(Arc::ptr_eq(&first, &again));
-        assert_eq!(family.refactorization_count(), 1);
-        // A new step size refactors numerics only — the analysis count stays 1.
+        // Every call refactors numerics only, a repeated step size too; the
+        // analysis count stays 1.
+        family.system_for(0.1, IntegrationMethod::TrBdf2).unwrap();
         family.system_for(0.05, IntegrationMethod::TrBdf2).unwrap();
-        assert_eq!(family.refactorization_count(), 2);
+        assert_eq!(family.refactorization_count(), 3);
         assert_eq!(family.symbolic_analysis_count(), 1);
-        // The cache is bounded: far more step sizes than the capacity...
-        for k in 1..=(2 * FAMILY_CACHE_CAPACITY) {
-            family
-                .system_for(0.1 / k as f64, IntegrationMethod::TrBdf2)
-                .unwrap();
-        }
-        assert!(family.cached_systems() <= FAMILY_CACHE_CAPACITY);
-        // ...and eviction is least-recently-used: the newest entry survives.
-        let newest = 0.1 / (2 * FAMILY_CACHE_CAPACITY) as f64;
-        let before = family.refactorization_count();
-        family
-            .system_for(newest, IntegrationMethod::TrBdf2)
-            .unwrap();
-        assert_eq!(family.refactorization_count(), before);
         assert!(family.system_for(-1.0, IntegrationMethod::TrBdf2).is_err());
+        assert_eq!(family.refactorization_count(), 3);
     }
 
     #[test]

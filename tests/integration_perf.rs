@@ -383,20 +383,33 @@ fn refactorisations_and_lockstep_groups_copy_no_matrix() {
     }
 }
 
-/// Allocations of `dim` values (one stacked excitation) that an adaptive
-/// solve of `engine` at `rel_tol` makes on this thread beyond one per
-/// refactorisation (the direct backend stores each step size's `s·C̃`,
-/// which holds as many values here), and the steps it attempted.
-fn adaptive_excitation_allocations(engine: &OperaEngine, rel_tol: f64) -> (u64, u64) {
+/// Allocations of `dim` values (one stacked excitation) that `solve` makes
+/// on this thread, `dim` being `engine`'s stacked dimension.
+fn stacked_allocations(engine: &OperaEngine, solve: impl FnOnce()) -> u64 {
     let bytes = engine.system().dim() * std::mem::size_of::<f64>();
     WATCHED.with(|w| w.set((bytes, 0)));
-    let (_, stats) = engine
-        .solve_scenario_adaptive(
-            &Scenario::default(),
-            &AdaptiveOptions::with_rel_tol(rel_tol),
-        )
-        .unwrap();
-    let hits = WATCHED.with(|w| w.replace((0, 0)).1);
+    solve();
+    WATCHED.with(|w| w.replace((0, 0)).1)
+}
+
+/// Allocations of `dim` values that an adaptive solve of `engine` at
+/// `rel_tol` makes on this thread beyond one per refactorisation (the
+/// direct backend stores each step size's `s·C̃`, which holds as many
+/// values here), and the steps it attempted.
+fn adaptive_excitation_allocations(engine: &OperaEngine, rel_tol: f64) -> (u64, u64) {
+    let mut stats = None;
+    let hits = stacked_allocations(engine, || {
+        stats = Some(
+            engine
+                .solve_scenario_adaptive(
+                    &Scenario::default(),
+                    &AdaptiveOptions::with_rel_tol(rel_tol),
+                )
+                .unwrap()
+                .1,
+        );
+    });
+    let stats = stats.unwrap();
     (
         hits.saturating_sub(stats.refactorizations),
         stats.steps_attempted,
@@ -423,5 +436,36 @@ fn adaptive_attempts_allocate_no_excitation() {
             "{tight_attempts} vs {loose_attempts} attempts allocated {tight} vs {loose} \
              stacked vectors"
         );
+    }
+}
+
+/// Fixed-step engine solves write every excitation into the stepping loop's
+/// reused panels: a horizon four times longer allocates no more vectors of
+/// the stacked dimension, on either backend, for single- and two-stage
+/// schemes.
+#[test]
+fn fixed_step_solves_allocate_no_excitation() {
+    for solver in builtin_backends() {
+        for method in [IntegrationMethod::BackwardEuler, IntegrationMethod::TrBdf2] {
+            let engine = small_engine_with(Arc::clone(&solver), method);
+            assert!(
+                !engine.system().dim().is_power_of_two(),
+                "a grown Vec could match the watched size"
+            );
+            let at_horizon = |end_time: f64| {
+                stacked_allocations(&engine, || {
+                    engine
+                        .solve_scenario(&Scenario::default().with_end_time(end_time))
+                        .unwrap();
+                })
+            };
+            let (short, long) = (at_horizon(0.5e-9), at_horizon(2.0e-9));
+            assert_eq!(
+                long,
+                short,
+                "{} {method:?}: 8 steps allocated {long} stacked vectors, 2 steps {short}",
+                solver.name()
+            );
+        }
     }
 }

@@ -1,12 +1,17 @@
-//! Regression pins for the fixed-step transient paths.
+//! Regression pins for the fixed-step and adaptive transient paths.
 //!
-//! The adaptive TR-BDF2 PR refactored `CompanionSystem` around
-//! `CompanionFamily` (shared symbolic analysis, LRU'd numeric factors) and
-//! threaded an `IntegrationMethod` through every stepping loop. Fixed-step
-//! backward Euler and trapezoidal results must be **bit-identical** to the
-//! pre-refactor behaviour: this file pins FNV-1a hashes of full
-//! trajectories, computed on the pre-PR loop shape, so any future change
-//! that perturbs a single mantissa bit of the fixed-step paths fails here.
+//! Every companion system is built by a `CompanionFamily` (one shared
+//! symbolic analysis, one numeric refactorisation per requested step size,
+//! no factor kept between requests), and every stepping loop carries an
+//! `IntegrationMethod`. Fixed-step backward Euler and trapezoidal results
+//! must be **bit-identical** to the behaviour before the family existed:
+//! this file pins FNV-1a hashes of full trajectories, computed on that loop
+//! shape, so any change that perturbs a single mantissa bit of the
+//! fixed-step paths fails here.
+//!
+//! The engine's adaptive Galerkin solves are pinned the same way, and two
+//! consecutive adaptive solves on one engine must do the same work and give
+//! the same bits: no factor survives a solve.
 //!
 //! Adaptive stepping is opt-in: the defaults are also pinned (backward
 //! Euler, no adaptive options on a default-built engine).
@@ -108,10 +113,10 @@ fn family_factors_step_bit_identically_to_one_shot_systems() {
             assert_eq!(step(&from_family), step(&one_shot), "{method:?} at h = {h}");
         }
     }
-    // Three distinct (h, method) factors, one symbolic analysis; the repeat
-    // of h = 0.125 hit the LRU cache instead of refactoring.
+    // One symbolic analysis; every request refactors, the repeat of
+    // h = 0.125 too (the family keeps no factor).
     assert_eq!(family.symbolic_analysis_count(), 1);
-    assert_eq!(family.refactorization_count(), 4);
+    assert_eq!(family.refactorization_count(), 6);
 }
 
 #[test]
@@ -204,5 +209,52 @@ fn adaptive_engine_coefficients_are_bit_identical_to_the_pins() {
                 backend.name()
             );
         }
+    }
+}
+
+/// Nothing survives a solve: the adaptive controller's re-stepped factors
+/// are dropped when the solve ends, so a second identical solve on the same
+/// engine refactors exactly as often as the first and reproduces its
+/// coefficients bit for bit, on both built-in backends.
+#[test]
+fn consecutive_adaptive_solves_refactor_alike_and_match_bit_for_bit() {
+    use opera::engine::Scenario;
+    use opera::solver::{default_backend, DirectCholesky, SolverBackend};
+    use opera_variation::VariationSpec;
+    use std::sync::Arc;
+
+    let backends: [Arc<dyn SolverBackend>; 2] = [default_backend(), Arc::new(DirectCholesky)];
+    for backend in backends {
+        let adaptive = AdaptiveOptions::with_rel_tol(1e-4);
+        let engine = OperaEngine::for_grid(GridSpec::small_test(60).with_seed(7))
+            .unwrap()
+            .variation(VariationSpec::paper_defaults())
+            .order(1)
+            .solver(Arc::clone(&backend))
+            .time_step(0.1e-9)
+            .end_time(1.0e-9)
+            .adaptive(adaptive.clone())
+            .build()
+            .unwrap();
+        let solve = || {
+            engine
+                .solve_scenario_adaptive(&Scenario::default(), &adaptive)
+                .unwrap()
+        };
+        let (first, first_stats) = solve();
+        let (second, second_stats) = solve();
+        assert!(first_stats.refactorizations > 0, "{}", backend.name());
+        assert_eq!(
+            second_stats,
+            first_stats,
+            "{}: the second solve reused factors of the first",
+            backend.name()
+        );
+        assert_eq!(
+            fnv1a_coefficients(&second),
+            fnv1a_coefficients(&first),
+            "{}: the second solve moved a bit",
+            backend.name()
+        );
     }
 }
