@@ -799,10 +799,11 @@ impl OperaEngine {
                 let prepared = fresh.as_deref().unwrap_or(self.prepared.as_ref());
                 let scale = scenario.current_scale;
                 let anchor = (scale != 1.0).then(|| self.system.excitation(&self.model, 0.0));
+                let mut drain = Vec::new();
                 run_prepared_panel(
                     prepared,
                     &self.system,
-                    |t, u| self.system.excitation_into(&self.model, t, u),
+                    |t, u| self.system.excitation_into(&self.model, t, u, &mut drain),
                     anchor.as_deref(),
                     &[scale],
                     transient.time_points(),
@@ -834,11 +835,12 @@ impl OperaEngine {
         let transient = self.scenario_transient(scenario)?;
         let scale = scenario.current_scale;
         let anchor = (scale != 1.0).then(|| self.system.excitation(&self.model, 0.0));
+        let mut drain = Vec::new();
         run_prepared_adaptive(
             self.prepared.as_ref(),
             &self.system,
             |t, u| {
-                self.system.excitation_into(&self.model, t, u);
+                self.system.excitation_into(&self.model, t, u, &mut drain);
                 if let Some(u0) = &anchor {
                     rescale_around_anchor(u, u0, scale);
                 }
@@ -1000,10 +1002,11 @@ impl OperaEngine {
                     .any(|&s| s != 1.0)
                     .then(|| self.system.excitation(&self.model, 0.0));
                 let t0 = Instant::now();
+                let mut drain = Vec::new();
                 let panel_solutions = run_prepared_panel(
                     self.prepared.as_ref(),
                     &self.system,
-                    |t, u| self.system.excitation_into(&self.model, t, u),
+                    |t, u| self.system.excitation_into(&self.model, t, u, &mut drain),
                     anchor.as_deref(),
                     &scales,
                     self.transient.time_points(),

@@ -130,28 +130,40 @@ impl GalerkinSystem {
     /// receives `⟨ψ_i⟩ u_a(t) + Σ_d ⟨ξ_d ψ_i⟩ u_d(t)`.
     pub fn excitation(&self, model: &StochasticGridModel, t: f64) -> Vec<f64> {
         let mut u_hat = vec![0.0; self.dim()];
-        self.excitation_into(model, t, &mut u_hat);
+        self.excitation_into(model, t, &mut u_hat, &mut Vec::new());
         u_hat
     }
 
     /// [`excitation`](Self::excitation) written into `u_hat`, a buffer of
-    /// [`dim`](Self::dim) entries: a loop that reuses one buffer allocates
-    /// nothing of the stacked size.
+    /// [`dim`](Self::dim) entries, bit-equal to it. The nominal excitation
+    /// goes straight into block 0 and each `u_d(t)` is computed as it is
+    /// added ([`StochasticGridModel::excitation_nominal_into`]); `drain` is
+    /// the caller's scratch for the drain currents, so a loop that reuses
+    /// one buffer and one scratch allocates nothing of the node count after
+    /// its first call.
     ///
     /// # Panics
     ///
     /// Panics if `u_hat` does not have `dim()` entries.
-    pub fn excitation_into(&self, model: &StochasticGridModel, t: f64, u_hat: &mut [f64]) {
+    pub fn excitation_into(
+        &self,
+        model: &StochasticGridModel,
+        t: f64,
+        u_hat: &mut [f64],
+        drain: &mut Vec<f64>,
+    ) {
         let n = self.node_count;
         let size = self.basis.len();
         assert_eq!(u_hat.len(), n * size, "excitation dimension mismatch");
-        u_hat.fill(0.0);
         // ⟨ψ_i⟩ is nonzero only for i = 0 where it equals 1 (ψ₀ ≡ 1).
-        let u_a = model.excitation_nominal(t);
-        u_hat[..n].copy_from_slice(&u_a);
+        let (nominal, rest) = u_hat.split_at_mut(n);
+        model.excitation_nominal_into(t, nominal, drain);
+        rest.fill(0.0);
         for d in 0..model.n_vars() {
-            let u_d = model.excitation_perturbation(d, t);
-            if u_d.iter().all(|&v| v == 0.0) {
+            if model
+                .excitation_perturbation_values(d, drain)
+                .all(|v| v == 0.0)
+            {
                 continue;
             }
             for i in 0..size {
@@ -161,7 +173,8 @@ impl GalerkinSystem {
                     continue;
                 }
                 let block = &mut u_hat[i * n..(i + 1) * n];
-                for (b, v) in block.iter_mut().zip(&u_d) {
+                let u_d = model.excitation_perturbation_values(d, drain);
+                for (b, v) in block.iter_mut().zip(u_d) {
                     *b += w * v;
                 }
             }
@@ -424,6 +437,51 @@ mod tests {
         }
         // Higher-order blocks are zero for a first-order input model.
         assert!(u_hat[3 * n..].iter().all(|&v| v == 0.0));
+    }
+
+    /// The buffer form reproduces the assembly from the allocating model
+    /// terms (`u_a`, then `w·u_d` per nonzero coupling in ascending `d` and
+    /// `i`) bit for bit, with one drain scratch serving every call and
+    /// every model (one or many variables with a current sensitivity).
+    #[test]
+    fn excitation_into_is_bit_equal_to_assembling_the_allocating_terms() {
+        let grid = GridSpec::small_test(80).with_seed(4).build().unwrap();
+        let spec = VariationSpec::paper_defaults();
+        let models = [
+            StochasticGridModel::inter_die(&grid, &spec).unwrap(),
+            StochasticGridModel::inter_die_three_variable(&grid, &spec).unwrap(),
+            StochasticGridModel::intra_die_slices(&grid, &spec, 3).unwrap(),
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut drain = Vec::new();
+        for model in &models {
+            let basis =
+                OrthogonalBasis::total_order(PolynomialFamily::Hermite, model.n_vars(), 2).unwrap();
+            let sys = GalerkinSystem::assemble(model, &basis).unwrap();
+            let n = model.node_count();
+            let mut u_hat = vec![f64::NAN; sys.dim()];
+            for t in [0.0, 0.13e-9, 0.4e-9, 1.7e-9] {
+                let mut expected = vec![0.0; sys.dim()];
+                expected[..n].copy_from_slice(&model.excitation_nominal(t));
+                for d in 0..model.n_vars() {
+                    let u_d = model.excitation_perturbation(d, t);
+                    if u_d.iter().all(|&v| v == 0.0) {
+                        continue;
+                    }
+                    for i in 0..basis.len() {
+                        let w = sys.coupling.linear(d, i, 0);
+                        if w != 0.0 {
+                            for (e, v) in expected[i * n..(i + 1) * n].iter_mut().zip(&u_d) {
+                                *e += w * v;
+                            }
+                        }
+                    }
+                }
+                sys.excitation_into(model, t, &mut u_hat, &mut drain);
+                assert_eq!(bits(&u_hat), bits(&expected), "t = {t}");
+                assert_eq!(bits(&sys.excitation(model, t)), bits(&expected));
+            }
+        }
     }
 
     #[test]

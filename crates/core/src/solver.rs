@@ -543,7 +543,9 @@ impl KroneckerTerms {
     }
 }
 
-/// The augmented companion `G̃ + s·C̃`, applied without being assembled.
+/// The augmented companion `G̃ + s·C̃`, applied without being assembled:
+/// one pass over the rows of both
+/// ([`opera_sparse::CsrView::matvec_sum_into`]).
 struct AugmentedCompanion<'a> {
     g: &'a CsrMatrix,
     c: &'a CsrMatrix,
@@ -556,8 +558,9 @@ impl LinearOperator for AugmentedCompanion<'_> {
     }
 
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
-        self.g.matvec_into(x, y);
-        self.c.matvec_acc(x, self.c_scale, y);
+        self.g
+            .view()
+            .matvec_sum_into(self.c.view(), self.c_scale, x, y);
     }
 }
 
@@ -596,9 +599,10 @@ struct CgPrepared {
 
 /// The Kronecker preconditioner `T̃ ⊗ K` over one nominal factor `K`. The
 /// stacked residual is column-major over basis blocks, so it *is* an
-/// `n × (N+1)` panel `R`, and `M⁻¹` maps it to `K⁻¹·R·T̃⁻¹`: the blocks are
-/// first mixed by `T̃⁻¹` (`z_j = Σ_i T̃⁻¹_ij·r_i` in a fixed order of `i`,
-/// straight into `z`), then all go through one blocked multi-RHS solve.
+/// `n × (N+1)` panel `R`, and `M⁻¹` maps it to `K⁻¹·R·T̃⁻¹` in one pass:
+/// the blocks are mixed by `T̃⁻¹` (`z_j = Σ_i T̃⁻¹_ij·r_i` in ascending `i`)
+/// as the factor's strip solve packs them, then solved and unpacked into
+/// `z` ([`MatrixFactor::solve_mixed_into`]).
 struct KroneckerNominal<'a> {
     factor: &'a MatrixFactor,
     /// `T̃⁻¹`, row-major.
@@ -607,19 +611,7 @@ struct KroneckerNominal<'a> {
 
 impl Preconditioner for KroneckerNominal<'_> {
     fn apply_into(&self, r: &[f64], z: &mut [f64], ws: &mut SolveWorkspace) {
-        let n = self.factor.dim();
-        let p = z.len() / n;
-        let backend = opera_simd::active();
-        for (j, z_j) in z.chunks_exact_mut(n).enumerate() {
-            z_j.fill(0.0);
-            for (i, r_i) in r.chunks_exact(n).enumerate() {
-                let weight = self.mix[i * p + j];
-                if weight != 0.0 {
-                    opera_simd::axpy(z_j, r_i, weight, backend);
-                }
-            }
-        }
-        self.factor.solve_columns(z, ws);
+        self.factor.solve_mixed_into(r, self.mix, z, ws);
     }
 }
 
@@ -1132,6 +1124,69 @@ mod tests {
                 .unwrap();
             let error = max_relative_difference(&z, &dense);
             assert!(error <= 1e-12, "s = {s:e}: relative difference {error:e}");
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The preconditioner mixes the blocks by `T̃⁻¹` as the factor's strip
+    /// solve packs them: bit-identical to mixing into `z` first (one `axpy`
+    /// per nonzero weight in ascending block order) and then solving `z`,
+    /// at the DC and a stepping `s`, under every available backend.
+    #[test]
+    fn kronecker_preconditioner_mixes_in_the_pack_bit_identically() {
+        let (model, system, transient) = prepared_setup();
+        let terms = KroneckerTerms::new(&model, system.coupling()).unwrap();
+        let (n, p) = (system.node_count(), system.basis_size());
+        let r = residual(n * p);
+        for s in [0.0, companion_scale(transient.method, transient.time_step)] {
+            let (_, factor) = nominal(&model, s);
+            let mix = terms.mix(s).unwrap();
+            assert!(
+                mix.iter().filter(|&&w| w != 0.0).count() > p,
+                "T̃⁻¹ mixes blocks"
+            );
+            for backend in opera_simd::available_backends() {
+                opera_simd::set_active(backend).unwrap();
+                let mut ws = SolveWorkspace::new();
+                let mut expected = vec![0.0; n * p];
+                for (j, z_j) in expected.chunks_exact_mut(n).enumerate() {
+                    for (i, r_i) in r.chunks_exact(n).enumerate() {
+                        let weight = mix[i * p + j];
+                        if weight != 0.0 {
+                            opera_simd::axpy(z_j, r_i, weight, backend);
+                        }
+                    }
+                }
+                factor.solve_columns(&mut expected, &mut ws);
+                let mut z = vec![f64::NAN; n * p];
+                KroneckerNominal {
+                    factor: &factor,
+                    mix: &mix,
+                }
+                .apply_into(&r, &mut z, &mut ws);
+                opera_simd::set_active(opera_simd::Backend::Scalar).unwrap();
+                assert_eq!(bits(&z), bits(&expected), "s = {s:e}, {backend}");
+            }
+        }
+    }
+
+    /// The augmented companion's one pass is `G̃·x` then `+= s·C̃·x` bit
+    /// for bit.
+    #[test]
+    fn augmented_companion_is_the_two_pass_product_bit_for_bit() {
+        let (_, system, transient) = prepared_setup();
+        let (g, c) = (system.conductance(), system.capacitance());
+        let x = residual(system.dim());
+        for c_scale in [0.0, companion_scale(transient.method, transient.time_step)] {
+            let mut two_pass = vec![f64::NAN; system.dim()];
+            g.matvec_into(&x, &mut two_pass);
+            c.matvec_acc(&x, c_scale, &mut two_pass);
+            let mut one_pass = vec![f64::NAN; system.dim()];
+            AugmentedCompanion { g, c, c_scale }.apply_into(&x, &mut one_pass);
+            assert_eq!(bits(&one_pass), bits(&two_pass), "s = {c_scale:e}");
         }
     }
 

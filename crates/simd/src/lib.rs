@@ -41,9 +41,20 @@
 //!    intrinsics, each of which is IEEE-754 correctly rounded per lane,
 //!    exactly like the scalar `*`/`+`/`-`//` the reference path executes.
 //!
+//! The scalar triangular kernels are themselves width-generic: one
+//! const-generic kernel per sweep solves a row-major strip of `K` columns
+//! (`K = 1..=8`, [`scalar::lower_solve_strip`] and friends), reading each
+//! stored entry once for the whole row, and the `LANES`-padded
+//! [`scalar::lower_solve_interleaved`] references are its `K = 8`
+//! instantiation. They follow the same two rules — each column runs the
+//! single-column solve's operations in its order, with no FMA — so a
+//! strip of any width is bit-identical, column by column, to one-column
+//! solves, and the vector kernels are bit-identical to them.
+//!
 //! Equivalence is enforced by unit tests here, by the property suite in
-//! `tests/property_simd.rs`, and by the CI matrix that re-runs the kernel
-//! tests under `OPERA_SIMD=scalar|avx2|auto`.
+//! `tests/property_simd.rs` (which sweeps panel widths 1..=9 and 17), and
+//! by the CI matrix that re-runs the kernel tests under
+//! `OPERA_SIMD=scalar|avx2|auto`.
 
 #![deny(missing_docs)]
 
@@ -58,8 +69,9 @@ use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Lane count of the interleaved panel kernels: one row of the interleaved
 /// scratch holds the values of [`LANES`] right-hand sides for one unknown.
-/// Matches the 8-wide RHS strips of `opera_sparse`'s blocked panel solves
-/// and fills exactly one AVX-512 register (two AVX2 registers).
+/// Matches the widest RHS strip of `opera_sparse`'s blocked panel solves
+/// ([`scalar::STRIP_WIDTH`]) and fills exactly one AVX-512 register (two
+/// AVX2 registers).
 pub const LANES: usize = 8;
 
 /// Byte alignment of [`AlignedVec`] storage: one cache line, which is also

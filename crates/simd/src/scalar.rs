@@ -101,10 +101,95 @@ pub fn welford_update(mean: &mut [f64], m2: &mut [f64], sample: &[f64], count: f
     }
 }
 
+/// Widest strip [`lower_solve_strip`] and friends solve at once: wider
+/// panels are cut into strips of at most this many columns.
+pub const STRIP_WIDTH: usize = crate::LANES;
+
+/// Calls the width-`K` instantiation of a shared-value strip kernel for a
+/// runtime width of `1..=STRIP_WIDTH`.
+macro_rules! by_width {
+    ($width:expr, $kernel:ident($($arg:expr),* $(,)?)) => {
+        match $width {
+            1 => $kernel::<1, f64>($($arg),*),
+            2 => $kernel::<2, f64>($($arg),*),
+            3 => $kernel::<3, f64>($($arg),*),
+            4 => $kernel::<4, f64>($($arg),*),
+            5 => $kernel::<5, f64>($($arg),*),
+            6 => $kernel::<6, f64>($($arg),*),
+            7 => $kernel::<7, f64>($($arg),*),
+            width => {
+                assert_eq!(width, STRIP_WIDTH, "a strip is 1..={STRIP_WIDTH} columns wide");
+                $kernel::<STRIP_WIDTH, f64>($($arg),*)
+            }
+        }
+    };
+}
+
+/// Forward substitution `L·X = B` on a row-major `n × width` strip: row `j`
+/// of `x` holds unknown `j` of `width` right-hand sides, `1 ≤ width ≤`
+/// [`STRIP_WIDTH`]. Column `j` of `L` holds the values
+/// `data[indptr[j]..indptr[j + 1]]` at the rows `indices[rowptr[j]..]`,
+/// diagonal first (see [`crate::lower_solve_interleaved`]). Each stored
+/// entry is read once and applied to the whole row, and each column of `x`
+/// sees exactly the single-column solve's operations in its order.
+///
+/// # Panics
+///
+/// Panics on a width outside `1..=STRIP_WIDTH`, shape mismatch or a missing
+/// diagonal entry.
+pub fn lower_solve_strip(
+    indptr: &[usize],
+    rowptr: &[usize],
+    indices: &[usize],
+    data: &[f64],
+    width: usize,
+    n: usize,
+    x: &mut [f64],
+) {
+    by_width!(width, lower_rows(indptr, rowptr, indices, data, n, x))
+}
+
+/// Backward substitution `Lᵀ·X = B` on a row-major `n × width` strip (same
+/// layout and factor convention as [`lower_solve_strip`]).
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`lower_solve_strip`].
+pub fn lower_transpose_solve_strip(
+    indptr: &[usize],
+    rowptr: &[usize],
+    indices: &[usize],
+    data: &[f64],
+    width: usize,
+    n: usize,
+    x: &mut [f64],
+) {
+    by_width!(
+        width,
+        lower_transpose_rows(indptr, rowptr, indices, data, n, x)
+    )
+}
+
+/// Backward substitution `U·X = B` on a row-major `n × width` strip, for
+/// upper triangular `U` in CSC with the diagonal stored last in each column.
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`lower_solve_strip`].
+pub fn upper_solve_strip(
+    indptr: &[usize],
+    indices: &[usize],
+    data: &[f64],
+    width: usize,
+    n: usize,
+    x: &mut [f64],
+) {
+    by_width!(width, upper_rows(indptr, indices, data, n, x))
+}
+
 /// Forward substitution `L·X = B` on a row-major `n × LANES` interleaved
-/// strip (see [`crate::lower_solve_interleaved`]). Column `j` holds the
-/// values `data[indptr[j]..indptr[j + 1]]` at the rows read from
-/// `indices[rowptr[j]..]`, diagonal first.
+/// strip (see [`crate::lower_solve_interleaved`]): the
+/// [`lower_solve_strip`] kernel at its full width.
 ///
 /// # Panics
 ///
@@ -117,32 +202,12 @@ pub fn lower_solve_interleaved(
     n: usize,
     x: &mut [f64],
 ) {
-    const LANES: usize = crate::LANES;
-    assert_eq!(x.len(), n * LANES, "interleaved strip length mismatch");
-    for j in 0..n {
-        let (start, end, r0) = (indptr[j], indptr[j + 1], rowptr[j]);
-        assert!(
-            start < end && indices[r0] == j,
-            "missing diagonal entry in lower triangular column {j}"
-        );
-        let d = data[start];
-        let mut xr = [0.0; LANES];
-        for (c, slot) in xr.iter_mut().enumerate() {
-            *slot = x[j * LANES + c] / d;
-            x[j * LANES + c] = *slot;
-        }
-        let rows = &indices[r0 + 1..r0 + end - start];
-        for (&i, &v) in rows.iter().zip(&data[start + 1..end]) {
-            let row = &mut x[i * LANES..(i + 1) * LANES];
-            for (rv, &xc) in row.iter_mut().zip(&xr) {
-                *rv -= v * xc;
-            }
-        }
-    }
+    lower_rows::<{ crate::LANES }, f64>(indptr, rowptr, indices, data, n, x);
 }
 
 /// Backward substitution `Lᵀ·X = B` on an interleaved strip (see
-/// [`crate::lower_transpose_solve_interleaved`]).
+/// [`crate::lower_transpose_solve_interleaved`]): the
+/// [`lower_transpose_solve_strip`] kernel at its full width.
 ///
 /// # Panics
 ///
@@ -155,30 +220,24 @@ pub fn lower_transpose_solve_interleaved(
     n: usize,
     x: &mut [f64],
 ) {
-    const LANES: usize = crate::LANES;
-    assert_eq!(x.len(), n * LANES, "interleaved strip length mismatch");
-    for j in (0..n).rev() {
-        let (start, end, r0) = (indptr[j], indptr[j + 1], rowptr[j]);
-        assert!(
-            start < end && indices[r0] == j,
-            "missing diagonal entry in lower triangular column {j}"
-        );
-        let mut acc = [0.0; LANES];
-        for (c, slot) in acc.iter_mut().enumerate() {
-            *slot = x[j * LANES + c];
-        }
-        let rows = &indices[r0 + 1..r0 + end - start];
-        for (&i, &v) in rows.iter().zip(&data[start + 1..end]) {
-            let row = &x[i * LANES..(i + 1) * LANES];
-            for (slot, &rv) in acc.iter_mut().zip(row) {
-                *slot -= v * rv;
-            }
-        }
-        let d = data[start];
-        for (c, slot) in acc.iter().enumerate() {
-            x[j * LANES + c] = *slot / d;
-        }
-    }
+    lower_transpose_rows::<{ crate::LANES }, f64>(indptr, rowptr, indices, data, n, x);
+}
+
+/// Backward substitution `U·X = B` on an interleaved strip, diagonal last
+/// per CSC column (see [`crate::upper_solve_interleaved`]): the
+/// [`upper_solve_strip`] kernel at its full width.
+///
+/// # Panics
+///
+/// Panics on shape mismatch or a missing diagonal entry.
+pub fn upper_solve_interleaved(
+    indptr: &[usize],
+    indices: &[usize],
+    data: &[f64],
+    n: usize,
+    x: &mut [f64],
+) {
+    upper_rows::<{ crate::LANES }, f64>(indptr, indices, data, n, x);
 }
 
 /// Most factors [`lower_solve_lockstep`] and
@@ -209,13 +268,19 @@ pub fn lower_solve_lockstep(
     n: usize,
     x: &mut [f64],
 ) {
+    assert_eq!(
+        data.len(),
+        indptr[n] * lanes,
+        "lockstep value length mismatch"
+    );
     match lanes {
-        1 => lower_lockstep::<1>(indptr, rowptr, indices, data, n, x),
-        2 => lower_lockstep::<2>(indptr, rowptr, indices, data, n, x),
-        3 => lower_lockstep::<3>(indptr, rowptr, indices, data, n, x),
+        1 => lower_rows::<1, [f64; 1]>(indptr, rowptr, indices, data.as_chunks().0, n, x),
+        2 => lower_rows::<2, [f64; 2]>(indptr, rowptr, indices, data.as_chunks().0, n, x),
+        3 => lower_rows::<3, [f64; 3]>(indptr, rowptr, indices, data.as_chunks().0, n, x),
         _ => {
             assert_eq!(lanes, LOCKSTEP_LANES, "lockstep width must be 1..=4");
-            lower_lockstep::<LOCKSTEP_LANES>(indptr, rowptr, indices, data, n, x)
+            let data = data.as_chunks().0;
+            lower_rows::<LOCKSTEP_LANES, [f64; LOCKSTEP_LANES]>(indptr, rowptr, indices, data, n, x)
         }
     }
 }
@@ -237,63 +302,96 @@ pub fn lower_transpose_solve_lockstep(
     n: usize,
     x: &mut [f64],
 ) {
+    assert_eq!(
+        data.len(),
+        indptr[n] * lanes,
+        "lockstep value length mismatch"
+    );
     match lanes {
-        1 => lower_transpose_lockstep::<1>(indptr, rowptr, indices, data, n, x),
-        2 => lower_transpose_lockstep::<2>(indptr, rowptr, indices, data, n, x),
-        3 => lower_transpose_lockstep::<3>(indptr, rowptr, indices, data, n, x),
+        1 => lower_transpose_rows::<1, [f64; 1]>(indptr, rowptr, indices, data.as_chunks().0, n, x),
+        2 => lower_transpose_rows::<2, [f64; 2]>(indptr, rowptr, indices, data.as_chunks().0, n, x),
+        3 => lower_transpose_rows::<3, [f64; 3]>(indptr, rowptr, indices, data.as_chunks().0, n, x),
         _ => {
             assert_eq!(lanes, LOCKSTEP_LANES, "lockstep width must be 1..=4");
-            lower_transpose_lockstep::<LOCKSTEP_LANES>(indptr, rowptr, indices, data, n, x)
+            let data = data.as_chunks().0;
+            lower_transpose_rows::<LOCKSTEP_LANES, [f64; LOCKSTEP_LANES]>(
+                indptr, rowptr, indices, data, n, x,
+            )
         }
     }
 }
 
-fn lower_lockstep<const K: usize>(
+/// One stored factor entry as the `K` lanes of a strip read it: one value
+/// every lane shares (one factor, `K` right-hand sides) or one value per
+/// lane (`K` lock-step factors of one pattern).
+trait Entry<const K: usize>: Copy {
+    /// The value lane `c` applies.
+    fn lane(self, c: usize) -> f64;
+}
+
+impl<const K: usize> Entry<K> for f64 {
+    #[inline(always)]
+    fn lane(self, _c: usize) -> f64 {
+        self
+    }
+}
+
+impl<const K: usize> Entry<K> for [f64; K] {
+    #[inline(always)]
+    fn lane(self, c: usize) -> f64 {
+        self[c]
+    }
+}
+
+/// The forward kernel behind [`lower_solve_strip`],
+/// [`lower_solve_interleaved`] and [`lower_solve_lockstep`]: `x` is
+/// row-major `n × K`, and lane `c` divides by and subtracts with
+/// `entry.lane(c)` in the single-column order.
+fn lower_rows<const K: usize, V: Entry<K>>(
     indptr: &[usize],
     rowptr: &[usize],
     indices: &[usize],
-    data: &[f64],
+    data: &[V],
     n: usize,
     x: &mut [f64],
 ) {
-    assert_eq!(x.len(), n * K, "lockstep strip length mismatch");
-    assert_eq!(data.len(), indptr[n] * K, "lockstep value length mismatch");
+    assert_eq!(x.len(), n * K, "strip length mismatch");
     let (x, _) = x.as_chunks_mut::<K>();
-    let (data, _) = data.as_chunks::<K>();
     for j in 0..n {
         let (start, end, r0) = (indptr[j], indptr[j + 1], rowptr[j]);
         assert!(
             start < end && indices[r0] == j,
             "missing diagonal entry in lower triangular column {j}"
         );
-        let d = &data[start];
+        let d = data[start];
         let xj = &mut x[j];
-        for c in 0..K {
-            xj[c] /= d[c];
+        for (c, slot) in xj.iter_mut().enumerate() {
+            *slot /= d.lane(c);
         }
         let xr = *xj;
         let rows = &indices[r0 + 1..r0 + end - start];
-        for (&i, v) in rows.iter().zip(&data[start + 1..end]) {
+        for (&i, &v) in rows.iter().zip(&data[start + 1..end]) {
             let row = &mut x[i];
             for c in 0..K {
-                row[c] -= v[c] * xr[c];
+                row[c] -= v.lane(c) * xr[c];
             }
         }
     }
 }
 
-fn lower_transpose_lockstep<const K: usize>(
+/// The transpose kernel behind [`lower_transpose_solve_strip`],
+/// [`lower_transpose_solve_interleaved`] and
+/// [`lower_transpose_solve_lockstep`] (layout of [`lower_rows`]).
+fn lower_transpose_rows<const K: usize, V: Entry<K>>(
     indptr: &[usize],
     rowptr: &[usize],
     indices: &[usize],
-    data: &[f64],
+    data: &[V],
     n: usize,
     x: &mut [f64],
 ) {
-    assert_eq!(x.len(), n * K, "lockstep strip length mismatch");
-    assert_eq!(data.len(), indptr[n] * K, "lockstep value length mismatch");
+    assert_eq!(x.len(), n * K, "strip length mismatch");
     let (x, _) = x.as_chunks_mut::<K>();
-    let (data, _) = data.as_chunks::<K>();
     for j in (0..n).rev() {
         let (start, end, r0) = (indptr[j], indptr[j + 1], rowptr[j]);
         assert!(
@@ -302,53 +400,46 @@ fn lower_transpose_lockstep<const K: usize>(
         );
         let mut acc = x[j];
         let rows = &indices[r0 + 1..r0 + end - start];
-        for (&i, v) in rows.iter().zip(&data[start + 1..end]) {
+        for (&i, &v) in rows.iter().zip(&data[start + 1..end]) {
             let row = &x[i];
             for c in 0..K {
-                acc[c] -= v[c] * row[c];
+                acc[c] -= v.lane(c) * row[c];
             }
         }
-        let d = &data[start];
-        for c in 0..K {
-            x[j][c] = acc[c] / d[c];
+        let d = data[start];
+        for (c, slot) in x[j].iter_mut().enumerate() {
+            *slot = acc[c] / d.lane(c);
         }
     }
 }
 
-/// Backward substitution `U·X = B` on an interleaved strip, diagonal last
-/// per CSC column (see [`crate::upper_solve_interleaved`]).
-///
-/// # Panics
-///
-/// Panics on shape mismatch or a missing diagonal entry.
-pub fn upper_solve_interleaved(
+/// The upper kernel behind [`upper_solve_strip`] and
+/// [`upper_solve_interleaved`] (layout of [`lower_rows`], diagonal last).
+fn upper_rows<const K: usize, V: Entry<K>>(
     indptr: &[usize],
     indices: &[usize],
-    data: &[f64],
+    data: &[V],
     n: usize,
     x: &mut [f64],
 ) {
-    const LANES: usize = crate::LANES;
-    assert_eq!(x.len(), n * LANES, "interleaved strip length mismatch");
+    assert_eq!(x.len(), n * K, "strip length mismatch");
+    let (x, _) = x.as_chunks_mut::<K>();
     for j in (0..n).rev() {
-        let start = indptr[j];
-        let end = indptr[j + 1];
+        let (start, end) = (indptr[j], indptr[j + 1]);
         assert!(
             start < end && indices[end - 1] == j,
             "missing diagonal entry in upper triangular column {j}"
         );
         let d = data[end - 1];
-        let mut xr = [0.0; LANES];
-        for (c, slot) in xr.iter_mut().enumerate() {
-            *slot = x[j * LANES + c] / d;
-            x[j * LANES + c] = *slot;
+        let xj = &mut x[j];
+        for (c, slot) in xj.iter_mut().enumerate() {
+            *slot /= d.lane(c);
         }
-        for e in start..end - 1 {
-            let i = indices[e];
-            let v = data[e];
-            let row = &mut x[i * LANES..(i + 1) * LANES];
-            for (rv, &xc) in row.iter_mut().zip(&xr) {
-                *rv -= v * xc;
+        let xr = *xj;
+        for (&i, &v) in indices[start..end - 1].iter().zip(&data[start..end - 1]) {
+            let row = &mut x[i];
+            for c in 0..K {
+                row[c] -= v.lane(c) * xr[c];
             }
         }
     }

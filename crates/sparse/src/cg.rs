@@ -275,9 +275,11 @@ pub fn solve(
 /// preconditioner's scratch from the workspace nested in it, so once `ws`
 /// is warm a solve performs zero heap allocations.
 ///
-/// Converges when `‖b − A·x‖₂ ≤ tolerance·‖b‖₂`, counting `cg.iterations`
-/// and setting the `cg.relative_residual` gauge to the final relative
-/// residual, converged or not. A zero `b` returns `x = 0` at once.
+/// Converges when `‖b − A·x‖₂ ≤ tolerance·‖b‖₂`, counting `cg.iterations`,
+/// `cg.operator_applies` and `cg.preconditioner_applies` (one each per
+/// `A·x` and `M⁻¹·r`, the initial residual's included) and setting the
+/// `cg.relative_residual` gauge to the final relative residual, converged
+/// or not. A zero `b` returns `x = 0` at once.
 ///
 /// # Errors
 ///
@@ -317,6 +319,7 @@ where
     let (p, ap) = rest.split_at_mut(n);
 
     // r = b − A·x (exactly b for a zero guess).
+    opera_trace::count("cg.operator_applies", 1);
     a.apply_into(x, r);
     for (ri, bi) in r.iter_mut().zip(b) {
         *ri = bi - *ri;
@@ -325,6 +328,7 @@ where
     // the same scratch whatever its data: a solve that converges at once
     // still warms the workspace for the ones that iterate. `z` is unused
     // when the loop below never runs.
+    opera_trace::count("cg.preconditioner_applies", 1);
     preconditioner.apply_into(r, z, inner);
     let norm_b = dot(b, b).sqrt();
     if norm_b == 0.0 {
@@ -341,6 +345,7 @@ where
         let mut rz = dot(r, z);
         while iterations < options.max_iterations {
             opera_trace::count("cg.iterations", 1);
+            opera_trace::count("cg.operator_applies", 1);
             a.apply_into(p, ap);
             let pap = dot(p, ap);
             if pap <= 0.0 {
@@ -350,15 +355,21 @@ where
                 });
             }
             let alpha = rz / pap;
-            for i in 0..n {
-                x[i] += alpha * p[i];
-                r[i] -= alpha * ap[i];
+            // ‖r‖² accumulates as the update writes each `r_i`, in `dot`'s
+            // order; no square is −0, so its start value cannot matter.
+            let mut rr = 0.0;
+            let update = x.iter_mut().zip(r.iter_mut()).zip(p.iter().zip(ap.iter()));
+            for ((xi, ri), (pi, api)) in update {
+                *xi += alpha * pi;
+                *ri -= alpha * api;
+                rr += *ri * *ri;
             }
             iterations += 1;
-            residual = dot(r, r).sqrt() / norm_b;
+            residual = rr.sqrt() / norm_b;
             if residual < options.tolerance {
                 break;
             }
+            opera_trace::count("cg.preconditioner_applies", 1);
             preconditioner.apply_into(r, z, inner);
             let rz_new = dot(r, z);
             let beta = rz_new / rz;
@@ -596,6 +607,80 @@ mod tests {
         let iterated = solve_in_place(&a, &b, &mut x, &pre, options, &mut ws).unwrap();
         assert!(iterated.iterations > 0);
         assert_eq!(ws.allocation_count(), warm);
+    }
+
+    /// Counts its own applications.
+    struct Counting<T> {
+        inner: T,
+        applies: std::cell::Cell<u64>,
+    }
+
+    impl<T> Counting<T> {
+        fn new(inner: T) -> Self {
+            Counting {
+                inner,
+                applies: std::cell::Cell::new(0),
+            }
+        }
+    }
+
+    impl<T: LinearOperator> LinearOperator for Counting<T> {
+        fn shape(&self) -> (usize, usize) {
+            self.inner.shape()
+        }
+
+        fn apply_into(&self, x: &[f64], y: &mut [f64]) {
+            self.applies.set(self.applies.get() + 1);
+            self.inner.apply_into(x, y);
+        }
+    }
+
+    impl<T: Preconditioner> Preconditioner for Counting<T> {
+        fn apply_into(&self, r: &[f64], z: &mut [f64], ws: &mut SolveWorkspace) {
+            self.applies.set(self.applies.get() + 1);
+            self.inner.apply_into(r, z, ws);
+        }
+    }
+
+    /// `cg.operator_applies` and `cg.preconditioner_applies` count exactly
+    /// the applications the solve makes — the initial residual's included —
+    /// for an iterated solve, a solve that converges at once and a zero
+    /// right-hand side.
+    #[test]
+    fn work_counters_count_every_operator_and_preconditioner_application() {
+        let _guard = opera_trace::test_guard();
+        let a = Counting::new(laplacian_2d(9, 7, 0.05));
+        let pre = Counting::new(JacobiPreconditioner::new(&a.inner).unwrap());
+        let n = a.inner.nrows();
+        let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.4).sin()).collect();
+        let b = a.inner.matvec(&x_true);
+        let mut ws = SolveWorkspace::new();
+        for (guess, rhs) in [
+            (vec![0.0; n], b.clone()),
+            (x_true.clone(), b.clone()),
+            (x_true.clone(), vec![0.0; n]),
+        ] {
+            a.applies.set(0);
+            pre.applies.set(0);
+            let mut x = guess;
+            opera_trace::reset();
+            opera_trace::enable();
+            let stats = solve_in_place(&a, &rhs, &mut x, &pre, CgOptions::default(), &mut ws);
+            let snapshot = opera_trace::drain();
+            opera_trace::disable();
+            let iterations = stats.unwrap().iterations as u64;
+            assert_eq!(snapshot.counter("cg.iterations"), iterations);
+            assert_eq!(snapshot.counter("cg.operator_applies"), a.applies.get());
+            assert_eq!(
+                snapshot.counter("cg.preconditioner_applies"),
+                pre.applies.get()
+            );
+            // One of each for the initial residual, then one operator per
+            // iteration and one preconditioner per iteration that did not
+            // converge.
+            assert_eq!(a.applies.get(), 1 + iterations);
+            assert_eq!(pre.applies.get(), iterations.max(1));
+        }
     }
 
     #[test]

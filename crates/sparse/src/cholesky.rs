@@ -12,10 +12,10 @@
 use std::sync::Arc;
 
 use crate::etree::postorder;
+use crate::simd::{solve_panel, Columns, Sweep, Triangle};
 use crate::supernodal::{
     amalgamate, column_layout, factor_supernodal, fundamental_rows, Supernodes,
 };
-use crate::triangular::{lower_panel_raw, lower_transpose_panel_raw};
 use crate::{
     column_counts, elimination_tree, ordering, CscMatrix, CsrMatrix, CsrView, Panel, Permutation,
     Result, SolveWorkspace, SparseError,
@@ -693,36 +693,39 @@ impl CholeskyFactor {
     ///
     /// Panics if `b.len()` is not a multiple of the matrix dimension.
     pub fn solve_columns(&self, b: &mut [f64], ws: &mut SolveWorkspace) {
-        let analysis = &self.symbolic.analysis;
-        let n = analysis.n;
-        if n == 0 {
-            return;
-        }
-        assert_eq!(b.len() % n, 0, "rhs length must be a multiple of n");
-        let perm = analysis.perm.as_slice();
-        // One fused interleave round trip per strip when a vector backend
-        // applies (permutation gather and scatter folded into pack/unpack,
-        // L and Lᵀ solved back-to-back on the interleaved scratch);
-        // bit-identical to the scalar path below, which moves each panel
-        // value six times.
-        let (indptr, rowptr) = (&analysis.l_indptr, &analysis.rowptr);
-        let (indices, data) = (&analysis.snode_rows, &self.l_data);
-        if crate::simd::cholesky_panel_interleaved(indptr, rowptr, indices, data, n, perm, b) {
-            return;
-        }
-        let y = ws.scratch(b.len());
-        for (y_col, b_col) in y.chunks_exact_mut(n).zip(b.chunks_exact(n)) {
-            for (yi, &p) in y_col.iter_mut().zip(perm) {
-                *yi = b_col[p];
-            }
-        }
-        lower_panel_raw(indptr, rowptr, indices, data, n, y);
-        lower_transpose_panel_raw(indptr, rowptr, indices, data, n, y);
-        for (y_col, b_col) in y.chunks_exact(n).zip(b.chunks_exact_mut(n)) {
-            for (yi, &p) in y_col.iter().zip(perm) {
-                b_col[p] = *yi;
-            }
-        }
+        self.solve_strips(Columns::InPlace(b), ws);
+    }
+
+    /// Solves `A·Z = R·M` into `z`: the `p` length-`n` columns of the
+    /// column-major `r` are mixed by the row-major `p × p` matrix `mix`
+    /// (column `j` of the right-hand side is `Σ_i mix[i·p + j]·r_i`, summed
+    /// from `+0.0` in ascending `i` with zero weights skipped) as they are
+    /// packed for the solve. Bit-identical to zeroing `z`, adding
+    /// `mix[i·p + j]·r_i` into column `j` for each nonzero weight in
+    /// ascending `i`, and then [`CholeskyFactor::solve_columns`] on `z`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `r` and `z` have the same length, a multiple of the
+    /// matrix dimension, and `mix` has `p²` entries.
+    pub fn solve_mixed_into(&self, r: &[f64], mix: &[f64], z: &mut [f64], ws: &mut SolveWorkspace) {
+        self.solve_strips(Columns::Mixed { r, mix, z }, ws);
+    }
+
+    /// `P·A·Pᵀ = L·Lᵀ`: the permutation gathers each strip's rows as it is
+    /// packed and scatters them back as it is unpacked, and `L` and `Lᵀ`
+    /// are solved back to back on the packed strip.
+    fn solve_strips(&self, columns: Columns<'_>, ws: &mut SolveWorkspace) {
+        let a = &self.symbolic.analysis;
+        let l = Triangle {
+            indptr: &a.l_indptr,
+            rowptr: &a.rowptr,
+            indices: &a.snode_rows,
+            data: &self.l_data,
+        };
+        let perm = Some(a.perm.as_slice());
+        let sweeps = [Sweep::Lower(l), Sweep::LowerTranspose(l)];
+        solve_panel(a.n, columns, perm, &sweeps, perm, Some(ws));
     }
 }
 

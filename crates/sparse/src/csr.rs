@@ -540,6 +540,9 @@ impl<'a> CsrView<'a> {
         (&self.indices[lo..hi], &self.data[lo..hi])
     }
 
+    // Every CG iteration and transient step multiplies through these.
+    // lint: hot(csr-matvec)
+
     /// Matrix-vector product `y = A·x` into a preallocated buffer.
     ///
     /// # Panics
@@ -566,15 +569,43 @@ impl<'a> CsrView<'a> {
         }
     }
 
-    /// Row `i` times `x`, accumulated in storage order.
+    /// `y = A·x + alpha·(B·x)` for `B = other` of the same shape, in one
+    /// pass over the rows of both: per row `a = A_i·x` and `b = B_i·x`,
+    /// then `y_i = a + alpha·b`. Bit-identical to
+    /// [`matvec_into`](Self::matvec_into) followed by `other`'s
+    /// [`matvec_acc`](Self::matvec_acc) with `alpha`, without writing `y`
+    /// twice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes differ or the dimensions do not match.
+    pub fn matvec_sum_into(&self, other: CsrView<'_>, alpha: f64, x: &[f64], y: &mut [f64]) {
+        assert_eq!(
+            (self.nrows, self.ncols),
+            (other.nrows, other.ncols),
+            "matvec_sum_into shape mismatch"
+        );
+        assert_eq!(x.len(), self.ncols, "matvec dimension mismatch");
+        assert_eq!(y.len(), self.nrows, "matvec output dimension mismatch");
+        for (i, out) in y.iter_mut().enumerate() {
+            let a = self.row_dot(i, x);
+            let b = other.row_dot(i, x);
+            *out = a + alpha * b;
+        }
+    }
+
+    /// Row `i` times `x`, accumulated in storage order from `+0.0`.
     #[inline]
     fn row_dot(&self, i: usize, x: &[f64]) -> f64 {
+        let (cols, vals) = self.row(i);
         let mut acc = 0.0;
-        for k in self.indptr[i]..self.indptr[i + 1] {
-            acc += self.data[k] * x[self.indices[k]];
+        for (&j, &v) in cols.iter().zip(vals) {
+            acc += v * x[j];
         }
         acc
     }
+
+    // lint: end-hot
 
     /// The values of `self + alpha·other` — [`CsrMatrix::add_scaled`]'s
     /// arithmetic, in the order of its result's entries — written into
@@ -687,6 +718,61 @@ mod tests {
         // [ 0 3 0 ]
         // [ 4 0 5 ]
         CsrMatrix::from_dense(3, 3, &[1.0, 0.0, 2.0, 0.0, 3.0, 0.0, 4.0, 0.0, 5.0], 0.0)
+    }
+
+    /// The one-pass `A·x + α·(B·x)` is the two-pass `matvec_into` then
+    /// `matvec_acc` bit for bit: on patterns that differ row by row (an
+    /// empty row of either included), with signed zeros, a negative scale
+    /// and a zero scale.
+    #[test]
+    fn matvec_sum_into_matches_the_two_pass_product_bit_for_bit() {
+        let n = 37;
+        let entry = |i: usize, j: usize, salt: usize| -> Option<f64> {
+            match (i * 7 + j * 3 + salt) % 5 {
+                0 => Some(((i * 31 + j * 17 + salt) as f64 * 0.61).sin() * 1e3),
+                1 if i.is_multiple_of(4) => Some(-0.0),
+                _ => None,
+            }
+        };
+        let dense = |salt: usize, empty_row: usize| {
+            let mut t = TripletMatrix::new(n, n);
+            for i in (0..n).filter(|&i| i != empty_row) {
+                for j in 0..n {
+                    if let Some(v) = entry(i, j, salt) {
+                        t.push(i, j, v);
+                    }
+                }
+            }
+            t.to_csr()
+        };
+        let (a, b) = (dense(0, 5), dense(2, 11));
+        assert!(!a.same_pattern(&b));
+        let x: Vec<f64> = (0..n)
+            .map(|i| {
+                if i % 9 == 0 {
+                    -0.0
+                } else {
+                    (i as f64 * 1.3).cos() / 7.0
+                }
+            })
+            .collect();
+        for alpha in [2.5e10, -0.75, 0.0] {
+            let mut two_pass = vec![f64::NAN; n];
+            a.matvec_into(&x, &mut two_pass);
+            b.matvec_acc(&x, alpha, &mut two_pass);
+            let mut one_pass = vec![f64::NAN; n];
+            a.view().matvec_sum_into(b.view(), alpha, &x, &mut one_pass);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&one_pass), bits(&two_pass), "alpha = {alpha}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "shape mismatch")]
+    fn matvec_sum_into_rejects_mismatched_shapes() {
+        let (a, b) = (sample(), CsrMatrix::zeros(3, 4));
+        a.view()
+            .matvec_sum_into(b.view(), 1.0, &[0.0; 3], &mut [0.0; 3]);
     }
 
     #[test]

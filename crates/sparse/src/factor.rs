@@ -112,6 +112,22 @@ impl MatrixFactor {
             MatrixFactor::Lu(f) => f.solve_columns(b, ws),
         }
     }
+
+    /// Solves `A·Z = R·M` into `z`, mixing the `p` columns of `r` by the
+    /// row-major `p × p` matrix `mix` as they are packed for the solve (see
+    /// [`CholeskyFactor::solve_mixed_into`]). Bit-identical to mixing into
+    /// `z` first and then [`MatrixFactor::solve_columns`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `r` and `z` have the same length, a multiple of the
+    /// matrix dimension, and `mix` has `p²` entries.
+    pub fn solve_mixed_into(&self, r: &[f64], mix: &[f64], z: &mut [f64], ws: &mut SolveWorkspace) {
+        match self {
+            MatrixFactor::Cholesky(f) => f.solve_mixed_into(r, mix, z, ws),
+            MatrixFactor::Lu(f) => f.solve_mixed_into(r, mix, z, ws),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -191,6 +207,72 @@ mod tests {
             let mut flat: Vec<f64> = rhs.concat();
             factor.solve_columns(&mut flat, &mut ws);
             assert_eq!(&flat[..], panel.data());
+        }
+    }
+
+    /// Mixing the columns as they are packed is bit-identical to mixing
+    /// them into `z` first (a zeroed column, one `axpy` per nonzero weight
+    /// in ascending block order) and solving `z`, on both variants, under
+    /// every available backend, for one strip, a full strip and more.
+    #[test]
+    fn mixed_solves_match_mix_then_solve_on_both_variants() {
+        let n = 30;
+        let mut t = TripletMatrix::new(n, n);
+        for i in 0..n {
+            t.push(i, i, 4.0 + (i % 3) as f64);
+            if i + 1 < n {
+                t.add_symmetric_pair(i, i + 1, 1.0 + (i % 2) as f64 * 0.5);
+            }
+            if i + 7 < n {
+                t.add_symmetric_pair(i, i + 7, 0.25);
+            }
+        }
+        let spd = t.to_csr();
+        let factors = [
+            MatrixFactor::Cholesky(CholeskyFactor::factor(&spd).unwrap()),
+            MatrixFactor::Lu(LuFactor::factor(&spd).unwrap()),
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for p in [1, 3, 8, 11] {
+            let r: Vec<f64> = (0..n * p)
+                .map(|k| ((k * 13 % 29) as f64 - 14.0) / 3.0)
+                .collect();
+            let mix: Vec<f64> = (0..p * p)
+                .map(|q| match q % 4 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => (q as f64 * 0.77).sin(),
+                })
+                .collect();
+            for factor in &factors {
+                for backend in opera_simd::available_backends() {
+                    opera_simd::set_active(backend).unwrap();
+                    let mut ws = SolveWorkspace::new();
+                    let mut expected = vec![0.0; n * p];
+                    for (j, z_j) in expected.chunks_exact_mut(n).enumerate() {
+                        for (i, r_i) in r.chunks_exact(n).enumerate() {
+                            let weight = mix[i * p + j];
+                            if weight != 0.0 {
+                                opera_simd::axpy(z_j, r_i, weight, backend);
+                            }
+                        }
+                    }
+                    factor.solve_columns(&mut expected, &mut ws);
+                    let mut z = vec![f64::NAN; n * p];
+                    factor.solve_mixed_into(&r, &mix, &mut z, &mut ws);
+                    opera_simd::set_active(opera_simd::Backend::Scalar).unwrap();
+                    assert_eq!(
+                        bits(&z),
+                        bits(&expected),
+                        "{} p={p} {backend}",
+                        if factor.is_cholesky() {
+                            "Cholesky"
+                        } else {
+                            "LU"
+                        }
+                    );
+                }
+            }
         }
     }
 

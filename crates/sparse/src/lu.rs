@@ -7,7 +7,7 @@
 //! Galerkin-augmented matrix loses definiteness for extreme variation
 //! magnitudes).
 
-use crate::triangular::{lower_panel_raw, upper_panel_raw};
+use crate::simd::{solve_panel, Columns, Sweep, Triangle};
 use crate::{CscMatrix, CsrMatrix, Panel, Permutation, Result, SolveWorkspace, SparseError};
 
 /// A sparse LU factorisation `P·A = L·U` with partial (row) pivoting.
@@ -287,22 +287,30 @@ impl LuFactor {
     ///
     /// Panics if `b.len()` is not a multiple of the matrix dimension.
     pub fn solve_columns(&self, b: &mut [f64], ws: &mut SolveWorkspace) {
-        let n = self.n;
-        if n == 0 {
-            return;
-        }
-        assert_eq!(b.len() % n, 0, "rhs length must be a multiple of n");
-        let y = ws.scratch(b.len());
-        let perm = self.row_perm.as_slice();
-        for (y_col, b_col) in y.chunks_exact_mut(n).zip(b.chunks_exact(n)) {
-            for (yi, &p) in y_col.iter_mut().zip(perm) {
-                *yi = b_col[p];
-            }
-        }
-        b.copy_from_slice(y);
-        let (l, u) = (&self.l, &self.u);
-        lower_panel_raw(l.indptr(), l.indptr(), l.indices(), l.data(), n, b);
-        upper_panel_raw(u.indptr(), u.indices(), u.data(), n, b);
+        self.solve_strips(Columns::InPlace(b), ws);
+    }
+
+    /// Solves `A·Z = R·M` into `z`, the block mix folded into the pack —
+    /// [`crate::CholeskyFactor::solve_mixed_into`] for an LU factor, with
+    /// the same arithmetic.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `r` and `z` have the same length, a multiple of the
+    /// matrix dimension, and `mix` has `p²` entries.
+    pub fn solve_mixed_into(&self, r: &[f64], mix: &[f64], z: &mut [f64], ws: &mut SolveWorkspace) {
+        self.solve_strips(Columns::Mixed { r, mix, z }, ws);
+    }
+
+    /// `P·A = L·U`: the row permutation gathers each strip's rows as it is
+    /// packed, then `L` and `U` are solved back to back on the packed strip.
+    fn solve_strips(&self, columns: Columns<'_>, ws: &mut SolveWorkspace) {
+        let sweeps = [
+            Sweep::Lower(Triangle::csc(&self.l)),
+            Sweep::Upper(Triangle::csc(&self.u)),
+        ];
+        let perm = Some(self.row_perm.as_slice());
+        solve_panel(self.n, columns, perm, &sweeps, None, Some(ws));
     }
 }
 

@@ -367,7 +367,7 @@ pub(crate) fn factor_supernodal(
     let mut acc: Vec<f64> = Vec::new();
     // Dense inner loops dispatch to the active vector backend (scalar by
     // default; bit-identical by the no-FMA/independent-lane rules).
-    let backend = crate::simd::panel_backend();
+    let backend = opera_simd::active();
 
     // The numeric phase proper: only the pre-sized scratch above may be
     // resized (amortised O(1), cleared per descendant), never fresh buffers.

@@ -8,22 +8,17 @@
 //!   [`solve_lower_transpose_csc_panel`], [`solve_upper_csc_panel`])
 //!   operating on a column-major [`Panel`] of `k` right-hand sides.
 //!
-//! The panel kernels sweep each factor column across *all* panel columns in
-//! one pass, register-blocked over strips of eight right-hand sides: the
-//! factor's index/value arrays — the dominant memory traffic of a sparse
-//! triangular solve — are streamed once per strip instead of once per RHS.
-//! Within each panel column the floating-point operations are performed in
-//! exactly the scalar order, so panel results are bit-identical to solving
-//! the columns one at a time (property-tested in
-//! `tests/property_tests.rs`).
-//!
-//! When a vector backend is active (`OPERA_SIMD` or the engine knob — see
-//! `opera_simd::active`), the panel kernels route each strip through the
-//! interleaved AVX2/AVX-512 path in [`crate::simd`] instead of the scalar
-//! strip macros below. The vector path is bit-identical to the scalar one
-//! (no FMA contraction, lanes along the independent RHS axis), which the
-//! tests here and `tests/property_simd.rs` pin for every available backend.
+//! The panel solves run through the strip path of [`crate::simd`], like
+//! every factor's panel solve: strips of up to eight columns are packed
+//! row-major and each factor entry — the dominant memory traffic of a
+//! sparse triangular solve — is streamed once per strip instead of once
+//! per right-hand side. Within each panel column the floating-point
+//! operations are performed in exactly the scalar order, so panel results
+//! are bit-identical to solving the columns one at a time under every
+//! `opera_simd` backend (property-tested here, in `tests/property_tests.rs`
+//! and in `tests/property_simd.rs`).
 
+use crate::simd::{solve_panel, Columns, Sweep, Triangle};
 use crate::{CscMatrix, Panel};
 
 // Every kernel below runs on the per-step transient path; the region-wide
@@ -105,215 +100,24 @@ pub fn solve_upper_csc(u: &CscMatrix, b: &mut [f64]) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Blocked multi-RHS panel kernels.
-//
-// Each macro expands one strip kernel for 1..=STRIP simultaneous right-hand
-// sides: the outer loop walks the factor columns, the inner loop streams the
-// column's off-diagonal entries once and applies them to every RHS in the
-// strip. The per-RHS operation order matches the scalar kernels exactly, so
-// each panel column is bit-identical to a scalar solve of that column.
-// ---------------------------------------------------------------------------
-
-/// Width of the register-blocked RHS strips. Eight simultaneous right-hand
-/// sides stream the factor once for the common order-2 Galerkin panel
-/// (`P = 6`) and keep the per-column accumulators comfortably in registers.
-const STRIP: usize = 8;
-
-/// Splits a column-major panel buffer into strips of at most [`STRIP`]
-/// columns and hands each strip to `kernel`.
-fn for_each_strip(panel: &mut [f64], n: usize, mut kernel: impl FnMut(&mut [&mut [f64]])) {
-    if n == 0 {
-        return;
-    }
-    debug_assert_eq!(panel.len() % n, 0, "panel length must be a multiple of n");
-    let mut rest = panel;
-    while !rest.is_empty() {
-        let w = (rest.len() / n).min(STRIP);
-        let (strip, tail) = rest.split_at_mut(w * n);
-        rest = tail;
-        let mut cols: [&mut [f64]; STRIP] = Default::default();
-        let mut strip = strip;
-        for slot in cols.iter_mut().take(w) {
-            let (head, tail) = strip.split_at_mut(n);
-            *slot = head;
-            strip = tail;
-        }
-        kernel(&mut cols[..w]);
-    }
-}
-
-macro_rules! lower_strip_kernel {
-    (
-        $n:ident, $indptr:ident, $rowptr:ident, $indices:ident, $data:ident,
-        [$($x:ident / $b:ident),+]
-    ) => {{
-        for j in 0..$n {
-            let (start, end, r0) = ($indptr[j], $indptr[j + 1], $rowptr[j]);
-            assert!(
-                start < end && $indices[r0] == j,
-                "missing diagonal entry in lower triangular column {j}"
-            );
-            let d = $data[start];
-            $(let $x = $b[j] / d;
-            $b[j] = $x;)+
-            let rows = &$indices[r0 + 1..r0 + end - start];
-            let vals = &$data[start + 1..end];
-            for (&i, &v) in rows.iter().zip(vals) {
-                $($b[i] -= v * $x;)+
-            }
-        }
-    }};
-}
-
-macro_rules! lower_transpose_strip_kernel {
-    (
-        $n:ident, $indptr:ident, $rowptr:ident, $indices:ident, $data:ident,
-        [$($acc:ident / $b:ident),+]
-    ) => {{
-        for j in (0..$n).rev() {
-            let (start, end, r0) = ($indptr[j], $indptr[j + 1], $rowptr[j]);
-            assert!(
-                start < end && $indices[r0] == j,
-                "missing diagonal entry in lower triangular column {j}"
-            );
-            $(let mut $acc = $b[j];)+
-            let rows = &$indices[r0 + 1..r0 + end - start];
-            let vals = &$data[start + 1..end];
-            for (&i, &v) in rows.iter().zip(vals) {
-                $($acc -= v * $b[i];)+
-            }
-            let d = $data[start];
-            $($b[j] = $acc / d;)+
-        }
-    }};
-}
-
-macro_rules! upper_strip_kernel {
-    ($n:ident, $indptr:ident, $indices:ident, $data:ident, [$($x:ident / $b:ident),+]) => {{
-        for j in (0..$n).rev() {
-            let start = $indptr[j];
-            let end = $indptr[j + 1];
-            assert!(
-                start < end && $indices[end - 1] == j,
-                "missing diagonal entry in upper triangular column {j}"
-            );
-            let d = $data[end - 1];
-            $(let $x = $b[j] / d;
-            $b[j] = $x;)+
-            let rows = &$indices[start..end - 1];
-            let vals = &$data[start..end - 1];
-            for (&i, &v) in rows.iter().zip(vals) {
-                $($b[i] -= v * $x;)+
-            }
-        }
-    }};
-}
-
-/// Dispatches a strip of 1..=STRIP columns to the width-specialised
-/// expansion of one of the kernel macros above; `($args)` are the factor
-/// arguments the kernel takes ahead of the strip.
-macro_rules! dispatch_strip {
-    ($cols:ident, $kernel:ident, ($($arg:ident),+)) => {
-        match $cols {
-            [b0] => $kernel!($($arg),+, [x0 / b0]),
-            [b0, b1] => $kernel!($($arg),+, [x0 / b0, x1 / b1]),
-            [b0, b1, b2] => $kernel!($($arg),+, [x0 / b0, x1 / b1, x2 / b2]),
-            [b0, b1, b2, b3] => $kernel!($($arg),+, [x0 / b0, x1 / b1, x2 / b2, x3 / b3]),
-            [b0, b1, b2, b3, b4] => {
-                $kernel!($($arg),+, [x0 / b0, x1 / b1, x2 / b2, x3 / b3, x4 / b4])
-            }
-            [b0, b1, b2, b3, b4, b5] => $kernel!(
-                $($arg),+,
-                [x0 / b0, x1 / b1, x2 / b2, x3 / b3, x4 / b4, x5 / b5]
-            ),
-            [b0, b1, b2, b3, b4, b5, b6] => $kernel!(
-                $($arg),+,
-                [x0 / b0, x1 / b1, x2 / b2, x3 / b3, x4 / b4, x5 / b5, x6 / b6]
-            ),
-            [b0, b1, b2, b3, b4, b5, b6, b7] => $kernel!(
-                $($arg),+,
-                [x0 / b0, x1 / b1, x2 / b2, x3 / b3, x4 / b4, x5 / b5, x6 / b6, x7 / b7]
-            ),
-            // lint: allow(L001, for_each_strip caps strips at STRIP columns, so wider widths cannot occur)
-            _ => unreachable!("strips are at most {STRIP} columns wide"),
-        }
-    };
-}
-
-/// Blocked forward substitution `L·X = B`, in place for every column of the
-/// column-major `panel`. Column `j` of `L` holds the values
-/// `data[indptr[j]..indptr[j + 1]]` at the rows `indices[rowptr[j]..]`,
-/// diagonal first: a CSC matrix passes its `indptr` as `rowptr`
-/// ([`solve_lower_csc_panel`], the `L` of [`crate::LuFactor`]), the
-/// supernodal [`crate::CholeskyFactor`] passes each column's start in its
-/// supernode's row list.
-pub(crate) fn lower_panel_raw(
-    indptr: &[usize],
-    rowptr: &[usize],
-    indices: &[usize],
-    data: &[f64],
-    n: usize,
-    panel: &mut [f64],
-) {
-    let vector = crate::simd::solve_panel_interleaved(n, panel, |x, backend| {
-        opera_simd::lower_solve_interleaved(indptr, rowptr, indices, data, n, x, backend)
-    });
-    if !vector {
-        for_each_strip(panel, n, |cols| {
-            dispatch_strip!(cols, lower_strip_kernel, (n, indptr, rowptr, indices, data))
-        });
-    }
-}
-
-/// Blocked backward substitution with the *transpose* of a lower factor
-/// (same layout as [`lower_panel_raw`]): solves `Lᵀ·X = B` in place.
-pub(crate) fn lower_transpose_panel_raw(
-    indptr: &[usize],
-    rowptr: &[usize],
-    indices: &[usize],
-    data: &[f64],
-    n: usize,
-    panel: &mut [f64],
-) {
-    let vector = crate::simd::solve_panel_interleaved(n, panel, |x, backend| {
-        opera_simd::lower_transpose_solve_interleaved(indptr, rowptr, indices, data, n, x, backend)
-    });
-    if !vector {
-        for_each_strip(panel, n, |cols| {
-            dispatch_strip!(
-                cols,
-                lower_transpose_strip_kernel,
-                (n, indptr, rowptr, indices, data)
-            )
-        });
-    }
-}
-
-/// Blocked backward substitution on raw upper-triangular CSC arrays
-/// (diagonal stored last in each column): solves `U·X = B` in place.
-pub(crate) fn upper_panel_raw(
-    indptr: &[usize],
-    indices: &[usize],
-    data: &[f64],
-    n: usize,
-    panel: &mut [f64],
-) {
-    let vector = crate::simd::solve_panel_interleaved(n, panel, |x, backend| {
-        opera_simd::upper_solve_interleaved(indptr, indices, data, n, x, backend)
-    });
-    if !vector {
-        for_each_strip(panel, n, |cols| {
-            dispatch_strip!(cols, upper_strip_kernel, (n, indptr, indices, data))
-        });
-    }
-}
-
 /// Asserts the square shape shared by all panel entry points.
 fn check_panel_dims(m: &CscMatrix, b: &Panel) {
     let n = m.ncols();
     assert_eq!(m.nrows(), n, "triangular solve requires a square matrix");
     assert_eq!(b.nrows(), n, "panel row count mismatch");
+}
+
+/// Solves `b`'s columns in place through one `sweep` of `m`.
+fn solve_csc_panel(m: &CscMatrix, b: &mut Panel, sweep: Sweep<'_>) {
+    check_panel_dims(m, b);
+    solve_panel(
+        m.ncols(),
+        Columns::InPlace(b.data_mut()),
+        None,
+        &[sweep],
+        None,
+        None,
+    );
 }
 
 /// Solves `L·X = B` in place for every column of `b`, where `L` is lower
@@ -325,16 +129,7 @@ fn check_panel_dims(m: &CscMatrix, b: &Panel) {
 ///
 /// Panics if dimensions do not match or a diagonal entry is missing.
 pub fn solve_lower_csc_panel(l: &CscMatrix, b: &mut Panel) {
-    check_panel_dims(l, b);
-    let indptr = l.indptr();
-    lower_panel_raw(
-        indptr,
-        indptr,
-        l.indices(),
-        l.data(),
-        l.ncols(),
-        b.data_mut(),
-    );
+    solve_csc_panel(l, b, Sweep::Lower(Triangle::csc(l)));
 }
 
 /// Solves `Lᵀ·X = B` in place for every column of `b` (lower triangular `L`
@@ -345,16 +140,7 @@ pub fn solve_lower_csc_panel(l: &CscMatrix, b: &mut Panel) {
 ///
 /// Panics if dimensions do not match or a diagonal entry is missing.
 pub fn solve_lower_transpose_csc_panel(l: &CscMatrix, b: &mut Panel) {
-    check_panel_dims(l, b);
-    let indptr = l.indptr();
-    lower_transpose_panel_raw(
-        indptr,
-        indptr,
-        l.indices(),
-        l.data(),
-        l.ncols(),
-        b.data_mut(),
-    );
+    solve_csc_panel(l, b, Sweep::LowerTranspose(Triangle::csc(l)));
 }
 
 /// Solves `U·X = B` in place for every column of `b`, where `U` is upper
@@ -365,8 +151,7 @@ pub fn solve_lower_transpose_csc_panel(l: &CscMatrix, b: &mut Panel) {
 ///
 /// Panics if dimensions do not match or a diagonal entry is missing.
 pub fn solve_upper_csc_panel(u: &CscMatrix, b: &mut Panel) {
-    check_panel_dims(u, b);
-    upper_panel_raw(u.indptr(), u.indices(), u.data(), u.ncols(), b.data_mut());
+    solve_csc_panel(u, b, Sweep::Upper(Triangle::csc(u)));
 }
 
 // lint: end-hot

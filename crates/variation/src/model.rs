@@ -447,29 +447,12 @@ impl StochasticGridModel {
                 ),
             });
         }
-        // The nominal excitation `u_pad − i(t)`, accumulated per source as
-        // `PowerGrid::excitation` does, and the drain currents `i(t)` as
-        // `PowerGrid::drain_current_vector` sums them, from one evaluation
-        // of each waveform.
-        out.copy_from_slice(&self.pad_nominal);
         let varies_current = xi
             .iter()
             .zip(&self.current_sens)
             .any(|(&x, &sens)| x != 0.0 && sens != 0.0);
-        let drain: &mut [f64] = if varies_current {
-            drain.clear();
-            drain.resize(out.len(), 0.0);
-            drain
-        } else {
-            &mut []
-        };
-        for source in self.grid.sources() {
-            let value = source.waveform.value_at(t);
-            out[source.node] -= value;
-            if let Some(i_n) = drain.get_mut(source.node) {
-                *i_n += value;
-            }
-        }
+        let drain = drain_scratch(drain, varies_current, out.len());
+        self.nominal_and_drain_into(t, out, drain);
         for (d, &x) in xi.iter().enumerate() {
             if x == 0.0 {
                 continue;
@@ -488,6 +471,72 @@ impl StochasticGridModel {
         Ok(())
     }
 
+    /// [`excitation_nominal`](Self::excitation_nominal) written into `out`
+    /// (one node-count block), bit-equal to it, evaluating each source
+    /// waveform once. `drain` is the caller's scratch for the drain
+    /// currents `i(t)` that [`excitation_perturbation_values`] reads: it is
+    /// filled when some variable has a current sensitivity and emptied
+    /// otherwise, so a loop that passes the same one to every call
+    /// allocates on its first call only.
+    ///
+    /// [`excitation_perturbation_values`]: Self::excitation_perturbation_values
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` differs from the node count.
+    pub fn excitation_nominal_into(&self, t: f64, out: &mut [f64], drain: &mut Vec<f64>) {
+        assert_eq!(
+            out.len(),
+            self.node_count(),
+            "excitation dimension mismatch"
+        );
+        let varies_current = self.current_sens.iter().any(|&sens| sens != 0.0);
+        let drain = drain_scratch(drain, varies_current, out.len());
+        self.nominal_and_drain_into(t, out, drain);
+    }
+
+    /// The entries of [`excitation_perturbation`](Self::excitation_perturbation)
+    /// `u_d(t)`, bit-equal to it, computed as they are read from the drain
+    /// currents that [`excitation_nominal_into`](Self::excitation_nominal_into)
+    /// left in `drain` for the same `t`: nothing of the node count is
+    /// allocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` is out of range, or on reading an entry when variable
+    /// `d` has a current sensitivity and `drain` holds no currents.
+    pub fn excitation_perturbation_values<'a>(
+        &'a self,
+        d: usize,
+        drain: &'a [f64],
+    ) -> impl Iterator<Item = f64> + 'a {
+        let sens = self.current_sens[d];
+        self.pad_pert[d].iter().enumerate().map(move |(k, &pad)| {
+            if sens != 0.0 {
+                pad - sens * drain[k]
+            } else {
+                pad
+            }
+        })
+    }
+
+    /// The nominal excitation `u_pad − i(t)` into `out`, accumulated per
+    /// source as `PowerGrid::excitation` does, and — unless `drain` is
+    /// empty — the drain currents `i(t)` into `drain` as
+    /// `PowerGrid::drain_current_vector` sums them, from one evaluation of
+    /// each waveform.
+    fn nominal_and_drain_into(&self, t: f64, out: &mut [f64], drain: &mut [f64]) {
+        out.copy_from_slice(&self.pad_nominal);
+        drain.fill(0.0);
+        for source in self.grid.sources() {
+            let value = source.waveform.value_at(t);
+            out[source.node] -= value;
+            if let Some(i_n) = drain.get_mut(source.node) {
+                *i_n += value;
+            }
+        }
+    }
+
     fn check_sample(&self, xi: &[f64]) -> Result<()> {
         if xi.len() != self.n_vars() {
             return Err(VariationError::IndexOutOfBounds {
@@ -500,6 +549,12 @@ impl StochasticGridModel {
         }
         Ok(())
     }
+}
+
+/// `drain` resized to `len` values when `needed`, emptied otherwise.
+fn drain_scratch(drain: &mut Vec<f64>, needed: bool, len: usize) -> &mut [f64] {
+    drain.resize(if needed { len } else { 0 }, 0.0);
+    drain
 }
 
 /// The matrices of one sample `ξ` as value arrays on a model's nominal

@@ -325,7 +325,11 @@ fn lockstep_groups_allocate_nothing_per_step() {
 /// of `G`, a transpose, a union `G + s·C` — allocates one; matrices stored
 /// as values on a shared pattern allocate none.
 fn csr_copies(n: usize, f: impl FnOnce()) -> u64 {
-    let bytes = (n + 1) * std::mem::size_of::<usize>();
+    allocations_of((n + 1) * std::mem::size_of::<usize>(), f)
+}
+
+/// Allocations of exactly `bytes` that `f` makes on this thread.
+fn allocations_of(bytes: usize, f: impl FnOnce()) -> u64 {
     WATCHED.with(|w| w.set((bytes, 0)));
     f();
     WATCHED.with(|w| w.replace((0, 0)).1)
@@ -386,10 +390,7 @@ fn refactorisations_and_lockstep_groups_copy_no_matrix() {
 /// Allocations of `dim` values (one stacked excitation) that `solve` makes
 /// on this thread, `dim` being `engine`'s stacked dimension.
 fn stacked_allocations(engine: &OperaEngine, solve: impl FnOnce()) -> u64 {
-    let bytes = engine.system().dim() * std::mem::size_of::<f64>();
-    WATCHED.with(|w| w.set((bytes, 0)));
-    solve();
-    WATCHED.with(|w| w.replace((0, 0)).1)
+    allocations_of(engine.system().dim() * std::mem::size_of::<f64>(), solve)
 }
 
 /// Allocations of `dim` values that an adaptive solve of `engine` at
@@ -440,30 +441,42 @@ fn adaptive_attempts_allocate_no_excitation() {
 }
 
 /// Fixed-step engine solves write every excitation into the stepping loop's
-/// reused panels: a horizon four times longer allocates no more vectors of
-/// the stacked dimension, on either backend, for single- and two-stage
-/// schemes.
+/// reused panels and its terms into reused scratch: a horizon four times
+/// longer allocates no more vectors of the stacked dimension, and per extra
+/// step exactly one node-length vector per basis function — the output's
+/// chaos coefficients (`split_solution`) — on either backend, for single-
+/// and two-stage schemes.
 #[test]
 fn fixed_step_solves_allocate_no_excitation() {
     for solver in builtin_backends() {
         for method in [IntegrationMethod::BackwardEuler, IntegrationMethod::TrBdf2] {
             let engine = small_engine_with(Arc::clone(&solver), method);
+            let system = engine.system();
+            let (dim, n) = (system.dim(), system.node_count());
             assert!(
-                !engine.system().dim().is_power_of_two(),
-                "a grown Vec could match the watched size"
+                !dim.is_power_of_two() && !n.is_power_of_two(),
+                "a grown Vec could match a watched size"
             );
-            let at_horizon = |end_time: f64| {
-                stacked_allocations(&engine, || {
+            let at_horizon = |end_time: f64, values: usize| {
+                allocations_of(values * std::mem::size_of::<f64>(), || {
                     engine
                         .solve_scenario(&Scenario::default().with_end_time(end_time))
                         .unwrap();
                 })
             };
-            let (short, long) = (at_horizon(0.5e-9), at_horizon(2.0e-9));
+            let (short, long) = (at_horizon(0.5e-9, dim), at_horizon(2.0e-9, dim));
             assert_eq!(
                 long,
                 short,
                 "{} {method:?}: 8 steps allocated {long} stacked vectors, 2 steps {short}",
+                solver.name()
+            );
+            let (short, long) = (at_horizon(0.5e-9, n), at_horizon(2.0e-9, n));
+            let per_step = system.basis_size() as u64;
+            assert_eq!(
+                long - short,
+                per_step * (8 - 2),
+                "{} {method:?}: 8 steps allocated {long} node vectors, 2 steps {short}",
                 solver.name()
             );
         }

@@ -14,7 +14,12 @@
 //! * the full `MatrixFactor::solve_panel` path on random SPD grids and
 //!   meshes under `opera_simd::set_active`, the end-to-end contract the
 //!   engine relies on; the meshes are large enough that the factor's
-//!   supernodes are padded.
+//!   supernodes are padded;
+//! * the width sweep: panels of 1..=9 and 17 columns on padded supernodal
+//!   Cholesky factors, LU factors and the public CSC panel functions,
+//!   every column against a one-column solve, and the mixed solve (the
+//!   Kronecker preconditioner's block mix folded into the pack) against
+//!   mixing first, under every backend.
 
 use std::collections::BTreeMap;
 
@@ -22,7 +27,9 @@ use proptest::prelude::*;
 
 use opera_simd::{available_backends, scalar, Backend, LANES};
 use opera_sparse::{
-    CsrMatrix, MatrixFactor, Panel, SolveWorkspace, SymbolicCholesky, TripletMatrix,
+    solve_lower_csc, solve_lower_csc_panel, solve_lower_transpose_csc,
+    solve_lower_transpose_csc_panel, solve_upper_csc, solve_upper_csc_panel, CscMatrix, CsrMatrix,
+    LuFactor, MatrixFactor, Panel, SolveWorkspace, SymbolicCholesky, TripletMatrix,
 };
 
 /// Bit view of a float slice: `assert_eq` on values would conflate
@@ -109,6 +116,14 @@ fn upper_of(
     }
     (up, ui, uv)
 }
+
+/// A public CSC panel solve, its one-column form and the matrix both take.
+type CscCase<'a> = (
+    &'static str,
+    fn(&CscMatrix, &mut Panel),
+    fn(&CscMatrix, &mut [f64]),
+    &'a CscMatrix,
+);
 
 /// A random SPD conductance matrix (weighted Laplacian plus leaks), the
 /// same family the transient property suite solves.
@@ -346,6 +361,114 @@ proptest! {
                 "solve_panel {} n={} k={}",
                 backend, n, k
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Every panel width — strips of 1..=8 columns, a full strip and one
+    /// more column (9), two full strips and one more (17) — solves each
+    /// column bit-identically to a one-column solve of it, under every
+    /// backend: on padded supernodal Cholesky factors, on LU factors of the
+    /// same matrix, and through the public CSC panel functions with the
+    /// Cholesky factor's `L` and `Lᵀ`. The mixed solve, which folds a
+    /// block mix into the pack, matches mixing into the panel first and
+    /// solving it.
+    #[test]
+    fn panel_solves_of_every_width_match_one_column_solves_under_every_backend(
+        g in spd_mesh(),
+        drive in 0.2f64..3.0,
+    ) {
+        let n = g.nrows();
+        let symbolic = SymbolicCholesky::analyze(&g).unwrap();
+        prop_assert!(symbolic.padded_nnz() > 0, "n={}", n);
+        let factors = [
+            MatrixFactor::Cholesky(symbolic.factor_numeric(&g).unwrap()),
+            MatrixFactor::Lu(LuFactor::factor(&g).unwrap()),
+        ];
+        let l = match &factors[0] {
+            MatrixFactor::Cholesky(f) => f.lower(),
+            MatrixFactor::Lu(_) => unreachable!(),
+        };
+        // CSR of `L` is CSC of `Lᵀ`, diagonal last in each column.
+        let lt = l.to_csr();
+        let u = CscMatrix::from_raw_parts(
+            n,
+            n,
+            lt.indptr().to_vec(),
+            lt.indices().to_vec(),
+            lt.data().to_vec(),
+        )
+        .unwrap();
+        let csc: [CscCase<'_>; 3] = [
+            ("L", solve_lower_csc_panel, solve_lower_csc, &l),
+            ("Lᵀ", solve_lower_transpose_csc_panel, solve_lower_transpose_csc, &l),
+            ("U", solve_upper_csc_panel, solve_upper_csc, &u),
+        ];
+        let mut ws = SolveWorkspace::new();
+        for k in (1..=9).chain([17]) {
+            let columns: Vec<Vec<f64>> = (0..k)
+                .map(|j| {
+                    (0..n)
+                        .map(|i| drive * ((i * k + 3 * j + 1) as f64 * 0.41).sin())
+                        .collect()
+                })
+                .collect();
+            // Column `j` of the mixed panel weighs block `i` by
+            // `mix[i·k + j]`; every third weight is a zero.
+            let mix: Vec<f64> = (0..k * k)
+                .map(|q| if q % 3 == 1 { 0.0 } else { ((q + 1) as f64 * 0.73).cos() })
+                .collect();
+            let flat = columns.concat();
+            let mut mixed = vec![0.0; n * k];
+            for (j, z_j) in mixed.chunks_exact_mut(n).enumerate() {
+                for (i, r_i) in columns.iter().enumerate() {
+                    let weight = mix[i * k + j];
+                    if weight != 0.0 {
+                        scalar::axpy(z_j, r_i, weight);
+                    }
+                }
+            }
+            for backend in available_backends() {
+                for factor in &factors {
+                    opera_simd::set_active(backend).unwrap();
+                    let mut panel = Panel::from_columns(&columns);
+                    factor.solve_panel(&mut panel, &mut ws);
+                    let mut z = vec![f64::NAN; n * k];
+                    factor.solve_mixed_into(&flat, &mix, &mut z, &mut ws);
+                    let mut expected_mixed = mixed.clone();
+                    factor.solve_columns(&mut expected_mixed, &mut ws);
+                    opera_simd::set_active(Backend::Scalar).unwrap();
+                    let name = if factor.is_cholesky() { "Cholesky" } else { "LU" };
+                    for (j, column) in columns.iter().enumerate() {
+                        let mut x = column.clone();
+                        factor.solve_in_place(&mut x, &mut ws);
+                        prop_assert_eq!(
+                            bits(panel.col(j)), bits(&x),
+                            "{} {} k={} column {}", name, backend, k, j
+                        );
+                    }
+                    prop_assert_eq!(
+                        bits(&z), bits(&expected_mixed), "{} mixed {} k={}", name, backend, k
+                    );
+                }
+                for &(name, panel_solve, column_solve, m) in &csc {
+                    opera_simd::set_active(backend).unwrap();
+                    let mut panel = Panel::from_columns(&columns);
+                    panel_solve(m, &mut panel);
+                    opera_simd::set_active(Backend::Scalar).unwrap();
+                    for (j, column) in columns.iter().enumerate() {
+                        let mut x = column.clone();
+                        column_solve(m, &mut x);
+                        prop_assert_eq!(
+                            bits(panel.col(j)), bits(&x),
+                            "CSC {} {} k={} column {}", name, backend, k, j
+                        );
+                    }
+                }
+            }
         }
     }
 }
