@@ -17,16 +17,27 @@
 //! The controller steps through a [`PreparedSolver`], so one controller
 //! serves every backend: the stages come from
 //! [`PreparedSolver::step_tr_bdf2_panel_into`] and the error estimate from
-//! [`PreparedSolver::tr_bdf2_error_panel_into`]. The controller holds one
-//! stepper for the current step size and re-steps it through
-//! [`PreparedSolver::with_time_step`] only when the step size changes. A
-//! re-step goes through the solver's [`CompanionFamily`], which reuses one
-//! shared symbolic Cholesky analysis and runs one numeric refactorisation —
-//! of the augmented companion on the direct backend, of the nominal one on
-//! the CG backend. A dead-band in the controller keeps the step unchanged
-//! when the predicted growth is modest, so long smooth stretches step on one
-//! factor. Nothing outlives the solve: the stepper is dropped when it ends.
-//! See `docs/TRANSIENT.md` for the full contract.
+//! [`PreparedSolver::tr_bdf2_error_panel_into`]. It re-steps only when the
+//! step size changes, and keeps its steppers for one solve in a map keyed
+//! by the half-octave rung `⌊2·log₂ h⌋` of their step, at most four of
+//! them, least recently used first out. A change to a rung the map holds
+//! re-steps that stepper through
+//! [`PreparedSolver::restep_keeping_factor`], which refactors nothing: on
+//! the CG backend the nominal factor only preconditions the exact operator
+//! at the new step. Any other change re-steps through
+//! [`PreparedSolver::with_time_step`] and the solver's [`CompanionFamily`]:
+//! one shared symbolic Cholesky analysis, one numeric refactorisation — of
+//! the augmented companion on the direct backend, whose factor is the solve
+//! and which therefore refactors at every change, of the nominal one on the
+//! CG backend.
+//!
+//! A dead-band in the controller keeps the step unchanged when the
+//! predicted factor is modest, so long smooth stretches step on the current
+//! stepper as it is. The map does not replace it: it saves the
+//! factorisation of a change, not the change, and the step sizes stay
+//! those the error estimate asks for (snapping them to the rungs moves the
+//! trajectory). Nothing outlives the solve: the map is dropped when it
+//! ends. See `docs/TRANSIENT.md` for the full contract.
 
 use opera_sparse::{CsrMatrix, Panel, SolveWorkspace};
 
@@ -38,12 +49,84 @@ use crate::{OperaError, Result};
 
 /// Controller dead-band: predicted step factors inside `[DEADBAND_LOW,
 /// DEADBAND_HIGH]` keep the current step, so consecutive smooth steps reuse
-/// the current factorisation instead of refactoring for a marginal gain.
+/// the current stepper instead of re-stepping for a marginal gain.
 const DEADBAND_LOW: f64 = 0.9;
 const DEADBAND_HIGH: f64 = 1.3;
 
 /// Error exponent for a second-order embedded pair: `factor ∝ err^(−1/3)`.
 const ERROR_EXPONENT: f64 = -1.0 / 3.0;
+
+/// Factors one solve keeps live in its [`Steppers`] map.
+const MAX_LIVE_FACTORS: usize = 4;
+
+/// The half-octave rung `⌊2·log₂ h⌋` of a step size: step sizes within a
+/// factor `√2` of each other share a rung, and with it a factor.
+fn rung(h: f64) -> i32 {
+    (2.0 * h.log2()).floor() as i32
+}
+
+/// The steppers of one adaptive solve, keyed by [`rung`] and ordered from
+/// least to most recently used; the last one steps. A step-size change
+/// whose rung has a stepper re-steps it through
+/// [`PreparedSolver::restep_keeping_factor`], which refactors nothing;
+/// otherwise `prepared` re-steps through
+/// [`PreparedSolver::with_time_step`], one numeric factorisation, after
+/// the least recently used stepper is dropped to keep the map at
+/// `capacity`. A backend that cannot keep a factor across step sizes
+/// (the factor is the solve) gets a capacity of one, so it refactors at
+/// every change and holds one re-stepped factor, as without the map.
+struct Steppers<'a> {
+    prepared: &'a dyn PreparedSolver,
+    entries: Vec<(i32, Box<dyn PreparedSolver>)>,
+    capacity: usize,
+    /// Numeric factorisations run through `prepared.with_time_step`.
+    factorizations: u64,
+}
+
+impl<'a> Steppers<'a> {
+    /// The map over `prepared`, seeded with `prepared`'s own factor when
+    /// the backend keeps factors across step sizes.
+    fn new(prepared: &'a dyn PreparedSolver) -> Self {
+        let h = prepared.time_step();
+        let seed = prepared.restep_keeping_factor(h);
+        Steppers {
+            prepared,
+            capacity: if seed.is_some() { MAX_LIVE_FACTORS } else { 1 },
+            entries: seed.map(|stepper| (rung(h), stepper)).into_iter().collect(),
+            factorizations: 0,
+        }
+    }
+
+    /// The stepper of the current step size.
+    fn current(&self) -> &dyn PreparedSolver {
+        self.entries
+            .last()
+            .map_or(self.prepared, |(_, stepper)| stepper.as_ref())
+    }
+
+    /// Makes a stepper at exactly `h` the current one.
+    fn restep(&mut self, h: f64) -> Result<()> {
+        let rung = rung(h);
+        let kept = match self.entries.iter().position(|(r, _)| *r == rung) {
+            Some(i) => self.entries.remove(i).1.restep_keeping_factor(h),
+            None => {
+                if self.entries.len() == self.capacity {
+                    self.entries.remove(0);
+                }
+                None
+            }
+        };
+        let stepper = match kept {
+            Some(stepper) => stepper,
+            None => {
+                self.factorizations += 1;
+                self.prepared.with_time_step(h)?
+            }
+        };
+        self.entries.push((rung, stepper));
+        Ok(())
+    }
+}
 
 /// Options for the adaptive TR-BDF2 step-size controller.
 #[derive(Debug, Clone)]
@@ -169,9 +252,11 @@ pub struct AdaptiveStats {
     pub steps_accepted: u64,
     /// Steps rejected by the error test (never emitted).
     pub steps_rejected: u64,
-    /// Numeric refactorisations the run triggered in the solver's
-    /// [`CompanionFamily`]: one per change of the step size (the run of
-    /// [`solve_transient_adaptive`] also counts its initial step's).
+    /// Numeric factorisations the run ran through the solver's
+    /// [`CompanionFamily`]: one per step-size change on a backend whose
+    /// factor is the solve (direct), at most one per half-octave rung its
+    /// steps visit on one that keeps factors across step sizes (CG). The
+    /// run of [`solve_transient_adaptive`] also counts its initial step's.
     pub refactorizations: u64,
     /// Symbolic analyses the family has ever run (1 for Cholesky families,
     /// on every backend: step-size changes are numeric-only).
@@ -265,12 +350,13 @@ fn validate_output_times(output_times: &[f64]) -> Result<()> {
 /// `t`, starting with `v0` at `t0`. Nothing is kept here, so a caller that
 /// folds the rows as they arrive holds no second copy of the output.
 ///
-/// The loop starts on `prepared` itself and re-steps with
-/// `prepared.with_time_step` whenever an attempt's step size differs from
-/// the current stepper's (one symbolic analysis in the solver's companion
-/// family, one numeric refactorisation per change); the stepper is dropped
-/// when the loop ends. Rejected steps are never emitted; the final step is
-/// capped so the last accepted time is **exactly** `t_end`. Counters
+/// The loop starts on `prepared` itself and re-steps whenever an attempt's
+/// step size differs from the current stepper's, through its [`Steppers`]
+/// map: a rung the map holds re-steps without refactoring, any other
+/// change refactors once in the solver's companion family (one symbolic
+/// analysis for all). The map is dropped when the loop ends. Rejected
+/// steps are never emitted; the final step is capped so the last accepted
+/// time is **exactly** `t_end`. Counters
 /// `transient.adaptive.steps_attempted` / `transient.adaptive.steps_rejected`
 /// flow into [`opera_trace`] alongside the family's refactorisation counter.
 ///
@@ -292,13 +378,11 @@ pub(crate) fn integrate_adaptive(
 ) -> Result<AdaptiveStats> {
     options.validate()?;
     validate_output_times(output_times)?;
-    let family = prepared.companion_family();
     let t0 = output_times[0];
     let t_end = output_times[output_times.len() - 1];
     let (min_step, max_step, mut h) = step_bounds(output_times, options);
 
     let n = v0.nrows();
-    let refactorizations_before = family.refactorization_count();
     let mut stats = AdaptiveStats::default();
 
     let mut v = v0;
@@ -320,10 +404,7 @@ pub(crate) fn integrate_adaptive(
 
     let mut rejected_last = false;
     let mut consecutive_rejects = 0u32;
-    // The stepper for the current step size: `prepared` itself until the
-    // first change, then the latest re-step.
-    let mut restepped: Option<Box<dyn PreparedSolver>> = None;
-    let mut stepper_h = prepared.time_step();
+    let mut steppers = Steppers::new(prepared);
 
     let adaptive_span = opera_trace::span("transient.adaptive");
     while t < t_end {
@@ -331,11 +412,10 @@ pub(crate) fn integrate_adaptive(
         let last_step = h >= t_end - t;
         let h_eff = if last_step { t_end - t } else { h };
         let t_new = if last_step { t_end } else { t + h };
-        if h_eff.to_bits() != stepper_h.to_bits() {
-            restepped = Some(prepared.with_time_step(h_eff)?);
-            stepper_h = h_eff;
+        if h_eff.to_bits() != steppers.current().time_step().to_bits() {
+            steppers.restep(h_eff)?;
         }
-        let stepper = restepped.as_deref().unwrap_or(prepared);
+        let stepper = steppers.current();
 
         stats.steps_attempted += 1;
         opera_trace::count("transient.adaptive.steps_attempted", 1);
@@ -403,8 +483,8 @@ pub(crate) fn integrate_adaptive(
     }
     drop(adaptive_span);
 
-    stats.refactorizations = family.refactorization_count() - refactorizations_before;
-    stats.symbolic_analyses = family.symbolic_analysis_count();
+    stats.refactorizations = steppers.factorizations;
+    stats.symbolic_analyses = prepared.companion_family().symbolic_analysis_count();
     Ok(stats)
 }
 

@@ -348,12 +348,13 @@ impl EngineBuilder {
     /// TR-BDF2 stepping (see [`crate::adaptive`]): the `.tran` grid becomes
     /// the *output* grid while the controller chooses the internal steps, and
     /// the integration method is forced to
-    /// [`IntegrationMethod::TrBdf2`]. Runs on every built-in backend: each
-    /// step-size change is one numeric refactorisation under a single
-    /// symbolic analysis — of the nominal companion on the default CG
-    /// backend, of the augmented one on
+    /// [`IntegrationMethod::TrBdf2`]. Runs on every built-in backend under
+    /// a single symbolic analysis: on
     /// [`DirectCholesky`](crate::solver::DirectCholesky) (select it with
-    /// [`EngineBuilder::solver`]).
+    /// [`EngineBuilder::solver`]) each step-size change is one numeric
+    /// refactorisation of the augmented companion; on the default CG
+    /// backend a change refactors the nominal companion only when the
+    /// controller holds no factor within a half octave of the new step.
     /// `docs/TRANSIENT.md` compares the two backends' adaptive runs and
     /// `docs/PERFORMANCE.md` their measured cost.
     pub fn adaptive(mut self, adaptive: AdaptiveOptions) -> Self {

@@ -32,7 +32,9 @@
 //! Every prepared solver re-steps through its companion family
 //! ([`PreparedSolver::with_time_step`]: one numeric refactorisation, no new
 //! analysis), so the adaptive controller of [`crate::adaptive`] runs on each
-//! of them.
+//! of them. A solver whose factor only preconditions also re-steps without
+//! refactoring ([`PreparedSolver::restep_keeping_factor`]), which the
+//! controller uses for step sizes near one it already holds a factor for.
 
 use std::fmt;
 use std::sync::Arc;
@@ -169,7 +171,8 @@ pub trait PreparedSolver: Send + Sync {
     /// one symbolic analysis, a numeric refactorisation per re-step. For
     /// [`DirectCholesky`] it factors the augmented companion, for
     /// [`BlockJacobiCg`] the nominal companion its preconditioner is built
-    /// on. Its counters are what the adaptive controller reports.
+    /// on. Its symbolic-analysis count is what the adaptive controller
+    /// reports.
     fn companion_family(&self) -> &CompanionFamily;
 
     /// Re-prepares this solver for a different fixed time step, reusing
@@ -184,6 +187,19 @@ pub trait PreparedSolver: Send + Sync {
     /// Returns [`OperaError::InvalidOptions`] for a non-positive step and
     /// propagates factorisation errors.
     fn with_time_step(&self, time_step: f64) -> Result<Box<dyn PreparedSolver>>;
+
+    /// This solver re-stepped to `time_step` *without* refactoring: it
+    /// keeps this solver's factor and steps the exact companion of
+    /// `time_step`, and its [`time_step`](Self::time_step) reports
+    /// `time_step`. `None` when the factor is the solve, so a factor of
+    /// another step size would step the wrong system
+    /// ([`DirectCholesky`]), or when `time_step` is not positive. On
+    /// [`BlockJacobiCg`] the factor only preconditions the exact operator
+    /// `G̃ + s·C̃`, so a factor from a nearby step size costs a few
+    /// iterations at most. The adaptive controller re-steps through this
+    /// within one solve; [`with_time_step`](Self::with_time_step) keeps
+    /// its exact-factor contract.
+    fn restep_keeping_factor(&self, time_step: f64) -> Option<Box<dyn PreparedSolver>>;
 }
 
 /// Rejects a step call (TR-BDF2 or single-stage) that does not match the
@@ -325,6 +341,10 @@ impl PreparedSolver for DirectPrepared {
             companion: self.family.system_for(time_step, self.companion.method())?,
         }))
     }
+
+    fn restep_keeping_factor(&self, _time_step: f64) -> Option<Box<dyn PreparedSolver>> {
+        None
+    }
 }
 
 impl SolverBackend for DirectCholesky {
@@ -368,12 +388,16 @@ impl SolverBackend for DirectCholesky {
 /// the `α = 0` case, and the backend keeps its historical name
 /// ([`BLOCK_JACOBI_CG`]) for compatibility.
 ///
-/// A step-size change touches three things: the scalar `s`, `T̃⁻¹` (the
-/// `α_d(s)` are rational in `s` over Frobenius products taken once at
-/// prepare, so no matrix is read again), and one numeric refactorisation of
-/// the nominal companion against the single symbolic analysis its
-/// [`CompanionFamily`] keeps for every step size. A `T̃` that is not positive
-/// definite (variations so large that `G(ξ)` goes indefinite at a
+/// A step-size change through [`PreparedSolver::with_time_step`] touches
+/// three things: the scalar `s`, `T̃⁻¹` (the `α_d(s)` are rational in `s`
+/// over Frobenius products taken once at prepare, so no matrix is read
+/// again), and one numeric refactorisation of the nominal companion against
+/// the single symbolic analysis its [`CompanionFamily`] keeps for every
+/// step size. [`PreparedSolver::restep_keeping_factor`] touches only `s`:
+/// the operator is exact at the new step and the preconditioner lags. The
+/// adaptive controller's error estimate is solved to a looser tolerance
+/// than the stages (`ERROR_ESTIMATE_TOLERANCE`, 1e-6). A `T̃` that is not
+/// positive definite (variations so large that `G(ξ)` goes indefinite at a
 /// quadrature node) fails the prepare or re-step with
 /// [`OperaError::Sparse`]`(`[`SparseError::NotPositiveDefinite`]`)`. A CG
 /// solve that misses `tolerance` within `max_iterations` fails with
@@ -387,6 +411,14 @@ pub struct BlockJacobiCg {
     /// Maximum CG iterations per solve.
     pub max_iterations: usize,
 }
+
+/// Relative residual tolerance of [`BlockJacobiCg`]'s solve of the adaptive
+/// controller's error estimate (the backend's own tolerance when that is
+/// looser). The controller reads the estimate only through a weighted-RMS
+/// norm compared with 1 and its cube root, so six digits decide both as
+/// well as ten (Hosea & Shampine 1996, *Appl. Numer. Math.* 20); the
+/// stages themselves keep the backend's tolerance.
+const ERROR_ESTIMATE_TOLERANCE: f64 = 1e-6;
 
 impl Default for BlockJacobiCg {
     fn default() -> Self {
@@ -433,6 +465,7 @@ impl SolverBackend for BlockJacobiCg {
             g,
             c,
             c_scale,
+            time_step: transient.time_step,
             method: transient.method,
             dc: Arc::new(dc),
             family,
@@ -574,20 +607,23 @@ struct CgPrepared {
     c: Arc<CsrMatrix>,
     /// `s` in the augmented companion `G̃ + s·C̃` of this step size.
     c_scale: f64,
+    /// The step size this solver steps at; `companion` and `mix` may come
+    /// from another one ([`PreparedSolver::restep_keeping_factor`]).
+    time_step: f64,
     method: IntegrationMethod,
     /// The nominal DC factor: the preconditioner of the DC solve.
     dc: Arc<MatrixFactor>,
     /// The nominal companion family behind every step size's
     /// preconditioner.
     family: Arc<CompanionFamily>,
-    /// The nominal companion of this step size: `K` of the stepping
-    /// preconditioner.
+    /// The nominal companion `K` of the stepping preconditioner, factored
+    /// at this step size or, after a re-step that kept it, at a nearby one.
     companion: Arc<CompanionSystem>,
     /// What every step size's `T̃` is rebuilt from.
     kronecker: Arc<KroneckerTerms>,
     /// `T̃⁻¹` of the DC solve (`s = 0`).
     dc_mix: Arc<[f64]>,
-    /// `T̃⁻¹` of this step size.
+    /// `T̃⁻¹` of the step size `companion` was factored at.
     mix: Arc<[f64]>,
     options: CgOptions,
 }
@@ -624,8 +660,15 @@ impl CgPrepared {
         }
     }
 
-    /// Solves `(G̃ + s·C̃)·x = rhs` from the guess already in `x`.
-    fn solve_step(&self, rhs: &[f64], x: &mut [f64], ws: &mut SolveWorkspace) -> Result<()> {
+    /// Solves `(G̃ + s·C̃)·x = rhs` from the guess already in `x`, to
+    /// `options`' tolerance.
+    fn solve_step(
+        &self,
+        rhs: &[f64],
+        x: &mut [f64],
+        options: CgOptions,
+        ws: &mut SolveWorkspace,
+    ) -> Result<()> {
         let operator = AugmentedCompanion {
             g: &self.g,
             c: &self.c,
@@ -635,7 +678,7 @@ impl CgPrepared {
             factor: self.companion.factor(),
             mix: &self.mix,
         };
-        cg::solve_in_place(&operator, rhs, x, &preconditioner, self.options, ws)?;
+        cg::solve_in_place(&operator, rhs, x, &preconditioner, options, ws)?;
         Ok(())
     }
 }
@@ -677,7 +720,7 @@ impl PreparedSolver for CgPrepared {
                 .single_stage(self.method, v, u_prev.col(j), u_next.col(j), rhs);
             let x = out.col_mut(j);
             x.copy_from_slice(v);
-            self.solve_step(rhs, x, inner)?;
+            self.solve_step(rhs, x, self.options, inner)?;
         }
         Ok(())
     }
@@ -702,12 +745,12 @@ impl PreparedSolver for CgPrepared {
             self.rhs().trapezoidal(v, u_prev.col(j), u_mid.col(j), rhs);
             let v_mid = stage.col_mut(j);
             v_mid.copy_from_slice(v);
-            self.solve_step(rhs, v_mid, inner)?;
+            self.solve_step(rhs, v_mid, self.options, inner)?;
             let v_mid = stage.col(j);
             self.rhs().bdf2(v, v_mid, u_next.col(j), rhs);
             let x = out.col_mut(j);
             x.copy_from_slice(v_mid);
-            self.solve_step(rhs, x, inner)?;
+            self.solve_step(rhs, x, self.options, inner)?;
         }
         Ok(())
     }
@@ -721,6 +764,10 @@ impl PreparedSolver for CgPrepared {
     ) -> Result<()> {
         check_scheme(self.method, true)?;
         assert_same_columns(&[v, v_mid, v_new, u, u_mid, u_new], err);
+        let options = CgOptions {
+            tolerance: self.options.tolerance.max(ERROR_ESTIMATE_TOLERANCE),
+            ..self.options
+        };
         for j in 0..err.ncols() {
             let (rhs, inner) = ws.split(err.nrows());
             self.rhs().tr_bdf2_error(
@@ -730,7 +777,7 @@ impl PreparedSolver for CgPrepared {
             );
             let x = err.col_mut(j);
             x.fill(0.0);
-            self.solve_step(rhs, x, inner)?;
+            self.solve_step(rhs, x, options, inner)?;
         }
         Ok(())
     }
@@ -738,7 +785,7 @@ impl PreparedSolver for CgPrepared {
     // lint: end-hot
 
     fn time_step(&self) -> f64 {
-        self.companion.time_step()
+        self.time_step
     }
 
     fn companion_family(&self) -> &CompanionFamily {
@@ -750,10 +797,21 @@ impl PreparedSolver for CgPrepared {
         let c_scale = companion_scale(self.method, time_step);
         Ok(Box::new(CgPrepared {
             c_scale,
+            time_step,
             companion,
             mix: self.kronecker.mix(c_scale)?,
             ..self.clone()
         }))
+    }
+
+    fn restep_keeping_factor(&self, time_step: f64) -> Option<Box<dyn PreparedSolver>> {
+        (time_step > 0.0 && time_step.is_finite()).then(|| {
+            Box::new(CgPrepared {
+                c_scale: companion_scale(self.method, time_step),
+                time_step,
+                ..self.clone()
+            }) as Box<dyn PreparedSolver>
+        })
     }
 }
 
@@ -1020,6 +1078,36 @@ mod tests {
         let direct = DirectCholesky.prepare(&model, &system, &halved).unwrap();
         let via_direct = dc_and_step(direct.as_ref(), &u0, None, &u1).unwrap();
         assert_close(&[via_direct.1, via_restep.1]);
+    }
+
+    /// A CG re-step that keeps the factor refactors nothing, reports its own
+    /// step and steps the exact companion of that step: it matches a fresh
+    /// preparation at the new step to the CG tolerance, the direct backend
+    /// too. The direct backend's factor is the solve, so it cannot re-step
+    /// this way.
+    #[test]
+    fn cg_re_steps_on_a_kept_factor_to_the_exact_companion() {
+        let (model, system, transient) = prepared_setup();
+        let cg = BlockJacobiCg::default()
+            .prepare(&model, &system, &transient)
+            .unwrap();
+        let mut nearby = transient;
+        nearby.time_step *= 0.8;
+        assert!(cg.restep_keeping_factor(0.0).is_none());
+        let kept = cg.restep_keeping_factor(nearby.time_step).unwrap();
+        assert_eq!(kept.time_step(), nearby.time_step);
+        assert_eq!(kept.companion_family().refactorization_count(), 1);
+        let u0 = system.excitation(&model, 0.0);
+        let u1 = system.excitation(&model, nearby.time_step);
+        let via_kept = dc_and_step(kept.as_ref(), &u0, None, &u1).unwrap();
+        let fresh = BlockJacobiCg::default()
+            .prepare(&model, &system, &nearby)
+            .unwrap();
+        let via_fresh = dc_and_step(fresh.as_ref(), &u0, None, &u1).unwrap();
+        let direct = DirectCholesky.prepare(&model, &system, &nearby).unwrap();
+        assert!(direct.restep_keeping_factor(transient.time_step).is_none());
+        let via_direct = dc_and_step(direct.as_ref(), &u0, None, &u1).unwrap();
+        assert_close(&[via_direct.1, via_fresh.1, via_kept.1]);
     }
 
     #[test]

@@ -148,9 +148,11 @@ impl StochasticSolution {
 
 /// Adaptive variant of [`run_prepared_panel`]: the augmented transient is
 /// advanced by the LTE-driven TR-BDF2 controller of [`crate::adaptive`]
-/// through the prepared solver, re-stepped at each step-size change via its
-/// [`CompanionFamily`](crate::transient::CompanionFamily) (one symbolic
-/// analysis; one numeric refactorisation per change), and
+/// through the prepared solver, re-stepped at each step-size change (one
+/// symbolic analysis in its
+/// [`CompanionFamily`](crate::transient::CompanionFamily); at most one
+/// numeric refactorisation per change, none for a change back to a step
+/// size whose factor the controller still holds), and
 /// the polynomial-chaos coefficients are reported on `times` via dense
 /// interpolation — bit-exact copies wherever an output time coincides with an
 /// accepted step.

@@ -4,8 +4,8 @@
 //! factorisation can be memory hungry; the paper notes that iterative block
 //! solvers with appropriate preconditioners can be used instead. This module
 //! provides a standard preconditioned CG for symmetric positive definite
-//! systems together with Jacobi and zero-fill incomplete Cholesky
-//! preconditioners. [`solve_in_place`] is the workspace form: it runs on an
+//! systems together with a zero-fill incomplete Cholesky preconditioner;
+//! any [`Preconditioner`] plugs in. [`solve_in_place`] is the workspace form: it runs on an
 //! implicit [`LinearOperator`], starts from the caller's initial guess and
 //! borrows every vector from a [`SolveWorkspace`], so a warm solve loop
 //! never touches the allocator; [`solve`] is the allocating convenience.
@@ -37,53 +37,6 @@ impl LinearOperator for CsrMatrix {
 
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
         self.matvec_into(x, y);
-    }
-}
-
-/// The identity preconditioner (plain CG).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IdentityPreconditioner;
-
-impl Preconditioner for IdentityPreconditioner {
-    fn apply_into(&self, r: &[f64], z: &mut [f64], _ws: &mut SolveWorkspace) {
-        z.copy_from_slice(r);
-    }
-}
-
-/// Diagonal (Jacobi) preconditioner.
-#[derive(Debug, Clone)]
-pub struct JacobiPreconditioner {
-    inv_diag: Vec<f64>,
-}
-
-impl JacobiPreconditioner {
-    /// Builds the preconditioner from the diagonal of `a`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::NotPositiveDefinite`] if any diagonal entry is
-    /// not strictly positive.
-    pub fn new(a: &CsrMatrix) -> Result<Self> {
-        let diag = a.diagonal();
-        let mut inv_diag = Vec::with_capacity(diag.len());
-        for (i, d) in diag.iter().enumerate() {
-            if *d <= 0.0 {
-                return Err(SparseError::NotPositiveDefinite {
-                    column: i,
-                    pivot: *d,
-                });
-            }
-            inv_diag.push(1.0 / d);
-        }
-        Ok(JacobiPreconditioner { inv_diag })
-    }
-}
-
-impl Preconditioner for JacobiPreconditioner {
-    fn apply_into(&self, r: &[f64], z: &mut [f64], _ws: &mut SolveWorkspace) {
-        for ((zi, ri), d) in z.iter_mut().zip(r).zip(&self.inv_diag) {
-            *zi = ri * d;
-        }
     }
 }
 
@@ -233,14 +186,25 @@ pub struct CgStats {
 /// # Example
 ///
 /// ```
-/// use opera_sparse::{CsrMatrix, cg};
+/// use opera_sparse::{cg, CsrMatrix, SolveWorkspace};
+///
+/// /// Diagonal (Jacobi) preconditioning: `z_i = r_i / a_ii`.
+/// struct Jacobi(Vec<f64>);
+///
+/// impl cg::Preconditioner for Jacobi {
+///     fn apply_into(&self, r: &[f64], z: &mut [f64], _ws: &mut SolveWorkspace) {
+///         for ((z, r), d) in z.iter_mut().zip(r).zip(&self.0) {
+///             *z = r / d;
+///         }
+///     }
+/// }
 ///
 /// # fn main() -> Result<(), opera_sparse::SparseError> {
 /// let a = CsrMatrix::from_dense(2, 2, &[4.0, 1.0, 1.0, 3.0], 0.0);
 /// let sol = cg::solve(
 ///     &a,
 ///     &[1.0, 2.0],
-///     &cg::JacobiPreconditioner::new(&a)?,
+///     &Jacobi(a.diagonal()),
 ///     cg::CgOptions::default(),
 /// )?;
 /// assert!(a.residual_inf_norm(&sol.x, &[1.0, 2.0]) < 1e-8);
@@ -420,6 +384,47 @@ pub fn laplacian_2d(nx: usize, ny: usize, shift: f64) -> CsrMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The identity preconditioner (plain CG).
+    struct IdentityPreconditioner;
+
+    impl Preconditioner for IdentityPreconditioner {
+        fn apply_into(&self, r: &[f64], z: &mut [f64], _ws: &mut SolveWorkspace) {
+            z.copy_from_slice(r);
+        }
+    }
+
+    /// Diagonal (Jacobi) preconditioner.
+    struct JacobiPreconditioner {
+        inv_diag: Vec<f64>,
+    }
+
+    impl JacobiPreconditioner {
+        /// Builds the preconditioner from the diagonal of `a`, rejecting a
+        /// diagonal entry that is not strictly positive.
+        fn new(a: &CsrMatrix) -> Result<Self> {
+            let diag = a.diagonal();
+            let mut inv_diag = Vec::with_capacity(diag.len());
+            for (i, d) in diag.iter().enumerate() {
+                if *d <= 0.0 {
+                    return Err(SparseError::NotPositiveDefinite {
+                        column: i,
+                        pivot: *d,
+                    });
+                }
+                inv_diag.push(1.0 / d);
+            }
+            Ok(JacobiPreconditioner { inv_diag })
+        }
+    }
+
+    impl Preconditioner for JacobiPreconditioner {
+        fn apply_into(&self, r: &[f64], z: &mut [f64], _ws: &mut SolveWorkspace) {
+            for ((zi, ri), d) in z.iter_mut().zip(r).zip(&self.inv_diag) {
+                *zi = ri * d;
+            }
+        }
+    }
 
     #[test]
     fn non_square_operators_are_rejected_not_panicked_on() {

@@ -81,6 +81,17 @@ fn exact_fill(a: &CsrMatrix, p: &Permutation) -> Vec<Vec<bool>> {
     fill
 }
 
+/// Diagonal (Jacobi) preconditioning from a matrix's diagonal.
+struct Jacobi(Vec<f64>);
+
+impl cg::Preconditioner for Jacobi {
+    fn apply_into(&self, r: &[f64], z: &mut [f64], _ws: &mut SolveWorkspace) {
+        for ((z, r), d) in z.iter_mut().zip(r).zip(&self.0) {
+            *z = r / d;
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -295,7 +306,7 @@ proptest! {
     fn conjugate_gradient_matches_direct_solve(a in spd_matrix(25)) {
         let b: Vec<f64> = (0..a.nrows()).map(|i| ((i * 3 % 7) as f64) - 3.0).collect();
         let direct = CholeskyFactor::factor(&a).unwrap().solve(&b);
-        let jacobi = cg::JacobiPreconditioner::new(&a).unwrap();
+        let jacobi = Jacobi(a.diagonal());
         let sol = cg::solve(&a, &b, &jacobi, cg::CgOptions {
             max_iterations: 10_000,
             tolerance: 1e-12,
