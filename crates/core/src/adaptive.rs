@@ -19,9 +19,10 @@
 //! [`PreparedSolver::step_tr_bdf2_panel_into`] and the error estimate from
 //! [`PreparedSolver::tr_bdf2_error_panel_into`]. It re-steps only when the
 //! step size changes, and keeps its steppers for one solve in a map keyed
-//! by the half-octave rung `⌊2·log₂ h⌋` of their step, at most four of
-//! them, least recently used first out. A change to a rung the map holds
-//! re-steps that stepper through
+//! by the half-octave rung `⌊2·log₂ h⌋` of their step: at most four
+//! factors beyond the prepared solver's own, least recently used first
+//! out, while the stepper on the prepared solver's factor is never
+//! dropped. A change to a rung the map holds re-steps that stepper through
 //! [`PreparedSolver::restep_keeping_factor`], which refactors nothing: on
 //! the CG backend the nominal factor only preconditions the exact operator
 //! at the new step. Any other change re-steps through
@@ -56,7 +57,8 @@ const DEADBAND_HIGH: f64 = 1.3;
 /// Error exponent for a second-order embedded pair: `factor ∝ err^(−1/3)`.
 const ERROR_EXPONENT: f64 = -1.0 / 3.0;
 
-/// Factors one solve keeps live in its [`Steppers`] map.
+/// Factors one solve keeps live in its [`Steppers`] map, beyond the
+/// prepared solver's own.
 const MAX_LIVE_FACTORS: usize = 4;
 
 /// The half-octave rung `⌊2·log₂ h⌋` of a step size: step sizes within a
@@ -71,13 +73,17 @@ fn rung(h: f64) -> i32 {
 /// [`PreparedSolver::restep_keeping_factor`], which refactors nothing;
 /// otherwise `prepared` re-steps through
 /// [`PreparedSolver::with_time_step`], one numeric factorisation, after
-/// the least recently used stepper is dropped to keep the map at
-/// `capacity`. A backend that cannot keep a factor across step sizes
-/// (the factor is the solve) gets a capacity of one, so it refactors at
-/// every change and holds one re-stepped factor, as without the map.
+/// the least recently used stepper that holds a factor of its own is
+/// dropped to keep `capacity` of them. The stepper on `prepared`'s own
+/// factor (its rung is `home`) holds none, so it is never dropped and
+/// that rung never refactors. A backend that cannot keep a factor across
+/// step sizes (the factor is the solve) has no `home` and a capacity of
+/// one, so it refactors at every change and holds one re-stepped factor,
+/// as without the map.
 struct Steppers<'a> {
     prepared: &'a dyn PreparedSolver,
     entries: Vec<(i32, Box<dyn PreparedSolver>)>,
+    home: Option<i32>,
     capacity: usize,
     /// Numeric factorisations run through `prepared.with_time_step`.
     factorizations: u64,
@@ -89,10 +95,12 @@ impl<'a> Steppers<'a> {
     fn new(prepared: &'a dyn PreparedSolver) -> Self {
         let h = prepared.time_step();
         let seed = prepared.restep_keeping_factor(h);
+        let home = seed.as_ref().map(|_| rung(h));
         Steppers {
             prepared,
             capacity: if seed.is_some() { MAX_LIVE_FACTORS } else { 1 },
             entries: seed.map(|stepper| (rung(h), stepper)).into_iter().collect(),
+            home,
             factorizations: 0,
         }
     }
@@ -107,18 +115,19 @@ impl<'a> Steppers<'a> {
     /// Makes a stepper at exactly `h` the current one.
     fn restep(&mut self, h: f64) -> Result<()> {
         let rung = rung(h);
-        let kept = match self.entries.iter().position(|(r, _)| *r == rung) {
+        let stepper = match self.entries.iter().position(|(r, _)| *r == rung) {
             Some(i) => self.entries.remove(i).1.restep_keeping_factor(h),
-            None => {
-                if self.entries.len() == self.capacity {
-                    self.entries.remove(0);
-                }
-                None
-            }
+            None => None,
         };
-        let stepper = match kept {
+        let stepper = match stepper {
             Some(stepper) => stepper,
             None => {
+                let held = self.entries.len() - usize::from(self.home.is_some());
+                let home = self.home;
+                let oldest = self.entries.iter().position(|(r, _)| Some(*r) != home);
+                if let Some(oldest) = oldest.filter(|_| held == self.capacity) {
+                    self.entries.remove(oldest);
+                }
                 self.factorizations += 1;
                 self.prepared.with_time_step(h)?
             }
@@ -254,8 +263,10 @@ pub struct AdaptiveStats {
     pub steps_rejected: u64,
     /// Numeric factorisations the run ran through the solver's
     /// [`CompanionFamily`]: one per step-size change on a backend whose
-    /// factor is the solve (direct), at most one per half-octave rung its
-    /// steps visit on one that keeps factors across step sizes (CG). The
+    /// factor is the solve (direct). On one that keeps factors across step
+    /// sizes (CG), one per change to a half-octave rung whose factor the
+    /// map does not hold: none for the prepared solver's own rung, and at
+    /// most one per rung when the steps visit at most four others. The
     /// run of [`solve_transient_adaptive`] also counts its initial step's.
     pub refactorizations: u64,
     /// Symbolic analyses the family has ever run (1 for Cholesky families,

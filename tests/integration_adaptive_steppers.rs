@@ -11,19 +11,21 @@
 //!
 //! * **Agreement.** Adaptive CG and adaptive direct take the same accept and
 //!   reject decisions on a small mesh at chaos orders 1 and 2, and their
-//!   chaos coefficients agree within [`AGREEMENT_VDD`]·Vdd. CG solves the
+//!   chaos coefficients agree within [`agreement_vdd`]·Vdd. CG solves the
 //!   error estimate to a looser tolerance than its stages; a much looser
 //!   one moves the step sizes further and fails this.
-//! * **Bounds.** A CG solve refactors at most once per distinct rung among
-//!   its attempted steps and never holds more than four factors beyond the
-//!   ones the prepared solver owns (an allocation watch on the factor's
-//!   value array); a direct solve refactors once per step-size change; and
-//!   every stepper a solve steps on reports its own step in `time_step()`.
+//! * **Bounds.** A CG solve refactors no rung twice and never the prepared
+//!   solver's own, and never holds more than four factors beyond the ones
+//!   the prepared solver owns (an allocation watch on the factor's value
+//!   array); a direct solve refactors once per step-size change; and every
+//!   stepper a solve steps on reports its own step in `time_step()`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod common;
+
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
+
+use common::{watch_allocations, Watched};
 
 use opera::adaptive::{AdaptiveOptions, AdaptiveStats};
 use opera::engine::{OperaEngine, Scenario};
@@ -35,77 +37,24 @@ use opera_grid::GridSpec;
 use opera_sparse::{Panel, SolveWorkspace, SymbolicCholesky};
 use opera_variation::{StochasticGridModel, VariationSpec};
 
-/// Largest |Δ coefficient| between adaptive CG and adaptive direct, as a
-/// fraction of Vdd. The step sizes are a continuous function of the error
-/// estimate, so the CG stages' own solve noise (relative residual 1e-10)
-/// moves them by up to 1e-5 relative and the order-2 coefficients by
-/// 3.0e-6 V (2.5e-6·Vdd), whether the estimate is solved to 1e-10 or 1e-6;
-/// `integration_cg`'s fixed-step bound of 1e-8·Vdd holds at order 1 only.
-/// An estimate solved to 1e-3 moves them by 1.4e-5 V.
-const AGREEMENT_VDD: f64 = 5e-6;
+/// Largest |Δ coefficient| between adaptive CG and adaptive direct at a
+/// chaos order, as a fraction of Vdd. At order 1 the bound is
+/// `integration_cg`'s fixed-step 1e-8·Vdd (the runs differ by 2.4e-12 V).
+/// At order 2 the step sizes, a continuous function of the error estimate,
+/// follow the CG stages' own solve noise (relative residual 1e-10): they
+/// move by up to 1e-5 relative and the coefficients by 3.0e-6 V
+/// (2.5e-6·Vdd), whether the estimate is solved to 1e-10 or 1e-6. An
+/// estimate solved to 1e-3 moves them by 1.4e-5 V.
+fn agreement_vdd(order: u32) -> f64 {
+    if order == 1 {
+        1e-8
+    } else {
+        5e-6
+    }
+}
 
 /// Factors an adaptive solve may keep live.
 const MAX_LIVE_FACTORS: i64 = 4;
-
-thread_local! {
-    /// A watched allocation size in bytes, and this thread's live
-    /// allocations of exactly that size, their peak and their total.
-    static WATCHED: Cell<(usize, i64, i64, u64)> = const { Cell::new((0, 0, 0, 0)) };
-}
-
-fn watch(bytes: usize, delta: i64) {
-    let _ = WATCHED.try_with(|w| {
-        let (size, live, peak, total) = w.get();
-        if bytes == size {
-            let live = live + delta;
-            let total = total + u64::from(delta > 0);
-            w.set((size, live, peak.max(live), total));
-        }
-    });
-}
-
-/// Tracks this thread's live allocations of the watched size, so a test
-/// sees exactly what its own solve holds while the harness runs others.
-struct WatchingAllocator;
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged, so `System`'s guarantees carry over; the watch only observes
-// calls.
-unsafe impl GlobalAlloc for WatchingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        watch(layout.size(), 1);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        watch(layout.size(), 1);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        watch(layout.size(), -1);
-        watch(new_size, 1);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        watch(layout.size(), -1);
-        System.dealloc(ptr, layout);
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: WatchingAllocator = WatchingAllocator;
-
-/// What `f` did with allocations of exactly `bytes` on this thread: the
-/// peak number live beyond those live when it started, and how many it
-/// made.
-fn watched_allocations(bytes: usize, f: impl FnOnce()) -> (i64, u64) {
-    WATCHED.with(|w| w.set((bytes, 0, 0, 0)));
-    f();
-    let (_, _, peak, total) = WATCHED.with(|w| w.replace((0, 0, 0, 0)));
-    (peak, total)
-}
 
 fn options() -> AdaptiveOptions {
     AdaptiveOptions::with_rel_tol(1e-4)
@@ -136,20 +85,28 @@ fn rung(h: f64) -> i32 {
     (2.0 * h.log2()).floor() as i32
 }
 
-/// A backend that prepares through `inner` and logs the step size of every
-/// TR-BDF2 step its solvers take, checking on each that the solver reports
-/// the step it was re-stepped to.
+/// What the solvers of a [`Recording`] did: the step size of every TR-BDF2
+/// step they took, and every step size they factored at.
+#[derive(Debug, Default)]
+struct Log {
+    steps: Vec<f64>,
+    factored: Vec<f64>,
+}
+
+/// A backend that prepares through `inner` and logs what its solvers do,
+/// checking on every TR-BDF2 step that the solver reports the step it was
+/// re-stepped to.
 #[derive(Debug)]
 struct Recording {
     inner: Arc<dyn SolverBackend>,
-    steps: Arc<Mutex<Vec<f64>>>,
+    log: Arc<Mutex<Log>>,
 }
 
 impl Recording {
     fn new(inner: Arc<dyn SolverBackend>) -> Self {
         Recording {
             inner,
-            steps: Arc::default(),
+            log: Arc::default(),
         }
     }
 }
@@ -168,7 +125,7 @@ impl SolverBackend for Recording {
         Ok(Box::new(RecordingPrepared {
             inner: self.inner.prepare(model, system, transient)?,
             requested: transient.time_step,
-            steps: Arc::clone(&self.steps),
+            log: Arc::clone(&self.log),
         }))
     }
 }
@@ -177,7 +134,7 @@ struct RecordingPrepared {
     inner: Box<dyn PreparedSolver>,
     /// The step size this solver was prepared or re-stepped for.
     requested: f64,
-    steps: Arc<Mutex<Vec<f64>>>,
+    log: Arc<Mutex<Log>>,
 }
 
 impl RecordingPrepared {
@@ -185,7 +142,7 @@ impl RecordingPrepared {
         Box::new(RecordingPrepared {
             inner,
             requested,
-            steps: Arc::clone(&self.steps),
+            log: Arc::clone(&self.log),
         })
     }
 }
@@ -226,7 +183,7 @@ impl PreparedSolver for RecordingPrepared {
             self.requested.to_bits(),
             "a re-stepped solver reports another step than its own"
         );
-        self.steps.lock().unwrap().push(self.requested);
+        self.log.lock().unwrap().steps.push(self.requested);
         self.inner
             .step_tr_bdf2_panel_into(state, u_prev, u_mid, u_next, stage, out, ws)
     }
@@ -251,6 +208,7 @@ impl PreparedSolver for RecordingPrepared {
     }
 
     fn with_time_step(&self, time_step: f64) -> opera::Result<Box<dyn PreparedSolver>> {
+        self.log.lock().unwrap().factored.push(time_step);
         Ok(self.wrap(self.inner.with_time_step(time_step)?, time_step))
     }
 
@@ -260,15 +218,18 @@ impl PreparedSolver for RecordingPrepared {
     }
 }
 
-/// One adaptive solve through a [`Recording`] of `inner`: its statistics,
-/// the step size of every attempted step, the prepared step size, and the
-/// peak number of nominal companion factors live beyond the prepared
-/// solver's with the number it made (only meaningful for CG, whose
-/// companion factors are nominal-size).
-fn recorded_solve(
-    order: u32,
-    inner: Arc<dyn SolverBackend>,
-) -> (AdaptiveStats, Vec<f64>, f64, (i64, u64)) {
+/// One adaptive solve through a [`Recording`] of `inner`.
+struct Recorded {
+    stats: AdaptiveStats,
+    log: Log,
+    /// The step size the solver was prepared for.
+    prepared_step: f64,
+    /// The solve's nominal companion factor allocations (only meaningful
+    /// for CG, whose companion factors are nominal-size).
+    factors: Watched,
+}
+
+fn recorded_solve(order: u32, inner: Arc<dyn SolverBackend>) -> Recorded {
     let recording = Arc::new(Recording::new(inner));
     let engine = engine(order, Arc::clone(&recording) as Arc<dyn SolverBackend>);
     let model = engine.model();
@@ -283,11 +244,16 @@ fn recorded_solve(
         "another vector could match the watched factor size"
     );
     let mut stats = None;
-    let factors = watched_allocations(nnz_l * std::mem::size_of::<f64>(), || {
+    let factors = watch_allocations(nnz_l * std::mem::size_of::<f64>(), || {
         stats = Some(solve(&engine).1);
     });
-    let steps = recording.steps.lock().unwrap().clone();
-    (stats.unwrap(), steps, engine.transient().time_step, factors)
+    let log = std::mem::take(&mut *recording.log.lock().unwrap());
+    Recorded {
+        stats: stats.unwrap(),
+        log,
+        prepared_step: engine.transient().time_step,
+        factors,
+    }
 }
 
 fn max_coefficient_difference(a: &StochasticSolution, b: &StochasticSolution) -> f64 {
@@ -320,7 +286,7 @@ fn adaptive_cg_and_direct_take_the_same_steps_and_agree_within_the_step_noise() 
         let vdd = cg.grid().vdd();
         let worst = max_coefficient_difference(&cg_solution, &direct_solution);
         assert!(
-            worst <= AGREEMENT_VDD * vdd,
+            worst <= agreement_vdd(order) * vdd,
             "order {order}: max |Δ coefficient| = {worst:.3e} V"
         );
     }
@@ -331,23 +297,32 @@ fn adaptive_cg_and_direct_take_the_same_steps_and_agree_within_the_step_noise() 
 fn cg_adaptive_solves_refactor_once_per_rung_and_hold_at_most_four_factors() {
     let mut saved = 0;
     for order in [1, 2] {
-        let (stats, steps, prepared_step, (live_factors, factors_made)) =
-            recorded_solve(order, Arc::new(BlockJacobiCg::default()));
-        assert_eq!(steps.len() as u64, stats.steps_attempted);
-        let rungs: BTreeSet<i32> = steps.iter().map(|&h| rung(h)).collect();
-        assert!(
-            stats.refactorizations <= rungs.len() as u64,
-            "order {order}: {} refactorisations over {} rungs",
-            stats.refactorizations,
-            rungs.len()
-        );
+        let Recorded {
+            stats,
+            log,
+            prepared_step,
+            factors,
+        } = recorded_solve(order, Arc::new(BlockJacobiCg::default()));
+        assert_eq!(log.steps.len() as u64, stats.steps_attempted);
+        assert_eq!(log.factored.len() as u64, stats.refactorizations);
+        let mut factored = BTreeSet::from([rung(prepared_step)]);
+        for &h in &log.factored {
+            assert!(
+                factored.insert(rung(h)),
+                "order {order}: rung {} factored twice (prepared on {}, factored {:?})",
+                rung(h),
+                rung(prepared_step),
+                log.factored.iter().map(|&h| rung(h)).collect::<Vec<_>>()
+            );
+        }
         // The watch sees every factorisation and nothing else.
-        assert_eq!(factors_made, stats.refactorizations, "order {order}");
+        assert_eq!(factors.made, stats.refactorizations, "order {order}");
         assert!(
-            live_factors <= MAX_LIVE_FACTORS,
-            "order {order}: {live_factors} factors live at once"
+            factors.peak_live <= MAX_LIVE_FACTORS,
+            "order {order}: {} factors live at once",
+            factors.peak_live
         );
-        let changes = step_size_changes(prepared_step, &steps);
+        let changes = step_size_changes(prepared_step, &log.steps);
         assert!(stats.refactorizations <= changes, "order {order}");
         saved += changes - stats.refactorizations;
     }
@@ -370,10 +345,16 @@ fn step_size_changes(prepared_step: f64, steps: &[f64]) -> u64 {
 #[test]
 fn direct_adaptive_solves_refactor_at_every_step_size_change() {
     for order in [1, 2] {
-        let (stats, steps, prepared_step, _) = recorded_solve(order, Arc::new(DirectCholesky));
-        assert_eq!(steps.len() as u64, stats.steps_attempted);
-        let changes = step_size_changes(prepared_step, &steps);
+        let Recorded {
+            stats,
+            log,
+            prepared_step,
+            ..
+        } = recorded_solve(order, Arc::new(DirectCholesky));
+        assert_eq!(log.steps.len() as u64, stats.steps_attempted);
+        let changes = step_size_changes(prepared_step, &log.steps);
         assert!(changes > 0);
         assert_eq!(stats.refactorizations, changes, "order {order}");
+        assert_eq!(log.factored.len() as u64, changes, "order {order}");
     }
 }

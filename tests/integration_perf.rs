@@ -2,9 +2,11 @@
 //! zero-allocation steady-state contract, panel-batched scenario sweeps and
 //! the thread-count invariance of the panel-grouped Monte Carlo.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod common;
+
 use std::sync::Arc;
+
+use common::{allocations_of, allocations_so_far};
 
 use opera::adaptive::AdaptiveOptions;
 use opera::engine::{OperaEngine, Scenario};
@@ -22,59 +24,6 @@ use opera_grid::GridSpec;
 use opera_pce::{OrthogonalBasis, PolynomialFamily};
 use opera_sparse::SolveWorkspace;
 use opera_variation::{LeakageModel, StochasticGridModel, VariationSpec};
-
-thread_local! {
-    /// Heap allocations (including reallocations) made by this thread.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    /// A watched allocation size in bytes, and how many allocations of
-    /// exactly that size this thread has made.
-    static WATCHED: Cell<(usize, u64)> = const { Cell::new((0, 0)) };
-}
-
-/// Counts every allocation per thread, so a test can see exactly what its
-/// own loop allocates while the harness runs other tests concurrently.
-struct CountingAllocator;
-
-fn count_allocation(bytes: usize) {
-    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
-    let _ = WATCHED.try_with(|w| {
-        let (size, hits) = w.get();
-        if bytes == size {
-            w.set((size, hits + 1));
-        }
-    });
-}
-
-fn allocations_so_far() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged, so `System`'s guarantees carry over; the counter only
-// observes calls.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_allocation(layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 /// The two built-in backends, by value.
 fn builtin_backends() -> [Arc<dyn SolverBackend>; 2] {
@@ -326,13 +275,6 @@ fn lockstep_groups_allocate_nothing_per_step() {
 /// as values on a shared pattern allocate none.
 fn csr_copies(n: usize, f: impl FnOnce()) -> u64 {
     allocations_of((n + 1) * std::mem::size_of::<usize>(), f)
-}
-
-/// Allocations of exactly `bytes` that `f` makes on this thread.
-fn allocations_of(bytes: usize, f: impl FnOnce()) -> u64 {
-    WATCHED.with(|w| w.set((bytes, 0)));
-    f();
-    WATCHED.with(|w| w.replace((0, 0)).1)
 }
 
 /// A refactorisation at a new step size shares the family's `G` and `C`

@@ -168,10 +168,10 @@ fn fnv1a_coefficients(solution: &opera::StochasticSolution) -> u64 {
 /// and accepted state before splitting them, for both built-in backends at
 /// chaos orders 1 and 2. The `block-jacobi-cg` order-2 pin was re-recorded
 /// when the controller began re-stepping CG on factors it keeps per
-/// half-octave rung and solving the error estimate to 1e-6. The order-1
-/// pin held: that solve revisits no rung, and its step sizes come from the
-/// growth clamp, the dead-band and the closing step, never from the
-/// estimate's exact value.
+/// half-octave rung, the prepared solver's own factor included, and
+/// solving the error estimate to 1e-6. The order-1 pin held: that solve
+/// revisits no rung, and its step sizes come from the growth clamp, the
+/// dead-band and the closing step, never from the estimate's exact value.
 #[test]
 fn adaptive_engine_coefficients_are_bit_identical_to_the_pins() {
     use opera::engine::Scenario;
@@ -182,7 +182,7 @@ fn adaptive_engine_coefficients_are_bit_identical_to_the_pins() {
     let backends: [(Arc<dyn SolverBackend>, [u64; 2]); 2] = [
         (
             default_backend(),
-            [0xee51_b195_331c_0738, 0x9b2c_6863_7cd0_6535],
+            [0xee51_b195_331c_0738, 0x60b5_4e17_3639_7ca1],
         ),
         (
             Arc::new(DirectCholesky),
