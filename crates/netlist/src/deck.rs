@@ -9,8 +9,17 @@
 //! Deck order is load-bearing: it defines both the node-index assignment
 //! (first appearance) and the stamping order of branches, capacitors and
 //! sources, which is what makes the exporter's round trip bit-identical.
+//!
+//! Node names are interned as the cards are parsed: [`Netlist::nodes`]
+//! holds each name once, in first-appearance order, and the cards refer to
+//! their terminals by index into it. Element names are stored in the card
+//! itself ([`ElementName`]), so an R, C or V card owns no heap memory
+//! unless its name is long.
 
-use opera_grid::CapacitorClass;
+use std::fmt;
+use std::ops::Deref;
+
+use opera_grid::{CapacitorClass, NodeMap};
 
 /// The transient analysis window from a `.tran tstep tstop [tstart]
 /// [method=be|trap|trbdf2]` directive.
@@ -76,6 +85,82 @@ pub enum SourceWaveform {
     },
 }
 
+/// An element name (lower-cased), stored inline when it fits in 22 bytes,
+/// as nearly every deck's names do, so a card needs no allocation for it.
+///
+/// ```
+/// use opera_netlist::ElementName;
+///
+/// let name = ElementName::from("rpad12");
+/// assert_eq!(name.as_str(), "rpad12");
+/// assert!(name.starts_with("rpad"));
+/// ```
+#[derive(Clone)]
+pub struct ElementName(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, bytes: [u8; INLINE] },
+    Heap(Box<str>),
+}
+
+/// The longest element name stored without a heap allocation, in bytes.
+const INLINE: usize = 22;
+
+impl ElementName {
+    /// The name as a string slice.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Inline { len, bytes } => {
+                // lint: allow(L001, the inline bytes are a whole `str`'s, copied by `from`)
+                std::str::from_utf8(&bytes[..usize::from(*len)]).expect("a whole str's bytes")
+            }
+            Repr::Heap(name) => name,
+        }
+    }
+}
+
+impl From<&str> for ElementName {
+    fn from(name: &str) -> Self {
+        if name.len() <= INLINE {
+            let mut bytes = [0; INLINE];
+            bytes[..name.len()].copy_from_slice(name.as_bytes());
+            ElementName(Repr::Inline {
+                len: name.len() as u8,
+                bytes,
+            })
+        } else {
+            ElementName(Repr::Heap(name.into()))
+        }
+    }
+}
+
+impl Deref for ElementName {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for ElementName {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl fmt::Debug for ElementName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for ElementName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
 /// A resistor card `Rname a b value`.
 ///
 /// The stored value is always a *conductance*: plain values are ohms and
@@ -89,13 +174,13 @@ pub struct ResistorCard {
     /// [`BranchKind::Via`](opera_grid::BranchKind::Via); everything else
     /// between two grid nodes is a metal wire, and any resistor touching a
     /// supply node becomes a package pad.
-    pub name: String,
+    pub name: ElementName,
     /// 1-based deck line of the card.
     pub line: usize,
-    /// First terminal (node name).
-    pub a: String,
-    /// Second terminal (node name).
-    pub b: String,
+    /// First terminal, an index into [`Netlist::nodes`].
+    pub a: usize,
+    /// Second terminal, an index into [`Netlist::nodes`].
+    pub b: usize,
     /// Branch conductance in siemens (always positive and finite).
     pub conductance: f64,
 }
@@ -104,12 +189,12 @@ pub struct ResistorCard {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CapacitorCard {
     /// Element name (lower-cased, unique).
-    pub name: String,
+    pub name: ElementName,
     /// 1-based deck line of the card.
     pub line: usize,
     /// The grid node the capacitor hangs off (the other terminal is
-    /// ground).
-    pub node: String,
+    /// ground), an index into [`Netlist::nodes`].
+    pub node: usize,
     /// Capacitance in farads (non-negative, finite).
     pub capacitance: f64,
     /// Physical origin, from the optional `class=gate|diffusion|interconnect`
@@ -123,11 +208,12 @@ pub struct CapacitorCard {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CurrentSourceCard {
     /// Element name (lower-cased, unique).
-    pub name: String,
+    pub name: ElementName,
     /// 1-based deck line of the card.
     pub line: usize,
-    /// The grid node the source draws from (the other terminal is ground).
-    pub node: String,
+    /// The grid node the source draws from (the other terminal is ground),
+    /// an index into [`Netlist::nodes`].
+    pub node: usize,
     /// The waveform as written.
     pub waveform: SourceWaveform,
     /// Functional-block id from the optional `block=k` field (default `0`);
@@ -139,11 +225,12 @@ pub struct CurrentSourceCard {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SupplyCard {
     /// Element name (lower-cased, unique).
-    pub name: String,
+    pub name: ElementName,
     /// 1-based deck line of the card.
     pub line: usize,
-    /// The supply node. Resistors touching it become package pads.
-    pub node: String,
+    /// The supply node, an index into [`Netlist::nodes`]. Resistors
+    /// touching it become package pads.
+    pub node: usize,
     /// Supply voltage in volts (positive, finite; all supplies must agree).
     pub volts: f64,
 }
@@ -155,8 +242,9 @@ pub enum Card {
     Resistor(ResistorCard),
     /// A grounded capacitor (`C…`).
     Capacitor(CapacitorCard),
-    /// A transient current source (`I…`).
-    Current(CurrentSourceCard),
+    /// A transient current source (`I…`), boxed: its waveform would
+    /// otherwise double the size of every card.
+    Current(Box<CurrentSourceCard>),
     /// An ideal VDD supply (`V…`).
     Supply(SupplyCard),
 }
@@ -183,8 +271,8 @@ impl Card {
     }
 }
 
-/// A parsed deck: validated cards in deck order plus the optional `.tran`
-/// window.
+/// A parsed deck: validated cards in deck order, the node names they
+/// refer to and the optional `.tran` window.
 ///
 /// ```
 /// use opera_netlist::{parse, Card};
@@ -196,6 +284,8 @@ impl Card {
 /// assert_eq!(deck.cards.len(), 5);
 /// assert!(matches!(deck.cards[0], Card::Supply(_)));
 /// assert_eq!(deck.resistors().count(), 2);
+/// let wire = deck.resistors().nth(1).unwrap();
+/// assert_eq!(deck.nodes.name(wire.b), Some("n2"));
 /// let lowered = deck.lower().unwrap();
 /// assert_eq!(lowered.grid.node_count(), 2); // n1, n2 — `s` is the supply
 /// ```
@@ -203,6 +293,10 @@ impl Card {
 pub struct Netlist {
     /// All element cards, in deck order.
     pub cards: Vec<Card>,
+    /// Every node name the cards refer to — ground and supply nodes
+    /// included — once each, in order of first appearance. Card terminals
+    /// are indices into it.
+    pub nodes: NodeMap,
     /// The `.tran` directive, when present.
     pub tran: Option<TranSpec>,
 }
@@ -227,7 +321,7 @@ impl Netlist {
     /// Iterates over the current-source cards in deck order.
     pub fn current_sources(&self) -> impl Iterator<Item = &CurrentSourceCard> + '_ {
         self.cards.iter().filter_map(|c| match c {
-            Card::Current(r) => Some(r),
+            Card::Current(r) => Some(&**r),
             _ => None,
         })
     }

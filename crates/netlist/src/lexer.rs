@@ -65,8 +65,7 @@ impl<'t> Lexer<'t> {
         }
         for (i, raw) in self.lines.by_ref() {
             let line_no = i + 1;
-            // Inline comments first, then trim.
-            let body = raw.split(['$', ';']).next().unwrap_or_default().trim();
+            let body = strip_comment(raw).trim();
             if body.is_empty() || body.starts_with('*') {
                 continue;
             }
@@ -93,6 +92,14 @@ impl<'t> Lexer<'t> {
             spans: &self.spans,
         }))
     }
+}
+
+/// `line` without its inline comment (`$` or `;` to the end of the line).
+fn strip_comment(line: &str) -> &str {
+    // A byte search: `$` and `;` are ASCII, so the first such byte is a
+    // character boundary.
+    let cut = line.bytes().position(|b| b == b'$' || b == b';');
+    &line[..cut.unwrap_or(line.len())]
 }
 
 /// Appends one physical line's body to the card in `text`: lower-cased,

@@ -63,8 +63,8 @@ mod parser;
 mod value;
 
 pub use deck::{
-    CapacitorCard, Card, CurrentSourceCard, Netlist, ResistorCard, SourceWaveform, SupplyCard,
-    TranMethod, TranSpec,
+    CapacitorCard, Card, CurrentSourceCard, ElementName, Netlist, ResistorCard, SourceWaveform,
+    SupplyCard, TranMethod, TranSpec,
 };
 pub use error::NetlistError;
 pub use export::export_grid;

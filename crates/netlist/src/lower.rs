@@ -15,8 +15,11 @@
 //! * **Connectivity** — every grid node must have a resistive path to a
 //!   pad, otherwise the conductance matrix would be singular; the error
 //!   names the offending node.
-
-use std::collections::HashMap;
+//!
+//! The parser has already interned every node name in first-appearance
+//! order ([`Netlist::nodes`]), so no name is hashed here: one pass over the
+//! deck's node indices sorts each into ground, supply or the next grid
+//! index, and the stamping pass looks terminals up by index.
 
 use opera_grid::{BranchKind, NodeMap, PowerGrid, Waveform};
 
@@ -55,6 +58,17 @@ pub struct LoweredNetlist {
     pub tran: Option<TranSpec>,
 }
 
+/// What a deck node lowers to.
+#[derive(Clone, Copy)]
+enum Role {
+    /// The reference net (`0`, `gnd`).
+    Ground,
+    /// A node pinned to VDD by a supply card.
+    Supply,
+    /// Grid node `k`.
+    Grid(usize),
+}
+
 impl Netlist {
     /// Lowers the deck to a [`PowerGrid`] plus its [`NodeMap`].
     ///
@@ -67,16 +81,20 @@ impl Netlist {
     /// resistive path to a pad.
     pub fn lower(&self) -> Result<LoweredNetlist> {
         let _span = opera_trace::span("netlist.lower");
-        // --- Pass 1: supplies.
-        let mut supplies: HashMap<&str, (f64, usize)> = HashMap::new();
+        let name = |id: usize| self.nodes.name(id).unwrap_or("?");
+        // --- Supplies: the line of the card pinning each deck node.
+        let mut pinned: Vec<Option<usize>> = vec![None; self.nodes.len()];
         let mut vdd: Option<(f64, usize)> = None;
         for s in self.supplies() {
-            if let Some(&(_, previous)) = supplies.get(s.node.as_str()) {
+            let pin = pinned
+                .get_mut(s.node)
+                .ok_or_else(|| unknown_node(s.node, s.line))?;
+            if let Some(previous) = *pin {
                 return Err(NetlistError::Lowering {
                     line: s.line,
                     message: format!(
                         "node `{}` is already pinned by the supply on line {previous}",
-                        s.node
+                        name(s.node)
                     ),
                 });
             }
@@ -94,7 +112,7 @@ impl Netlist {
             } else {
                 vdd = Some((s.volts, s.line));
             }
-            supplies.insert(&s.node, (s.volts, s.line));
+            *pin = Some(s.line);
         }
         let Some((vdd, _)) = vdd else {
             return Err(NetlistError::Deck {
@@ -102,24 +120,19 @@ impl Netlist {
             });
         };
 
-        // --- Pass 2: node indexing by first appearance, in deck order.
+        // --- Roles: the deck's nodes are in first-appearance order, so the
+        // grid nodes among them are too.
         let mut nodes = NodeMap::new();
-        for card in &self.cards {
-            let mut touch = |name: &str| {
-                if !is_ground(name) && !supplies.contains_key(name) {
-                    nodes.get_or_insert(name);
-                }
-            };
-            match card {
-                Card::Resistor(r) => {
-                    touch(&r.a);
-                    touch(&r.b);
-                }
-                Card::Capacitor(c) => touch(&c.node),
-                Card::Current(i) => touch(&i.node),
-                Card::Supply(_) => {}
-            }
-        }
+        let roles: Vec<Role> = self
+            .nodes
+            .iter()
+            .zip(&pinned)
+            .map(|((_, node), pin)| match pin {
+                Some(_) => Role::Supply,
+                None if is_ground(node) => Role::Ground,
+                None => Role::Grid(nodes.get_or_insert(node)),
+            })
+            .collect();
         if nodes.is_empty() {
             return Err(NetlistError::Deck {
                 message: "deck defines no grid nodes (every node is a supply or ground)"
@@ -127,7 +140,7 @@ impl Netlist {
             });
         }
 
-        // --- Pass 3: stamp, in deck order.
+        // --- Stamp, in deck order.
         let mut grid = PowerGrid::new(nodes.len(), vdd).map_err(|e| NetlistError::Deck {
             message: e.to_string(),
         })?;
@@ -137,10 +150,29 @@ impl Netlist {
                 message: e.to_string(),
             }
         };
+        let role =
+            |id: usize, line: usize| roles.get(id).copied().ok_or_else(|| unknown_node(id, line));
+        // The grid index of a capacitor's or source's node, rejecting supply
+        // nodes (and ground, which only an edited `Netlist` can hold here).
+        let grid_node = |id: usize, line: usize, what: &str| match role(id, line)? {
+            Role::Grid(k) => Ok(k),
+            Role::Supply => Err(NetlistError::Lowering {
+                line,
+                message: format!(
+                    "{what} on supply node `{}`: the node is pinned to VDD, so the \
+                     element has no effect; remove it or insert a pad resistor",
+                    name(id)
+                ),
+            }),
+            Role::Ground => Err(NetlistError::Syntax {
+                line,
+                message: format!("{what} has both terminals grounded"),
+            }),
+        };
         for card in &self.cards {
             match card {
-                Card::Resistor(r) => {
-                    if is_ground(&r.a) || is_ground(&r.b) {
+                Card::Resistor(r) => match (role(r.a, r.line)?, role(r.b, r.line)?) {
+                    (Role::Ground, _) | (_, Role::Ground) => {
                         return Err(NetlistError::Lowering {
                             line: r.line,
                             message: format!(
@@ -150,48 +182,36 @@ impl Netlist {
                             ),
                         });
                     }
-                    match (
-                        supplies.contains_key(r.a.as_str()),
-                        supplies.contains_key(r.b.as_str()),
-                    ) {
-                        (true, true) => {
-                            return Err(NetlistError::Lowering {
-                                line: r.line,
-                                message: format!(
-                                    "resistor `{}` connects two supply nodes; it carries no \
-                                     information about the grid",
-                                    r.name
-                                ),
-                            });
-                        }
-                        (true, false) => {
-                            let node = indexed_node(&nodes, &r.b, r.line)?;
-                            grid.add_pad(node, r.conductance).map_err(element(r.line))?;
-                        }
-                        (false, true) => {
-                            let node = indexed_node(&nodes, &r.a, r.line)?;
-                            grid.add_pad(node, r.conductance).map_err(element(r.line))?;
-                        }
-                        (false, false) => {
-                            let a = indexed_node(&nodes, &r.a, r.line)?;
-                            let b = indexed_node(&nodes, &r.b, r.line)?;
-                            let kind = if is_via_name(&r.name) {
-                                BranchKind::Via
-                            } else {
-                                BranchKind::MetalWire
-                            };
-                            grid.add_wire(a, b, r.conductance, kind)
-                                .map_err(element(r.line))?;
-                        }
+                    (Role::Supply, Role::Supply) => {
+                        return Err(NetlistError::Lowering {
+                            line: r.line,
+                            message: format!(
+                                "resistor `{}` connects two supply nodes; it carries no \
+                                 information about the grid",
+                                r.name
+                            ),
+                        });
                     }
-                }
+                    (Role::Supply, Role::Grid(node)) | (Role::Grid(node), Role::Supply) => {
+                        grid.add_pad(node, r.conductance).map_err(element(r.line))?;
+                    }
+                    (Role::Grid(a), Role::Grid(b)) => {
+                        let kind = if is_via_name(&r.name) {
+                            BranchKind::Via
+                        } else {
+                            BranchKind::MetalWire
+                        };
+                        grid.add_wire(a, b, r.conductance, kind)
+                            .map_err(element(r.line))?;
+                    }
+                },
                 Card::Capacitor(c) => {
-                    let node = grid_node(&nodes, &supplies, &c.node, c.line, "capacitor")?;
+                    let node = grid_node(c.node, c.line, "capacitor")?;
                     grid.add_capacitor(node, c.capacitance, c.class)
                         .map_err(element(c.line))?;
                 }
                 Card::Current(i) => {
-                    let node = grid_node(&nodes, &supplies, &i.node, i.line, "current source")?;
+                    let node = grid_node(i.node, i.line, "current source")?;
                     let horizon = self.tran.map(|t| t.end_time);
                     let waveform = expand_waveform(&i.waveform, horizon, i.line)?;
                     grid.add_current_source(node, waveform, i.block)
@@ -210,34 +230,13 @@ impl Netlist {
     }
 }
 
-/// Resolves a C/I terminal to its grid-node index, rejecting supply nodes.
-fn grid_node(
-    nodes: &NodeMap,
-    supplies: &HashMap<&str, (f64, usize)>,
-    name: &str,
-    line: usize,
-    what: &str,
-) -> Result<usize> {
-    if supplies.contains_key(name) {
-        return Err(NetlistError::Lowering {
-            line,
-            message: format!(
-                "{what} on supply node `{name}`: the node is pinned to VDD, so the \
-                 element has no effect; remove it or insert a pad resistor"
-            ),
-        });
-    }
-    indexed_node(nodes, name, line)
-}
-
-/// Looks up a node that pass 2 must already have indexed. A miss is an
-/// internal bookkeeping bug, surfaced as a typed error instead of a panic
-/// so a malformed deck can never take the process down.
-fn indexed_node(nodes: &NodeMap, name: &str, line: usize) -> Result<usize> {
-    nodes.index(name).ok_or_else(|| NetlistError::Lowering {
+/// The error for a card terminal that is not an index into the deck's node
+/// table, which only a hand-built or edited [`Netlist`] can have.
+fn unknown_node(id: usize, line: usize) -> NetlistError {
+    NetlistError::Lowering {
         line,
-        message: format!("internal: grid node `{name}` was not indexed in pass 2"),
-    })
+        message: format!("node index {id} is not in the deck's node table"),
+    }
 }
 
 /// Expands a parsed waveform to the piecewise-linear form the grid model
@@ -437,6 +436,25 @@ I0 n2 0 PWL(0 0 0.5n 1m 1n 0)
             "{err}"
         );
         assert!(err.to_string().contains("cycles"), "{err}");
+    }
+
+    #[test]
+    fn an_edited_terminal_outside_the_node_table_is_an_error() {
+        // (card, its deck line): the pad resistor and the supply.
+        for (card, line) in [(1, 3), (0, 2)] {
+            let mut deck = parse(DECK).unwrap();
+            match &mut deck.cards[card] {
+                Card::Resistor(r) => r.b = 99,
+                Card::Supply(s) => s.node = 99,
+                other => panic!("unexpected card {other:?}"),
+            }
+            let err = deck.lower().unwrap_err();
+            assert!(
+                matches!(err, NetlistError::Lowering { line: l, .. } if l == line),
+                "{err}"
+            );
+            assert!(err.to_string().contains("node index 99"), "{err}");
+        }
     }
 
     #[test]

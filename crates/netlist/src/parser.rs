@@ -1,7 +1,6 @@
 //! Card-level parsing: the lexer's cards → the [`Netlist`] IR, one card
 //! at a time.
 
-use std::collections::HashMap;
 use std::hash::{BuildHasher, RandomState};
 
 use crate::deck::{
@@ -11,7 +10,7 @@ use crate::deck::{
 use crate::lexer::{Fields, Lexer};
 use crate::value::parse_value;
 use crate::{NetlistError, Result};
-use opera_grid::CapacitorClass;
+use opera_grid::{CapacitorClass, NodeMap};
 
 /// Node names that mean "ground" (the reference net of the VDD-net model).
 pub const GROUND_NAMES: [&str; 2] = ["0", "gnd"];
@@ -32,7 +31,9 @@ pub fn is_ground(name: &str) -> bool {
 ///
 /// Per-card validation happens here (grammar, arity, numeric values,
 /// duplicate element names); whole-circuit checks happen in
-/// [`Netlist::lower`]. See `docs/NETLIST.md` for the accepted grammar.
+/// [`Netlist::lower`]. Node names are interned into [`Netlist::nodes`] as
+/// each card is parsed, so the cards carry node indices. See
+/// `docs/NETLIST.md` for the accepted grammar.
 ///
 /// # Errors
 ///
@@ -60,23 +61,42 @@ pub fn is_ground(name: &str) -> bool {
 /// ```
 pub fn parse(text: &str) -> Result<Netlist> {
     let _span = opera_trace::span("netlist.parse");
-    let mut lexer = Lexer::new(text);
-    let mut cards: Vec<Card> = Vec::new();
-    let mut tran: Option<TranSpec> = None;
-    let mut names = NameIndex::default();
+    let mut deck = Netlist {
+        cards: Vec::new(),
+        nodes: NodeMap::new(),
+        tran: None,
+    };
+    let parsed = parse_cards(text, &mut deck);
+    // A repeated element name is an error of the card that repeats it, so
+    // it wins over whatever stopped the parse further down the deck.
+    if let Some((card, first)) = first_duplicate(&deck.cards) {
+        let (card, first) = (&deck.cards[card], &deck.cards[first]);
+        return Err(NetlistError::Duplicate {
+            line: card.line(),
+            previous_line: first.line(),
+            name: card.name().to_string(),
+        });
+    }
+    parsed.map(|()| deck)
+}
 
+/// Parses cards into `deck` until `.end`, the end of the text or the
+/// first error, interning node names as it goes.
+fn parse_cards(text: &str, deck: &mut Netlist) -> Result<()> {
+    let mut lexer = Lexer::new(text);
+    let nodes = &mut deck.nodes;
     while let Some(ll) = lexer.next_card()? {
         let first = ll.get(0);
         if let Some(directive) = first.strip_prefix('.') {
             match directive {
                 "tran" => {
-                    if tran.is_some() {
+                    if deck.tran.is_some() {
                         return Err(NetlistError::Syntax {
                             line: ll.line,
                             message: "multiple .tran directives (only one is allowed)".to_string(),
                         });
                     }
-                    tran = Some(parse_tran(ll)?);
+                    deck.tran = Some(parse_tran(ll)?);
                 }
                 // `.op` is accepted for IBM-benchmark compatibility: the
                 // engine always solves the t = 0 operating point anyway.
@@ -94,10 +114,10 @@ pub fn parse(text: &str) -> Result<Netlist> {
         }
 
         let card = match first.chars().next() {
-            Some('r') => Card::Resistor(parse_resistor(ll)?),
-            Some('c') => Card::Capacitor(parse_capacitor(ll)?),
-            Some('i') => Card::Current(parse_current(ll)?),
-            Some('v') => Card::Supply(parse_supply(ll)?),
+            Some('r') => Card::Resistor(parse_resistor(ll, nodes)?),
+            Some('c') => Card::Capacitor(parse_capacitor(ll, nodes)?),
+            Some('i') => Card::Current(Box::new(parse_current(ll, nodes)?)),
+            Some('v') => Card::Supply(parse_supply(ll, nodes)?),
             Some(
                 c @ ('l' | 'd' | 'q' | 'm' | 'x' | 'k' | 'e' | 'f' | 'g' | 'h' | 'b' | 's' | 'w'
                 | 't' | 'u' | 'o' | 'j' | 'z'),
@@ -122,56 +142,68 @@ pub fn parse(text: &str) -> Result<Netlist> {
             }
         };
 
-        if let Some(previous_line) = names.insert(&cards, card.name()) {
-            return Err(NetlistError::Duplicate {
-                line: ll.line,
-                previous_line,
-                name: card.name().to_string(),
-            });
-        }
-        cards.push(card);
+        deck.cards.push(card);
     }
-
-    Ok(Netlist { cards, tran })
+    Ok(())
 }
 
-/// The element names of the cards parsed so far, for duplicate detection,
-/// without a copy of any name: each name's hash maps to the first card
-/// that hashed to it, and names are compared on the cards themselves. The
-/// hash keys are random per index, so a deck cannot be crafted to make
-/// names collide.
-#[derive(Default)]
-struct NameIndex {
-    state: RandomState,
-    first: HashMap<u64, usize>,
-}
-
-impl NameIndex {
-    /// Records `name`, the name of the card about to become `cards[k]` for
-    /// `k = cards.len()`, and returns the line of an earlier card of the
-    /// same name if there is one.
-    fn insert(&mut self, cards: &[Card], name: &str) -> Option<usize> {
-        let hash = self.state.hash_one(name);
-        let first = *self.first.entry(hash).or_insert(cards.len());
-        match cards.get(first) {
-            None => None,
-            Some(card) if card.name() == name => Some(card.line()),
-            // Another name with the same 64-bit hash: look the name up the
-            // slow way.
-            Some(_) => cards.iter().find(|c| c.name() == name).map(Card::line),
+/// The first card, in deck order, whose element name an earlier card
+/// already has, with that earlier card: `(repeat, first)` card indices.
+///
+/// Each card becomes one sort key: its name's hash with the low bits
+/// replaced by the card's index. Sorting the keys puts equal names next to
+/// each other, in deck order, without a hash table the size of the deck;
+/// names are compared only within a run of equal hash bits. The hash keys
+/// are random per call, so a deck cannot be crafted to make names collide.
+fn first_duplicate(cards: &[Card]) -> Option<(usize, usize)> {
+    let state = RandomState::new();
+    let index_bits = usize::BITS - cards.len().leading_zeros();
+    let index = 1u64.checked_shl(index_bits).map_or(u64::MAX, |bit| bit - 1);
+    let mut keys: Vec<u64> = cards
+        .iter()
+        .enumerate()
+        .map(|(k, card)| state.hash_one(card.name()) & !index | k as u64)
+        .collect();
+    keys.sort_unstable();
+    let card = |key: u64| (key & index) as usize;
+    let mut found: Option<(usize, usize)> = None;
+    for run in keys.chunk_by(|x, y| (x ^ y) & !index == 0) {
+        for (j, &key) in run.iter().enumerate().skip(1) {
+            let repeat = card(key);
+            if found.is_some_and(|(earliest, _)| earliest < repeat) {
+                break;
+            }
+            let name = cards[repeat].name();
+            let mut earlier = run[..j].iter().map(|&key| card(key));
+            if let Some(first) = earlier.find(|&i| cards[i].name() == name) {
+                found = Some((repeat, first));
+                break;
+            }
         }
     }
+    found
 }
 
-/// Trailing `key=value` parameters of a card, in order.
-type Params<'a> = Vec<(&'a str, &'a str)>;
+/// Trailing `key=value` parameters of a card, in order: the card's last
+/// fields, checked to be `key "=" value` triples with distinct keys.
+#[derive(Clone, Copy)]
+struct Params<'a>(Fields<'a>);
+
+impl<'a> Params<'a> {
+    /// The `(key, value)` pairs.
+    fn iter(self) -> impl Iterator<Item = (&'a str, &'a str)> {
+        (0..self.0.len())
+            .step_by(3)
+            .map(move |k| (self.0.get(k), self.0.get(k + 2)))
+    }
+}
 
 /// Splits off the trailing `key=value` parameters (tokenised as
 /// `key "=" value` triples) and returns `(positional, params)`.
 fn split_params(fields: Fields<'_>) -> Result<(Fields<'_>, Params<'_>)> {
     let line = fields.line;
     let Some(first_eq) = fields.iter().position(|f| f == "=") else {
-        return Ok((fields, Vec::new()));
+        return Ok((fields, Params(fields.tail(fields.len()))));
     };
     if first_eq == 0 {
         return Err(NetlistError::Syntax {
@@ -181,7 +213,6 @@ fn split_params(fields: Fields<'_>) -> Result<(Fields<'_>, Params<'_>)> {
     }
     let split = first_eq - 1;
     let (positional, tail) = (fields.head(split), fields.tail(split));
-    let mut params = Vec::new();
     let mut k = 0;
     while k + 3 <= tail.len() {
         let (key, eq, value) = (tail.get(k), tail.get(k + 1), tail.get(k + 2));
@@ -191,13 +222,15 @@ fn split_params(fields: Fields<'_>) -> Result<(Fields<'_>, Params<'_>)> {
                 message: "parameters must be trailing `key=value` pairs".to_string(),
             });
         }
-        if params.iter().any(|&(k, _)| k == key) {
+        if Params(tail.head(k))
+            .iter()
+            .any(|(earlier, _)| earlier == key)
+        {
             return Err(NetlistError::Syntax {
                 line,
                 message: format!("parameter `{key}` is given more than once"),
             });
         }
-        params.push((key, value));
         k += 3;
     }
     if k != tail.len() {
@@ -206,7 +239,7 @@ fn split_params(fields: Fields<'_>) -> Result<(Fields<'_>, Params<'_>)> {
             message: "incomplete trailing `key=value` parameter".to_string(),
         });
     }
-    Ok((positional, params))
+    Ok((positional, Params(tail)))
 }
 
 fn expect_arity(positional: Fields<'_>, n: usize, usage: &str) -> Result<()> {
@@ -235,7 +268,7 @@ fn require_positive(value: f64, token: &str, line: usize, what: &str) -> Result<
     }
 }
 
-fn parse_resistor(ll: Fields<'_>) -> Result<ResistorCard> {
+fn parse_resistor(ll: Fields<'_>, nodes: &mut NodeMap) -> Result<ResistorCard> {
     let (positional, params) = split_params(ll)?;
     reject_params(ll.line, params, &[])?;
     expect_arity(positional, 4, "Rname a b value")?;
@@ -256,15 +289,15 @@ fn parse_resistor(ll: Fields<'_>) -> Result<ResistorCard> {
         }
     };
     Ok(ResistorCard {
-        name: positional.get(0).to_string(),
+        name: positional.get(0).into(),
         line: ll.line,
-        a: positional.get(1).to_string(),
-        b: positional.get(2).to_string(),
+        a: nodes.get_or_insert(positional.get(1)),
+        b: nodes.get_or_insert(positional.get(2)),
         conductance,
     })
 }
 
-fn parse_capacitor(ll: Fields<'_>) -> Result<CapacitorCard> {
+fn parse_capacitor(ll: Fields<'_>, nodes: &mut NodeMap) -> Result<CapacitorCard> {
     let (positional, params) = split_params(ll)?;
     expect_arity(positional, 4, "Cname node 0 value [class=…]")?;
     let node = grounded_terminal(ll.line, positional.get(1), positional.get(2), "capacitor")?;
@@ -277,7 +310,7 @@ fn parse_capacitor(ll: Fields<'_>) -> Result<CapacitorCard> {
         });
     }
     let mut class = CapacitorClass::Diffusion;
-    for (key, value) in reject_params(ll.line, params, &["class"])? {
+    for (key, value) in reject_params(ll.line, params, &["class"])?.iter() {
         debug_assert_eq!(key, "class");
         class = match value {
             "gate" => CapacitorClass::Gate,
@@ -295,15 +328,15 @@ fn parse_capacitor(ll: Fields<'_>) -> Result<CapacitorCard> {
         };
     }
     Ok(CapacitorCard {
-        name: positional.get(0).to_string(),
+        name: positional.get(0).into(),
         line: ll.line,
-        node,
+        node: nodes.get_or_insert(node),
         capacitance,
         class,
     })
 }
 
-fn parse_current(ll: Fields<'_>) -> Result<CurrentSourceCard> {
+fn parse_current(ll: Fields<'_>, nodes: &mut NodeMap) -> Result<CurrentSourceCard> {
     let (positional, params) = split_params(ll)?;
     if positional.len() < 4 {
         return Err(NetlistError::Syntax {
@@ -319,7 +352,7 @@ fn parse_current(ll: Fields<'_>) -> Result<CurrentSourceCard> {
     )?;
     let waveform = parse_waveform(positional.tail(3))?;
     let mut block = 0usize;
-    for (key, value) in reject_params(ll.line, params, &["block"])? {
+    for (key, value) in reject_params(ll.line, params, &["block"])?.iter() {
         debug_assert_eq!(key, "block");
         block = value.parse().map_err(|_| NetlistError::Value {
             line: ll.line,
@@ -328,15 +361,15 @@ fn parse_current(ll: Fields<'_>) -> Result<CurrentSourceCard> {
         })?;
     }
     Ok(CurrentSourceCard {
-        name: positional.get(0).to_string(),
+        name: positional.get(0).into(),
         line: ll.line,
-        node,
+        node: nodes.get_or_insert(node),
         waveform,
         block,
     })
 }
 
-fn parse_supply(ll: Fields<'_>) -> Result<SupplyCard> {
+fn parse_supply(ll: Fields<'_>, nodes: &mut NodeMap) -> Result<SupplyCard> {
     let (positional, params) = split_params(ll)?;
     reject_params(ll.line, params, &[])?;
     // Accept both `Vname node 0 value` and `Vname node 0 DC value`.
@@ -377,9 +410,9 @@ fn parse_supply(ll: Fields<'_>) -> Result<SupplyCard> {
         });
     }
     Ok(SupplyCard {
-        name: positional.get(0).to_string(),
+        name: positional.get(0).into(),
         line: ll.line,
-        node: node.to_string(),
+        node: nodes.get_or_insert(node),
         volts,
     })
 }
@@ -468,7 +501,7 @@ fn parse_tran(ll: Fields<'_>) -> Result<TranSpec> {
     }
     let params = reject_params(ll.line, params, &["method"])?;
     let mut method = None;
-    for (key, value) in params {
+    for (key, value) in params.iter() {
         debug_assert_eq!(key, "method");
         method = Some(match value.to_ascii_lowercase().as_str() {
             "be" => TranMethod::BackwardEuler,
@@ -511,7 +544,7 @@ fn parse_tran(ll: Fields<'_>) -> Result<TranSpec> {
 
 /// Validates that every parameter key is in `allowed`; returns the params.
 fn reject_params<'a>(line: usize, params: Params<'a>, allowed: &[&str]) -> Result<Params<'a>> {
-    for &(key, _) in &params {
+    for (key, _) in params.iter() {
         if !allowed.contains(&key) {
             return Err(NetlistError::Syntax {
                 line,
@@ -531,9 +564,9 @@ fn reject_params<'a>(line: usize, params: Params<'a>, allowed: &[&str]) -> Resul
 
 /// For two-terminal-to-ground elements: exactly one terminal must be
 /// ground; returns the other (the grid node), which must come first.
-fn grounded_terminal(line: usize, a: &str, b: &str, what: &str) -> Result<String> {
+fn grounded_terminal<'a>(line: usize, a: &'a str, b: &str, what: &str) -> Result<&'a str> {
     match (is_ground(a), is_ground(b)) {
-        (false, true) => Ok(a.to_string()),
+        (false, true) => Ok(a),
         (true, false) => Err(NetlistError::Syntax {
             line,
             message: format!(
@@ -606,6 +639,23 @@ mod tests {
                 name: "r1".to_string()
             }
         );
+    }
+
+    #[test]
+    fn the_earliest_repeat_is_reported_with_its_first_card() {
+        let deck = "V1 p 0 1.2\nR1 p n1 0.1\nR2 n1 n2 0.1\nR3 n2 n3 0.1\n\
+                    r2 n3 n4 0.1\nR1 n4 n5 0.1\nr3 n5 n6 0.1\nR9 bogus\n";
+        assert_eq!(
+            parse(deck).unwrap_err(),
+            NetlistError::Duplicate {
+                line: 5,
+                previous_line: 3,
+                name: "r2".to_string()
+            }
+        );
+        // Names are compared whole, not by prefix or hash alone.
+        let deck = parse("V1 p 0 1.2\nR1 p n1 0.1\nR10 n1 n2 0.1\nR100 n2 n3 0.1\n").unwrap();
+        assert_eq!(deck.cards.len(), 4);
     }
 
     #[test]

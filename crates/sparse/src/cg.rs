@@ -243,7 +243,9 @@ pub fn solve(
 /// `cg.operator_applies` and `cg.preconditioner_applies` (one each per
 /// `A·x` and `M⁻¹·r`, the initial residual's included) and setting the
 /// `cg.relative_residual` gauge to the final relative residual, converged
-/// or not. A zero `b` returns `x = 0` at once.
+/// or not. An all-`+0.0` guess skips the initial `A·x`: `A·0` is `+0.0`
+/// in every row, so the residual is `b` itself, bit for bit. A zero `b`
+/// returns `x = 0` at once.
 ///
 /// # Errors
 ///
@@ -282,11 +284,16 @@ where
     let (z, rest) = rest.split_at_mut(n);
     let (p, ap) = rest.split_at_mut(n);
 
-    // r = b − A·x (exactly b for a zero guess).
-    opera_trace::count("cg.operator_applies", 1);
-    a.apply_into(x, r);
-    for (ri, bi) in r.iter_mut().zip(b) {
-        *ri = bi - *ri;
+    // r = b − A·x. For a zero guess every `(A·x)_i` is `+0.0` and
+    // `b_i − (+0.0)` is `b_i`, `−0.0` included, so r = b.
+    if x.iter().all(|xi| xi.to_bits() == 0) {
+        r.copy_from_slice(b);
+    } else {
+        opera_trace::count("cg.operator_applies", 1);
+        a.apply_into(x, r);
+        for (ri, bi) in r.iter_mut().zip(b) {
+            *ri = bi - *ri;
+        }
     }
     // Preconditioned before any convergence test, so every solve borrows
     // the same scratch whatever its data: a solve that converges at once
@@ -620,10 +627,37 @@ mod tests {
         }
     }
 
+    /// A zero guess skips the initial operator application and solves bit
+    /// for bit as a `−0.0` guess, which takes it.
+    #[test]
+    fn a_zero_guess_takes_its_residual_from_b_bit_identically() {
+        let a = Counting::new(laplacian_2d(9, 7, 0.05));
+        let pre = Jacobi(a.inner.diagonal());
+        let n = a.inner.nrows();
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
+        let mut ws = SolveWorkspace::new();
+        let mut solve = |guess: f64| {
+            a.applies.set(0);
+            let mut x = vec![guess; n];
+            let stats = solve_in_place(&a, &b, &mut x, &pre, CgOptions::default(), &mut ws);
+            (x, stats.unwrap(), a.applies.get())
+        };
+        let (x_zero, zero, zero_applies) = solve(0.0);
+        let (x_negative, negative, negative_applies) = solve(-0.0);
+        assert_eq!(zero_applies + 1, negative_applies);
+        assert_eq!(zero.iterations, negative.iterations);
+        assert_eq!(
+            zero.relative_residual.to_bits(),
+            negative.relative_residual.to_bits()
+        );
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&x_zero), bits(&x_negative));
+    }
+
     /// `cg.operator_applies` and `cg.preconditioner_applies` count exactly
-    /// the applications the solve makes — the initial residual's included —
-    /// for an iterated solve, a solve that converges at once and a zero
-    /// right-hand side.
+    /// the applications the solve makes — the initial residual's included
+    /// unless the guess is zero — for an iterated solve from a zero guess,
+    /// a solve that converges at once and a zero right-hand side.
     #[test]
     fn work_counters_count_every_operator_and_preconditioner_application() {
         let _guard = opera_trace::test_guard();
@@ -640,6 +674,7 @@ mod tests {
         ] {
             a.applies.set(0);
             pre.applies.set(0);
+            let x_guess_was_nonzero = guess.iter().any(|&v| v != 0.0);
             let mut x = guess;
             opera_trace::reset();
             opera_trace::enable();
@@ -653,10 +688,12 @@ mod tests {
                 snapshot.counter("cg.preconditioner_applies"),
                 pre.applies.get()
             );
-            // One of each for the initial residual, then one operator per
+            // One of each for the initial residual (no operator for a zero
+            // guess, whose residual is `b`), then one operator per
             // iteration and one preconditioner per iteration that did not
             // converge.
-            assert_eq!(a.applies.get(), 1 + iterations);
+            let initial = u64::from(x_guess_was_nonzero);
+            assert_eq!(a.applies.get(), initial + iterations);
             assert_eq!(pre.applies.get(), iterations.max(1));
         }
     }
