@@ -16,14 +16,12 @@ use std::sync::Mutex;
 
 use rayon::prelude::*;
 
-use opera_sparse::stepping::{
-    companion_scale, rescale_around_anchor, IntegrationMethod, StepRhs, TR_BDF2_GAMMA,
-};
+use opera_sparse::stepping::{companion_scale, IntegrationMethod, StepRhs, TR_BDF2_GAMMA};
 use opera_sparse::{
     CholeskyGroup, MatrixFactor, Panel, SolveWorkspace, SymbolicCholesky, LOCKSTEP_LANES,
 };
 use opera_trace::{SpanGuard, SpanToken};
-use opera_variation::{NominalPatterns, SampleValues, StochasticGridModel};
+use opera_variation::{Excitation, NominalPatterns, SampleValues, StochasticGridModel};
 
 use crate::{CollocationStats, Result, TransientSpec};
 
@@ -252,33 +250,6 @@ impl Companion {
     }
 }
 
-/// The excitations of one group's points: each point's own waveform,
-/// rescaled around its quiescent `t = 0` excitation when the switching
-/// currents are scaled.
-struct Excitation<'a> {
-    model: &'a StochasticGridModel,
-    /// The group's points, the first of which is sweep point `first`.
-    xis: &'a [Vec<f64>],
-    first: usize,
-    scale: f64,
-    anchors: Vec<Option<Vec<f64>>>,
-    /// The drain-current scratch every excitation of the group reuses.
-    drain: Vec<f64>,
-}
-
-impl Excitation<'_> {
-    /// Writes point `q`'s excitation at `t` into `u`.
-    fn write(&mut self, t: f64, q: usize, u: &mut [f64]) -> Result<()> {
-        let j = q - self.first;
-        self.model
-            .sample_excitation_into(t, &self.xis[j], u, &mut self.drain)?;
-        if let Some(u0) = &self.anchors[j] {
-            rescale_around_anchor(u, u0, self.scale);
-        }
-        Ok(())
-    }
-}
-
 impl Sweep<'_> {
     /// Realises, factors and steps the points of `range`, handing every
     /// state to `sink` as it is computed.
@@ -291,20 +262,7 @@ impl Sweep<'_> {
         let (model, n) = (self.model, self.model.node_count());
         let (first, lanes) = (range.start, range.len());
         let xis = &self.points[range];
-        let scale = self.spec.current_scale;
-        let anchors = xis
-            .iter()
-            .map(|xi| (scale != 1.0).then(|| model.sample_excitation(0.0, xi)))
-            .map(Option::transpose)
-            .collect::<std::result::Result<_, _>>()?;
-        let mut excitation = Excitation {
-            model,
-            xis,
-            first,
-            scale,
-            anchors,
-            drain: Vec::new(),
-        };
+        let mut excitation = Excitation::for_model(model, self.spec.current_scale);
 
         let reads_g = self.spec.scheme != IntegrationMethod::BackwardEuler;
         let mut group = CholeskyGroup::new(self.step, lanes);
@@ -327,7 +285,7 @@ impl Sweep<'_> {
             let at = lockstep.state.len();
             lockstep.state.resize(at + n, 0.0);
             lockstep.u_prev.resize(at + n, 0.0);
-            excitation.write(0.0, q, &mut lockstep.u_prev[at..])?;
+            excitation.sample_into(0.0, xi, &mut lockstep.u_prev[at..])?;
             let v0 = &mut lockstep.state[at..];
             v0.copy_from_slice(&lockstep.u_prev[at..]);
             let g = self.patterns.conductance().with_values(&values.conductance);
@@ -413,12 +371,12 @@ impl Sweep<'_> {
             let (t_prev, t) = (pair[0], pair[1]);
             opera_trace::count("transient.steps", 1);
             for (col, &q) in points.iter().enumerate() {
-                excitation.write(t, q, u_next.col_mut(col))?;
+                excitation.sample_into(t, &self.points[q], u_next.col_mut(col))?;
             }
             if tr_bdf2 {
                 let t_mid = t_prev + TR_BDF2_GAMMA * (t - t_prev);
                 for (col, &q) in points.iter().enumerate() {
-                    excitation.write(t_mid, q, u_mid.col_mut(col))?;
+                    excitation.sample_into(t_mid, &self.points[q], u_mid.col_mut(col))?;
                 }
                 for (col, rhs) in rhs.iter().enumerate() {
                     let (v, u) = (state.col(col), u_prev.col(col));

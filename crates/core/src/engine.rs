@@ -45,7 +45,7 @@ use opera_collocation::{build_grid, solve_collocation, TransientSpec};
 use opera_grid::{GridSpec, NodeMap, PowerGrid};
 use opera_netlist::LoweredNetlist;
 use opera_pce::OrthogonalBasis;
-use opera_variation::{StochasticGridModel, VariationSpec};
+use opera_variation::{Excitation, StochasticGridModel, VariationSpec};
 use rayon::prelude::*;
 
 use crate::adaptive::{AdaptiveOptions, AdaptiveStats};
@@ -57,8 +57,7 @@ use crate::response::{drop_summary, probe_distributions, ExperimentReport};
 use crate::solver::{default_backend, PreparedSolver, SolverBackend};
 use crate::stochastic::{run_prepared_adaptive, run_prepared_panel, StochasticSolution};
 use crate::transient::{
-    integrate_fixed_step, rescale_around_anchor, solve_transient, IntegrationMethod,
-    TransientOptions,
+    integrate_fixed_step, solve_transient, IntegrationMethod, TransientOptions,
 };
 use crate::{OperaError, Result};
 
@@ -746,7 +745,8 @@ impl OperaEngine {
     pub fn steady_state_step_allocations(&self) -> Result<usize> {
         let dim = self.system.dim();
         let h = self.transient.time_step;
-        let run = |steps: usize, ws: &mut opera_sparse::SolveWorkspace| {
+        let mut excitation = Excitation::for_model(&self.model, 1.0);
+        let mut run = |steps: usize, ws: &mut opera_sparse::SolveWorkspace| {
             let times: Vec<f64> = (0..=steps).map(|k| k as f64 * h).collect();
             integrate_fixed_step(
                 self.prepared.as_ref(),
@@ -755,8 +755,7 @@ impl OperaEngine {
                 (dim, 1),
                 ws,
                 |t, u| {
-                    u.data_mut()
-                        .copy_from_slice(&self.system.excitation(&self.model, t));
+                    excitation.stacked_into(t, self.system.coupling(), u.data_mut());
                     Ok(())
                 },
                 |_, _| {},
@@ -798,15 +797,11 @@ impl OperaEngine {
                 let transient = self.scenario_transient(scenario)?;
                 let fresh = self.prepare_if_needed(&transient)?;
                 let prepared = fresh.as_deref().unwrap_or(self.prepared.as_ref());
-                let scale = scenario.current_scale;
-                let anchor = (scale != 1.0).then(|| self.system.excitation(&self.model, 0.0));
-                let mut drain = Vec::new();
                 run_prepared_panel(
                     prepared,
                     &self.system,
-                    |t, u| self.system.excitation_into(&self.model, t, u, &mut drain),
-                    anchor.as_deref(),
-                    &[scale],
+                    &self.model,
+                    &[scenario.current_scale],
                     transient.time_points(),
                     transient.method,
                 )?
@@ -834,18 +829,11 @@ impl OperaEngine {
         adaptive: &AdaptiveOptions,
     ) -> Result<(StochasticSolution, AdaptiveStats)> {
         let transient = self.scenario_transient(scenario)?;
-        let scale = scenario.current_scale;
-        let anchor = (scale != 1.0).then(|| self.system.excitation(&self.model, 0.0));
-        let mut drain = Vec::new();
+        let mut excitation = Excitation::for_model(&self.model, scenario.current_scale);
         run_prepared_adaptive(
             self.prepared.as_ref(),
             &self.system,
-            |t, u| {
-                self.system.excitation_into(&self.model, t, u, &mut drain);
-                if let Some(u0) = &anchor {
-                    rescale_around_anchor(u, u0, scale);
-                }
-            },
+            |t, u| excitation.stacked_into(t, self.system.coupling(), u),
             transient.time_points(),
             adaptive,
         )
@@ -998,17 +986,11 @@ impl OperaEngine {
                     .iter()
                     .map(|&i| scenarios[i].current_scale)
                     .collect();
-                let anchor = scales
-                    .iter()
-                    .any(|&s| s != 1.0)
-                    .then(|| self.system.excitation(&self.model, 0.0));
                 let t0 = Instant::now();
-                let mut drain = Vec::new();
                 let panel_solutions = run_prepared_panel(
                     self.prepared.as_ref(),
                     &self.system,
-                    |t, u| self.system.excitation_into(&self.model, t, u, &mut drain),
-                    anchor.as_deref(),
+                    &self.model,
                     &scales,
                     self.transient.time_points(),
                     self.transient.method,
@@ -1116,15 +1098,13 @@ impl OperaEngine {
         // --- Nominal (no-variation) transient for the µ₀ reference, with the
         // scenario's waveform scaling applied around the quiescent point.
         let scale = scenario.current_scale;
-        let anchor = (scale != 1.0).then(|| grid.excitation(0.0));
+        let mut excitation = Excitation::for_grid(grid, scale);
         let nominal = solve_transient(
             &grid.conductance_matrix(),
             &grid.capacitance_matrix(),
             |t| {
-                let mut u = grid.excitation(t);
-                if let Some(u0) = &anchor {
-                    rescale_around_anchor(&mut u, u0, scale);
-                }
+                let mut u = vec![0.0; grid.node_count()];
+                excitation.nominal_into(t, &mut u);
                 u
             },
             &transient,

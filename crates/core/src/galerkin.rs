@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use opera_pce::{GalerkinCoupling, OrthogonalBasis};
 use opera_sparse::CsrMatrix;
-use opera_variation::StochasticGridModel;
+use opera_variation::{Excitation, StochasticGridModel};
 
 use crate::{OperaError, Result};
 
@@ -127,58 +127,12 @@ impl GalerkinSystem {
     }
 
     /// Assembles the augmented excitation `Ũ(t)` from the model: block `i`
-    /// receives `⟨ψ_i⟩ u_a(t) + Σ_d ⟨ξ_d ψ_i⟩ u_d(t)`.
+    /// receives `⟨ψ_i⟩ u_a(t) + Σ_d ⟨ξ_d ψ_i⟩ u_d(t)` (the stacked form of an
+    /// [`Excitation`] at scale one).
     pub fn excitation(&self, model: &StochasticGridModel, t: f64) -> Vec<f64> {
         let mut u_hat = vec![0.0; self.dim()];
-        self.excitation_into(model, t, &mut u_hat, &mut Vec::new());
+        Excitation::for_model(model, 1.0).stacked_into(t, &self.coupling, &mut u_hat);
         u_hat
-    }
-
-    /// [`excitation`](Self::excitation) written into `u_hat`, a buffer of
-    /// [`dim`](Self::dim) entries, bit-equal to it. The nominal excitation
-    /// goes straight into block 0 and each `u_d(t)` is computed as it is
-    /// added ([`StochasticGridModel::excitation_nominal_into`]); `drain` is
-    /// the caller's scratch for the drain currents, so a loop that reuses
-    /// one buffer and one scratch allocates nothing of the node count after
-    /// its first call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u_hat` does not have `dim()` entries.
-    pub fn excitation_into(
-        &self,
-        model: &StochasticGridModel,
-        t: f64,
-        u_hat: &mut [f64],
-        drain: &mut Vec<f64>,
-    ) {
-        let n = self.node_count;
-        let size = self.basis.len();
-        assert_eq!(u_hat.len(), n * size, "excitation dimension mismatch");
-        // ⟨ψ_i⟩ is nonzero only for i = 0 where it equals 1 (ψ₀ ≡ 1).
-        let (nominal, rest) = u_hat.split_at_mut(n);
-        model.excitation_nominal_into(t, nominal, drain);
-        rest.fill(0.0);
-        for d in 0..model.n_vars() {
-            if model
-                .excitation_perturbation_values(d, drain)
-                .all(|v| v == 0.0)
-            {
-                continue;
-            }
-            for i in 0..size {
-                // ⟨ξ_d ψ_i⟩ = ⟨ξ_d ψ_i ψ_0⟩.
-                let w = self.coupling.linear(d, i, 0);
-                if w == 0.0 {
-                    continue;
-                }
-                let block = &mut u_hat[i * n..(i + 1) * n];
-                let u_d = model.excitation_perturbation_values(d, drain);
-                for (b, v) in block.iter_mut().zip(u_d) {
-                    *b += w * v;
-                }
-            }
-        }
     }
 
     /// Splits a stacked augmented solution vector into per-basis-function
@@ -301,7 +255,7 @@ fn merge_row(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opera_grid::GridSpec;
+    use opera_grid::{GridSpec, PowerGrid};
     use opera_pce::PolynomialFamily;
     use opera_variation::{StochasticGridModel, VariationSpec};
 
@@ -413,6 +367,26 @@ mod tests {
         }
     }
 
+    /// The inter-die excitation terms rebuilt from the grid and the spec
+    /// alone, one vector each: `u_a(t)`, `u_G` (the pad injection scaled
+    /// by `σ_G`, when the pads vary) and `u_L(t) = −s_L·i(t)`.
+    fn inter_die_terms(grid: &PowerGrid, spec: &VariationSpec, t: f64) -> [Vec<f64>; 3] {
+        let n = grid.node_count();
+        let sigma_g = spec.sigma_conductance();
+        let u_g = if spec.include_pad_variation {
+            grid.pad_injection_weighted(|_| sigma_g)
+        } else {
+            vec![0.0; n]
+        };
+        let mut i = vec![0.0; n];
+        for source in grid.sources() {
+            i[source.node] += source.waveform.value_at(t);
+        }
+        let sens = spec.drain_current_sensitivity * spec.sigma_channel_length();
+        let u_l = i.iter().map(|i_n| 0.0 - sens * i_n).collect();
+        [grid.excitation(t), u_g, u_l]
+    }
+
     /// The excitation must follow paper Eq. (22): only the blocks coupled to
     /// ψ₀, ψ₁ (ξ_G) and ψ₂ (ξ_L) are nonzero.
     #[test]
@@ -423,63 +397,49 @@ mod tests {
         let t = 0.4e-9;
         let u_hat = sys.excitation(&model, t);
         assert_eq!(u_hat.len(), 6 * n);
-        // Block 0 = nominal excitation.
-        let u_a = model.excitation_nominal(t);
-        for (a, b) in u_hat[..n].iter().zip(&u_a) {
-            assert!((a - b).abs() < 1e-15);
-        }
-        // Block 1 = u_G(t), block 2 = u_L(t).
-        let u_g = model.excitation_perturbation(0, t);
-        let u_l = model.excitation_perturbation(1, t);
-        for k in 0..n {
-            assert!((u_hat[n + k] - u_g[k]).abs() < 1e-15);
-            assert!((u_hat[2 * n + k] - u_l[k]).abs() < 1e-15);
+        // Block 0 = nominal excitation, block 1 = u_G(t), block 2 = u_L(t).
+        let terms = inter_die_terms(model.grid(), &VariationSpec::paper_defaults(), t);
+        for (block, term) in terms.iter().enumerate() {
+            for (k, v) in term.iter().enumerate() {
+                assert!((u_hat[block * n + k] - v).abs() < 1e-15);
+            }
         }
         // Higher-order blocks are zero for a first-order input model.
         assert!(u_hat[3 * n..].iter().all(|&v| v == 0.0));
     }
 
-    /// The buffer form reproduces the assembly from the allocating model
-    /// terms (`u_a`, then `w·u_d` per nonzero coupling in ascending `d` and
-    /// `i`) bit for bit, with one drain scratch serving every call and
-    /// every model (one or many variables with a current sensitivity).
+    /// The stacked excitation reproduces its assembly from the per-term
+    /// vectors (`u_a`, then `w·u_d` per nonzero coupling in ascending `d`
+    /// and `i`) bit for bit, with the pads varying or fixed.
     #[test]
-    fn excitation_into_is_bit_equal_to_assembling_the_allocating_terms() {
+    fn excitation_is_bit_equal_to_assembling_the_per_term_vectors() {
         let grid = GridSpec::small_test(80).with_seed(4).build().unwrap();
-        let spec = VariationSpec::paper_defaults();
-        let models = [
-            StochasticGridModel::inter_die(&grid, &spec).unwrap(),
-            StochasticGridModel::inter_die_three_variable(&grid, &spec).unwrap(),
-            StochasticGridModel::intra_die_slices(&grid, &spec, 3).unwrap(),
-        ];
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let mut drain = Vec::new();
-        for model in &models {
-            let basis =
-                OrthogonalBasis::total_order(PolynomialFamily::Hermite, model.n_vars(), 2).unwrap();
-            let sys = GalerkinSystem::assemble(model, &basis).unwrap();
+        for include_pad_variation in [true, false] {
+            let mut spec = VariationSpec::paper_defaults();
+            spec.include_pad_variation = include_pad_variation;
+            let model = StochasticGridModel::inter_die(&grid, &spec).unwrap();
+            let basis = OrthogonalBasis::total_order(PolynomialFamily::Hermite, 2, 2).unwrap();
+            let sys = GalerkinSystem::assemble(&model, &basis).unwrap();
             let n = model.node_count();
-            let mut u_hat = vec![f64::NAN; sys.dim()];
             for t in [0.0, 0.13e-9, 0.4e-9, 1.7e-9] {
+                let [u_a, perturbations @ ..] = inter_die_terms(&grid, &spec, t);
                 let mut expected = vec![0.0; sys.dim()];
-                expected[..n].copy_from_slice(&model.excitation_nominal(t));
-                for d in 0..model.n_vars() {
-                    let u_d = model.excitation_perturbation(d, t);
+                expected[..n].copy_from_slice(&u_a);
+                for (d, u_d) in perturbations.iter().enumerate() {
                     if u_d.iter().all(|&v| v == 0.0) {
                         continue;
                     }
                     for i in 0..basis.len() {
                         let w = sys.coupling.linear(d, i, 0);
                         if w != 0.0 {
-                            for (e, v) in expected[i * n..(i + 1) * n].iter_mut().zip(&u_d) {
+                            for (e, v) in expected[i * n..(i + 1) * n].iter_mut().zip(u_d) {
                                 *e += w * v;
                             }
                         }
                     }
                 }
-                sys.excitation_into(model, t, &mut u_hat, &mut drain);
-                assert_eq!(bits(&u_hat), bits(&expected), "t = {t}");
-                assert_eq!(bits(&sys.excitation(model, t)), bits(&expected));
+                assert_eq!(bits(&sys.excitation(&model, t)), bits(&expected), "t = {t}");
             }
         }
     }

@@ -28,14 +28,12 @@ use rand::SeedableRng;
 use opera_collocation::{fan_out, sample_points, PointSink, SweepTrace, TransientSpec};
 use opera_grid::PowerGrid;
 use opera_sparse::SolveWorkspace;
-use opera_variation::{LeakageModel, StochasticGridModel};
+use opera_variation::{Excitation, LeakageModel, StochasticGridModel};
 
 use crate::parallel::sample_seed;
 use crate::solver::DirectPrepared;
 use crate::special_case::check_leakage_nodes;
-use crate::transient::{
-    integrate_fixed_step, rescale_around_anchor, CompanionFamily, TransientOptions,
-};
+use crate::transient::{integrate_fixed_step, CompanionFamily, TransientOptions};
 use crate::{OperaError, Result};
 
 /// Options for a Monte Carlo run.
@@ -286,13 +284,13 @@ pub fn run_leakage(
         options.transient.time_step,
         method,
     )?;
-    let scale = options.current_scale;
 
     // The waveform scaling is anchored at t = 0, so it rescales only the
     // switching currents; the (time-independent) leakage is untouched. The
     // switching excitation is shared by every sample — only the subtracted
-    // leakage differs — so each group evaluates it once per time point.
-    let anchor = (scale != 1.0).then(|| grid.excitation(0.0));
+    // leakage differs — so each group's evaluator evaluates the waveforms
+    // once per time point.
+    let switching = Excitation::for_grid(grid, options.current_scale);
 
     let mut statistics = WelfordFold::new(times.len(), n, options);
     let run_group = |range: Range<usize>, _, sink: &PointSink<'_>| {
@@ -306,6 +304,7 @@ pub fn run_leakage(
             })
             .collect();
         let w = leaks.len();
+        let mut excitation = switching.clone();
 
         // Shared-factor panel transient (the factors are shared across
         // groups *and* threads; they are only read). One workspace per
@@ -317,13 +316,11 @@ pub fn run_leakage(
             (n, w),
             &mut SolveWorkspace::with_capacity(n * w),
             |t, u_panel| {
-                let mut base = grid.excitation(t);
-                if let Some(u0) = &anchor {
-                    rescale_around_anchor(&mut base, u0, scale);
-                }
                 for (j, leak) in leaks.iter().enumerate() {
-                    for ((u_n, &b), l_n) in u_panel.col_mut(j).iter_mut().zip(&base).zip(leak) {
-                        *u_n = b - l_n;
+                    let column = u_panel.col_mut(j);
+                    excitation.nominal_into(t, column);
+                    for (u_n, l_n) in column.iter_mut().zip(leak) {
+                        *u_n -= l_n;
                     }
                 }
                 Ok(())

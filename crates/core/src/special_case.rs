@@ -27,7 +27,7 @@
 use opera_grid::PowerGrid;
 use opera_pce::{GalerkinCoupling, OrthogonalBasis};
 use opera_sparse::SolveWorkspace;
-use opera_variation::LeakageModel;
+use opera_variation::{Excitation, LeakageModel};
 use rayon::prelude::*;
 
 use crate::solver::DirectPrepared;
@@ -110,6 +110,7 @@ pub fn solve_leakage(
     // column depends on time; the leakage-coefficient columns are constant,
     // so they are written on the first fill only.
     let mut coefficients: Vec<Vec<Vec<f64>>> = Vec::with_capacity(sys.times.len());
+    let mut switching = Excitation::for_grid(grid, 1.0);
     let mut primed = false;
     integrate_fixed_step(
         &sys.prepared,
@@ -118,7 +119,11 @@ pub fn solve_leakage(
         (n, size),
         &mut SolveWorkspace::with_capacity(n * size),
         |t, u| {
-            u.col_mut(0).copy_from_slice(&sys.rhs_at(0, t));
+            let nominal = u.col_mut(0);
+            switching.nominal_into(t, nominal);
+            for (u_n, inj) in nominal.iter_mut().zip(&sys.injections[0]) {
+                *u_n -= inj;
+            }
             if !primed {
                 for j in 1..size {
                     u.col_mut(j).copy_from_slice(&sys.rhs_at(j, t));

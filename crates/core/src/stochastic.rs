@@ -16,12 +16,13 @@
 
 use opera_pce::{OrthogonalBasis, PceSeries};
 use opera_sparse::{Panel, SolveWorkspace};
+use opera_variation::{Excitation, StochasticGridModel};
 
 use crate::adaptive::{integrate_adaptive, AdaptiveOptions, AdaptiveStats};
 use crate::galerkin::GalerkinSystem;
 use crate::solver::PreparedSolver;
-use crate::transient::{integrate_fixed_step, rescale_around_anchor, IntegrationMethod};
-use crate::{OperaError, Result};
+use crate::transient::{integrate_fixed_step, IntegrationMethod};
+use crate::Result;
 
 /// The stochastic voltage response: polynomial-chaos coefficients of every
 /// node voltage at every time point.
@@ -189,40 +190,38 @@ pub(crate) fn run_prepared_adaptive(
 
 /// The augmented transient behind every fixed-step OPERA solve: runs one
 /// transient for *several scenarios at once*, where scenario `j` drives the
-/// system with the shared excitation rescaled around `anchor` by
-/// `scales[j]`. At every time step the scenario states form the columns of
-/// one [`Panel`] and advance through a single blocked multi-RHS solve, so the
-/// factor is streamed once per step instead of once per scenario per step.
-/// A single scenario is the one-column case.
+/// system with `model`'s excitation at current scale `scales[j]`. At every
+/// time step the scenario states form the columns of one [`Panel`] and
+/// advance through a single blocked multi-RHS solve, so the factor is
+/// streamed once per step instead of once per scenario per step. A single
+/// scenario is the one-column case.
 ///
-/// `excitation(t, u)` writes the shared excitation at `t` into `u`, column
-/// 0 of the excitation panel, which is then copied to the other columns;
-/// no stacked excitation is allocated per step. Column `j` of the panel is
-/// bit-identical to running scenario `j` alone: a scale of exactly `1.0`
-/// keeps the shared excitation verbatim (no rescaling arithmetic).
+/// The first column of each scale has an [`Excitation`] that writes its
+/// stacked form straight into the excitation panel; a later column of the
+/// same scale copies it. No stacked excitation is allocated per step.
+/// Column `j` of the panel is bit-identical to running scenario `j` alone.
 pub(crate) fn run_prepared_panel(
     prepared: &dyn PreparedSolver,
     system: &GalerkinSystem,
-    mut excitation: impl FnMut(f64, &mut [f64]),
-    anchor: Option<&[f64]>,
+    model: &StochasticGridModel,
     scales: &[f64],
     times: Vec<f64>,
     method: IntegrationMethod,
 ) -> Result<Vec<StochasticSolution>> {
     let dim = system.dim();
     let k = scales.len();
-
-    // Resolve the anchor once up front: scaled scenarios without one are a
-    // caller error, reported before any factorisation work is spent.
-    let anchor = match anchor {
-        Some(anchor) => anchor,
-        None if scales.iter().all(|&s| s == 1.0) => &[][..],
-        None => {
-            return Err(OperaError::InvalidOptions {
-                reason: "scaled scenarios need an anchor excitation to rescale around".to_string(),
-            })
-        }
+    let earlier = |j: usize| {
+        scales[..j]
+            .iter()
+            .position(|s| s.to_bits() == scales[j].to_bits())
     };
+    let mut excitations: Vec<Option<Excitation<'_>>> = (0..k)
+        .map(|j| {
+            earlier(j)
+                .is_none()
+                .then(|| Excitation::for_model(model, scales[j]))
+        })
+        .collect();
 
     let mut coefficients: Vec<Vec<Vec<Vec<f64>>>> =
         (0..k).map(|_| Vec::with_capacity(times.len())).collect();
@@ -232,17 +231,14 @@ pub(crate) fn run_prepared_panel(
         &times,
         (dim, k),
         &mut SolveWorkspace::with_capacity(dim * k),
-        // The shared excitation in column 0, copied to the others, then
-        // rescaled per scenario.
         |t, panel| {
-            let (shared, rest) = panel.data_mut().split_at_mut(dim);
-            excitation(t, shared);
-            for col in rest.chunks_exact_mut(dim) {
-                col.copy_from_slice(shared);
-            }
-            for (j, &scale) in scales.iter().enumerate() {
-                if scale != 1.0 {
-                    rescale_around_anchor(panel.col_mut(j), anchor, scale);
+            for (j, excitation) in excitations.iter_mut().enumerate() {
+                let (written, rest) = panel.data_mut().split_at_mut(j * dim);
+                let column = &mut rest[..dim];
+                if let Some(excitation) = excitation {
+                    excitation.stacked_into(t, system.coupling(), column);
+                } else if let Some(first) = earlier(j) {
+                    column.copy_from_slice(&written[first * dim..][..dim]);
                 }
             }
             Ok(())

@@ -22,7 +22,7 @@ use opera_trace::Counter;
 use crate::solver::{DirectPrepared, PreparedSolver};
 use crate::{OperaError, Result};
 
-pub(crate) use opera_sparse::stepping::{companion_scale, rescale_around_anchor, StepRhs};
+pub(crate) use opera_sparse::stepping::{companion_scale, StepRhs};
 pub use opera_sparse::stepping::{IntegrationMethod, TR_BDF2_GAMMA};
 
 /// Options for a fixed-step transient analysis.
@@ -588,7 +588,7 @@ impl CompanionFamily {
 pub fn solve_transient(
     g: &CsrMatrix,
     c: &CsrMatrix,
-    excitation: impl Fn(f64) -> Vec<f64>,
+    mut excitation: impl FnMut(f64) -> Vec<f64>,
     options: &TransientOptions,
 ) -> Result<TransientSolution> {
     options.validate()?;

@@ -332,35 +332,37 @@ impl PowerGrid {
         u
     }
 
-    /// The drain-current vector `i(t)` (amperes drawn from each node) at time
-    /// `t`.
-    pub fn drain_current_vector(&self, t: f64) -> Vec<f64> {
-        self.drain_current_vector_weighted(t, |_| 1.0)
-    }
-
-    /// Drain currents with a per-source multiplier (drain currents vary with
-    /// `Leff`, leakage with `Vth`; the multiplier lets variation models scale
-    /// individual blocks).
-    pub fn drain_current_vector_weighted(
-        &self,
-        t: f64,
-        weight: impl Fn(&CurrentSource) -> f64,
-    ) -> Vec<f64> {
-        let mut i = vec![0.0; self.node_count];
-        for s in &self.sources {
-            i[s.node] += s.waveform.value_at(t) * weight(s);
-        }
-        i
-    }
-
     /// The full excitation vector `u(t) = u_pad − i(t)` of the MNA system
     /// `G·v + C·dv/dt = u(t)`.
     pub fn excitation(&self, t: f64) -> Vec<f64> {
-        let mut u = self.pad_injection_vector();
-        for s in &self.sources {
-            u[s.node] -= s.waveform.value_at(t);
-        }
+        let mut u = vec![0.0; self.node_count];
+        self.excitation_into(t, &self.pad_injection_vector(), &mut u, &mut []);
         u
+    }
+
+    /// [`excitation`](Self::excitation) written into `u` from the pad
+    /// injection `pad` (the [`pad_injection_vector`](Self::pad_injection_vector)),
+    /// one evaluation per source waveform; unless `drain` is empty, the
+    /// drain currents `i(t)` are summed into it too.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pad` and `u` differ in length or are shorter than the
+    /// node count, or if `drain` is neither empty nor of `u`'s length.
+    pub fn excitation_into(&self, t: f64, pad: &[f64], u: &mut [f64], drain: &mut [f64]) {
+        assert!(
+            drain.is_empty() || drain.len() == u.len(),
+            "drain length mismatch"
+        );
+        u.copy_from_slice(pad);
+        drain.fill(0.0);
+        for source in &self.sources {
+            let value = source.waveform.value_at(t);
+            u[source.node] -= value;
+            if let Some(i_n) = drain.get_mut(source.node) {
+                *i_n += value;
+            }
+        }
     }
 
     /// Total grid capacitance in farads.
@@ -397,28 +399,39 @@ impl PowerGrid {
     /// conductance matrix positive definite). The netlist front end uses
     /// this to report unreachable nodes by *name*.
     pub fn first_unreached_node(&self) -> Option<usize> {
-        let mut adjacency: Vec<Vec<usize>> = vec![Vec::new(); self.node_count];
-        let mut reached = vec![false; self.node_count];
-        let mut queue = std::collections::VecDeque::new();
-        for branch in &self.branches {
-            match branch.b {
-                Some(b) => {
-                    adjacency[branch.a].push(b);
-                    adjacency[b].push(branch.a);
-                }
-                None => {
-                    if !reached[branch.a] {
-                        reached[branch.a] = true;
-                        queue.push_back(branch.a);
-                    }
-                }
+        // The wire adjacency in CSR form, from a degree count, a prefix sum
+        // and one fill that walks each node's cursor back to its row start.
+        let n = self.node_count;
+        let wires = || self.branches.iter().filter_map(|w| w.b.map(|b| (w.a, b)));
+        let mut start = vec![0usize; n + 1];
+        for (a, b) in wires() {
+            start[a] += 1;
+            start[b] += 1;
+        }
+        for node in 0..n {
+            start[node + 1] += start[node];
+        }
+        let mut neighbours = vec![0usize; start[n]];
+        for (a, b) in wires() {
+            start[a] -= 1;
+            neighbours[start[a]] = b;
+            start[b] -= 1;
+            neighbours[start[b]] = a;
+        }
+        // Search from the pads; each node is pushed at most once.
+        let mut reached = vec![false; n];
+        let mut pending = Vec::with_capacity(n);
+        for pad in self.branches.iter().filter(|branch| branch.b.is_none()) {
+            if !reached[pad.a] {
+                reached[pad.a] = true;
+                pending.push(pad.a);
             }
         }
-        while let Some(u) = queue.pop_front() {
-            for &v in &adjacency[u] {
+        while let Some(u) = pending.pop() {
+            for &v in &neighbours[start[u]..start[u + 1]] {
                 if !reached[v] {
                     reached[v] = true;
-                    queue.push_back(v);
+                    pending.push(v);
                 }
             }
         }

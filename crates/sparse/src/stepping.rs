@@ -1,7 +1,6 @@
 //! The fixed-step integration formulas of `G·v + C·dv/dt = u(t)`: the
 //! scheme enum, the TR-BDF2 split `γ`, the companion scale `s` of
-//! `G + s·C`, the time grid, the excitation rescaling and the stage
-//! right-hand sides.
+//! `G + s·C`, the time grid and the stage right-hand sides.
 //!
 //! This is the one copy of these formulas. The engine's companion systems
 //! and CG backend (`opera::transient`, `opera::solver`) and the lock-step
@@ -98,18 +97,6 @@ pub fn time_points(time_step: f64, end_time: f64) -> Vec<f64> {
             }
         })
         .collect()
-}
-
-/// Rescales an excitation vector around an anchor (the quiescent `t = 0`
-/// excitation): `u ← anchor + scale·(u − anchor)`. Because switching
-/// currents vanish at quiescence, this scales exactly the switching part
-/// while leaving the pad (supply) injection untouched, on the engine's
-/// scenario paths and on every Monte Carlo sample and collocation node
-/// alike.
-pub fn rescale_around_anchor(u: &mut [f64], anchor: &[f64], scale: f64) {
-    for (u_n, a_n) in u.iter_mut().zip(anchor) {
-        *u_n = a_n + scale * (*u_n - a_n);
-    }
 }
 
 // The stage builders run once per column per step: zero allocations.

@@ -38,6 +38,7 @@
 #![warn(rust_2018_idioms)]
 
 mod error;
+mod excitation;
 mod leakage;
 mod model;
 mod spec;
@@ -45,6 +46,7 @@ mod spec;
 pub mod correlation;
 
 pub use error::VariationError;
+pub use excitation::Excitation;
 pub use leakage::LeakageModel;
 pub use model::{NominalPatterns, SampleValues, StochasticGridModel, VariationVariable};
 pub use spec::VariationSpec;

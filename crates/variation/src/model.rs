@@ -7,7 +7,7 @@ use opera_grid::{BranchKind, CapacitorClass, PowerGrid};
 use opera_pce::PolynomialFamily;
 use opera_sparse::CsrMatrix;
 
-use crate::{Result, VariationError, VariationSpec};
+use crate::{Excitation, Result, VariationError, VariationSpec};
 
 /// One normalised random variable of the stochastic model.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,8 +28,8 @@ pub struct VariationVariable {
 ///
 /// This is exactly the first-order (linear) parameter model of the paper
 /// (Eq. 13 after the ξ_W/ξ_T combination of Eq. 14). The model retains the
-/// underlying [`PowerGrid`] so the time-dependent excitation can be evaluated
-/// at arbitrary time points.
+/// underlying [`PowerGrid`] so an [`Excitation`] can evaluate the
+/// time-dependent excitation at arbitrary time points.
 #[derive(Debug, Clone)]
 pub struct StochasticGridModel {
     grid: PowerGrid,
@@ -40,11 +40,10 @@ pub struct StochasticGridModel {
     g_pert: Vec<CsrMatrix>,
     c_pert: Vec<CsrMatrix>,
     /// Constant (pad) part of the excitation perturbations.
-    pad_nominal: Vec<f64>,
-    pad_pert: Vec<Vec<f64>>,
+    pub(crate) pad_pert: Vec<Vec<f64>>,
     /// Multiplier applied to the nominal drain currents for each variable
     /// (`u_d(t)` includes `− current_sens[d] · i(t)`).
-    current_sens: Vec<f64>,
+    pub(crate) current_sens: Vec<f64>,
 }
 
 impl StochasticGridModel {
@@ -82,7 +81,6 @@ impl StochasticGridModel {
             _ => 0.0,
         });
 
-        let pad_nominal = grid.pad_injection_vector();
         let pad_g = if include_pads {
             grid.pad_injection_weighted(|_| sigma_g)
         } else {
@@ -108,7 +106,6 @@ impl StochasticGridModel {
             ca: Arc::new(ca),
             g_pert: vec![gg, CsrMatrix::zeros(grid.node_count(), grid.node_count())],
             c_pert: vec![CsrMatrix::zeros(grid.node_count(), grid.node_count()), cc],
-            pad_nominal,
             pad_pert: vec![pad_g, pad_l],
             current_sens: vec![0.0, spec.drain_current_sensitivity * sigma_l],
         })
@@ -181,7 +178,6 @@ impl StochasticGridModel {
             ca: Arc::new(ca),
             g_pert: vec![gw, gt, zero.clone()],
             c_pert: vec![zero.clone(), zero, cc],
-            pad_nominal: grid.pad_injection_vector(),
             pad_pert: vec![pad_w, pad_t, vec![0.0; grid.node_count()]],
             current_sens: vec![0.0, 0.0, spec.drain_current_sensitivity * sigma_l],
         })
@@ -271,7 +267,6 @@ impl StochasticGridModel {
             ca: Arc::new(ca),
             g_pert,
             c_pert,
-            pad_nominal: grid.pad_injection_vector(),
             pad_pert,
             current_sens,
         })
@@ -336,33 +331,6 @@ impl StochasticGridModel {
         &self.c_pert[d]
     }
 
-    /// Nominal excitation `u_a(t)`.
-    pub fn excitation_nominal(&self, t: f64) -> Vec<f64> {
-        self.grid.excitation(t)
-    }
-
-    /// Excitation perturbation `u_d(t)` of variable `d`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d` is out of range.
-    pub fn excitation_perturbation(&self, d: usize, t: f64) -> Vec<f64> {
-        let mut u = self.pad_pert[d].clone();
-        let sens = self.current_sens[d];
-        if sens != 0.0 {
-            let i = self.grid.drain_current_vector(t);
-            for (u_n, i_n) in u.iter_mut().zip(&i) {
-                *u_n -= sens * i_n;
-            }
-        }
-        u
-    }
-
-    /// Constant pad part of the nominal excitation (`G₁·VDD`).
-    pub fn pad_injection_nominal(&self) -> &[f64] {
-        &self.pad_nominal
-    }
-
     /// Realises the conductance matrix for a particular sample `ξ` (used by
     /// the Monte Carlo baseline).
     ///
@@ -396,145 +364,16 @@ impl StochasticGridModel {
         Ok(c)
     }
 
-    /// Realises the excitation vector at time `t` for a particular sample.
+    /// Realises the excitation vector at time `t` for a particular sample:
+    /// the sample form of an [`Excitation`] at scale one.
     ///
     /// # Errors
     ///
     /// Returns [`VariationError::IndexOutOfBounds`] if `xi.len() != n_vars()`.
     pub fn sample_excitation(&self, t: f64, xi: &[f64]) -> Result<Vec<f64>> {
-        self.check_sample(xi)?;
-        let mut u = self.excitation_nominal(t);
-        for (d, &x) in xi.iter().enumerate() {
-            if x == 0.0 {
-                continue;
-            }
-            let ud = self.excitation_perturbation(d, t);
-            for (u_n, ud_n) in u.iter_mut().zip(&ud) {
-                *u_n += x * ud_n;
-            }
-        }
+        let mut u = vec![0.0; self.node_count()];
+        Excitation::for_model(self, 1.0).sample_into(t, xi, &mut u)?;
         Ok(u)
-    }
-
-    /// [`sample_excitation`](Self::sample_excitation) written into `out`
-    /// (e.g. one column of an excitation panel), bit-equal to it. The
-    /// source waveforms are evaluated once and the drain currents once per
-    /// call, where the allocating form evaluates them once per varying
-    /// variable too and allocates a vector per term; the pad terms come
-    /// from the model's stored pad injection. `drain` is the caller's
-    /// scratch for the drain currents: a loop that passes the same one to
-    /// every call allocates on its first call only (and not at all while no
-    /// current sensitivity varies).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VariationError::IndexOutOfBounds`] if `xi.len() != n_vars()`
-    /// or `out.len()` differs from the node count.
-    pub fn sample_excitation_into(
-        &self,
-        t: f64,
-        xi: &[f64],
-        out: &mut [f64],
-        drain: &mut Vec<f64>,
-    ) -> Result<()> {
-        self.check_sample(xi)?;
-        if out.len() != self.node_count() {
-            return Err(VariationError::IndexOutOfBounds {
-                reason: format!(
-                    "excitation buffer has {} entries, grid has {} nodes",
-                    out.len(),
-                    self.node_count()
-                ),
-            });
-        }
-        let varies_current = xi
-            .iter()
-            .zip(&self.current_sens)
-            .any(|(&x, &sens)| x != 0.0 && sens != 0.0);
-        let drain = drain_scratch(drain, varies_current, out.len());
-        self.nominal_and_drain_into(t, out, drain);
-        for (d, &x) in xi.iter().enumerate() {
-            if x == 0.0 {
-                continue;
-            }
-            let sens = self.current_sens[d];
-            if sens != 0.0 {
-                for ((u_n, &pad), &i_n) in out.iter_mut().zip(&self.pad_pert[d]).zip(&*drain) {
-                    *u_n += x * (pad - sens * i_n);
-                }
-            } else {
-                for (u_n, &pad) in out.iter_mut().zip(&self.pad_pert[d]) {
-                    *u_n += x * pad;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// [`excitation_nominal`](Self::excitation_nominal) written into `out`
-    /// (one node-count block), bit-equal to it, evaluating each source
-    /// waveform once. `drain` is the caller's scratch for the drain
-    /// currents `i(t)` that [`excitation_perturbation_values`] reads: it is
-    /// filled when some variable has a current sensitivity and emptied
-    /// otherwise, so a loop that passes the same one to every call
-    /// allocates on its first call only.
-    ///
-    /// [`excitation_perturbation_values`]: Self::excitation_perturbation_values
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len()` differs from the node count.
-    pub fn excitation_nominal_into(&self, t: f64, out: &mut [f64], drain: &mut Vec<f64>) {
-        assert_eq!(
-            out.len(),
-            self.node_count(),
-            "excitation dimension mismatch"
-        );
-        let varies_current = self.current_sens.iter().any(|&sens| sens != 0.0);
-        let drain = drain_scratch(drain, varies_current, out.len());
-        self.nominal_and_drain_into(t, out, drain);
-    }
-
-    /// The entries of [`excitation_perturbation`](Self::excitation_perturbation)
-    /// `u_d(t)`, bit-equal to it, computed as they are read from the drain
-    /// currents that [`excitation_nominal_into`](Self::excitation_nominal_into)
-    /// left in `drain` for the same `t`: nothing of the node count is
-    /// allocated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d` is out of range, or on reading an entry when variable
-    /// `d` has a current sensitivity and `drain` holds no currents.
-    pub fn excitation_perturbation_values<'a>(
-        &'a self,
-        d: usize,
-        drain: &'a [f64],
-    ) -> impl Iterator<Item = f64> + 'a {
-        let sens = self.current_sens[d];
-        self.pad_pert[d].iter().enumerate().map(move |(k, &pad)| {
-            if sens != 0.0 {
-                pad - sens * drain[k]
-            } else {
-                pad
-            }
-        })
-    }
-
-    /// The nominal excitation `u_pad − i(t)` into `out`, accumulated per
-    /// source as `PowerGrid::excitation` does, and — unless `drain` is
-    /// empty — the drain currents `i(t)` into `drain` as
-    /// `PowerGrid::drain_current_vector` sums them, from one evaluation of
-    /// each waveform.
-    fn nominal_and_drain_into(&self, t: f64, out: &mut [f64], drain: &mut [f64]) {
-        out.copy_from_slice(&self.pad_nominal);
-        drain.fill(0.0);
-        for source in self.grid.sources() {
-            let value = source.waveform.value_at(t);
-            out[source.node] -= value;
-            if let Some(i_n) = drain.get_mut(source.node) {
-                *i_n += value;
-            }
-        }
     }
 
     fn check_sample(&self, xi: &[f64]) -> Result<()> {
@@ -549,12 +388,6 @@ impl StochasticGridModel {
         }
         Ok(())
     }
-}
-
-/// `drain` resized to `len` values when `needed`, emptied otherwise.
-fn drain_scratch(drain: &mut Vec<f64>, needed: bool, len: usize) -> &mut [f64] {
-    drain.resize(if needed { len } else { 0 }, 0.0);
-    drain
 }
 
 /// The matrices of one sample `ξ` as value arrays on a model's nominal
@@ -730,7 +563,7 @@ mod tests {
         let c = m.sample_capacitance(&[0.0, 0.0]).unwrap();
         assert_eq!(&c, m.nominal_capacitance());
         let u = m.sample_excitation(0.3e-9, &[0.0, 0.0]).unwrap();
-        assert_eq!(u, m.excitation_nominal(0.3e-9));
+        assert_eq!(u, m.grid().excitation(0.3e-9));
     }
 
     #[test]
@@ -748,17 +581,26 @@ mod tests {
     fn excitation_perturbation_tracks_drain_currents() {
         let grid = GridSpec::small_test(150).with_seed(3).build().unwrap();
         let m = StochasticGridModel::inter_die(&grid, &VariationSpec::paper_defaults()).unwrap();
-        // At a time when currents flow, u_L(t) must be nonzero (current
-        // sensitivity) while its pad part is zero.
-        let t = 0.4e-9;
-        let u_l = m.excitation_perturbation(1, t);
-        let i = grid.drain_current_vector(t);
-        let total_i: f64 = i.iter().sum();
-        assert!(total_i > 0.0, "test needs nonzero current at t");
+        // u_L(t) = −s_L·i(t): no pad part, the spec's current sensitivity.
         let sens = VariationSpec::paper_defaults().drain_current_sensitivity
             * VariationSpec::paper_defaults().sigma_channel_length();
-        for (ul, inode) in u_l.iter().zip(&i) {
-            assert!((ul + sens * inode).abs() < 1e-18 + 1e-12 * inode.abs());
+        assert!(m.pad_pert[1].iter().all(|&p| p == 0.0));
+        assert_eq!(m.current_sens[1], sens);
+        // At a time when currents flow, a unit ξ_L moves the excitation by
+        // exactly that.
+        let t = 0.4e-9;
+        let mut i = vec![0.0; grid.node_count()];
+        for source in grid.sources() {
+            i[source.node] += source.waveform.value_at(t);
+        }
+        assert!(
+            i.iter().sum::<f64>() > 0.0,
+            "test needs nonzero current at t"
+        );
+        let u0 = m.sample_excitation(t, &[0.0, 0.0]).unwrap();
+        let u1 = m.sample_excitation(t, &[0.0, 1.0]).unwrap();
+        for ((a, b), inode) in u0.iter().zip(&u1).zip(&i) {
+            assert!((b - a + sens * inode).abs() < 1e-18 + 1e-12 * a.abs());
         }
     }
 
@@ -814,45 +656,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_excitation_into_is_bit_equal_to_sample_excitation() {
-        let grid = GridSpec::small_test(150).with_seed(11).build().unwrap();
-        let spec = VariationSpec::paper_defaults();
-        let models = [
-            StochasticGridModel::inter_die(&grid, &spec).unwrap(),
-            StochasticGridModel::inter_die_three_variable(&grid, &spec).unwrap(),
-            StochasticGridModel::intra_die_slices(&grid, &spec, 3).unwrap(),
-        ];
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for m in &models {
-            let mut out = vec![f64::NAN; m.node_count()];
-            // One drain scratch serves every call: the previous call's
-            // currents must not leak into the next.
-            let mut drain = Vec::new();
-            for (k, t) in [0.0, 0.13e-9, 0.5e-9, 1.7e-9].into_iter().enumerate() {
-                let draws = [
-                    vec![0.0; m.n_vars()],
-                    (0..m.n_vars())
-                        .map(|d| 0.7 - 0.45 * (d + k) as f64)
-                        .collect(),
-                ];
-                for xi in &draws {
-                    m.sample_excitation_into(t, xi, &mut out, &mut drain)
-                        .unwrap();
-                    assert_eq!(bits(&out), bits(&m.sample_excitation(t, xi).unwrap()));
-                }
-            }
-            assert!(m
-                .sample_excitation_into(0.0, &[0.0], &mut out, &mut drain)
-                .is_err());
-            let mut short = vec![0.0; m.node_count() - 1];
-            let xi = vec![0.0; m.n_vars()];
-            assert!(m
-                .sample_excitation_into(0.0, &xi, &mut short, &mut drain)
-                .is_err());
-        }
-    }
-
-    #[test]
     fn wrong_sample_length_is_rejected() {
         let m = small_model();
         assert!(m.sample_conductance(&[0.0]).is_err());
@@ -866,8 +669,8 @@ mod tests {
         spec.include_pad_variation = false;
         let m = StochasticGridModel::inter_die(&grid, &spec).unwrap();
         // u_G(t) must be identically zero (pads fixed, currents insensitive to ξ_G).
-        let u_g = m.excitation_perturbation(0, 0.2e-9);
-        assert!(u_g.iter().all(|&v| v == 0.0));
+        assert!(m.pad_pert[0].iter().all(|&v| v == 0.0));
+        assert_eq!(m.current_sens[0], 0.0);
         // And G_g must not touch the pad diagonal contribution.
         let g_pads_only = grid.conductance_matrix_weighted(|b| {
             if b.kind == BranchKind::PackagePad {

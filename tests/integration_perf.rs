@@ -124,8 +124,10 @@ fn steady_state_transient_steps_allocate_nothing() {
 /// Panel-batched `run_batch` must produce reports bit-identical to solving
 /// every scenario alone, including when the batch mixes panel-eligible
 /// scenarios (engine time grid) with ones that need a private factorisation
-/// (time-step override) — on every built-in backend (the CG backend steps
-/// its panel columns itself) and on a TR-BDF2 direct engine.
+/// (time-step override) and two panel columns of one scale, whose
+/// excitation is written once and copied — on every built-in backend (the
+/// CG backend steps its panel columns itself) and on a TR-BDF2 direct
+/// engine.
 #[test]
 fn mixed_batches_match_individual_scenario_runs_bit_for_bit() {
     let scenarios = vec![
@@ -133,6 +135,7 @@ fn mixed_batches_match_individual_scenario_runs_bit_for_bit() {
         Scenario::named("nominal"),
         Scenario::named("heavy").with_current_scale(1.5),
         Scenario::named("fine").with_time_step(0.125e-9),
+        Scenario::named("heavy, again").with_current_scale(1.5),
     ];
     let engines = builtin_backends()
         .map(|solver| (solver.name().to_string(), small_engine(solver)))
@@ -423,4 +426,61 @@ fn fixed_step_solves_allocate_no_excitation() {
             );
         }
     }
+}
+
+/// The leakage paths write the switching excitation into the stepping
+/// loop's reused panels: over a horizon four times longer, the leakage
+/// Monte Carlo allocates node-length vectors only for its output (a mean
+/// and a variance row per time point), whatever the number of sample
+/// groups, and the leakage special case exactly one per chaos coefficient
+/// per extra step (its output's coefficients).
+#[test]
+fn leakage_steps_allocate_no_excitation() {
+    let grid = GridSpec::small_test(90).with_seed(5).build().unwrap();
+    let leakage = LeakageModel::uniform_slices(grid.node_count(), 2, 3.0e-5, 0.04, 23.0).unwrap();
+    let n = grid.node_count();
+    assert!(
+        !n.is_power_of_two(),
+        "a grown Vec could match the watched size"
+    );
+    let h = 0.25e-9;
+    let node_vector = n * std::mem::size_of::<f64>();
+
+    for (samples, current_scale) in [(4, 1.0), (12, 1.0), (12, 1.5)] {
+        let at_steps = |steps: usize| {
+            let mut options =
+                MonteCarloOptions::new(samples, 9, TransientOptions::new(h, steps as f64 * h));
+            options.current_scale = current_scale;
+            allocations_of(node_vector, || {
+                Parallelism::Serial
+                    .install(|| run_leakage(&grid, &leakage, &options))
+                    .unwrap()
+                    .unwrap();
+            })
+        };
+        let (short, long) = (at_steps(2), at_steps(8));
+        assert_eq!(
+            long - short,
+            2 * (8 - 2),
+            "{samples} samples at scale {current_scale}: 8 steps allocated {long} node \
+             vectors, 2 steps {short}"
+        );
+    }
+
+    let at_steps = |steps: usize| {
+        let options = SpecialCaseOptions::order2(TransientOptions::new(h, steps as f64 * h));
+        let mut size = 0;
+        let made = allocations_of(node_vector, || {
+            size = solve_leakage(&grid, &leakage, &options)
+                .unwrap()
+                .basis_size() as u64;
+        });
+        (made, size)
+    };
+    let ((short, size), (long, _)) = (at_steps(2), at_steps(8));
+    assert_eq!(
+        long - short,
+        size * (8 - 2),
+        "8 steps allocated {long} node vectors, 2 steps {short}"
+    );
 }

@@ -263,3 +263,137 @@ fn consecutive_adaptive_solves_refactor_alike_and_match_bit_for_bit() {
         );
     }
 }
+
+/// FNV-1a over the bit patterns of a Monte Carlo run's mean and variance
+/// tables, time-major, then node, means first.
+fn fnv1a_monte_carlo(result: &opera::monte_carlo::MonteCarloResult) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &v in result.mean.iter().chain(&result.variance).flatten() {
+        for byte in v.to_bits().to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// The engine every scaled pin below solves on: 60 nodes, order 2, paper
+/// variation, a 0.1 ns step over 1 ns.
+fn scaled_pin_engine(
+    backend: std::sync::Arc<dyn opera::solver::SolverBackend>,
+    method: IntegrationMethod,
+) -> OperaEngine {
+    OperaEngine::for_grid(GridSpec::small_test(60).with_seed(7))
+        .unwrap()
+        .variation(opera_variation::VariationSpec::paper_defaults())
+        .order(2)
+        .solver(backend)
+        .time_step(0.1e-9)
+        .end_time(1.0e-9)
+        .integration_method(method)
+        .build()
+        .unwrap()
+}
+
+/// The scaled-current paths rescale every excitation around its `t = 0`
+/// value. Pins of the fixed-step and adaptive Galerkin solves at scales
+/// other than one, on both built-in backends, recorded before the
+/// excitation terms were evaluated by one shared evaluator.
+#[test]
+fn scaled_engine_solves_are_bit_identical_to_the_pins() {
+    use opera::engine::Scenario;
+    use opera::solver::{default_backend, DirectCholesky, SolverBackend};
+    use std::sync::Arc;
+
+    let backends: [(Arc<dyn SolverBackend>, [u64; 5]); 2] = [
+        (
+            default_backend(),
+            [
+                0x67ad_204c_a410_fd00,
+                0xe6dc_fba1_a39c_9f24,
+                0x7e24_f310_4998_f2cf,
+                0xb088_a54e_f262_29e5,
+                0x011e_7300_0fa4_2c63,
+            ],
+        ),
+        (
+            Arc::new(DirectCholesky),
+            [
+                0x8469_c396_aace_5741,
+                0x126d_2543_83e0_8230,
+                0xc3de_fdc3_5041_b343,
+                0xbab3_956c_ba1a_5b0d,
+                0x2a67_3d74_f931_e9bc,
+            ],
+        ),
+    ];
+    for (backend, pins) in backends {
+        let fixed = [
+            (IntegrationMethod::BackwardEuler, 0.5),
+            (IntegrationMethod::BackwardEuler, 1.5),
+            (IntegrationMethod::TrBdf2, 0.5),
+            (IntegrationMethod::TrBdf2, 1.5),
+        ];
+        let mut hashes = Vec::new();
+        for (method, scale) in fixed {
+            let engine = scaled_pin_engine(Arc::clone(&backend), method);
+            let solution = engine
+                .solve_scenario(&Scenario::default().with_current_scale(scale))
+                .unwrap();
+            hashes.push((
+                format!("{method:?} at {scale}"),
+                fnv1a_coefficients(&solution),
+            ));
+        }
+        let adaptive = AdaptiveOptions::with_rel_tol(1e-4);
+        let engine = scaled_pin_engine(Arc::clone(&backend), IntegrationMethod::TrBdf2);
+        let (solution, _) = engine
+            .solve_scenario_adaptive(&Scenario::default().with_current_scale(1.5), &adaptive)
+            .unwrap();
+        hashes.push(("adaptive at 1.5".to_string(), fnv1a_coefficients(&solution)));
+        for ((what, hash), expected) in hashes.into_iter().zip(pins) {
+            assert_eq!(
+                hash,
+                expected,
+                "{}, {what}: scaled coefficients moved (got {hash:#018x})",
+                backend.name()
+            );
+        }
+    }
+}
+
+/// Pins of the Monte Carlo baselines at current scale 1.5 and of the
+/// leakage special case, recorded before the excitation terms were
+/// evaluated by one shared evaluator.
+#[test]
+fn scaled_monte_carlo_and_leakage_runs_are_bit_identical_to_the_pins() {
+    use opera::monte_carlo::{run, run_leakage, MonteCarloOptions};
+    use opera::special_case::{solve_leakage, SpecialCaseOptions};
+    use opera_variation::{LeakageModel, StochasticGridModel, VariationSpec};
+
+    let grid = GridSpec::small_test(60).with_seed(7).build().unwrap();
+    let model = StochasticGridModel::inter_die(&grid, &VariationSpec::paper_defaults()).unwrap();
+    let transient = TransientOptions::new(0.1e-9, 1.0e-9);
+    let mut options = MonteCarloOptions::new(9, 5, transient);
+    options.current_scale = 1.5;
+    let mc = fnv1a_monte_carlo(&run(&model, &options).unwrap());
+    assert_eq!(
+        mc, 0xdbb5_b362_282a_322e,
+        "Monte Carlo at scale 1.5 moved (got {mc:#018x})"
+    );
+
+    let leakage = LeakageModel::uniform_slices(grid.node_count(), 2, 3.0e-5, 0.04, 23.0).unwrap();
+    let leak = fnv1a_monte_carlo(&run_leakage(&grid, &leakage, &options).unwrap());
+    assert_eq!(
+        leak, 0x89d2_5b01_d55a_5b4f,
+        "leakage Monte Carlo at scale 1.5 moved (got {leak:#018x})"
+    );
+
+    let special = SpecialCaseOptions::order2(transient);
+    let solution = solve_leakage(&grid, &leakage, &special).unwrap();
+    let hash = fnv1a_coefficients(&solution);
+    assert_eq!(
+        hash, 0x247c_04bc_ab31_850e,
+        "solve_leakage moved (got {hash:#018x})"
+    );
+}

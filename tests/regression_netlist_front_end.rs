@@ -169,3 +169,35 @@ fn extra_cards_on_known_nodes_allocate_almost_nothing() {
         more.saturating_sub(base)
     );
 }
+
+/// The connectivity check every lowering runs builds its wire adjacency in
+/// CSR form: a handful of allocations, the same for a grid ten times
+/// larger, and the same first unreached node on a disconnected grid.
+#[test]
+fn connectivity_check_allocates_a_handful_whatever_the_node_count() {
+    let allocations = |grid: &opera_grid::PowerGrid| {
+        let before = allocations_so_far();
+        assert_eq!(grid.first_unreached_node(), None);
+        allocations_so_far() - before
+    };
+    let small = GridSpec::small_test(120).build().unwrap();
+    let large = GridSpec::small_test(1_200).build().unwrap();
+    let (few, many) = (allocations(&small), allocations(&large));
+    assert!(few <= 6, "the check made {few} allocations");
+    assert_eq!(
+        many,
+        few,
+        "{} nodes took {many} allocations, {} nodes {few}",
+        large.node_count(),
+        small.node_count()
+    );
+
+    let mut split = opera_grid::PowerGrid::new(5, 1.0).unwrap();
+    split.add_pad(3, 1.0).unwrap();
+    split.add_wire(3, 4, 1.0, BranchKind::MetalWire).unwrap();
+    split.add_wire(0, 1, 1.0, BranchKind::Via).unwrap();
+    split.add_wire(1, 2, 1.0, BranchKind::MetalWire).unwrap();
+    assert_eq!(split.first_unreached_node(), Some(0));
+    split.add_wire(2, 4, 1.0, BranchKind::MetalWire).unwrap();
+    assert_eq!(split.first_unreached_node(), None);
+}
