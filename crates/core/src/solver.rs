@@ -40,7 +40,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use opera_pce::GalerkinCoupling;
-use opera_sparse::cg::{self, CgOptions, LinearOperator, Preconditioner};
+use opera_sparse::cg::{self, CgOptions, GuessBasis, LinearOperator, Preconditioner};
 use opera_sparse::{CholeskyFactor, CsrMatrix, MatrixFactor, Panel, SolveWorkspace, SparseError};
 use opera_variation::StochasticGridModel;
 
@@ -112,6 +112,14 @@ pub trait PreparedSolver: Send + Sync {
     /// `t_k` and the excitations at `t_k` and `t_{k+1}`, computes the states
     /// at `t_{k+1}`.
     ///
+    /// `guesses` holds one [`GuessBasis`] per column, lent by the loop that
+    /// steps one transient and dropped with it. An iterative backend starts
+    /// column `j`'s solve from the projection of its right-hand side onto
+    /// `guesses[j]` (seeded with the step-start state when empty) and adds
+    /// the step's correction to it; a direct backend ignores them. Column
+    /// `j` depends only on its own inputs and basis, so it stays
+    /// bit-identical to stepping that column alone with a basis of its own.
+    ///
     /// # Errors
     ///
     /// Returns [`OperaError::InvalidOptions`] when the backend was prepared
@@ -122,6 +130,7 @@ pub trait PreparedSolver: Send + Sync {
         u_prev: &Panel,
         u_next: &Panel,
         out: &mut Panel,
+        guesses: &mut [GuessBasis],
         ws: &mut SolveWorkspace,
     ) -> Result<()>;
 
@@ -278,6 +287,7 @@ impl PreparedSolver for DirectPrepared {
         u_prev: &Panel,
         u_next: &Panel,
         out: &mut Panel,
+        _guesses: &mut [GuessBasis],
         ws: &mut SolveWorkspace,
     ) -> Result<()> {
         check_scheme(self.companion.method(), false)?;
@@ -660,6 +670,21 @@ impl CgPrepared {
         }
     }
 
+    /// The stepping operator `G̃ + s·C̃` and its preconditioner.
+    fn step_system(&self) -> (AugmentedCompanion<'_>, KroneckerNominal<'_>) {
+        (
+            AugmentedCompanion {
+                g: &self.g,
+                c: &self.c,
+                c_scale: self.c_scale,
+            },
+            KroneckerNominal {
+                factor: self.companion.factor(),
+                mix: &self.mix,
+            },
+        )
+    }
+
     /// Solves `(G̃ + s·C̃)·x = rhs` from the guess already in `x`, to
     /// `options`' tolerance.
     fn solve_step(
@@ -669,15 +694,7 @@ impl CgPrepared {
         options: CgOptions,
         ws: &mut SolveWorkspace,
     ) -> Result<()> {
-        let operator = AugmentedCompanion {
-            g: &self.g,
-            c: &self.c,
-            c_scale: self.c_scale,
-        };
-        let preconditioner = KroneckerNominal {
-            factor: self.companion.factor(),
-            mix: &self.mix,
-        };
+        let (operator, preconditioner) = self.step_system();
         cg::solve_in_place(&operator, rhs, x, &preconditioner, options, ws)?;
         Ok(())
     }
@@ -708,19 +725,23 @@ impl PreparedSolver for CgPrepared {
         u_prev: &Panel,
         u_next: &Panel,
         out: &mut Panel,
+        guesses: &mut [GuessBasis],
         ws: &mut SolveWorkspace,
     ) -> Result<()> {
         check_scheme(self.method, false)?;
         assert_same_columns(&[state, u_prev, u_next], out);
-        for j in 0..out.ncols() {
-            // The step-start state is the guess.
+        assert_eq!(guesses.len(), out.ncols(), "one guess basis per column");
+        let (operator, preconditioner) = self.step_system();
+        for (j, guess) in guesses.iter_mut().enumerate() {
+            // The step-start state seeds an empty basis; otherwise the
+            // guess is the projection onto the basis.
             let (rhs, inner) = ws.split(state.nrows());
             let v = state.col(j);
             self.rhs()
                 .single_stage(self.method, v, u_prev.col(j), u_next.col(j), rhs);
             let x = out.col_mut(j);
             x.copy_from_slice(v);
-            self.solve_step(rhs, x, self.options, inner)?;
+            guess.solve_in_place(&operator, rhs, x, &preconditioner, self.options, inner)?;
         }
         Ok(())
     }
@@ -879,7 +900,14 @@ mod tests {
                 &mut a1,
                 &mut ws,
             )?,
-            None => prepared.step_panel_into(&a0, &col(u0), &col(u1), &mut a1, &mut ws)?,
+            None => prepared.step_panel_into(
+                &a0,
+                &col(u0),
+                &col(u1),
+                &mut a1,
+                &mut [GuessBasis::new()],
+                &mut ws,
+            )?,
         }
         Ok((a0, a1))
     }
@@ -927,7 +955,14 @@ mod tests {
             let mut out = Panel::zeros(u0.len(), 1);
             let mut ws = SolveWorkspace::new();
             assert!(prepared
-                .step_panel_into(&a0, &col(&u0), &col(&u1), &mut out, &mut ws)
+                .step_panel_into(
+                    &a0,
+                    &col(&u0),
+                    &col(&u1),
+                    &mut out,
+                    &mut [GuessBasis::new()],
+                    &mut ws
+                )
                 .is_err());
             transient.method = IntegrationMethod::BackwardEuler;
             let single = backend.prepare(&model, &system, &transient).unwrap();

@@ -16,6 +16,7 @@
 
 use std::sync::Arc;
 
+use opera_sparse::cg::GuessBasis;
 use opera_sparse::{CsrMatrix, MatrixFactor, Panel, SolveWorkspace, SymbolicCholesky};
 use opera_trace::Counter;
 
@@ -627,7 +628,11 @@ pub fn solve_transient(
 /// TR-BDF2 composites also evaluating the excitation at the mid-stage time
 /// `t_prev + γ(t − t_prev)`. State, excitation and stage panels are double
 /// buffered and all solver scratch comes from `ws`, so with a warm
-/// workspace every built-in backend steps without allocating.
+/// workspace every built-in backend steps without allocating. The loop
+/// owns one [`GuessBasis`] per column for the single-stage steps and lends
+/// them to [`PreparedSolver::step_panel_into`]; they are dropped when the
+/// loop returns, so no basis outlives one transient, and a basis allocates
+/// its directions on the first step that uses it.
 ///
 /// `excitation(t, u)` writes the excitation at `t` into `u`. Every
 /// excitation panel starts as a copy of the first one (at `times[0]`) and is
@@ -670,6 +675,9 @@ pub fn integrate_fixed_step(
         Panel::zeros(n, 0)
     };
     let mut stage = Panel::zeros(n, if two_stage { k } else { 0 });
+    let mut guesses: Vec<GuessBasis> = (0..if two_stage { 0 } else { k })
+        .map(|_| GuessBasis::new())
+        .collect();
     let mut next = Panel::zeros(n, k);
     let mut t_prev = t0;
     // One span for the whole loop plus a per-step counter: per-step spans
@@ -688,7 +696,7 @@ pub fn integrate_fixed_step(
                 &state, &u_prev, &u_mid, &u_next, &mut stage, &mut next, ws,
             )?;
         } else {
-            prepared.step_panel_into(&state, &u_prev, &u_next, &mut next, ws)?;
+            prepared.step_panel_into(&state, &u_prev, &u_next, &mut next, &mut guesses, ws)?;
         }
         sink(step + 1, &next);
         std::mem::swap(&mut state, &mut next);

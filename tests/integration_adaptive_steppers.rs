@@ -34,6 +34,7 @@ use opera::solver::{BlockJacobiCg, DirectCholesky, PreparedSolver, SolverBackend
 use opera::transient::{CompanionFamily, TransientOptions};
 use opera::StochasticSolution;
 use opera_grid::GridSpec;
+use opera_sparse::cg::GuessBasis;
 use opera_sparse::{Panel, SolveWorkspace, SymbolicCholesky};
 use opera_variation::{StochasticGridModel, VariationSpec};
 
@@ -163,9 +164,11 @@ impl PreparedSolver for RecordingPrepared {
         u_prev: &Panel,
         u_next: &Panel,
         out: &mut Panel,
+        guesses: &mut [GuessBasis],
         ws: &mut SolveWorkspace,
     ) -> opera::Result<()> {
-        self.inner.step_panel_into(state, u_prev, u_next, out, ws)
+        self.inner
+            .step_panel_into(state, u_prev, u_next, out, guesses, ws)
     }
 
     fn step_tr_bdf2_panel_into(

@@ -16,9 +16,10 @@ use opera::engine::{CollocationConfig, McConfig, OperaEngine, Scenario};
 use opera::monte_carlo::{run as run_monte_carlo, run_leakage, MonteCarloOptions};
 use opera::solver::DirectCholesky;
 use opera::special_case::{solve_leakage, SpecialCaseOptions};
-use opera::transient::TransientOptions;
+use opera::transient::{IntegrationMethod, TransientOptions};
 use opera::StochasticSolution;
 use opera_grid::GridSpec;
+use opera_simd::Backend;
 use opera_variation::{LeakageModel, StochasticGridModel, VariationSpec};
 
 fn small_model() -> StochasticGridModel {
@@ -342,4 +343,72 @@ fn monte_carlo_and_collocation_keep_their_own_trace_names() {
     );
     assert!(collocation.span_count("collocation.group") >= 1);
     assert!(!names(&collocation).iter().any(|n| n.starts_with("mc.")));
+}
+
+/// The CG work counters of a solve.
+const CG_COUNTERS: [&str; 4] = [
+    "cg.iterations",
+    "cg.operator_applies",
+    "cg.preconditioner_applies",
+    "cg.converged_on_guess",
+];
+
+/// Fixed-step CG starts each single-stage step from the projection onto a
+/// basis of its solve's earlier steps, which lives as long as that
+/// `solve()`: consecutive solves of one engine, under every SIMD backend,
+/// give the same bits and the same CG counts, and most steps converge on
+/// their guess.
+#[test]
+fn consecutive_fixed_step_cg_solves_match_bit_for_bit_and_count_alike() {
+    let _guard = opera_trace::test_guard();
+    for method in [
+        IntegrationMethod::BackwardEuler,
+        IntegrationMethod::Trapezoidal,
+    ] {
+        let engine = OperaEngine::for_grid(GridSpec::small_test(150).with_seed(21))
+            .unwrap()
+            .order(2)
+            .time_step(0.05e-9)
+            .end_time(2.0e-9)
+            .integration_method(method)
+            .build()
+            .unwrap();
+        let initial = opera_simd::active();
+        let traced = |backend: Backend| {
+            opera_simd::set_active(backend).unwrap();
+            opera_trace::reset();
+            opera_trace::enable();
+            let solution = engine.solve();
+            let snapshot = opera_trace::drain();
+            opera_trace::disable();
+            opera_simd::set_active(initial).unwrap();
+            let counts = CG_COUNTERS.map(|name| snapshot.counter(name));
+            (
+                solution.unwrap(),
+                counts,
+                snapshot.counter("transient.steps"),
+            )
+        };
+        let (reference, counts, steps) = traced(Backend::Scalar);
+        assert!(
+            2 * counts[3] > steps,
+            "{method:?}: {} of {steps} steps converged on their guess",
+            counts[3]
+        );
+        for backend in std::iter::once(Backend::Scalar).chain(opera_simd::available_backends()) {
+            let (solution, again, _) = traced(backend);
+            assert_eq!(again, counts, "{method:?}, {backend:?}: CG counts moved");
+            for k in 0..reference.times().len() {
+                for i in 0..reference.basis_size() {
+                    for n in 0..reference.node_count() {
+                        assert_eq!(
+                            reference.coefficient(k, i, n).to_bits(),
+                            solution.coefficient(k, i, n).to_bits(),
+                            "{method:?}, {backend:?}: coefficient ({k}, {i}, {n})"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
